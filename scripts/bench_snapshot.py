@@ -46,7 +46,6 @@ SNAPSHOT_DIR = REPO_ROOT / "benchmarks" / "snapshots"
 BENCH_FILES = [
     REPO_ROOT / "benchmarks" / "bench_perf_kernels.py",
     REPO_ROOT / "benchmarks" / "bench_throughput.py",
-    REPO_ROOT / "benchmarks" / "bench_shard_throughput.py",
     REPO_ROOT / "benchmarks" / "bench_journal.py",
 ]
 
@@ -108,9 +107,7 @@ def distill(raw: dict, bench_n: int) -> dict:
         "bench_n": bench_n,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        # The sharded-service rates only overlap coordinator and worker
-        # work when cores exist to run them on — record how many this
-        # snapshot's host had so the numbers are interpretable.
+        # Record the host's core count so the numbers are interpretable.
         "cpu_count": os.cpu_count(),
         "kernels": dict(sorted(kernels.items())),
     }

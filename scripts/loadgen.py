@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Socket load generator for ``repro serve --listen``.
 
-Drives N concurrent clients against a running allocation service (single
-session or sharded cluster — the wire protocol is the same), measures
-per-operation latency, and writes a JSONL artifact: one line per client
-with its latency percentiles, then one aggregate line.
+Drives N concurrent clients against a running allocation service (one
+session behind ``repro serve --listen``), measures per-operation
+latency, and writes a JSONL artifact: one line per client with its
+latency percentiles, then one aggregate line.
 
 Each client plays its own churn-style arrival/departure stream with a
 disjoint task-id range (client ``c`` uses ids ``c*10**7 + i``), so any

@@ -215,82 +215,48 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_shard_cluster(args: argparse.Namespace):
-    """Build the sharded backend for ``repro serve --shards K``."""
-    from repro.service import SLOPolicy
-    from repro.service.shard.worker import create_process_cluster
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Long-lived journaled session: events in, decisions out.
 
-    machine = _make_machine(args)
-    slo = None
-    slo_target = getattr(args, "slo_target", None)
-    if slo_target is not None:
-        slo = SLOPolicy(
-            slowdown_target=slo_target,
-            queue_capacity=getattr(args, "slo_queue", 64),
-        )
-    algo = make_algorithm(
-        args.algorithm,
-        machine,
-        d=args.d,
-        lazy=args.lazy,
-        moves=getattr(args, "moves", 4),
-        seed=args.seed,
-        load_target=None if slo is None else slo.load_target,
-    )
-    return create_process_cluster(
-        machine,
-        algo,
-        num_shards=args.shards,
-        journal_dir=getattr(args, "journal_dir", None),
-        fsync_policy=getattr(args, "fsync", "always"),
-        slo=slo,
-        batch_backend=getattr(args, "backend", "numpy"),
-    )
+    One :class:`~repro.service.session.AllocationSession` behind one line
+    handler (:mod:`repro.service.shard.server`), on stdin/stdout or, with
+    ``--listen HOST:PORT``, on a TCP socket.  Besides event records,
+    control lines are understood::
 
+        {"op": "status"}    -> one status JSON line
+        {"op": "snapshot"}  -> the kernel state snapshot as one JSON line
+        {"op": "metrics"}   -> the Prometheus exposition page
+        {"op": "save", "path": "run.json"} -> archive the session so far
+                               (stdin only)
 
-def _cmd_serve_socket(args: argparse.Namespace) -> int:
-    """``repro serve --listen`` and/or ``--shards``: the socket front-end.
+    A malformed or rejected line yields an ``{"error": ..., "op": ...,
+    "line": N}`` record — a serving process must survive one bad client
+    line, and the line number makes the offender findable in the
+    client's stream.
 
-    With ``--shards K`` the backend is a coordinator over K worker
-    processes (bit-identical decisions to a single session — enforced by
-    ``repro verify --shards``); otherwise the single journaled session
-    serves the socket.  Without ``--listen``, a sharded backend still
-    serves stdin/stdout through the same protocol handler, so the two
-    transports cannot drift.  Fault/resize records are not routable in
-    sharded mode: they are refused with an ``{"error": ..., "op":
-    <kind>, "line": N}`` record naming the op.
+    With ``--slo-target`` every event goes through the admission
+    controller (typed outcome records instead of bare decisions), and
+    when the journal's fsync lag crosses the policy's high watermark the
+    server emits an ``{"overloaded": true, ...}`` record and *stalls* —
+    it commits the journal before reading on.  Signals keep their
+    contract through the stall: SIGINT exits 130 and a closed reader
+    exits 141 (the session closes and commits in both cases).
     """
     import asyncio
 
-    from repro.service.shard.server import ServiceServer
+    from repro.service.shard.server import ServiceServer, StdioServer
 
-    if getattr(args, "shards", None):
-        if args.journal:
-            print(
-                "error: --shards journals per shard; use --journal-dir",
-                file=sys.stderr,
-            )
-            return 2
-        if getattr(args, "faults", False):
-            print(
-                "error: --faults is not routable across shards; drop "
-                "--shards for fault workloads",
-                file=sys.stderr,
-            )
-            return 2
-        backend = _make_shard_cluster(args)
-        resumed = backend.gsn
-    else:
-        backend = _make_session(args, journal_path=args.journal)
-        resumed = backend.num_events
-    if resumed:
-        print(f"resumed {resumed} event(s)", file=sys.stderr)
-    server = ServiceServer(backend, metrics_port=args.metrics_port)
+    session = _make_session(args, journal_path=args.journal)
+    if session.num_events:
+        print(f"resumed {session.num_events} event(s) from {args.journal}",
+              file=sys.stderr)
     try:
         if args.listen:
             host, _, port = args.listen.rpartition(":")
-            server._host = host or "127.0.0.1"
-            server._port = int(port)
+            server = ServiceServer(
+                session, host=host or "127.0.0.1", port=int(port),
+                metrics_port=args.metrics_port,
+            )
 
             async def _run() -> None:
                 bound = await server.start()
@@ -311,144 +277,10 @@ def _cmd_serve_socket(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 pass
         else:
-            # Same handler, stdin transport.
-            for lineno, line in enumerate(sys.stdin, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                for out in server._serve_line(text, lineno):
-                    print(out, flush=True)
-    finally:
-        try:
-            status = backend.status()
-            if getattr(args, "shards", None):
-                status = status["aggregate"]
-        finally:
-            backend.close()
-    print(
-        f"session closed: {status['events']} event(s), "
-        f"L_A = {status['max_load']}, L* = {status['optimal_load']}, "
-        f"ratio = {status['competitive_ratio']:.3f}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Interactive journaled session: events in, decisions out.
-
-    Besides event records, control lines are understood::
-
-        {"op": "status"}    -> one status JSON line
-        {"op": "snapshot"}  -> the kernel state snapshot as one JSON line
-        {"op": "save", "path": "run.json"} -> archive the session so far
-
-    A malformed or rejected line yields an ``{"error": ..., "op": ...,
-    "line": N}`` record on stdout — a serving process must survive one
-    bad client line, and the line number makes the offender findable in
-    the client's stream.
-
-    With ``--slo-target`` every event goes through the admission
-    controller (typed outcome records instead of bare decisions), and
-    when the journal's fsync lag crosses the policy's high watermark the
-    server emits an ``{"overloaded": true, ...}`` record and *stalls* —
-    it stops reading the stream until the journal is committed.  Signals
-    keep their contract through the stall: SIGINT exits 130 and a closed
-    reader exits 141 exactly as on the fast path (the session closes and
-    commits in both cases).
-    """
-    import json as _json
-
-    from repro.errors import ReproError
-    from repro.service import admission_lines, decision_line, parse_event_record
-
-    if getattr(args, "shards", None) or getattr(args, "listen", None):
-        return _cmd_serve_socket(args)
-    session = _make_session(args, journal_path=args.journal)
-    slo = session.slo_policy
-    if args.journal and session.num_events:
-        print(
-            f"resumed {session.num_events} event(s) from {args.journal}",
-            file=sys.stderr,
-        )
-    try:
-        for lineno, line in enumerate(sys.stdin, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                obj = _json.loads(text)
-            except _json.JSONDecodeError as exc:
-                print(
-                    _json.dumps(
-                        {"error": f"invalid JSON: {exc}", "op": None,
-                         "line": lineno}
-                    ),
-                    flush=True,
-                )
-                continue
-            op = obj.get("op") if isinstance(obj, dict) else None
-            kind = obj.get("kind") if isinstance(obj, dict) else None
-            try:
-                if op is not None:
-                    # Control reads are commit points: flush any pending
-                    # group-commit buffer first, so what the client sees
-                    # is never ahead of what the journal guarantees.
-                    session.flush()
-                    if op == "status":
-                        out = session.status()
-                    elif op == "snapshot":
-                        out = session.snapshot()
-                    elif op == "metrics":
-                        from repro.service import (
-                            render_exposition,
-                            service_samples,
-                        )
-
-                        out = {
-                            "metrics": render_exposition(
-                                service_samples(session.status())
-                            )
-                        }
-                    elif op == "save":
-                        session.save_run(obj["path"])
-                        out = {"saved": str(obj["path"])}
-                    else:
-                        raise ValueError(f"unknown op {op!r}")
-                    print(_json.dumps(out), flush=True)
-                elif slo is not None:
-                    outcome = session.offer(parse_event_record(obj))
-                    for out_line in admission_lines(outcome):
-                        print(out_line, flush=True)
-                else:
-                    decision = session.push(parse_event_record(obj))
-                    print(decision_line(decision), flush=True)
-            except (ReproError, ValueError, KeyError, TypeError) as exc:
-                print(
-                    _json.dumps(
-                        {"error": str(exc), "op": op if op is not None else kind,
-                         "line": lineno}
-                    ),
-                    flush=True,
-                )
-            # Backpressure: past the high watermark, tell the client to
-            # back off and stop reading until the journal is durable.
-            # KeyboardInterrupt / BrokenPipeError raised here propagate
-            # to main() for the usual 130 / 141 exits — the finally
-            # below still closes (and commits) the session.
-            if session.overloaded:
-                print(
-                    _json.dumps(
-                        {
-                            "overloaded": True,
-                            "journal_pending":
-                                session.status()["journal_pending"],
-                            "retry_after": slo.retry_after,
-                        }
-                    ),
-                    flush=True,
-                )
-                session.flush()
+            # KeyboardInterrupt / BrokenPipeError propagate to main() for
+            # the usual 130 / 141 exits; the finally below still commits.
+            for out in StdioServer(session).serve_lines(sys.stdin):
+                print(out, flush=True)
     finally:
         # close() must run even if status() raises — it is the commit
         # point that makes a Ctrl-C / broken-pipe exit durable.
@@ -457,7 +289,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             session.close()
     extra = ""
-    if slo is not None:
+    if session.slo_policy is not None:
         extra = (
             f", {status['queued_tasks']} queued, "
             f"{status['rejected_total']} rejected"
@@ -737,50 +569,6 @@ def _sweep_cell(n: int, d: float, lazy: bool, sigma) -> list:
     ]
 
 
-def _cmd_verify_sharded(args: argparse.Namespace) -> int:
-    """``repro verify --shards K``: the bit-identity referee."""
-    from repro.errors import SimulationError
-    from repro.verify.sharding import fuzz_sharding, replay_corpus_sharded
-
-    failed = 0
-    print(f"machine            : TreeMachine(N={args.n}), "
-          f"{args.shards} shard(s)")
-    if args.replay:
-        results = replay_corpus_sharded(args.replay, num_shards=args.shards)
-        checked = [(e, o) for e, o in results if o is not None]
-        bad = [(e, o) for e, o in checked if not o.ok]
-        print(f"corpus             : {args.replay}")
-        print(f"entries checked    : {len(checked)} "
-              f"({len(results) - len(checked)} not shardable, skipped)")
-        for entry, outcome in bad:
-            failed += 1
-            print(f"  - {entry.filename()}: "
-                  + "; ".join(outcome.divergences))
-    algorithms = args.algorithms.split(",") if args.algorithms else None
-    sequences = args.sequences or 50
-    try:
-        outcomes = fuzz_sharding(
-            num_pes=args.n,
-            num_shards=args.shards,
-            sequences=sequences,
-            seed=args.seed,
-            algorithms=algorithms,
-        )
-    except SimulationError as exc:
-        print(f"verdict            : FAILED — {exc}")
-        return 1
-    cross = sum(o.cross_shard_events for o in outcomes)
-    events = sum(o.events for o in outcomes)
-    print(f"streams fuzzed     : {len(outcomes)} "
-          f"({events} event(s), {cross} cross-shard)")
-    if failed:
-        print("verdict            : FAILED")
-        return 1
-    print("verdict            : OK — sharded cluster is bit-identical "
-          "to the single-process oracle")
-    return 0
-
-
 def _cmd_verify_journal(args: argparse.Namespace) -> int:
     """``repro verify --journal``: the format-parity referee."""
     from repro.errors import SimulationError
@@ -899,21 +687,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                   f"(first {positions[0]}, last {positions[-1]})")
     _positions("full snapshots     ", snaps)
     _positions("delta snapshots    ", deltas)
-    gsns = sorted(
-        int(p["record"]["gsn"])
-        for _i, p in pairs
-        if isinstance(p, dict)
-        and isinstance(p.get("record"), dict)
-        and "gsn" in p["record"]
-    )
-    if gsns:
-        prefix_end = gsns[0]
-        for g in gsns[1:]:
-            if g > prefix_end + 1:
-                break
-            prefix_end = g
-        print(f"gsn prefix         : hole-free {gsns[0]}..{prefix_end} "
-              f"({len(gsns)} routed record(s), max gsn {gsns[-1]})")
     if args.head:
         print(f"--- first {min(args.head, len(pairs))} record(s) ---")
         for index, payload in pairs[: args.head]:
@@ -928,8 +701,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if getattr(args, "journal", False):
         return _cmd_verify_journal(args)
-    if getattr(args, "shards", None):
-        return _cmd_verify_sharded(args)
 
     algorithms = args.algorithms.split(",") if args.algorithms else None
     if getattr(args, "slo", False) and algorithms is None:
@@ -1263,19 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default: python)",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="shard the service across K worker processes (power of two): "
-        "a coordinator decides every placement over the full machine "
-        "(bit-identical to a single session) and each worker journals "
-        "its own subtree; requires a non-reallocating --algorithm",
-    )
-    p_serve.add_argument(
-        "--journal-dir", default=None, metavar="DIR",
-        help="(--shards) journal directory: one journal per shard plus "
-        "the coordinator's; re-serving from the same directory resumes "
-        "the cluster from the reconciled durable prefix",
-    )
-    p_serve.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
         help="serve the JSONL protocol on a TCP socket instead of "
         "stdin/stdout (many concurrent clients, one serialized history)",
@@ -1283,8 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="(--listen) Prometheus text exposition on this HTTP port: "
-        "live L_A / L* / ratio / event-rate / journal-lag gauges, "
-        "per shard and aggregate",
+        "live L_A / L* / ratio / event-rate / journal-lag gauges",
     )
     add_slo(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
@@ -1372,13 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and demand both resume bit-identically — including truncation "
         "kills inside delta-snapshot windows",
     )
-    p_ver.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="sharding referee: replay the corpus and fuzz fresh streams "
-        "through a K-shard cluster and demand bit-identical decisions, "
-        "status, snapshots, and merged placements vs the single-process "
-        "oracle",
-    )
     add_jobs(p_ver)
     add_resilience(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
@@ -1390,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jdump = jsub.add_parser(
         "dump",
         help="pretty-print a journal: format, frame/record counts, "
-        "snapshot positions, hole-free gsn prefix, torn-tail status",
+        "snapshot positions, torn-tail status",
     )
     p_jdump.add_argument("path", help="journal file (v1 JSONL or v2 framed)")
     p_jdump.add_argument(

@@ -170,12 +170,3 @@ class CheckpointError(ReproError, RuntimeError):
     different function, cell grid, or seed than the resuming caller's.
     """
 
-
-class ShardError(ReproError, RuntimeError):
-    """A shard worker of the sharded allocation service failed.
-
-    Raised by the coordinator when a worker process dies (SIGKILL, OOM,
-    crash) or answers a frame with an error.  The cluster's journals stay
-    intact — reopening the cluster from its journal directory reconciles
-    the durable prefix and resumes.
-    """

@@ -66,8 +66,6 @@ from repro.core.base import AllocationAlgorithm
 from repro.errors import BatchError, ReproError, SimulationError
 from repro.kernel.decision import BatchDecision, Decision
 from repro.tasks.events import Arrival, Departure
-from repro.tasks.task import Task
-from repro.types import TaskId
 
 if TYPE_CHECKING:
     from repro.kernel.core import AllocationKernel
@@ -78,7 +76,6 @@ __all__ = [
     "available_backends",
     "resolve_backend",
     "ColumnarEngine",
-    "apply_routed_columns",
 ]
 
 #: Every backend name the kernel accepts; availability may further depend
@@ -565,183 +562,3 @@ class ColumnarEngine:
             optimal_load=k.optimal_load,
         )
 
-
-def apply_routed_columns(
-    kernel: "AllocationKernel", cols: Any, want_decisions: bool = True
-) -> Optional[tuple[list[Any], list[Decision]]]:
-    """Vectorized external-placement ingest of one routed column batch.
-
-    The structure-of-arrays twin of calling
-    :meth:`AllocationKernel.apply_placed` / :meth:`~AllocationKernel.apply`
-    once per record of a coordinator-routed batch
-    (:class:`repro.sim.frames.RoutedColumns`): every placement is already
-    decided, so the batch reduces to span adds over a private per-PE load
-    copy with the same running-max arithmetic (and deferred metrics /
-    peak-snapshot commit) as :class:`ColumnarEngine`.  Bit-identical
-    state, metrics and decisions by the same argument.
-
-    Returns ``(events, decisions)`` — ``decisions`` empty when
-    ``want_decisions`` is false (shard workers discard them) — or ``None``
-    *before any state change* if the batch is ineligible: a kernel that
-    is not a plain external-placement one, an invalid node/size pairing,
-    a duplicate or unknown task.  The caller then falls back to the
-    per-record loop, which reproduces the exact error text and applied
-    prefix.
-    """
-    k = kernel
-    if k.algorithm is not None or k.view is not None or k._killed:
-        return None
-    n = cols.n
-    if n == 0:
-        return [], []
-    placements = k._placements
-    num_pes = k.machine.num_pes
-    kinds = cols.kinds
-    ids = cols.ids
-    sizes = cols.sizes
-    nodes = cols.nodes
-
-    # -- Validation pass (no mutation) -----------------------------------
-    # ``alive`` overlays the batch's own arrivals/departures on the live
-    # placement map, so placed -> departed -> placed sequences of one id
-    # within a single batch validate exactly as the per-record path would.
-    alive: dict[int, bool] = {}
-    for i in range(n):
-        tid = ids[i]
-        if kinds[i] == 0:
-            node = nodes[i]
-            size = sizes[i]
-            if not 0 < node < (num_pes << 1):
-                return None
-            if size <= 0 or (num_pes >> (node.bit_length() - 1)) != size:
-                return None
-            was = alive.get(tid)
-            if was if was is not None else (TaskId(tid) in placements):
-                return None
-            alive[tid] = True
-        else:
-            was = alive.get(tid)
-            if not (was if was is not None else (TaskId(tid) in placements)):
-                return None
-            alive[tid] = False
-
-    # -- Apply pass (cannot fail) ----------------------------------------
-    times = cols.times
-    works = cols.works
-    metrics = k.metrics
-    tasks = k._tasks
-    plog = k._placement_log
-    dep_times = k._departure_times
-    active = k._active_size
-    peak = k._peak_active_size
-    arrived = k._arrived_since_realloc
-    collect = k.collect_leaf_snapshots
-    snap = metrics.peak_snapshot
-    snap_peak = int(snap.max()) if snap is not None else None
-    snap_idx = -1
-
-    L = k._loads.leaf_loads(copy=True)
-    ml = k._loads.max_load
-
-    events: list[Any] = []
-    out_times: list[Any] = []
-    max_loads: list[int] = []
-    d_args: list[tuple[Any, ...]] = []
-    ops: list[tuple[int, int, int]] = []
-    deltas: dict[int, list[int]] = {}
-
-    for i in range(n):
-        t = times[i]
-        raw_tid = ids[i]
-        tid = TaskId(raw_tid)
-        if kinds[i] == 0:
-            size = sizes[i]
-            node = nodes[i]
-            level = node.bit_length() - 1
-            span = num_pes >> level
-            lo = (node - (1 << level)) * span
-            hi = lo + span
-            if span == 1:
-                nv = int(L[lo]) + 1
-                L[lo] = nv
-            else:
-                seg = L[lo:hi]
-                seg += 1
-                nv = int(seg.max())
-            if nv > ml:
-                ml = nv
-            task = Task(tid, size, t, work=works[i])
-            placements[tid] = node
-            tasks[tid] = task
-            plog[tid] = [(float(t), node)]
-            active += size
-            if active > peak:
-                peak = active
-            arrived += size
-            events.append(Arrival(t, task))
-            sd = deltas.get(node)
-            if sd is None:
-                deltas[node] = [size, 1]
-            else:
-                sd[1] += 1
-            if collect:
-                ops.append((lo, hi, 1))
-                if snap_peak is None or ml > snap_peak:
-                    snap_idx = len(out_times)
-                    snap_peak = ml
-            if want_decisions:
-                opt = -(-peak // num_pes)
-                d_args.append(
-                    ("arrival", float(t), ml, active, opt, int(tid), int(node))
-                )
-        else:
-            node = placements.pop(tid)
-            task = tasks.pop(tid)
-            size = task.size
-            level = node.bit_length() - 1
-            span = num_pes >> level
-            lo = (node - (1 << level)) * span
-            hi = lo + span
-            seg = L[lo:hi]
-            sm = int(seg.max())
-            seg -= 1
-            if sm >= ml:
-                ml = int(L.max())
-            dep_times[tid] = float(t)
-            active -= size
-            events.append(Departure(t, tid))
-            sd = deltas.get(node)
-            if sd is None:
-                deltas[node] = [size, -1]
-            else:
-                sd[1] -= 1
-            if collect:
-                ops.append((lo, hi, -1))
-                if snap_peak is None or ml > snap_peak:
-                    snap_idx = len(out_times)
-                    snap_peak = ml
-            if want_decisions:
-                opt = -(-peak // num_pes)
-                d_args.append(
-                    ("departure", float(t), ml, active, opt, int(tid))
-                )
-        out_times.append(t)
-        max_loads.append(ml)
-
-    k._active_size = active
-    k._peak_active_size = peak
-    k._arrived_since_realloc = arrived
-    items = [(node, sd[0], sd[1]) for node, sd in deltas.items() if sd[1]]
-    if items:
-        k._loads.apply_spans(items)
-    metrics.events_processed += n
-    metrics.series.record_many(out_times, max_loads)
-    if snap_idx >= 0:
-        arr = L.copy()
-        for j2 in range(len(ops) - 1, snap_idx, -1):
-            lo, hi, d = ops[j2]
-            if d:
-                arr[lo:hi] -= d
-        metrics.peak_snapshot = arr
-        metrics.peak_snapshot_time = out_times[snap_idx]
-    return events, [Decision(*a) for a in d_args]

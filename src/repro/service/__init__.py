@@ -15,9 +15,8 @@ times" — as a long-lived, durably journaled service:
   backpressure watermarks (see ``docs/SLO.md``);
 * :mod:`~repro.service.stream` — the JSONL wire format consumed by
   ``repro simulate --stream`` and ``repro serve``;
-* :mod:`~repro.service.shard` — the sharded service: one coordinator
-  routing the global event stream across per-subtree worker processes,
-  bit-identical to a single session (``repro serve --shards K``);
+* :mod:`~repro.service.shard.server` — the socket/stdin front-end that
+  ``repro serve`` runs one session behind;
 * :mod:`~repro.service.metrics` — Prometheus text exposition for the
   live ``L_A``/``L*``/ratio/event-rate gauges (``--metrics-port``).
 """
@@ -30,12 +29,6 @@ from repro.service.metrics import (
     service_samples,
 )
 from repro.service.session import AllocationSession
-from repro.service.shard import (
-    LocalShard,
-    ShardedCoordinator,
-    ShardPlan,
-    reconcile_journals,
-)
 from repro.service.slo import (
     Admit,
     AdmissionController,
@@ -63,19 +56,15 @@ __all__ = [
     "Cancel",
     "ClusterManager",
     "EVENT_KINDS",
-    "LocalShard",
     "Queue",
     "Reject",
     "SLOPolicy",
     "Sample",
-    "ShardPlan",
-    "ShardedCoordinator",
     "admission_lines",
     "decision_line",
     "iter_event_records",
     "parse_event_record",
     "parse_exposition",
-    "reconcile_journals",
     "records_from_events",
     "render_exposition",
     "sequence_records",

@@ -1,15 +1,14 @@
 """Prometheus-style text exposition for the allocation service.
 
 The paper's figures of merit are live gauges: the running max PE load
-``L_A``, the omniscient bound ``L*``, their ratio, and — in sharded mode
-— the same per worker subtree.  This module turns a session's (or
-coordinator's) ``status()`` dict into the `text exposition format
+``L_A``, the omniscient bound ``L*`` and their ratio.  This module turns
+a session's ``status()`` dict into the `text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ every
 scraper speaks, and parses it back, so the format itself is testable by
 round trip (no Prometheus client library is needed or used).
 
-Conventions: every metric is prefixed ``repro_``; per-shard series carry
-a ``shard="i"`` label; counters end in ``_total``; booleans are 0/1
+Conventions: every metric is prefixed ``repro_``; counters end in
+``_total``; booleans are 0/1
 gauges.  ``NaN``/``+Inf`` render in Prometheus spelling (a fresh
 session's competitive ratio is genuinely undefined or unbounded).
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping
 
 from repro.errors import TraceFormatError
 
@@ -58,18 +57,10 @@ _METRICS: dict[str, tuple[str, str]] = {
     "repro_slo_violations_total": ("counter", "Placements past the load target"),
     "repro_overloaded": ("gauge", "Backpressure engaged (bool)"),
     "repro_events_per_second": ("gauge", "Event rate since the last scrape"),
-    "repro_gsn": ("gauge", "Next global sequence number (sharded)"),
-    "repro_shards": ("gauge", "Worker shard count"),
-    "repro_cross_shard_tasks": ("gauge", "Active tasks wider than one shard"),
-    "repro_shard_events_total": ("counter", "Events journaled by one shard"),
-    "repro_shard_active_tasks": ("gauge", "Tasks allocated in one shard"),
-    "repro_shard_active_size": ("gauge", "Active PE volume in one shard"),
-    "repro_shard_max_load": ("gauge", "Running max PE load in one shard"),
-    "repro_shard_journal_pending": ("gauge", "Shard journal records awaiting fsync"),
 }
 
-#: status() key -> metric name, for the aggregate (and single-session) view.
-_AGGREGATE_KEYS: tuple[tuple[str, str], ...] = (
+#: status() key -> metric name.
+_STATUS_KEYS: tuple[tuple[str, str], ...] = (
     ("events", "repro_events_total"),
     ("now", "repro_now"),
     ("active_tasks", "repro_active_tasks"),
@@ -83,34 +74,18 @@ _AGGREGATE_KEYS: tuple[tuple[str, str], ...] = (
     ("rejected_total", "repro_rejected_total"),
     ("slo_violations", "repro_slo_violations_total"),
     ("events_per_second", "repro_events_per_second"),
-    ("gsn", "repro_gsn"),
-    ("shards", "repro_shards"),
-    ("cross_shard_tasks", "repro_cross_shard_tasks"),
-)
-
-_SHARD_KEYS: tuple[tuple[str, str], ...] = (
-    ("events", "repro_shard_events_total"),
-    ("active_tasks", "repro_shard_active_tasks"),
-    ("active_size", "repro_shard_active_size"),
-    ("max_load", "repro_shard_max_load"),
-    ("journal_pending", "repro_shard_journal_pending"),
 )
 
 
-def service_samples(
-    status: Mapping[str, Any],
-    shards: Optional[Sequence[Mapping[str, Any]]] = None,
-) -> list[Sample]:
-    """Samples for one status dict (plus per-shard dicts in sharded mode).
+def service_samples(status: Mapping[str, Any]) -> list[Sample]:
+    """Samples for one :meth:`AllocationSession.status` dict.
 
-    ``status`` is either :meth:`AllocationSession.status` or the
-    ``"aggregate"`` half of :meth:`ShardedCoordinator.status`; keys a
-    mode does not produce (``gsn`` in a single-process session,
-    ``events_per_second`` outside a scrape) are simply absent from the
-    output — scrapers treat missing series as "not exported".
+    Keys the status does not carry (``events_per_second`` outside a
+    scrape) are simply absent from the output — scrapers treat missing
+    series as "not exported".
     """
     samples: list[Sample] = []
-    for key, name in _AGGREGATE_KEYS:
+    for key, name in _STATUS_KEYS:
         if key in status:
             samples.append(Sample(name, float(status[key])))
     slo = status.get("slo")
@@ -118,13 +93,6 @@ def service_samples(
         samples.append(
             Sample("repro_overloaded", 1.0 if slo["overloaded"] else 0.0)
         )
-    for shard_status in shards or ():
-        label = (("shard", str(shard_status.get("shard", "?"))),)
-        for key, name in _SHARD_KEYS:
-            if key in shard_status:
-                samples.append(
-                    Sample(name, float(shard_status[key]), label)
-                )
     return samples
 
 

@@ -50,7 +50,6 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from repro.core.base import AllocationAlgorithm
 from repro.errors import BatchError, CheckpointError, ReproError, SimulationError
 from repro.kernel import AllocationKernel, BatchDecision, Decision
-from repro.kernel.columnar import apply_routed_columns
 from repro.machines.base import PartitionableMachine
 from repro.machines.factory import machine_descriptor
 from repro.service.slo import (
@@ -64,11 +63,7 @@ from repro.service.slo import (
 )
 from repro.sim.checkpoint import CheckpointJournal
 from repro.sim.engine import RunResult
-from repro.sim.frames import (
-    RoutedColumns,
-    encode_wire_columns,
-    routed_columns_from_records,
-)
+from repro.sim.frames import encode_wire_columns
 from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.events import Arrival, Departure
 from repro.tasks.sequence import TaskSequence
@@ -130,7 +125,7 @@ class AllocationSession:
     def __init__(
         self,
         machine: PartitionableMachine,
-        algorithm: Optional[AllocationAlgorithm],
+        algorithm: AllocationAlgorithm,
         cost_model: Optional[MigrationCostModel] = None,
         *,
         fault_tolerant: bool = False,
@@ -143,15 +138,9 @@ class AllocationSession:
         full_snapshot_interval: Optional[int] = None,
         batch_backend: str = "python",
         slo: Optional[SLOPolicy] = None,
-        replay_stop: Optional[Any] = None,
     ) -> None:
         self.machine = machine
         self._fault_tolerant = fault_tolerant
-        if algorithm is None and fault_tolerant:
-            raise SimulationError(
-                "an external-placement session (algorithm=None) cannot be "
-                "fault tolerant; faults need an algorithm to salvage with"
-            )
         if fault_tolerant:
             from repro.faults.salvage import FaultTolerantAlgorithm
 
@@ -161,7 +150,7 @@ class AllocationSession:
                 wrapper = FaultTolerantAlgorithm(
                     machine, algorithm, machine.degraded_view()
                 )
-            self.algorithm: Optional[AllocationAlgorithm] = wrapper
+            self.algorithm: AllocationAlgorithm = wrapper
             view = wrapper.view
         else:
             self.algorithm = algorithm
@@ -193,7 +182,6 @@ class AllocationSession:
         if full_snapshot_interval is None:
             full_snapshot_interval = 16 * self._snapshot_interval
         self._full_snapshot_interval = max(0, int(full_snapshot_interval))
-        self._replay_stop = replay_stop
         self._journal: Optional[CheckpointJournal] = None
         if journal_path is not None:
             resuming = Path(journal_path).exists()
@@ -207,19 +195,11 @@ class AllocationSession:
                 self._replay_journal()
 
     def _fingerprint(self) -> dict[str, Any]:
-        # An external-placement session (a shard worker behind the
-        # coordinator) pins "external": its journal must never resume
-        # under an algorithm-driven session or vice versa.
         out: dict[str, Any] = {
             "kind": "allocation-session",
             "machine": machine_descriptor(self.machine),
-            "algorithm": (
-                "external" if self.algorithm is None else self.algorithm.name
-            ),
-            "d": (
-                "None" if self.algorithm is None
-                else repr(self.algorithm.reallocation_parameter)
-            ),
+            "algorithm": self.algorithm.name,
+            "d": repr(self.algorithm.reallocation_parameter),
             "fault_tolerant": self._fault_tolerant,
         }
         if self._slo is not None:
@@ -872,161 +852,6 @@ class AllocationSession:
         self._journal.record_many(payloads)
         self._journal_seq += len(payloads)
 
-    # -- Coordinator-routed intake (shard workers) ---------------------------
-
-    def _routed_event(self, record: dict[str, Any]) -> Any:
-        """Build the kernel event for one coordinator-routed record.
-
-        ``"placed"`` records admit an externally-placed task; ``"departure"``
-        records retire one.  The record dict is normalised in place (the
-        clock is stamped) and later journaled *verbatim*, so coordinator
-        metadata — the global sequence number ``gsn``, ``drain`` marks —
-        survives into the shard journal and resume.
-        """
-        kind = record.get("kind")
-        t = self._clock(record.get("time"))
-        record["time"] = t
-        if kind == "placed":
-            return Arrival(
-                t,
-                Task(
-                    TaskId(int(record["id"])), int(record["size"]), t,
-                    work=float(record.get("work", 1.0)),
-                ),
-            )
-        if kind == "departure":
-            return Departure(t, TaskId(int(record["id"])))
-        raise SimulationError(
-            f"record kind {kind!r} is not routable to a shard session"
-        )
-
-    def push_routed(self, record: Mapping[str, Any]) -> Decision:
-        """Absorb one coordinator-routed record (shard-worker intake).
-
-        The single-record form of :meth:`push_routed_batch`, with the same
-        verbatim journaling contract.
-        """
-        norm = dict(record)
-        return self._absorb(self._routed_event(norm), norm)
-
-    def push_routed_batch(
-        self, records: Sequence[Mapping[str, Any]], *, want_decisions: bool = True
-    ) -> list[Decision]:
-        """Absorb a batch of coordinator-routed records, one group commit.
-
-        Bit-identical to :meth:`push_routed` per record; the journal
-        absorbs the batch via :meth:`CheckpointJournal.record_many` (one
-        write, one fsync) — this is where sharded journaled throughput
-        comes from.  If a record fails, the applied prefix is journaled
-        (exactly as the per-record path would leave it) and the error
-        propagates.
-
-        Batches matching the hot routed schema take the columnar fast
-        path (:meth:`push_routed_columns`); ``want_decisions=False`` lets
-        that path skip materialising :class:`Decision` objects entirely
-        (shard workers discard them) and return ``[]``.
-        """
-        cols = routed_columns_from_records(records)
-        if cols is not None:
-            fast = self._push_routed_columns(cols, want_decisions)
-            if fast is not None:
-                return fast
-        applied: list[dict[str, Any]] = []
-        decisions: list[Decision] = []
-        base = len(self._events)
-        try:
-            for record in records:
-                norm = dict(record)
-                event = self._routed_event(norm)
-                if norm["kind"] == "placed":
-                    decision = self.kernel.apply_placed(
-                        event.time, event.task, NodeId(int(norm["node"]))
-                    )
-                else:
-                    decision = self.kernel.apply(event)
-                self._events.append(event)
-                self._now = float(event.time)
-                self._offered += 1
-                if norm["kind"] == "placed":
-                    self._next_task_id = max(
-                        self._next_task_id, int(norm["id"]) + 1
-                    )
-                applied.append(norm)
-                decisions.append(decision)
-        finally:
-            if applied and self._journal is not None:
-                payloads: list[tuple[int, dict[str, Any]]] = [
-                    (self._journal_seq + i, {"record": r})
-                    for i, r in enumerate(applied)
-                ]
-                rider = self._batch_rider(base, len(applied))
-                if rider is not None:
-                    payloads[-1][1].update(rider)
-                self._journal.record_many(payloads)
-                self._journal_seq += len(payloads)
-        return decisions
-
-    def push_routed_columns(
-        self, cols: RoutedColumns, *, want_decisions: bool = False
-    ) -> list[Decision]:
-        """Absorb one decoded columnar routed batch (shard-worker intake).
-
-        The zero-re-encode twin of :meth:`push_routed_batch`: the columns
-        arrive straight off the coordinator wire frame and — when the
-        batch is eligible for the vectorized kernel path — the *same*
-        encoded blob is framed into the journal without materialising a
-        single per-record dict.  Ineligible batches (clock regressions,
-        invalid placements, v1 journals) fall back to the per-record
-        path, which reproduces the exact error text and prefix semantics.
-        """
-        fast = self._push_routed_columns(cols, want_decisions)
-        if fast is not None:
-            return fast
-        decisions = self.push_routed_batch(cols.records())
-        return decisions if want_decisions else []
-
-    def _push_routed_columns(
-        self, cols: RoutedColumns, want_decisions: bool
-    ) -> Optional[list[Decision]]:
-        """Vectorized routed ingest; ``None`` (no state change) when the
-        batch must take the general per-record path."""
-        journal = self._journal
-        if self._slo is not None:
-            return None
-        if journal is not None and journal.format != "v2":
-            return None
-        n = cols.n
-        if n == 0:
-            return []
-        times = cols.times
-        if times[0] < self._now:
-            return None
-        for i in range(1, n):
-            if times[i] < times[i - 1]:
-                return None
-        out = apply_routed_columns(self.kernel, cols, want_decisions)
-        if out is None:
-            return None
-        events, decisions = out
-        base = len(self._events)
-        self._events.extend(events)
-        self._now = times[n - 1]
-        self._offered += n
-        nid = self._next_task_id
-        kinds = cols.kinds
-        ids = cols.ids
-        for i in range(n):
-            if kinds[i] == 0 and ids[i] >= nid:
-                nid = ids[i] + 1
-        self._next_task_id = nid
-        if journal is not None:
-            rider = self._batch_rider(base, n)
-            seq = self._journal_seq
-            extras = [] if rider is None else [(seq + n - 1, rider)]
-            journal.record_batch_blob(seq, n, cols.encoded(), extras)
-            self._journal_seq = seq + n
-        return decisions if want_decisions else []
-
     def flush(self) -> None:
         """Make buffered journal records durable (group-commit boundary).
 
@@ -1039,15 +864,7 @@ class AllocationSession:
     def _absorb(
         self, event: Any, record: dict[str, Any], *, journal: bool = True
     ) -> Decision:
-        if record["kind"] == "placed":
-            # Coordinator-routed admission: the placement was decided by
-            # the sharded coordinator's global descent; this session only
-            # validates and books it (external-placement kernel mode).
-            decision = self.kernel.apply_placed(
-                event.time, event.task, NodeId(int(record["node"]))
-            )
-        else:
-            decision = self.kernel.apply(event)
+        decision = self.kernel.apply(event)
         # Only a successfully applied event advances the session.
         self._events.append(event)
         self._now = float(event.time)
@@ -1055,7 +872,7 @@ class AllocationSession:
             # Drained arrivals were already counted when first offered.
             self._offered += 1
         tid = record.get("id")
-        if record["kind"] in ("arrival", "placed") and tid is not None:
+        if record["kind"] == "arrival" and tid is not None:
             self._next_task_id = max(self._next_task_id, int(tid) + 1)
         if journal and self._journal is not None:
             payload: dict[str, Any] = {"record": record}
@@ -1137,18 +954,7 @@ class AllocationSession:
                     f"session journal {self._journal.path} has a gap at "
                     f"event {index}"
                 )
-        # Find the reconciliation cutoff before touching any state, so
-        # the snapshot fast-forward below can never restore past it.
-        stop = total
-        if self._replay_stop is not None:
-            for index in range(total):
-                if self._replay_stop(self._payload_record(completed[index], index)):
-                    stop = index
-                    break
-        start = 0
-        if self.algorithm is None and self._slo is None:
-            start = self._fast_forward(completed, stop)
-        for index in range(start, stop):
+        for index in range(total):
             payload = completed[index]
             self.push_replay(self._payload_record(payload, index))
             embedded = payload.get("snapshot")
@@ -1169,70 +975,7 @@ class AllocationSession:
                     "— the journal was written by a different "
                     "configuration or build"
                 )
-        if stop < total:
-            # Distributed durable-prefix reconciliation: the sharded
-            # coordinator computed a global cutoff and everything past
-            # it must be discarded — physically, so a later resume
-            # never sees the dropped tail.
-            self._journal.drop_tail(stop)
-            self._journal_seq = stop
-        else:
-            self._journal_seq = total
-
-    def _fast_forward(self, completed: Mapping[int, Any], stop: int) -> int:
-        """Resume an external-placement session from its last full
-        snapshot instead of replaying every event through the kernel.
-
-        Only sessions with no algorithm and no SLO are eligible: with
-        nothing but the kernel to reconstruct, the snapshot *is* the
-        state, and the session-level bookkeeping (event log, clock,
-        counters) rebuilds from the journaled records without touching
-        the kernel.  Returns the replay start index — ``0`` (full
-        replay) when no usable snapshot precedes ``stop`` or any record
-        before it falls outside the routed/wire schema.
-        """
-        snap_at = -1
-        for index in range(stop - 1, -1, -1):
-            payload = completed[index]
-            if isinstance(payload, Mapping) and payload.get("snapshot"):
-                snap_at = index
-                break
-        if snap_at < 0:
-            return 0
-        events: list[Any] = []
-        now = 0.0
-        next_id = 0
-        for index in range(snap_at + 1):
-            record = self._payload_record(completed[index], index)
-            kind = record.get("kind")
-            t = record.get("time")
-            if type(t) is not float or record.get("slo") is not None:
-                return 0
-            if kind in ("arrival", "placed"):
-                try:
-                    tid = int(record["id"])
-                    task = Task(
-                        TaskId(tid), int(record["size"]), t,
-                        work=float(record.get("work", 1.0)),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    return 0
-                events.append(Arrival(t, task))
-                next_id = max(next_id, tid + 1)
-            elif kind == "departure":
-                try:
-                    events.append(Departure(t, TaskId(int(record["id"]))))
-                except (KeyError, TypeError, ValueError):
-                    return 0
-            else:
-                return 0
-            now = t
-        self.kernel.restore(completed[snap_at]["snapshot"])
-        self._events = events
-        self._now = now
-        self._offered = snap_at + 1
-        self._next_task_id = next_id
-        return snap_at + 1
+        self._journal_seq = total
 
     def push_replay(self, record: Mapping[str, Any]) -> Optional[Decision]:
         """Absorb a journaled record without re-journaling it.
@@ -1261,14 +1004,6 @@ class AllocationSession:
                 self._slo.admitted_total += 1
                 self._note_violation(decision)
             return decision
-        if kind == "placed":
-            norm = dict(record)
-            return self._absorb(self._routed_event(norm), norm, journal=False)
-        if kind == "departure" and "gsn" in record:
-            # A coordinator-routed departure: replay it verbatim so the
-            # shard clock follows the global timestamps.
-            norm = dict(record)
-            return self._absorb(self._routed_event(norm), norm, journal=False)
         if kind in ("departure", "kill", "failure", "repair", "resize"):
             # Rebuild through the normal constructors, minus journaling.
             journal, self._journal = self._journal, None

@@ -1,31 +1,1 @@
-"""Sharded allocation service: coordinator + subtree worker processes.
-
-The buddy hierarchy splits into ``K`` aligned subtrees
-(:class:`~repro.service.shard.plan.ShardPlan`); a
-:class:`~repro.service.shard.coordinator.ShardedCoordinator` decides
-every placement globally (bit-identical to the single-process service)
-and routes the durable bookkeeping to per-subtree workers — in-process
-(:class:`~repro.service.shard.coordinator.LocalShard`) or one OS process
-per shard (:func:`~repro.service.shard.worker.create_process_cluster`).
-``docs/ARCHITECTURE.md`` has the protocol and the journal-reconciliation
-story; :mod:`repro.verify.sharding` is the referee that enforces the
-bit-identity claim.
-"""
-
-from repro.service.shard.coordinator import (
-    LocalShard,
-    ShardedCoordinator,
-    ShardHandle,
-    cluster_journal_paths,
-    reconcile_journals,
-)
-from repro.service.shard.plan import ShardPlan
-
-__all__ = [
-    "LocalShard",
-    "ShardHandle",
-    "ShardPlan",
-    "ShardedCoordinator",
-    "cluster_journal_paths",
-    "reconcile_journals",
-]
+"""The service front-end: :mod:`repro.service.shard.server`."""

@@ -1,21 +1,21 @@
-"""Asyncio socket front-end for the allocation service.
+"""Socket and stdin front-end for the allocation service.
 
-``repro serve --listen HOST:PORT`` binds this server in front of either
-a single-process :class:`~repro.service.session.AllocationSession` or a
-sharded :class:`~repro.service.shard.coordinator.ShardedCoordinator` —
-the wire protocol is the same JSONL codec the stdin server speaks
-(:mod:`repro.service.stream`), one event record in per line, one
-decision (or typed admission outcome) line back, with the same
-``{"error": ..., "op": ..., "line": N}`` structured-error convention and
-the same overload stall.  Many clients may connect; every event still
-flows through the one backend under an :class:`asyncio.Lock`, so the
-global event order (and therefore every decision, ``L_A``, ``L*``) is a
-single serializable history — clients interleave at line granularity.
+``repro serve`` runs one :class:`~repro.service.session.AllocationSession`
+behind this server.  The wire protocol is the JSONL codec of
+:mod:`repro.service.stream`: one event record in per line, one decision
+(or typed admission outcome) line back, ``{"error": ..., "op": ...,
+"line": N}`` for a bad line, and an ``{"overloaded": true, ...}`` record
+plus a journal flush when the SLO backpressure watermark trips.  With
+``--listen`` many clients may connect; every line is handled
+synchronously on the event loop, so the global event order (and
+therefore every decision, ``L_A``, ``L*``) is a single serializable
+history — clients interleave at line granularity.  Without ``--listen``
+:class:`StdioServer` serves stdin/stdout through the same line handler.
 
 A second, optional listener (``--metrics-port``) answers any HTTP GET
 with the Prometheus text exposition from :mod:`repro.service.metrics`:
-live ``L_A`` / ``L*`` / ratio / event-rate / journal-lag gauges, per
-shard and aggregate, scrapable while the event stream is live.
+live ``L_A`` / ``L*`` / ratio / event-rate / journal-lag gauges,
+scrapable while the event stream is live.
 """
 
 from __future__ import annotations
@@ -23,25 +23,22 @@ from __future__ import annotations
 import asyncio
 import json
 import time as _time
-from typing import Any, Optional, Union
+from typing import Any, Iterable, Optional
 
 from repro.errors import ReproError
 from repro.service.metrics import render_exposition, service_samples
 from repro.service.session import AllocationSession
-from repro.service.shard.coordinator import ShardedCoordinator
 from repro.service.stream import admission_lines, decision_line, parse_event_record
 
-__all__ = ["ServiceServer"]
-
-Backend = Union[AllocationSession, ShardedCoordinator]
+__all__ = ["ServiceServer", "StdioServer"]
 
 
 class ServiceServer:
-    """One backend, one event-stream listener, one optional scrape port."""
+    """One session, one event-stream listener, one optional scrape port."""
 
     def __init__(
         self,
-        backend: Backend,
+        backend: AllocationSession,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -56,39 +53,28 @@ class ServiceServer:
         self._metrics_server: Optional[asyncio.base_events.Server] = None
         self.connections = 0
 
-    # -- Backend dispatch (session vs coordinator) ---------------------------
-
-    @property
-    def _sharded(self) -> bool:
-        return isinstance(self.backend, ShardedCoordinator)
-
     @property
     def _slo(self):
         return self.backend.slo_policy
 
     def _apply(self, record: dict[str, Any]) -> list[str]:
         """Absorb one event record, return its reply lines."""
-        if self._sharded:
-            result = self.backend.apply(record)
-        elif self._slo is not None:
-            result = self.backend.offer(record)
-        else:
-            result = self.backend.push(record)
         if self._slo is not None:
-            return admission_lines(result)
-        return [decision_line(result)]
+            return admission_lines(self.backend.offer(record))
+        return [decision_line(self.backend.push(record))]
 
-    def _status(self) -> dict[str, Any]:
-        return self.backend.status()
+    def _control(self, op: str, obj: dict[str, Any]) -> Any:
+        """The reply to one control op (the journal is already flushed)."""
+        if op == "status":
+            return self.backend.status()
+        if op == "snapshot":
+            return self.backend.snapshot()
+        if op == "metrics":
+            return {"metrics": self._metrics_page()}
+        raise ValueError(f"unknown op {op!r}")
 
     def _metrics_page(self) -> str:
-        if self._sharded:
-            full = self.backend.metrics()
-            return render_exposition(
-                service_samples(full["aggregate"], full["shards"])
-            )
-        # Single-session backend: same scrape-delta event rate the
-        # coordinator computes for itself.
+        # The event rate is the delta since the previous scrape.
         now = _time.monotonic()
         offers = self.backend.num_offers
         mark_time, mark_offers = self._rate_mark
@@ -99,15 +85,6 @@ class ServiceServer:
             (offers - mark_offers) / elapsed if elapsed > 0 else 0.0
         )
         return render_exposition(service_samples(status))
-
-    @property
-    def _overloaded(self) -> bool:
-        return bool(self.backend.overloaded)
-
-    def _journal_pending(self) -> int:
-        if self._sharded:
-            return int(self.backend.status()["aggregate"]["journal_pending"])
-        return int(self.backend.journal_pending)
 
     # -- Lifecycle -----------------------------------------------------------
 
@@ -190,34 +167,23 @@ class ServiceServer:
         out: list[str] = []
         try:
             if op is not None:
-                # Control reads are commit points (same contract as the
-                # stdin server): flush first, then report.
+                # Control reads are commit points: flush first, so what
+                # the client sees is never ahead of the journal.
                 self.backend.flush()
-                if op == "status":
-                    result: Any = self._status()
-                elif op == "snapshot":
-                    result = self.backend.snapshot()
-                elif op == "metrics":
-                    result = {"metrics": self._metrics_page()}
-                else:
-                    raise ValueError(f"unknown op {op!r}")
-                out.append(json.dumps(result))
+                out.append(json.dumps(self._control(op, obj)))
             else:
                 out.extend(self._apply(parse_event_record(obj)))
         except (ReproError, ValueError, KeyError, TypeError) as exc:
-            # Structured refusal: name the op so an unroutable event in
-            # sharded mode ({"kind": "failure", ...}) is attributable.
             return [json.dumps(
                 {"error": str(exc), "op": op if op is not None else kind,
                  "line": lineno}
             )]
-        if self._overloaded:
-            slo = self._slo
+        if self.backend.overloaded:  # only ever true in SLO mode
             out.append(json.dumps(
                 {
                     "overloaded": True,
-                    "journal_pending": self._journal_pending(),
-                    "retry_after": slo.retry_after if slo else 1.0,
+                    "journal_pending": self.backend.journal_pending,
+                    "retry_after": self._slo.retry_after,
                 }
             ))
             # The stall: make everything durable before reading on.
@@ -258,3 +224,25 @@ class ServiceServer:
             except (asyncio.CancelledError, ConnectionResetError,
                     BrokenPipeError, OSError):
                 pass
+
+
+class StdioServer(ServiceServer):
+    """The same protocol over a line stream (stdin/stdout).
+
+    Adds ``{"op": "save", "path": ...}``, which archives the session to a
+    file.  It is local-only: on the socket it would let any client write
+    files on the server's host.
+    """
+
+    def _control(self, op: str, obj: dict[str, Any]) -> Any:
+        if op == "save":
+            self.backend.save_run(obj["path"])
+            return {"saved": str(obj["path"])}
+        return super()._control(op, obj)
+
+    def serve_lines(self, lines: Iterable[str]) -> Iterable[str]:
+        """Reply lines for a stream of client lines, in order."""
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                yield from self._serve_line(text, lineno)

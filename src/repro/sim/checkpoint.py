@@ -105,6 +105,15 @@ def _parse_fsync_policy(spec: str) -> tuple[str, float]:
     )
 
 
+def _fsync_dir(path: Path) -> None:
+    """fsync a directory, so a file just created in it survives a crash."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _json_roundtrips(value: Any) -> bool:
     """Would ``json.loads(json.dumps(value))`` return ``value`` exactly?
 
@@ -202,10 +211,6 @@ class CheckpointJournal:
         self._digest = _fingerprint_digest(fingerprint)
         self._fingerprint = dict(fingerprint)
         self._completed: dict[int, Any] = {}
-        # Highest index ever journaled — tracked separately from
-        # ``_completed`` because the batch-blob fast path appends without
-        # materializing per-record payloads.
-        self._max_index = -1
         self._fh = None
         self.format = format or "v1"
         if self.path.exists():
@@ -235,6 +240,9 @@ class CheckpointJournal:
             else:
                 self._fh = open(self.path, "a", encoding="utf-8")
                 self._write_line(json.dumps(header, sort_keys=True, default=repr))
+            # The header is durable; make the new directory entry durable
+            # too, or a power loss could drop the whole file.
+            _fsync_dir(self.path.parent)
 
     # -- Opening / recovery -------------------------------------------------
 
@@ -300,8 +308,7 @@ class CheckpointJournal:
             )
             with open(self.path, "r+", encoding="utf-8") as fh:
                 fh.truncate(good_chars)
-        if self._completed:
-            self._max_index = max(self._completed)
+                os.fsync(fh.fileno())
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def _load_existing_v2(self) -> None:
@@ -366,8 +373,7 @@ class CheckpointJournal:
             )
             with open(self.path, "r+b") as fh:
                 fh.truncate(good_end)
-        if self._completed:
-            self._max_index = max(self._completed)
+                os.fsync(fh.fileno())
         self._fh = open(self.path, "ab")
 
     def _check_header(self, header: dict, version: int) -> None:
@@ -454,7 +460,6 @@ class CheckpointJournal:
         self._pending += 1
         self._pending_bytes += size
         self._completed[int(index)] = value
-        self._max_index = max(self._max_index, int(index))
         if self._policy == "always":
             self._sync()
         elif self._policy == "interval":
@@ -488,8 +493,6 @@ class CheckpointJournal:
             blob = None
             if len(run) > 1:
                 blob = _frames.encode_wire_records(run)
-                if blob is None:
-                    blob = _frames.encode_routed_records(run)
             if blob is not None:
                 out += _frames.frame_bytes(
                     _frames.FRAME_BATCH, _I64.pack(first) + blob
@@ -538,7 +541,6 @@ class CheckpointJournal:
             size = len(text)
         for index, value in items:
             self._completed[int(index)] = value
-        self._max_index = max(self._max_index, items[-1][0])
         self._pending += len(items)
         self._pending_bytes += size
         if self._policy == "interval":
@@ -554,12 +556,11 @@ class CheckpointJournal:
         extras: Sequence[tuple[int, Mapping[str, Any]]] = (),
     ) -> None:
         """Group-commit ``count`` records already encoded as one columnar
-        batch blob (:mod:`repro.sim.frames` layout W or R) at indices
+        batch blob (:mod:`repro.sim.frames` layout W) at indices
         ``first_index .. first_index + count - 1``.
 
-        This is the v2-only zero-copy fast path: the session (or a shard
-        worker relaying coordinator bytes) frames the blob directly,
-        never materializing per-record dicts.  ``extras`` are
+        This is the v2-only zero-copy fast path: the session frames the
+        blob directly, never materializing per-record dicts.  ``extras`` are
         ``(index, extra_dict)`` riders — snapshots, deltas — merged into
         the payload at ``index`` on load.  Unlike :meth:`record` /
         :meth:`record_many`, this does **not** populate
@@ -586,7 +587,6 @@ class CheckpointJournal:
         self._fh.write(out)
         self._pending += count
         self._pending_bytes += len(out)
-        self._max_index = max(self._max_index, first_index + count - 1)
         if self._policy == "interval":
             self._maybe_interval_sync()
         else:
@@ -601,95 +601,6 @@ class CheckpointJournal:
         open.
         """
         return dict(self._completed)
-
-    def drop_tail(self, first_index: int) -> None:
-        """Physically discard every record with index >= ``first_index``.
-
-        Distributed crash recovery: when several journals share one
-        logical history (the sharded service), the coordinator reconciles
-        a common durable prefix and truncates each journal to it — a later
-        resume must never replay records past the cutoff.  The file is
-        rewritten atomically (temp file + rename, fsync'd) keeping the
-        header and every record below the cutoff; a no-op when nothing
-        lies at or past it.
-        """
-        if self._fh is None:
-            raise CheckpointError(f"checkpoint {self.path} is closed")
-        if self._max_index < first_index:
-            return
-        self.commit()
-        self._fh.close()
-        self._fh = None
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        if self.format == "v2":
-            self._rewrite_v2_below(tmp, first_index)
-        else:
-            kept: list[str] = []
-            with open(self.path, encoding="utf-8") as fh:
-                kept.append(fh.readline())  # header, validated at open
-                for line in fh:
-                    if int(json.loads(line)["cell"]) < first_index:
-                        kept.append(line)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(kept)
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._completed = {
-            index: value
-            for index, value in self._completed.items()
-            if index < first_index
-        }
-        self._max_index = max(self._completed, default=-1)
-        mode = "ab" if self.format == "v2" else "a"
-        self._fh = open(
-            self.path, mode, **({} if self.format == "v2" else {"encoding": "utf-8"})
-        )
-        self._pending = 0
-        self._pending_bytes = 0
-
-    def _rewrite_v2_below(self, tmp: Path, first_index: int) -> None:
-        data = self.path.read_bytes()
-        frames, _end, _reason = _frames.scan_frames(
-            data, len(_frames.JOURNAL_MAGIC)
-        )
-        with open(tmp, "wb") as fh:
-            fh.write(_frames.JOURNAL_MAGIC)
-            for kind, payload, _pos in frames:
-                if kind == _frames.FRAME_HEADER:
-                    fh.write(_frames.frame_bytes(kind, payload))
-                elif kind in (_frames.FRAME_JSON, _frames.FRAME_PICKLE):
-                    if kind == _frames.FRAME_JSON:
-                        index, _value = json.loads(payload)
-                    else:
-                        index, _value = pickle.loads(payload)
-                    if int(index) < first_index:
-                        fh.write(_frames.frame_bytes(kind, payload))
-                elif kind == _frames.FRAME_BATCH:
-                    (first,) = _I64.unpack_from(payload)
-                    records = _frames.decode_record_batch(payload[_I64.size:])
-                    if first + len(records) <= first_index:
-                        fh.write(_frames.frame_bytes(kind, payload))
-                    elif first < first_index:
-                        # The cutoff splits this batch: keep the prefix as
-                        # per-record frames (re-encoding a partial batch
-                        # buys nothing at truncation frequency).
-                        for i, rec in enumerate(records[: first_index - first]):
-                            fh.write(
-                                _frames.frame_bytes(
-                                    _frames.FRAME_PICKLE,
-                                    pickle.dumps(
-                                        (first + i, {"record": rec}),
-                                        protocol=pickle.HIGHEST_PROTOCOL,
-                                    ),
-                                )
-                            )
-                elif kind == _frames.FRAME_ATTACH:
-                    index, _extra = pickle.loads(payload)
-                    if int(index) < first_index:
-                        fh.write(_frames.frame_bytes(kind, payload))
-            fh.flush()
-            os.fsync(fh.fileno())
 
     def close(self) -> None:
         """Commit anything pending, then close the file handle."""

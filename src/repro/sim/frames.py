@@ -1,10 +1,7 @@
-"""Length-prefixed binary frames: the v2 journal and shard wire format.
+"""Length-prefixed binary frames: the v2 journal format.
 
-One codec serves both places a record crosses a trust boundary — the
-durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal` format
-v2) and the coordinator/worker socketpair
-(:mod:`repro.service.shard.worker`) — so bytes encoded once by the
-coordinator can be framed into a worker's journal without re-encoding.
+The durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal`
+format v2) is a magic prefix followed by CRC-checked frames.
 
 Frame layout (all integers little-endian)::
 
@@ -18,11 +15,10 @@ good frame boundary — no JSON parse heuristics.  The CRC also catches
 bit rot in the middle of a frame, which the v1 line format could only
 catch when it happened to break JSON syntax.
 
-Frame kinds are split into two id spaces so a journal frame can never be
-misread as a wire message:
+Frame kinds:
 
 ====================  ====  =====================================================
-journal               id    payload
+kind                  id    payload
 ====================  ====  =====================================================
 ``FRAME_HEADER``      1     JSON header dict (kind/version/fingerprint/workload)
 ``FRAME_JSON``        2     JSON ``[index, payload]``
@@ -30,18 +26,12 @@ journal               id    payload
 ``FRAME_BATCH``       4     i64 first_index + columnar record batch (below)
 ``FRAME_ATTACH``      5     pickle ``(index, extra)`` — merged into the payload
                             journaled at ``index`` (snapshot/delta riders)
-wire                  id    payload
-====================  ====  =====================================================
-``MSG_JSON``          10    JSON object (control ops, acks)
-``MSG_PICKLE``        11    pickle object (status/snapshot/placement replies)
-``MSG_ROUTED``        12    columnar record batch, no index (an ``apply``)
 ====================  ====  =====================================================
 
-Columnar record batches are the structure-of-arrays encoding of the two
-hot record schemas — one frame per ``push_batch`` / ``push_routed_batch``
-instead of one dict per event.  Each column is a packed
-:mod:`array`-module byte string (u8 kinds/flags, f64 times/works, i64
-ids/sizes/nodes/gsns); the envelope is a pickled tuple of those byte
+Columnar record batches are the structure-of-arrays encoding of the hot
+arrival/departure record schema — one frame per ``push_batch`` instead
+of one dict per event.  Each column is a packed :mod:`array`-module byte
+string (u8 kinds, f64 times/works, i64 ids/sizes); the envelope is a pickled tuple of those byte
 strings.  Only records matching the exact hot schema are eligible —
 ``encode_*`` returns ``None`` for anything else and the caller falls back
 to per-record frames, so the columnar path never has to approximate a
@@ -55,7 +45,7 @@ import pickle
 import struct
 import zlib
 from array import array
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "FRAME_HEADER",
@@ -63,21 +53,14 @@ __all__ = [
     "FRAME_PICKLE",
     "FRAME_BATCH",
     "FRAME_ATTACH",
-    "MSG_JSON",
-    "MSG_PICKLE",
-    "MSG_ROUTED",
     "JOURNAL_MAGIC",
     "FrameError",
     "frame_bytes",
     "read_frame",
     "scan_frames",
-    "RoutedColumns",
     "encode_wire_columns",
     "encode_wire_records",
-    "encode_routed_records",
-    "routed_columns_from_records",
     "decode_record_batch",
-    "decode_routed_columns",
     "iter_journal_payloads",
 ]
 
@@ -88,10 +71,6 @@ FRAME_JSON = 2
 FRAME_PICKLE = 3
 FRAME_BATCH = 4
 FRAME_ATTACH = 5
-
-MSG_JSON = 10
-MSG_PICKLE = 11
-MSG_ROUTED = 12
 
 _HDR = struct.Struct("<IBI")
 _I64 = struct.Struct("<q")
@@ -171,11 +150,8 @@ def scan_frames(
 # Layout "W" (wire records, ``push_batch``):
 #   arrival   {kind, time, id, size, work}
 #   departure {kind, time, id}
-# Layout "R" (coordinator-routed records, ``push_routed_batch``):
-#   placed    {kind, time, id, size, node, work, gsn} (+ optional drain=True)
-#   departure {kind, time, id, gsn}
 #
-# kind codes within a batch: 0 = arrival/placed, 1 = departure.
+# kind codes within a batch: 0 = arrival, 1 = departure.
 
 
 def _pack_batch(layout: bytes, count: int, cols: tuple[bytes, ...]) -> bytes:
@@ -244,188 +220,9 @@ def encode_wire_records(
     return encode_wire_columns(kinds, times, ids, sizes, works)
 
 
-class RoutedColumns:
-    """Decoded structure-of-arrays view of one routed record batch.
-
-    ``blob`` retains the encoded payload (when the batch arrived encoded)
-    so a worker can frame the same bytes into its journal without
-    re-encoding.
-    """
-
-    __slots__ = (
-        "n", "kinds", "times", "ids", "sizes", "nodes", "works", "gsns",
-        "drains", "blob",
-    )
-
-    def __init__(
-        self,
-        kinds: Sequence[int],
-        times: Sequence[float],
-        ids: Sequence[int],
-        sizes: Sequence[int],
-        nodes: Sequence[int],
-        works: Sequence[float],
-        gsns: Sequence[int],
-        drains: Sequence[int],
-        blob: Optional[bytes] = None,
-    ) -> None:
-        self.n = len(kinds)
-        self.kinds = kinds
-        self.times = times
-        self.ids = ids
-        self.sizes = sizes
-        self.nodes = nodes
-        self.works = works
-        self.gsns = gsns
-        self.drains = drains
-        self.blob = blob
-
-    def encoded(self) -> bytes:
-        if self.blob is None:
-            self.blob = _pack_batch(
-                b"R",
-                self.n,
-                (
-                    bytes(bytearray(self.kinds)),
-                    array("d", self.times).tobytes(),
-                    array("q", self.ids).tobytes(),
-                    array("q", self.sizes).tobytes(),
-                    array("q", self.nodes).tobytes(),
-                    array("d", self.works).tobytes(),
-                    array("q", self.gsns).tobytes(),
-                    bytes(bytearray(self.drains)),
-                ),
-            )
-        return self.blob
-
-    def record_at(self, i: int) -> dict[str, Any]:
-        if self.kinds[i] == 0:
-            rec: dict[str, Any] = {
-                "kind": "placed",
-                "time": self.times[i],
-                "id": self.ids[i],
-                "size": self.sizes[i],
-                "node": self.nodes[i],
-                "work": self.works[i],
-                "gsn": self.gsns[i],
-            }
-            if self.drains[i]:
-                rec["drain"] = True
-            return rec
-        return {
-            "kind": "departure",
-            "time": self.times[i],
-            "id": self.ids[i],
-            "gsn": self.gsns[i],
-        }
-
-    def records(self) -> list[dict[str, Any]]:
-        return [self.record_at(i) for i in range(self.n)]
-
-    def sliced(self, count: int) -> "RoutedColumns":
-        """The first ``count`` records as fresh columns (prefix commit)."""
-        return RoutedColumns(
-            self.kinds[:count], self.times[:count], self.ids[:count],
-            self.sizes[:count], self.nodes[:count], self.works[:count],
-            self.gsns[:count], self.drains[:count],
-        )
-
-
-def routed_columns_from_records(
-    records: Sequence[Mapping[str, Any]]
-) -> Optional[RoutedColumns]:
-    """Columnar view of routed records; ``None`` off the hot schema."""
-    kinds = bytearray()
-    times: list[float] = []
-    ids: list[int] = []
-    sizes: list[int] = []
-    nodes: list[int] = []
-    works: list[float] = []
-    gsns: list[int] = []
-    drains = bytearray()
-    for r in records:
-        kind = r.get("kind")
-        t = r.get("time")
-        i = r.get("id")
-        g = r.get("gsn")
-        if type(t) is not float or type(i) is not int or type(g) is not int:
-            return None
-        if kind == "placed":
-            s = r.get("size")
-            nd = r.get("node")
-            w = r.get("work")
-            drain = r.get("drain", False)
-            if (
-                len(r) != (8 if drain is True else 7)
-                or type(s) is not int
-                or type(nd) is not int
-                or type(w) is not float
-                or (drain is not False and drain is not True)
-            ):
-                return None
-            kinds.append(0)
-            sizes.append(s)
-            nodes.append(nd)
-            works.append(w)
-            drains.append(1 if drain else 0)
-        elif kind == "departure":
-            if len(r) != 4:
-                return None
-            kinds.append(1)
-            sizes.append(0)
-            nodes.append(0)
-            works.append(0.0)
-            drains.append(0)
-        else:
-            return None
-        times.append(t)
-        ids.append(i)
-        gsns.append(g)
-    return RoutedColumns(kinds, times, ids, sizes, nodes, works, gsns, drains)
-
-
-def encode_routed_records(
-    records: Sequence[Mapping[str, Any]]
-) -> Optional[bytes]:
-    cols = routed_columns_from_records(records)
-    return None if cols is None else cols.encoded()
-
-
 def _unpack_batch(blob: bytes) -> tuple[bytes, int, tuple[bytes, ...]]:
     layout, count, cols = pickle.loads(blob)
     return layout, count, cols
-
-
-def decode_routed_columns(blob: bytes) -> Optional[RoutedColumns]:
-    """Decode a columnar batch into :class:`RoutedColumns` (layout R).
-
-    ``None`` covers *any* malformed blob, not just a wrong layout — the
-    worker maps it to a protocol error instead of crashing its loop.
-    """
-    try:
-        layout, count, cols = _unpack_batch(blob)
-        if layout != b"R":
-            return None
-        (kinds_b, times_b, ids_b, sizes_b,
-         nodes_b, works_b, gsns_b, drains_b) = cols
-    except Exception:
-        return None
-    times = array("d")
-    times.frombytes(times_b)
-    ids = array("q")
-    ids.frombytes(ids_b)
-    sizes = array("q")
-    sizes.frombytes(sizes_b)
-    nodes = array("q")
-    nodes.frombytes(nodes_b)
-    works = array("d")
-    works.frombytes(works_b)
-    gsns = array("q")
-    gsns.frombytes(gsns_b)
-    return RoutedColumns(
-        kinds_b, times.tolist(), ids.tolist(), sizes.tolist(),
-        nodes.tolist(), works.tolist(), gsns.tolist(), drains_b, blob,
-    )
 
 
 def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
@@ -435,10 +232,6 @@ def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
     — the property the v1/v2 parity referee holds both formats to.
     """
     layout, count, cols = _unpack_batch(blob)
-    if layout == b"R":
-        routed = decode_routed_columns(blob)
-        assert routed is not None
-        return routed.records()
     if layout != b"W":
         raise FrameError(f"unknown batch layout {layout!r}")
     kinds_b, times_b, ids_b, sizes_b, works_b = cols

@@ -31,14 +31,15 @@ class TestRoundTrip:
 
     def test_labeled_series_stay_contiguous(self):
         samples = [
-            Sample("repro_shard_events_total", 10, (("shard", "0"),)),
+            Sample("repro_stage_total", 10, (("stage", "decode"),)),
             Sample("repro_now", 1.0),
-            Sample("repro_shard_events_total", 20, (("shard", "1"),)),
+            Sample("repro_stage_total", 20, (("stage", "fsync"),)),
         ]
         text = render_exposition(samples)
         # The format requires one block per metric; order inside the
         # block is first-appearance.
-        assert text.index('shard="0"') < text.index('shard="1"')
+        assert text.index('stage="decode"') < text.index('stage="fsync"')
+        assert text.index('stage="fsync"') < text.index("repro_now")
         assert set(_samples_roundtrip(samples)) == set(samples)
 
     def test_nan_and_inf_spelling(self):
@@ -54,7 +55,7 @@ class TestRoundTrip:
 
     def test_label_escaping(self):
         tricky = 'a"b\\c\nd'
-        samples = [Sample("repro_shard_max_load", 1, (("shard", tricky),))]
+        samples = [Sample("repro_stage_total", 1, (("stage", tricky),))]
         assert _samples_roundtrip(samples) == samples
 
     def test_help_and_type_headers(self):
@@ -78,28 +79,7 @@ class TestServiceSamples:
         assert by_name["repro_events_total"] == 1
         assert by_name["repro_active_tasks"] == 1
         assert by_name["repro_max_load"] >= 1.0
-        # Single-process sessions have no sharded series.
-        assert "repro_gsn" not in by_name
-        assert "repro_shards" not in by_name
         session.close()
-
-    def test_shard_dicts_become_labeled_series(self):
-        shards = [
-            {"shard": 0, "events": 5, "active_tasks": 2, "max_load": 1.5,
-             "journal_pending": 0},
-            {"shard": 1, "events": 7, "active_tasks": 3, "max_load": 2.0,
-             "journal_pending": 4},
-        ]
-        samples = service_samples({"events": 12}, shards)
-        labeled = [s for s in samples if s.labels]
-        assert (
-            Sample("repro_shard_events_total", 7.0, (("shard", "1"),))
-            in labeled
-        )
-        assert (
-            Sample("repro_shard_journal_pending", 4.0, (("shard", "1"),))
-            in labeled
-        )
 
     def test_missing_keys_are_omitted_not_zeroed(self):
         samples = service_samples({"events": 1})

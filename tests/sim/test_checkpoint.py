@@ -1,6 +1,8 @@
 """CheckpointJournal: durability, recovery, and workload pinning."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -132,6 +134,52 @@ class TestCrashRecovery:
         path.write_text("")
         with pytest.raises(CheckpointError, match="no readable header"):
             CheckpointJournal(path, fingerprint=FP)
+
+
+class TestCrashConsistencySyncs:
+    """The syncs a power loss needs beyond the record fsyncs: the new
+    file's directory entry, and the torn-tail truncation."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        """Every fsync as ``(is_dir, inode, size)`` at the time of the call."""
+        calls = []
+        real = os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            calls.append((stat.S_ISDIR(st.st_mode), st.st_ino, st.st_size))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_new_journal_syncs_its_directory(self, tmp_path, fsyncs, fmt):
+        path = tmp_path / "sub" / "j.ckpt"
+        CheckpointJournal(path, fingerprint=FP, format=fmt).close()
+        dir_ino = os.stat(path.parent).st_ino
+        assert (True, dir_ino) in [(is_dir, ino) for is_dir, ino, _ in fsyncs]
+        # The directory is synced after the header is durable.
+        file_syncs = [i for i, c in enumerate(fsyncs) if not c[0]]
+        dir_syncs = [i for i, c in enumerate(fsyncs) if c[0]]
+        assert file_syncs and dir_syncs and file_syncs[0] < dir_syncs[0]
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_torn_tail_truncation_is_synced(self, tmp_path, fsyncs, fmt):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP, format=fmt) as journal:
+            journal.record(0, "a")
+        good = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x07\x00\x00torn")
+        fsyncs.clear()
+        with pytest.warns(UserWarning, match="corrupt tail"):
+            journal = CheckpointJournal(path, fingerprint=FP)
+        # Synced before the constructor returns, at the truncated size.
+        assert (False, path.stat().st_ino, good) in fsyncs
+        journal.close()
+        assert path.stat().st_size == good
 
 
 class TestFsyncPolicies:

@@ -1,13 +1,13 @@
-"""Frame codec torture tests: every way a journal or socket can break.
+"""Frame codec torture tests: every way a journal can break.
 
-The v2 journal and the worker wire protocol share one codec, so its
-failure modes are the service's failure modes: a SIGKILL tears the tail
-mid-frame, a bad disk flips a CRC byte, a crash cuts the length prefix
+The v2 journal's failure modes are the service's failure modes: a
+SIGKILL tears the tail mid-frame, a bad disk flips a CRC byte, a crash cuts the length prefix
 short.  Each case must be *detected* (never silently mis-parsed) and,
 for the scanning entry points, must surrender exactly the intact prefix.
 """
 
 import io
+import pickle
 
 import pytest
 
@@ -17,15 +17,11 @@ from repro.sim.frames import (
     FRAME_PICKLE,
     JOURNAL_MAGIC,
     FrameError,
-    RoutedColumns,
     decode_record_batch,
-    decode_routed_columns,
-    encode_routed_records,
     encode_wire_records,
     frame_bytes,
     iter_journal_payloads,
     read_frame,
-    routed_columns_from_records,
     scan_frames,
 )
 
@@ -104,15 +100,6 @@ WIRE_RECORDS = [
     {"kind": "arrival", "time": 3.5, "id": 1, "size": 1, "work": 1.0},
 ]
 
-ROUTED_RECORDS = [
-    {"kind": "placed", "time": 1.0, "id": 0, "size": 2, "node": 4,
-     "work": 1.5, "gsn": 0},
-    {"kind": "placed", "time": 1.5, "id": 1, "size": 1, "node": 9,
-     "work": 1.0, "gsn": 1, "drain": True},
-    {"kind": "departure", "time": 2.0, "id": 0, "gsn": 2},
-]
-
-
 class TestColumnarRoundTrips:
     def test_wire_records_roundtrip_key_for_key(self):
         blob = encode_wire_records(WIRE_RECORDS)
@@ -130,26 +117,13 @@ class TestColumnarRoundTrips:
             [{"kind": "departure", "time": 2, "id": 0}]
         ) is None
 
-    def test_routed_records_roundtrip(self):
-        blob = encode_routed_records(ROUTED_RECORDS)
-        assert blob is not None
-        cols = decode_routed_columns(blob)
-        assert isinstance(cols, RoutedColumns)
-        assert cols.records() == ROUTED_RECORDS
-        assert cols.encoded() == blob  # decoded columns retain their blob
-
-    def test_routed_rejects_off_schema_records(self):
-        bad = dict(ROUTED_RECORDS[0])
-        bad["drain"] = False  # only drain=True rides the hot path
-        assert routed_columns_from_records([bad]) is None
-        assert routed_columns_from_records([{"kind": "kill", "id": 1}]) is None
-
-    def test_sliced_prefix(self):
-        cols = routed_columns_from_records(ROUTED_RECORDS)
-        assert cols.sliced(2).records() == ROUTED_RECORDS[:2]
-
     def test_decode_rejects_garbage(self):
-        assert decode_routed_columns(b"not a pickle") is None
+        with pytest.raises(Exception):
+            decode_record_batch(b"not a pickle")
+        # Only layout W exists; any other layout tag is refused.
+        blob = pickle.dumps((b"R", 0, ()))
+        with pytest.raises(FrameError, match="unknown batch layout"):
+            decode_record_batch(blob)
 
 
 class TestIterJournalPayloads:
