@@ -607,7 +607,7 @@ def _cmd_verify_journal(args: argparse.Namespace) -> int:
     v2 = sum(o.bytes_v2 for o in outcomes)
     print(f"streams fuzzed     : {len(outcomes)} ({events} event(s))")
     print(f"kill points        : {kills} truncation(s) resumed "
-          f"({deltas} inside delta-snapshot windows)")
+          f"({deltas} inside delta windows)")
     if v2:
         print(f"journal bytes      : v1 {v1} vs v2 {v2} "
               f"({v1 / v2:.1f}x smaller)")
@@ -626,6 +626,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         FRAME_BATCH,
         FRAME_HEADER,
         FRAME_JSON,
+        FRAME_OVERHEAD,
         FRAME_PICKLE,
         JOURNAL_MAGIC,
         iter_journal_payloads,
@@ -647,11 +648,15 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         print("format             : v2 (framed binary)")
         print(f"file bytes         : {len(data)}")
         counts: dict[str, int] = {}
-        for kind, _payload, _pos in frames:
+        sizes: dict[str, int] = {}
+        for kind, payload, _pos in frames:
             name = kind_names.get(kind, f"kind{kind}")
             counts[name] = counts.get(name, 0) + 1
+            sizes[name] = sizes.get(name, 0) + FRAME_OVERHEAD + len(payload)
         print("frames             : " + " ".join(
             f"{name}={counts[name]}" for name in sorted(counts)))
+        print("bytes per kind     : " + " ".join(
+            f"{name}={sizes[name]}" for name in sorted(sizes)))
         if bad_reason is not None and good_end < len(data):
             print(f"tail               : torn ({bad_reason}) at byte "
                   f"{good_end}, {len(data) - good_end} byte(s) dropped")
@@ -675,8 +680,9 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     if pairs:
         per = len(data) / len(pairs)
         print(f"bytes per record   : {per:.1f}")
-    snaps = [i for i, p in pairs if isinstance(p, dict) and "snapshot" in p]
-    deltas = [i for i, p in pairs if isinstance(p, dict) and "delta" in p]
+    def _riders(key):
+        return [i for i, p in pairs if isinstance(p, dict) and key in p]
+
     def _positions(label, positions):
         if not positions:
             print(f"{label}: none")
@@ -685,8 +691,11 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         else:
             print(f"{label}: {len(positions)} "
                   f"(first {positions[0]}, last {positions[-1]})")
-    _positions("full snapshots     ", snaps)
-    _positions("delta snapshots    ", deltas)
+    _positions("state digests      ", _riders("state_sha256"))
+    legacy = _riders("snapshot")
+    if legacy:  # embedded by older builds; still verified on resume
+        _positions("legacy snapshots   ", legacy)
+    _positions("delta riders       ", _riders("delta"))
     if args.head:
         print(f"--- first {min(args.head, len(pairs))} record(s) ---")
         for index, payload in pairs[: args.head]:
@@ -1127,7 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal-format referee: stream the corpus and fuzzed "
         "sequences through v1 (JSONL) and v2 (framed binary) journals "
         "and demand both resume bit-identically — including truncation "
-        "kills inside delta-snapshot windows",
+        "kills inside delta windows (between a delta rider and the next "
+        "state digest)",
     )
     add_jobs(p_ver)
     add_resilience(p_ver)
@@ -1139,8 +1149,8 @@ def build_parser() -> argparse.ArgumentParser:
     jsub = p_journal.add_subparsers(dest="action", required=True)
     p_jdump = jsub.add_parser(
         "dump",
-        help="pretty-print a journal: format, frame/record counts, "
-        "snapshot positions, torn-tail status",
+        help="pretty-print a journal: format, frame/record counts and "
+        "bytes, checkpoint positions, torn-tail status",
     )
     p_jdump.add_argument("path", help="journal file (v1 JSONL or v2 framed)")
     p_jdump.add_argument(

@@ -14,9 +14,12 @@ error — holds identically for every operating mode.
 
 The kernel is pure with respect to the outside world: it performs no I/O,
 holds no clock, and spawns no callbacks.  Its complete state round-trips
-through :meth:`snapshot` / :meth:`restore` as a versioned JSON-safe dict,
-which is what makes killed streaming sessions resumable
-(``docs/ARCHITECTURE.md`` has the full picture).
+through :meth:`snapshot` / :meth:`restore` as a versioned JSON-safe dict.
+That dict is O(history), not O(active tasks): ``placement_log`` and
+``departure_times`` keep every task ever seen, departed ones included,
+and every migration appends to ``placement_log``.  So journals never
+store it; a streaming session checkpoints the sha256 of its canonical
+encoding instead (``docs/ARCHITECTURE.md``, "Checkpoint digests").
 
 Fault events (failures, repairs, kills) are dispatched by their ``kind``
 string rather than by class, so the kernel never imports
@@ -27,8 +30,9 @@ Restoring a snapshot rebuilds *kernel* state only.  Algorithm objects keep
 private incremental state (load trackers, copy sets); per the
 :class:`~repro.core.base.AllocationAlgorithm` contract they are
 deterministic functions of the event history, so a resuming driver
-replays the journaled events through a fresh algorithm and then verifies
-the kernel snapshot digest (see :mod:`repro.service.session`).
+replays the journaled events through a fresh algorithm and verifies the
+kernel snapshot digest at each checkpoint (see
+:mod:`repro.service.session`).
 """
 
 from __future__ import annotations
@@ -837,7 +841,7 @@ class AllocationKernel:
         return self._active_size
 
     def num_active(self) -> int:
-        """Count of currently-placed tasks (O(1); delta-snapshot digest)."""
+        """Count of currently-placed tasks (O(1); journal delta riders)."""
         return len(self._placements)
 
     def placement_intervals(self) -> dict[TaskId, list[tuple[float, float, NodeId]]]:

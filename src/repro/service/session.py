@@ -12,16 +12,20 @@ same kernel.
 
 Durability: give the session a journal path and every absorbed event is
 appended — fsync'd — to a :class:`~repro.sim.checkpoint.CheckpointJournal`
-before the decision is returned, with a full kernel snapshot embedded
-every ``snapshot_interval`` events.  If the process dies, constructing a
-session with the same configuration and journal path *resumes* it: the
-journaled events are replayed through a fresh kernel and algorithm (the
-:class:`~repro.core.base.AllocationAlgorithm` contract guarantees
-algorithms are deterministic functions of the event history), and every
-embedded snapshot is digest-verified against the replayed kernel state —
-a mismatch (different code, different config, corrupted journal) is a
-hard :class:`~repro.errors.CheckpointError`, never a silently different
-run.  The resumed session then continues to the same final metrics the
+before the decision is returned.  At each full checkpoint the journal
+gets a 64-character ``state_sha256``: the sha256 of the complete kernel
+snapshot (history included), never the snapshot itself, whose size grows
+with every placement and migration ever made.  If the process dies,
+constructing a session with the same configuration and journal path
+*resumes* it: the journaled events are replayed through a fresh kernel
+and algorithm (the :class:`~repro.core.base.AllocationAlgorithm`
+contract guarantees algorithms are deterministic functions of the event
+history), and the replayed kernel state is digested and compared at
+every checkpoint — a mismatch (different code, different config,
+corrupted journal) is a hard :class:`~repro.errors.CheckpointError`,
+never a silently different run.  Journals from older builds, which
+embed the full snapshot instead, are checked by digesting both sides.
+The resumed session then continues to the same final metrics the
 uninterrupted run would have produced.
 
 SLO mode (``slo=SLOPolicy(...)``): every wire record goes through
@@ -74,8 +78,15 @@ __all__ = ["AllocationSession"]
 
 
 def _state_digest(state: Mapping[str, Any]) -> str:
+    """sha256 of a kernel snapshot's compact JSON encoding.
+
+    :meth:`~repro.kernel.AllocationKernel.snapshot` emits every dict in a
+    fixed order, so the encoding is canonical without ``sort_keys``.  A
+    snapshot is a tree, so the encoder's cycle check is skipped (~20% of
+    its time on history-heavy states).
+    """
     return hashlib.sha256(
-        json.dumps(state, sort_keys=True, default=repr).encode()
+        json.dumps(state, separators=(",", ":"), check_circular=False).encode()
     ).hexdigest()
 
 
@@ -95,8 +106,10 @@ class AllocationSession:
         journal fingerprint pins machine, algorithm and ``d``, so resuming
         with a different configuration is refused.
     snapshot_interval:
-        Embed a full kernel snapshot in the journal every this many
-        events (0 disables embedded snapshots; resume still replays).
+        Checkpoint interval in events (0 disables checkpoints; resume
+        still replays).  v1 journals embed the kernel-state digest every
+        this many events; v2 journals embed an O(1) delta rider here and
+        the digest every ``full_snapshot_interval`` events (default 16x).
     fsync_policy:
         Journal durability mode (``always`` | ``batch`` |
         ``interval:<ms>``, see :class:`~repro.sim.checkpoint.
@@ -174,11 +187,10 @@ class AllocationSession:
         self._journal_seq = 0
         self._overloaded = False
         self._snapshot_interval = max(0, int(snapshot_interval))
-        # v2 journals split the old single interval in two: cheap O(1)
-        # delta records every ``snapshot_interval`` events and a full
-        # pickled kernel snapshot only every ``full_snapshot_interval``
-        # (default 16x).  v1 journals keep the original semantics (every
-        # interval embeds a full snapshot).
+        # v2 journals split the single interval in two: cheap O(1) delta
+        # records every ``snapshot_interval`` events and the full-state
+        # digest only every ``full_snapshot_interval`` (default 16x).  v1
+        # journals embed the digest at every interval.
         if full_snapshot_interval is None:
             full_snapshot_interval = 16 * self._snapshot_interval
         self._full_snapshot_interval = max(0, int(full_snapshot_interval))
@@ -842,7 +854,7 @@ class AllocationSession:
             (self._journal_seq + i, {"record": record})
             for i, (_, record) in enumerate(pairs)
         ]
-        # Mid-batch kernel states no longer exist, so the snapshot (or
+        # Mid-batch kernel states no longer exist, so the digest (or
         # delta) that per-event journaling would have embedded at the
         # interval boundary rides on the batch's last record instead
         # (resume verifies them wherever they appear).
@@ -885,13 +897,12 @@ class AllocationSession:
 
     def _delta_state(self) -> dict[str, Any]:
         """O(1) digest of the session/kernel scalars, journaled between
-        full snapshots (v2 ``delta`` riders) and re-verified on resume.
+        full-state digests (v2 ``delta`` riders) and re-verified on resume.
 
         Deliberately cheap: counters and running loads only, no per-task
         state — a divergence in any replayed event perturbs at least one
-        of these, so deltas catch configuration/build drift at nearly the
-        full-snapshot granularity for ~100 bytes instead of a pickled
-        kernel.
+        of these, so deltas catch configuration/build drift between the
+        full checkpoints without building a kernel snapshot.
         """
         k = self.kernel
         return {
@@ -906,16 +917,23 @@ class AllocationSession:
             "peak_load": k.metrics.max_load,
         }
 
+    def _checkpoint_rider(self) -> dict[str, Any]:
+        """The full checkpoint: a digest of the complete kernel state.
+
+        The snapshot covers every task's placement history, so it grows
+        with every migration; its 64-character digest does not.
+        """
+        return {"state_sha256": _state_digest(self.kernel.snapshot())}
+
     def _batch_rider(self, base: int, count: int) -> Optional[dict[str, Any]]:
-        """Snapshot/delta payload extras riding a batch's last record.
+        """Checkpoint/delta payload extras riding a batch's last record.
 
         ``base`` is ``len(self._events)`` before the batch; a rider is due
         when the batch crosses an interval boundary (for ``count == 1``
-        this is exactly the old ``len % interval == 0`` schedule).  v1
-        journals keep the original contract — a full kernel snapshot
-        every ``snapshot_interval`` — while v2 journals embed a cheap
-        :meth:`_delta_state` there and reserve full snapshots for
-        ``full_snapshot_interval`` crossings.
+        this is exactly the ``len % interval == 0`` schedule).  v1
+        journals embed the full checkpoint every ``snapshot_interval``,
+        while v2 journals embed a cheap :meth:`_delta_state` there and
+        reserve full checkpoints for ``full_snapshot_interval`` crossings.
         """
         if self._journal is None or count <= 0:
             return None
@@ -923,14 +941,14 @@ class AllocationSession:
         if self._journal.format == "v2":
             full = self._full_snapshot_interval
             if full and end // full > base // full:
-                return {"snapshot": self.kernel.snapshot()}
+                return self._checkpoint_rider()
             interval = self._snapshot_interval
             if interval and end // interval > base // interval:
                 return {"delta": self._delta_state()}
             return None
         interval = self._snapshot_interval
         if interval and end // interval > base // interval:
-            return {"snapshot": self.kernel.snapshot()}
+            return self._checkpoint_rider()
         return None
 
     # -- Resume --------------------------------------------------------------
@@ -957,16 +975,21 @@ class AllocationSession:
         for index in range(total):
             payload = completed[index]
             self.push_replay(self._payload_record(payload, index))
-            embedded = payload.get("snapshot")
-            if embedded is not None:
-                replayed = self.kernel.snapshot()
-                if _state_digest(replayed) != _state_digest(embedded):
-                    raise CheckpointError(
-                        f"session journal {self._journal.path}: replayed state "
-                        f"diverges from the snapshot embedded at event {index} "
-                        "— the journal was written by a different "
-                        "configuration or build"
-                    )
+            expected = payload.get("state_sha256")
+            legacy = payload.get("snapshot")
+            if expected is None and legacy is not None:
+                # Older builds embedded the snapshot itself.
+                expected = _state_digest(legacy)
+            if (
+                expected is not None
+                and _state_digest(self.kernel.snapshot()) != expected
+            ):
+                raise CheckpointError(
+                    f"session journal {self._journal.path}: replayed state "
+                    f"diverges from the snapshot digest embedded at event "
+                    f"{index} — the journal was written by a different "
+                    "configuration or build"
+                )
             delta = payload.get("delta")
             if delta is not None and self._delta_state() != delta:
                 raise CheckpointError(

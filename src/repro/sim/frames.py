@@ -25,7 +25,7 @@ kind                  id    payload
 ``FRAME_PICKLE``      3     pickle ``(index, payload)``
 ``FRAME_BATCH``       4     i64 first_index + columnar record batch (below)
 ``FRAME_ATTACH``      5     pickle ``(index, extra)`` — merged into the payload
-                            journaled at ``index`` (snapshot/delta riders)
+                            journaled at ``index`` (digest/delta riders)
 ====================  ====  =====================================================
 
 Columnar record batches are the structure-of-arrays encoding of the hot
@@ -53,6 +53,7 @@ __all__ = [
     "FRAME_PICKLE",
     "FRAME_BATCH",
     "FRAME_ATTACH",
+    "FRAME_OVERHEAD",
     "JOURNAL_MAGIC",
     "FrameError",
     "frame_bytes",
@@ -73,6 +74,8 @@ FRAME_BATCH = 4
 FRAME_ATTACH = 5
 
 _HDR = struct.Struct("<IBI")
+#: Bytes a frame adds in front of its payload (the header).
+FRAME_OVERHEAD = _HDR.size
 _I64 = struct.Struct("<q")
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 

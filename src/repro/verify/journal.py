@@ -1,15 +1,15 @@
 """The journal-format referee: v1 and v2 journals must be one history.
 
 The binary v2 journal buys its throughput with three liberties — framed
-pickle/columnar records instead of JSONL, delta digests instead of full
-snapshots between full-snapshot crossings, and batch frames that never
-materialise per-event dicts.  None of them may be observable: a session
-journaled in either format must resume to *bit-identical* state, and a
-v2 journal killed mid-delta-window (after a delta rider, before the
-next full snapshot) must recover exactly the surviving hole-free prefix
-and then catch up to the uninterrupted run.  This referee enforces all
-of that the way the rest of :mod:`repro.verify` does — same input, both
-configurations, diff everything:
+pickle/columnar records instead of JSONL, O(1) delta riders instead of
+full-state digests between full-checkpoint crossings, and batch frames
+that never materialise per-event dicts.  None of them may be observable:
+a session journaled in either format must resume to *bit-identical*
+state, and a v2 journal killed mid-delta-window (after a delta rider,
+before the next state digest) must recover exactly the surviving
+hole-free prefix and then catch up to the uninterrupted run.  This
+referee enforces all of that the way the rest of :mod:`repro.verify`
+does — same input, both configurations, diff everything:
 
 * **final state**: kernel ``snapshot()``, ``status()``, and metrics of
   the v1- and v2-journaled sessions must equal an unjournaled oracle's,
@@ -66,7 +66,7 @@ class JournalOutcome:
     #: that never kills inside a delta window proves less.
     kills_checked: int = 0
     #: Of those, truncations that landed strictly between a delta rider
-    #: and the next full snapshot (the v2-only recovery path).
+    #: and the next state digest (the v2-only recovery path).
     delta_window_kills: int = 0
     bytes_v1: int = 0
     bytes_v2: int = 0

@@ -1,12 +1,15 @@
-"""Journal format v2 torture tests: frames, deltas, negotiation, kills.
+"""Journal format v2 torture tests: frames, digests, negotiation, kills.
 
 The binary journal's contracts, attacked one at a time: a torn tail or
 flipped CRC byte must surrender exactly the intact prefix with a
 warning; a v1 journal reopened by v2-default code must stay v1 and
-resume bit-identically; tampered records must fail the delta-digest
-check; and a SIGKILL landing *inside a delta-snapshot window* (after a
-delta rider, before the next full snapshot) must resume to the same
-final state as an uninterrupted run under every fsync policy.
+resume bit-identically; tampered records must fail the delta check, a
+rewritten state digest must fail the digest check, and a divergence in
+history alone must still be caught; journals that embed full snapshots
+(older builds) must keep resuming; and a SIGKILL landing *inside a delta
+window* (after a delta rider, before the next state digest) must resume
+to the same final state as an uninterrupted run under every fsync
+policy.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ from repro.core.registry import make_algorithm
 from repro.errors import CheckpointError
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
+from repro.service.session import _state_digest
 from repro.sim.frames import (
     JOURNAL_MAGIC,
     frame_bytes,
@@ -34,6 +38,7 @@ from repro.sim.frames import (
 from repro.workloads.generators import poisson_sequence
 
 SNAP, FULL = 4, 16
+GOLDEN_DIGEST = "8ac8ceff5511b49d6e4fbb0701ffec66154b0274cb72fdf5836ac22a1f4f6761"
 
 
 def _digest(state) -> str:
@@ -75,13 +80,16 @@ class TestFormatLayout:
         journal = tmp_path / "s.journal"
         _fill(journal, _records(tasks=40, seed=1))
         payloads = dict(iter_journal_payloads(journal))
-        fulls = [i for i, p in payloads.items() if "snapshot" in p]
+        fulls = [i for i, p in payloads.items() if "state_sha256" in p]
         deltas = [i for i, p in payloads.items() if "delta" in p]
         assert fulls and deltas
-        # Full snapshots land only on full-interval crossings; deltas fill
+        # State digests land only on full-interval crossings; deltas fill
         # the snapshot-interval crossings in between, and never coincide.
         assert not set(fulls) & set(deltas)
         assert len(deltas) > len(fulls)  # most crossings are cheap deltas
+        # No journal embeds the O(history) snapshot itself any more.
+        assert not any("snapshot" in p for p in payloads.values())
+        assert all(len(payloads[i]["state_sha256"]) == 64 for i in fulls)
 
     def test_v1_requested_stays_jsonl(self, tmp_path):
         journal = tmp_path / "s.journal"
@@ -215,6 +223,160 @@ class TestTamperDetection:
                 full_snapshot_interval=64,
             )
 
+    def test_rewritten_digest_rider_names_its_event(self, tmp_path):
+        """A state digest rewritten under a valid CRC fails the digest
+        check at exactly the event it rides on."""
+        journal = tmp_path / "s.journal"
+        _fill(journal, _records(tasks=40, seed=1))
+        data = journal.read_bytes()
+        frames, _end, _r = scan_frames(data, len(JOURNAL_MAGIC))
+        out = bytearray(JOURNAL_MAGIC)
+        rewritten = None
+        for kind, payload, _pos in frames:
+            if kind == 5 and rewritten is None:  # FRAME_ATTACH
+                index, extra = pickle.loads(payload)
+                if "state_sha256" in extra:
+                    extra["state_sha256"] = "0" * 64
+                    payload = pickle.dumps((index, extra))
+                    rewritten = index
+            out += frame_bytes(kind, payload)
+        assert rewritten is not None
+        journal.write_bytes(bytes(out))
+        with pytest.raises(
+            CheckpointError, match=f"digest embedded at event {rewritten} "
+        ):
+            _session(journal_path=journal)
+
+    def test_history_only_divergence_fails_the_digest(
+        self, tmp_path, monkeypatch
+    ):
+        """The digest still covers history: a departed task's placement
+        log, which no delta rider and no later decision can see, is
+        rewritten during replay and the next digest must refuse it."""
+        journal = tmp_path / "s.journal"
+        records = _records(tasks=40, seed=1)
+        _fill(journal, records)
+        payloads = dict(iter_journal_payloads(journal))
+        digests = sorted(i for i, p in payloads.items() if "state_sha256" in p)
+        target = digests[-1]
+        departed = [
+            (i, r["record"]["id"])
+            for i, r in payloads.items()
+            if i < target and r["record"]["kind"] == "departure"
+        ]
+        # Tamper after a departure that precedes the last digest but
+        # follows the digest before it, so that digest is the one to fail.
+        after = digests[-2] if len(digests) > 1 else -1
+        at, victim = next((i, t) for i, t in departed if i > after)
+
+        original = AllocationSession.push_replay
+
+        def replay(self, record):
+            decision = original(self, record)
+            if self.num_events == at + 1:
+                log = self.kernel._placement_log[victim]
+                t, node = log[0]
+                log[0] = (t, node + 1)
+            return decision
+
+        monkeypatch.setattr(AllocationSession, "push_replay", replay)
+        with pytest.raises(
+            CheckpointError, match=f"digest embedded at event {target} "
+        ):
+            _session(journal_path=journal)
+
+
+class TestDigestEncoding:
+    def test_golden_digest_of_a_small_kernel(self):
+        """The checkpoint digest is an on-disk format: journals written
+        by one build are verified by the next.  A change to the encoder
+        (or to snapshot()) shows up here first, on every Python version
+        CI runs."""
+        session = _session()
+        session.submit(2, task_id=0)
+        session.submit(4, task_id=1)
+        session.submit(1, task_id=2, work=2.5)
+        session.depart(1)
+        session.submit(8, task_id=3)
+        assert _state_digest(session.snapshot()) == GOLDEN_DIGEST
+
+
+class TestLegacySnapshotRiders:
+    """Journals written by builds that embedded the full snapshot."""
+
+    @staticmethod
+    def _write(journal, records, fmt, rider):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AllocationSession, "_checkpoint_rider", rider)
+            _fill(journal, records, journal_format=fmt)
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_full_snapshot_riders_still_resume(self, tmp_path, fmt):
+        records = _records(tasks=40, seed=8)
+        cut = 2 * len(records) // 3
+        journal = tmp_path / f"legacy.{fmt}"
+        self._write(
+            journal, records[:cut], fmt,
+            lambda self: {"snapshot": self.kernel.snapshot()},
+        )
+        payloads = dict(iter_journal_payloads(journal))
+        assert any("snapshot" in p for p in payloads.values())
+        reference = _session()
+        for rec in records:
+            reference.push(rec)
+
+        resumed = _session(journal_path=journal, journal_format=fmt)
+        assert resumed.num_events == cut
+        for rec in records[cut:]:
+            resumed.push(rec)
+        resumed.close()
+        assert _digest(resumed.snapshot()) == _digest(reference.snapshot())
+        assert (
+            resumed.kernel.metrics.to_state() == reference.kernel.metrics.to_state()
+        )
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_tampered_legacy_snapshot_is_refused(self, tmp_path, fmt):
+        def rider(self):
+            snap = self.kernel.snapshot()
+            snap["active_size"] += 1  # not the state replay reaches
+            return {"snapshot": snap}
+
+        journal = tmp_path / f"legacy.{fmt}"
+        self._write(journal, _records(tasks=40, seed=8), fmt, rider)
+        with pytest.raises(CheckpointError, match="diverges from the snapshot"):
+            _session(journal_path=journal, journal_format=fmt)
+
+
+class TestJournalSize:
+    def test_bytes_per_record_stay_flat_under_heavy_migration(self, tmp_path):
+        """A_M with d=1/16 repacks often and migrates most tasks, and the
+        kernel snapshot keeps every placement and load sample ever made,
+        so it grows with history.  Digest checkpoints keep the journal
+        near the size of its records (~36 B here); embedding the
+        snapshot at the same 62 checkpoints cost ~1.35 KB per record."""
+        n = 256
+        machine = TreeMachine(n)
+        journal = tmp_path / "s.journal"
+        session = AllocationSession(
+            machine,
+            make_algorithm("periodic", machine, d=1 / 16),
+            journal_path=journal,
+            fsync_policy="batch",
+            snapshot_interval=16,
+            full_snapshot_interval=64,
+        )
+        sigma = poisson_sequence(n, 2000, np.random.default_rng(11))
+        records = list(sequence_records(sigma))
+        for i in range(0, len(records), 64):
+            session.push_batch([dict(r) for r in records[i : i + 64]])
+        session.close()
+        per_record = journal.stat().st_size / len(records)
+        assert per_record < 150, per_record
+        assert session.kernel.metrics.realloc.num_migrations > 2000
+        payloads = dict(iter_journal_payloads(journal))
+        assert sum("state_sha256" in p for p in payloads.values()) >= 3
+
 
 _KILL_CHILD = textwrap.dedent(
     """
@@ -248,15 +410,15 @@ _KILL_CHILD = textwrap.dedent(
 
 
 class TestKillInsideDeltaWindow:
-    """SIGKILL with the last full snapshot 9 events stale.
+    """SIGKILL with the last state digest 9 events stale.
 
     ``committed=25`` of a 29-event stream with ``snapshot_interval=4``
-    and ``full_snapshot_interval=16``: the last full snapshot rides the
+    and ``full_snapshot_interval=16``: the last state digest rides the
     batch that crosses event 16, the last delta rides event 24, and the
     stream *ends* before the next full crossing — so wherever in
     ``[25, 29]`` the surviving journal stops (lazier fsync policies can
     leak OS-buffered tail writes past the kill), the crash lands
-    mid-delta-window and resume must replay through the delta digest.
+    mid-delta-window and resume must replay through the delta check.
     """
 
     @pytest.mark.parametrize("policy", ["always", "batch", "interval:3600000"])
@@ -283,9 +445,9 @@ class TestKillInsideDeltaWindow:
         assert "READY" in proc.stdout
 
         # The surviving journal really is mid-window: a delta rider comes
-        # after the last full snapshot.
+        # after the last state digest.
         payloads = dict(iter_journal_payloads(journal))
-        fulls = [i for i, p in payloads.items() if "snapshot" in p]
+        fulls = [i for i, p in payloads.items() if "state_sha256" in p]
         deltas = [i for i, p in payloads.items() if "delta" in p]
         assert fulls and deltas and max(deltas) > max(fulls)
 

@@ -585,3 +585,62 @@ class TestBatchedStreaming:
         from repro.sim.frames import iter_journal_payloads
 
         assert len(iter_journal_payloads(journal)) == 2
+
+
+class TestJournalDump:
+    @staticmethod
+    def _journal(path, fmt="v2", events=40):
+        from repro.core.registry import make_algorithm
+        from repro.machines.tree import TreeMachine
+        from repro.service import AllocationSession
+
+        machine = TreeMachine(8)
+        session = AllocationSession(
+            machine, make_algorithm("greedy", machine, d=2.0),
+            journal_path=path, journal_format=fmt, fsync_policy="batch",
+            snapshot_interval=4, full_snapshot_interval=16,
+        )
+        for i in range(events):
+            session.push({"kind": "arrival", "size": 1, "id": i})
+            session.push({"kind": "departure", "id": i})
+        session.close()
+
+    @staticmethod
+    def _fields(out):
+        return dict(
+            (key.strip(), value.strip())
+            for key, value in (line.split(":", 1) for line in out.splitlines())
+        )
+
+    def test_stats_list_digests_and_bytes_per_kind(self, capsys, tmp_path):
+        journal = tmp_path / "s.journal"
+        self._journal(journal)
+        assert main(["journal", "dump", str(journal), "--stats"]) == 0
+        fields = self._fields(capsys.readouterr().out)
+        assert fields["state digests"] == "at [15, 31, 47, 63, 79]"
+        assert "legacy snapshots" not in fields
+        assert fields["delta riders"].startswith("15 (first 3, last 75)")
+        per_kind = dict(
+            item.split("=") for item in fields["bytes per kind"].split()
+        )
+        assert set(per_kind) == {"header", "pickle"}
+        # Every frame byte is accounted for; only the magic is not a frame.
+        total = sum(int(v) for v in per_kind.values())
+        assert total + 5 == int(fields["file bytes"])
+        assert float(fields["bytes per record"]) < 150
+
+    def test_legacy_snapshots_are_listed(self, capsys, monkeypatch, tmp_path):
+        from repro.service import AllocationSession
+
+        monkeypatch.setattr(
+            AllocationSession, "_checkpoint_rider",
+            lambda self: {"snapshot": self.kernel.snapshot()},
+        )
+        journal = tmp_path / "old.journal"
+        self._journal(journal, fmt="v1", events=8)
+        assert main(["journal", "dump", str(journal)]) == 0
+        fields = self._fields(capsys.readouterr().out)
+        assert fields["format"] == "v1 (JSONL)"
+        assert fields["state digests"] == "none"
+        assert fields["legacy snapshots"] == "at [3, 7, 11, 15]"
+        assert "bytes per kind" not in fields
