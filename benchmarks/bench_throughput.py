@@ -5,8 +5,7 @@ itself.  Three layers are metered:
 
 * kernel-only ingest: ``AllocationKernel.apply`` in a loop vs.
   ``apply_batch`` at several batch sizes (amortised metering/bookkeeping),
-* columnar ingest: ``apply_batch`` under every non-python backend the
-  environment offers (``numpy`` always, ``numba`` when installed) — the
+* columnar ingest: ``apply_batch`` under the ``numpy`` backend — the
   structure-of-arrays hot path of :mod:`repro.kernel.columnar`,
 * journaled ingest: ``AllocationSession.push`` with ``fsync=always`` vs.
   ``push_batch`` under group commit (``fsync=batch``) and interval
@@ -33,7 +32,7 @@ import pytest
 
 from repro.core.registry import make_algorithm
 from repro.kernel import AllocationKernel
-from repro.kernel.columnar import available_backends
+from repro.kernel.columnar import BACKENDS
 from repro.machines.hypercube import Hypercube
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
@@ -55,8 +54,8 @@ def records(sigma):
     return list(sequence_records(sigma))
 
 
-#: Columnar backends usable here (everything but the per-event oracle).
-COLUMNAR_BACKENDS = [b for b in available_backends() if b != "python"]
+#: Columnar backends (everything but the per-event oracle).
+COLUMNAR_BACKENDS = [b for b in BACKENDS if b != "python"]
 
 
 def _fresh_kernel(machine_cls=TreeMachine, backend="python"):

@@ -570,13 +570,13 @@ def _sweep_cell(n: int, d: float, lazy: bool, sigma) -> list:
 
 
 def _cmd_verify_journal(args: argparse.Namespace) -> int:
-    """``repro verify --journal``: the format-parity referee."""
+    """``repro verify --journal``: the crash-resume referee."""
     from repro.errors import SimulationError
     from repro.verify.journal import fuzz_journal, replay_corpus_journal
 
     failed = 0
     print(f"machine            : TreeMachine(N={args.n}), "
-          "journal formats v1 vs v2")
+          "journaled sessions killed and resumed")
     if args.replay:
         results = replay_corpus_journal(args.replay)
         checked = [(e, o) for e, o in results if o is not None]
@@ -603,33 +603,29 @@ def _cmd_verify_journal(args: argparse.Namespace) -> int:
     events = sum(o.events for o in outcomes)
     kills = sum(o.kills_checked for o in outcomes)
     deltas = sum(o.delta_window_kills for o in outcomes)
-    v1 = sum(o.bytes_v1 for o in outcomes)
-    v2 = sum(o.bytes_v2 for o in outcomes)
     print(f"streams fuzzed     : {len(outcomes)} ({events} event(s))")
     print(f"kill points        : {kills} truncation(s) resumed "
           f"({deltas} inside delta windows)")
-    if v2:
-        print(f"journal bytes      : v1 {v1} vs v2 {v2} "
-              f"({v1 / v2:.1f}x smaller)")
     if failed:
         print("verdict            : FAILED")
         return 1
-    print("verdict            : OK — v1 and v2 journals of the same "
-          "stream resume bit-identically, kills included")
+    print("verdict            : OK — every journal resumes bit-identically, "
+          "kills included")
     return 0
 
 
 def _cmd_journal(args: argparse.Namespace) -> int:
-    """``repro journal dump PATH``: inspect either journal format."""
+    """``repro journal dump PATH``: inspect a journal."""
+    from repro.errors import CheckpointError
+    from repro.sim.checkpoint import v1_refusal
     from repro.sim.frames import (
         FRAME_ATTACH,
         FRAME_BATCH,
         FRAME_HEADER,
-        FRAME_JSON,
         FRAME_OVERHEAD,
         FRAME_PICKLE,
         JOURNAL_MAGIC,
-        iter_journal_payloads,
+        decode_journal,
         scan_frames,
     )
 
@@ -638,37 +634,34 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         print(f"error: {path} does not exist", file=sys.stderr)
         return 2
     data = path.read_bytes()
-    pairs = iter_journal_payloads(path)
+    if data.startswith(b"{"):
+        raise CheckpointError(v1_refusal(path))
+    if not data.startswith(JOURNAL_MAGIC):
+        print(f"error: {path} is not a journal (no frame magic)",
+              file=sys.stderr)
+        return 2
+    pairs = list(decode_journal(data)[1].items())
     kind_names = {
-        FRAME_HEADER: "header", FRAME_JSON: "json", FRAME_PICKLE: "pickle",
+        FRAME_HEADER: "header", FRAME_PICKLE: "pickle",
         FRAME_BATCH: "batch", FRAME_ATTACH: "attach",
     }
-    if data.startswith(JOURNAL_MAGIC):
-        frames, good_end, bad_reason = scan_frames(data, len(JOURNAL_MAGIC))
-        print("format             : v2 (framed binary)")
-        print(f"file bytes         : {len(data)}")
-        counts: dict[str, int] = {}
-        sizes: dict[str, int] = {}
-        for kind, payload, _pos in frames:
-            name = kind_names.get(kind, f"kind{kind}")
-            counts[name] = counts.get(name, 0) + 1
-            sizes[name] = sizes.get(name, 0) + FRAME_OVERHEAD + len(payload)
-        print("frames             : " + " ".join(
-            f"{name}={counts[name]}" for name in sorted(counts)))
-        print("bytes per kind     : " + " ".join(
-            f"{name}={sizes[name]}" for name in sorted(sizes)))
-        if bad_reason is not None and good_end < len(data):
-            print(f"tail               : torn ({bad_reason}) at byte "
-                  f"{good_end}, {len(data) - good_end} byte(s) dropped")
-        else:
-            print("tail               : clean")
+    frames, good_end, bad_reason = scan_frames(data, len(JOURNAL_MAGIC))
+    print(f"file bytes         : {len(data)}")
+    counts: dict[str, int] = {}
+    sizes: dict[str, int] = {}
+    for kind, payload, _pos in frames:
+        name = kind_names.get(kind, f"kind{kind}")
+        counts[name] = counts.get(name, 0) + 1
+        sizes[name] = sizes.get(name, 0) + FRAME_OVERHEAD + len(payload)
+    print("frames             : " + " ".join(
+        f"{name}={counts[name]}" for name in sorted(counts)))
+    print("bytes per kind     : " + " ".join(
+        f"{name}={sizes[name]}" for name in sorted(sizes)))
+    if bad_reason is not None and good_end < len(data):
+        print(f"tail               : torn ({bad_reason}) at byte "
+              f"{good_end}, {len(data) - good_end} byte(s) dropped")
     else:
-        lines = data.count(b"\n")
-        torn = bool(data) and not data.endswith(b"\n")
-        print("format             : v1 (JSONL)")
-        print(f"file bytes         : {len(data)}")
-        print(f"lines              : {lines} terminated"
-              + (", 1 torn tail line dropped" if torn else ""))
+        print("tail               : clean")
     indices = [index for index, _ in pairs]
     holes = []
     if indices:
@@ -965,9 +958,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--backend", choices=BACKENDS, default="python",
         help="batch execution backend for apply_batch: 'numpy' runs the "
-        "columnar engine, 'numba' adds a JIT run kernel (requires the "
-        "optional numba package); decisions are bit-identical across "
-        "backends (default: python)",
+        "columnar engine; decisions are bit-identical across backends "
+        "(default: python)",
     )
     p_sim.add_argument(
         "--journal", default=None, metavar="FILE",
@@ -1133,26 +1125,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--journal", action="store_true",
-        help="journal-format referee: stream the corpus and fuzzed "
-        "sequences through v1 (JSONL) and v2 (framed binary) journals "
-        "and demand both resume bit-identically — including truncation "
-        "kills inside delta windows (between a delta rider and the next "
-        "state digest)",
+        help="crash-resume referee: stream the corpus and fuzzed "
+        "sequences through journaled sessions, truncate each journal at "
+        "sampled frame boundaries plus one torn cut, and demand every "
+        "cut resume to exactly its surviving prefix and then catch up "
+        "bit-identically — including kills inside delta windows "
+        "(between a delta rider and the next state digest)",
     )
     add_jobs(p_ver)
     add_resilience(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_journal = sub.add_parser(
-        "journal", help="inspect a session journal (either format)"
+        "journal", help="inspect a session journal"
     )
     jsub = p_journal.add_subparsers(dest="action", required=True)
     p_jdump = jsub.add_parser(
         "dump",
-        help="pretty-print a journal: format, frame/record counts and "
-        "bytes, checkpoint positions, torn-tail status",
+        help="pretty-print a journal: frame/record counts and bytes, "
+        "checkpoint positions, torn-tail status",
     )
-    p_jdump.add_argument("path", help="journal file (v1 JSONL or v2 framed)")
+    p_jdump.add_argument("path", help="journal file")
     p_jdump.add_argument(
         "--head", type=int, default=None, metavar="N",
         help="also print the first N logical records as JSON",

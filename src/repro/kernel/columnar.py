@@ -4,7 +4,7 @@
 event at a time — full per-event generality, but ~30µs of interpreter
 work per event at N = 4096, which made the kernel (not fsync) the
 throughput ceiling of the streaming service.  This module is the batch
-fast path behind ``AllocationKernel(batch_backend="numpy"|"numba")``: it
+fast path behind ``AllocationKernel(batch_backend="numpy")``: it
 decodes a batch into flat arrays, answers every greedy placement
 question from vectorized reductions over a *private* per-PE load vector,
 vectorises whole runs of same-size arrivals with one waterfill
@@ -48,17 +48,13 @@ external-placement kernels and unknown event types all fall back
 transparently to the per-event loop (``try_apply_batch`` returns
 ``None`` before touching any state).
 
-Backends: ``"numpy"`` is pure NumPy and always available; ``"numba"``
-additionally JIT-compiles the run-placement inner kernel (a sequential
-leftmost-min simulation — trivially the oracle semantics) and is
-import-guarded: selecting it without numba installed is a clean
-:class:`~repro.errors.SimulationError`, never a hard dependency.
+Backends: ``"python"`` is the per-event loop and ``"numpy"`` this engine;
+both are always available.
 """
 
 from __future__ import annotations
 
-from importlib import util as _importlib_util
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
@@ -73,16 +69,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BACKENDS",
-    "available_backends",
     "resolve_backend",
     "ColumnarEngine",
 ]
 
-#: Every backend name the kernel accepts; availability may further depend
-#: on the environment (numba is optional).
-BACKENDS = ("python", "numpy", "numba")
-
-_HAVE_NUMBA = _importlib_util.find_spec("numba") is not None
+#: Every backend name the kernel accepts.
+BACKENDS = ("python", "numpy")
 
 #: Minimum length of a same-size arrival run worth the vectorized
 #: waterfill (below this, per-event argmin is cheaper than the fixed
@@ -110,26 +102,12 @@ def _level_max(leaf: np.ndarray, size: int) -> np.ndarray:
     return lv
 
 
-def available_backends() -> tuple[str, ...]:
-    """Backend names usable in this environment.
-
-    ``python`` and ``numpy`` always; ``numba`` only when the optional
-    numba package is importable.
-    """
-    return tuple(b for b in BACKENDS if b != "numba" or _HAVE_NUMBA)
-
-
 def resolve_backend(name: str) -> str:
     """Validate a ``batch_backend`` name, or raise a clean error."""
     if name not in BACKENDS:
         raise SimulationError(
             f"unknown batch backend {name!r}; choose from "
             + ", ".join(BACKENDS)
-        )
-    if name == "numba" and not _HAVE_NUMBA:
-        raise SimulationError(
-            "batch_backend='numba' requires the optional numba package "
-            "(pip install numba); the numpy backend needs no extras"
         )
     return name
 
@@ -180,43 +158,6 @@ def _waterfill_pick(levels: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]
     return cols[order], vals[order]
 
 
-_NUMBA_PICK: Optional[Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]] = None
-
-
-def _numba_pick() -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
-    """Lazily JIT-compile the sequential leftmost-min run kernel.
-
-    The compiled kernel simulates the per-event semantics literally (copy
-    the level loads, argmin-scan, bump, repeat) — the most direct
-    bit-identical definition, and fast once compiled.  Import and
-    compilation happen on first use only, so merely *selecting* the
-    numba backend is cheap to validate and the package stays optional.
-    """
-    global _NUMBA_PICK
-    if _NUMBA_PICK is None:
-        from numba import njit  # import guarded by resolve_backend
-
-        @njit(cache=True)
-        def pick(levels: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-            lv = levels.copy()
-            cols = np.empty(m, dtype=np.int64)
-            vals = np.empty(m, dtype=np.int64)
-            for k in range(m):
-                j = 0
-                best = lv[0]
-                for t in range(1, lv.size):
-                    if lv[t] < best:
-                        best = lv[t]
-                        j = t
-                cols[k] = j
-                vals[k] = best
-                lv[j] = best + 1
-            return cols, vals
-
-        _NUMBA_PICK = pick
-    return _NUMBA_PICK
-
-
 class ColumnarEngine:
     """Structure-of-arrays batch executor bound to one kernel.
 
@@ -230,18 +171,12 @@ class ColumnarEngine:
     def __init__(self, kernel: "AllocationKernel", backend: str) -> None:
         self.kernel = kernel
         self.backend = backend
-        self._use_numba = backend == "numba"
         h = kernel.machine.hierarchy
         self._valid_sizes = frozenset(1 << x for x in range(h.height + 1))
         #: size -> heap index of the leftmost node of that size's level.
         self._node_base = {
             1 << (h.height - level): 1 << level for level in range(h.height + 1)
         }
-
-    def _pick(self, levels: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._use_numba:
-            return _numba_pick()(np.ascontiguousarray(levels), m)
-        return _waterfill_pick(levels, m)
 
     def try_apply_batch(self, events: Sequence[Any]) -> Optional[BatchDecision]:
         """Run the batch columnar if eligible; ``None`` means fall back.
@@ -336,7 +271,7 @@ class ColumnarEngine:
         snap = metrics.peak_snapshot
         snap_peak = int(snap.max()) if snap is not None else None
         snap_idx = -1
-        pick = self._pick
+        pick = _waterfill_pick
 
         # The batch's working state: per-PE loads and the running max.
         # Every mutation below is mirrored into ``deltas`` and replayed

@@ -125,13 +125,12 @@ class AllocationKernel:
         recovered capacity.
     batch_backend:
         Execution strategy for :meth:`apply_batch`: ``"python"`` (the
-        per-event loop, always), ``"numpy"`` (the columnar
-        structure-of-arrays engine in :mod:`repro.kernel.columnar`) or
-        ``"numba"`` (columnar with a JIT-compiled run kernel; requires
-        the optional numba package).  Non-python backends are
-        bit-identical to the per-event loop and fall back to it
-        transparently for batches they cannot vectorise (fault events,
-        algorithms without the ``columnar_state`` capability).
+        per-event loop) or ``"numpy"`` (the columnar
+        structure-of-arrays engine in :mod:`repro.kernel.columnar`).
+        The numpy backend is bit-identical to the per-event loop and
+        falls back to it transparently for batches it cannot vectorise
+        (fault events, algorithms without the ``columnar_state``
+        capability).
     """
 
     def __init__(

@@ -76,6 +76,25 @@ from repro.types import NodeId, TaskId
 
 __all__ = ["AllocationSession"]
 
+#: Record kinds that need a fault-tolerant session.
+_FAULT_KINDS = ("failure", "repair", "kill", "resize")
+#: Every record kind a session absorbs.
+_RECORD_KINDS = ("arrival", "departure") + _FAULT_KINDS
+
+
+def _event_time(time: Any, now: float, offered: int) -> float:
+    """A record's event time: ``time`` itself, which may not precede the
+    clock ``now``, or — when absent — 0.0 for a session's first record
+    and ``now + 1`` after that."""
+    if time is None:
+        return now + 1.0 if offered else 0.0
+    t = float(time)
+    if t < now:
+        raise SimulationError(
+            f"event time {t} precedes the session clock ({now})"
+        )
+    return t
+
 
 def _state_digest(state: Mapping[str, Any]) -> str:
     """sha256 of a kernel snapshot's compact JSON encoding.
@@ -107,9 +126,9 @@ class AllocationSession:
         with a different configuration is refused.
     snapshot_interval:
         Checkpoint interval in events (0 disables checkpoints; resume
-        still replays).  v1 journals embed the kernel-state digest every
-        this many events; v2 journals embed an O(1) delta rider here and
-        the digest every ``full_snapshot_interval`` events (default 16x).
+        still replays).  The journal embeds an O(1) delta rider every
+        this many events and the kernel-state digest every
+        ``full_snapshot_interval`` events (default 16x).
     fsync_policy:
         Journal durability mode (``always`` | ``batch`` |
         ``interval:<ms>``, see :class:`~repro.sim.checkpoint.
@@ -120,7 +139,7 @@ class AllocationSession:
         records since the last commit: one uncommitted batch.
     batch_backend:
         Execution strategy for :meth:`push_batch`'s kernel ingest
-        (``python`` | ``numpy`` | ``numba``, see
+        (``python`` | ``numpy``, see
         :class:`~repro.kernel.core.AllocationKernel`).  Decisions and
         journals are bit-identical across backends, so the backend is a
         per-process tuning knob — it is deliberately *not* part of the
@@ -147,7 +166,6 @@ class AllocationSession:
         collect_leaf_snapshots: bool = True,
         repack_on_repair: bool = True,
         fsync_policy: str = "always",
-        journal_format: str = "v2",
         full_snapshot_interval: Optional[int] = None,
         batch_backend: str = "python",
         slo: Optional[SLOPolicy] = None,
@@ -187,10 +205,9 @@ class AllocationSession:
         self._journal_seq = 0
         self._overloaded = False
         self._snapshot_interval = max(0, int(snapshot_interval))
-        # v2 journals split the single interval in two: cheap O(1) delta
-        # records every ``snapshot_interval`` events and the full-state
-        # digest only every ``full_snapshot_interval`` (default 16x).  v1
-        # journals embed the digest at every interval.
+        # Two checkpoint intervals: cheap O(1) delta records every
+        # ``snapshot_interval`` events and the full-state digest only
+        # every ``full_snapshot_interval`` (default 16x).
         if full_snapshot_interval is None:
             full_snapshot_interval = 16 * self._snapshot_interval
         self._full_snapshot_interval = max(0, int(full_snapshot_interval))
@@ -201,7 +218,6 @@ class AllocationSession:
                 journal_path,
                 fingerprint=self._fingerprint(),
                 fsync_policy=fsync_policy,
-                format=journal_format,
             )
             if resuming:
                 self._replay_journal()
@@ -226,15 +242,77 @@ class AllocationSession:
 
     # -- Event intake --------------------------------------------------------
 
-    def _clock(self, time: Optional[float]) -> float:
-        if time is None:
-            return self._now + 1.0 if self._offered else 0.0
-        t = float(time)
-        if t < self._now:
+    def _event(
+        self,
+        record: Mapping[str, Any],
+        cursor: Optional[tuple[float, int, int]] = None,
+    ) -> tuple[Any, dict[str, Any]]:
+        """Wire record -> ``(kernel event, normalised journal record)``.
+
+        The one place a record becomes an event.  ``cursor`` is the
+        ``(clock, offers, next implicit task id)`` the record is read
+        against: the session's own by default, running values inside a
+        batch.  Raises on an invalid record without touching any state.
+
+        The journaled record spells its kind as a literal, never as the
+        wire string: the journal keeps every record in memory, and a
+        shared constant costs nothing per record where a decoded copy
+        of the string would.
+        """
+        now, offered, next_id = cursor or (
+            self._now, self._offered, self._next_task_id
+        )
+        kind = record.get("kind")
+        if kind in _FAULT_KINDS and not self._fault_tolerant:
             raise SimulationError(
-                f"event time {t} precedes the session clock ({self._now})"
+                f"{kind} events need a fault-tolerant session "
+                "(AllocationSession(..., fault_tolerant=True))"
             )
-        return t
+        t = _event_time(record.get("time"), now, offered)
+        if kind == "arrival":
+            rid = record.get("id")
+            tid = next_id if rid is None else int(rid)
+            size = int(record["size"])
+            work = float(record.get("work", 1.0))
+            return Arrival(t, Task(TaskId(tid), size, t, work=work)), {
+                "kind": "arrival", "time": t, "id": tid, "size": size,
+                "work": work,
+            }
+        if kind == "departure":
+            tid = int(record["id"])
+            return Departure(t, TaskId(tid)), {
+                "kind": "departure", "time": t, "id": tid,
+            }
+        if kind not in _FAULT_KINDS:
+            raise SimulationError(f"unknown event record kind {kind!r}")
+        # Fault and resize event types load lazily: a plain session never
+        # imports the fault and scenario packages.
+        from repro.faults.plan import PEFailure, PERepair, TaskKill
+        from repro.scenarios.elastic import MachineResize
+
+        if kind == "kill":
+            tid = int(record["id"])
+            return TaskKill(t, TaskId(tid)), {"kind": "kill", "time": t, "id": tid}
+        if kind == "resize":
+            event = MachineResize(
+                t, str(record["op"]), int(record.get("factor", 2))
+            )
+            return event, {
+                "kind": "resize", "time": t, "op": event.op,
+                "factor": event.factor,
+            }
+        node = int(record["node"])
+        if kind == "failure":
+            return PEFailure(t, NodeId(node)), {
+                "kind": "failure", "time": t, "node": node,
+            }
+        return PERepair(t, NodeId(node)), {"kind": "repair", "time": t, "node": node}
+
+    @staticmethod
+    def _timed(record: dict[str, Any], time: Optional[float]) -> dict[str, Any]:
+        if time is not None:
+            record["time"] = time
+        return record
 
     def submit(
         self,
@@ -246,86 +324,40 @@ class AllocationSession:
     ) -> Union[Decision, AdmissionOutcome]:
         """Admit one task arrival; returns the placement decision.
 
-        In SLO mode the arrival goes through :meth:`offer` and the typed
-        admission outcome is returned instead.
+        Like every mutator below, this builds one wire record and
+        :meth:`push`-es it, so in SLO mode the typed admission outcome
+        is returned instead.
         """
-        if self._slo is not None:
-            record: dict[str, Any] = {
-                "kind": "arrival", "size": int(size), "work": float(work)
-            }
-            if time is not None:
-                record["time"] = time
-            if task_id is not None:
-                record["id"] = task_id
-            return self.offer(record)
-        return self._submit_event(size, time=time, task_id=task_id, work=work)
-
-    def _submit_event(
-        self,
-        size: int,
-        *,
-        time: Optional[float] = None,
-        task_id: Optional[int] = None,
-        work: float = 1.0,
-    ) -> Decision:
-        t = self._clock(time)
-        tid = self._next_task_id if task_id is None else int(task_id)
-        task = Task(TaskId(tid), int(size), t, work=float(work))
-        return self._absorb(
-            Arrival(t, task),
-            {"kind": "arrival", "time": t, "id": tid, "size": int(size),
-             "work": float(work)},
-        )
+        record: dict[str, Any] = {
+            "kind": "arrival", "size": int(size), "work": float(work)
+        }
+        if task_id is not None:
+            record["id"] = task_id
+        return self.push(self._timed(record, time))
 
     def depart(
         self, task_id: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
-        """Retire one active task (via :meth:`offer` in SLO mode)."""
-        if self._slo is not None:
-            record: dict[str, Any] = {"kind": "departure", "id": int(task_id)}
-            if time is not None:
-                record["time"] = time
-            return self.offer(record)
-        return self._depart_event(task_id, time=time)
-
-    def _depart_event(
-        self, task_id: int, *, time: Optional[float] = None
-    ) -> Decision:
-        t = self._clock(time)
-        return self._absorb(
-            Departure(t, TaskId(int(task_id))),
-            {"kind": "departure", "time": t, "id": int(task_id)},
-        )
+        """Retire one active task."""
+        return self.push(self._timed({"kind": "departure", "id": int(task_id)}, time))
 
     def fail(
         self, node: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
         """Fail the aligned subtree at ``node`` (fault-tolerant sessions)."""
-        if self._slo is not None:
-            return self.offer(self._timed({"kind": "failure", "node": int(node)}, time))
-        return self._fault_event("failure", node=int(node), time=time)
+        return self.push(self._timed({"kind": "failure", "node": int(node)}, time))
 
     def repair(
         self, node: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
         """Repair a previously-failed subtree (fault-tolerant sessions)."""
-        if self._slo is not None:
-            return self.offer(self._timed({"kind": "repair", "node": int(node)}, time))
-        return self._fault_event("repair", node=int(node), time=time)
+        return self.push(self._timed({"kind": "repair", "node": int(node)}, time))
 
     def kill(
         self, task_id: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
         """Kill one task in place (fault-tolerant sessions)."""
-        if self._slo is not None:
-            return self.offer(self._timed({"kind": "kill", "id": int(task_id)}, time))
-        return self._fault_event("kill", task_id=int(task_id), time=time)
-
-    @staticmethod
-    def _timed(record: dict[str, Any], time: Optional[float]) -> dict[str, Any]:
-        if time is not None:
-            record["time"] = time
-        return record
+        return self.push(self._timed({"kind": "kill", "id": int(task_id)}, time))
 
     def grow(
         self, factor: int = 2, *, time: Optional[float] = None
@@ -352,59 +384,9 @@ class AllocationSession:
         journaled like any other event, so a resumed session replays the
         same machine-size trajectory.
         """
-        if self._slo is not None:
-            return self.offer(self._timed(
-                {"kind": "resize", "op": str(op), "factor": int(factor)}, time
-            ))
-        return self._resize_event(op, factor, time=time)
-
-    def _resize_event(
-        self, op: str, factor: int = 2, *, time: Optional[float] = None
-    ) -> Decision:
-        if not self._fault_tolerant:
-            raise SimulationError(
-                "resize events need a fault-tolerant session "
-                "(AllocationSession(..., fault_tolerant=True))"
-            )
-        from repro.scenarios.elastic import MachineResize
-
-        t = self._clock(time)
-        event = MachineResize(t, str(op), int(factor))
-        return self._absorb(
-            event,
-            {"kind": "resize", "time": t, "op": event.op,
-             "factor": event.factor},
-        )
-
-    def _fault_event(
-        self,
-        kind: str,
-        *,
-        node: Optional[int] = None,
-        task_id: Optional[int] = None,
-        time: Optional[float] = None,
-    ) -> Decision:
-        if not self._fault_tolerant:
-            raise SimulationError(
-                f"{kind} events need a fault-tolerant session "
-                "(AllocationSession(..., fault_tolerant=True))"
-            )
-        from repro.faults.plan import PEFailure, PERepair, TaskKill
-
-        t = self._clock(time)
-        if kind == "failure":
-            assert node is not None
-            event: Any = PEFailure(t, NodeId(node))
-            record: dict[str, Any] = {"kind": kind, "time": t, "node": node}
-        elif kind == "repair":
-            assert node is not None
-            event = PERepair(t, NodeId(node))
-            record = {"kind": kind, "time": t, "node": node}
-        else:
-            assert task_id is not None
-            event = TaskKill(t, TaskId(task_id))
-            record = {"kind": kind, "time": t, "id": task_id}
-        return self._absorb(event, record)
+        return self.push(self._timed(
+            {"kind": "resize", "op": str(op), "factor": int(factor)}, time
+        ))
 
     def push(self, record: Mapping[str, Any]) -> Union[Decision, AdmissionOutcome]:
         """Absorb one wire-format event record (see :mod:`.stream`).
@@ -414,35 +396,7 @@ class AllocationSession:
         """
         if self._slo is not None:
             return self.offer(record)
-        return self._apply_record(record)
-
-    def _apply_record(self, record: Mapping[str, Any]) -> Decision:
-        """Ungated record dispatch — the pre-SLO :meth:`push` semantics."""
-        kind = record.get("kind")
-        if kind == "arrival":
-            return self._submit_event(
-                int(record["size"]),
-                time=record.get("time"),
-                task_id=record.get("id"),
-                work=float(record.get("work", 1.0)),
-            )
-        if kind == "departure":
-            return self._depart_event(int(record["id"]), time=record.get("time"))
-        if kind == "kill":
-            return self._fault_event(
-                "kill", task_id=int(record["id"]), time=record.get("time")
-            )
-        if kind in ("failure", "repair"):
-            return self._fault_event(
-                kind, node=int(record["node"]), time=record.get("time")
-            )
-        if kind == "resize":
-            return self._resize_event(
-                str(record["op"]),
-                int(record.get("factor", 2)),
-                time=record.get("time"),
-            )
-        raise SimulationError(f"unknown event record kind {kind!r}")
+        return self._absorb(*self._event(record))
 
     # -- SLO admission -------------------------------------------------------
 
@@ -466,7 +420,7 @@ class AllocationSession:
         """
         ctrl = self._slo
         if ctrl is None:
-            decision = self._apply_record(record)
+            decision = self._absorb(*self._event(record))
             return Admit(record=dict(record), decision=decision)
         kind = record.get("kind")
         if kind == "arrival":
@@ -476,7 +430,7 @@ class AllocationSession:
             active = TaskId(tid) in self.kernel.placements
             if not active and (ctrl.is_pending(tid) or ctrl.was_dropped(tid)):
                 return self._cancel(str(kind), record, tid)
-        decision = self._apply_record(record)
+        decision = self._absorb(*self._event(record))
         drained = self._drain()
         return Admit(record=dict(record), decision=decision, drained=drained)
 
@@ -495,20 +449,14 @@ class AllocationSession:
     def _offer_arrival(self, record: Mapping[str, Any]) -> AdmissionOutcome:
         ctrl = self._slo
         assert ctrl is not None
-        size = int(record["size"])
-        self.machine.validate_task_size(size)
-        t = self._clock(record.get("time"))
-        rid = record.get("id")
-        tid = self._next_task_id if rid is None else int(rid)
+        self.machine.validate_task_size(int(record["size"]))
+        event, norm = self._event(record)
+        t, tid, size = norm["time"], norm["id"], norm["size"]
         if ctrl.is_pending(tid) or TaskId(tid) in self.kernel.placements:
             raise SimulationError(f"task {tid} is already active or queued")
         ctrl.revive(tid)  # a retry of a rejected/canceled id is a fresh task
-        work = float(record.get("work", 1.0))
-        norm: dict[str, Any] = {
-            "kind": "arrival", "time": t, "id": tid, "size": size, "work": work,
-        }
         if ctrl.queue_empty and self._admissible(size):
-            decision = self._absorb(Arrival(t, Task(TaskId(tid), size, t, work=work)), norm)
+            decision = self._absorb(event, norm)
             ctrl.admitted_total += 1
             self._note_violation(decision)
             drained = self._drain()
@@ -541,7 +489,7 @@ class AllocationSession:
         """A departure/kill for a task the gate held back: no kernel event."""
         ctrl = self._slo
         assert ctrl is not None
-        t = self._clock(record.get("time"))
+        t = _event_time(record.get("time"), self._now, self._offered)
         self._now = t
         self._offered += 1
         dequeued = ctrl.cancel(tid)
@@ -565,15 +513,9 @@ class AllocationSession:
             head = ctrl.head()
             if head is None or not self._admissible(int(head["size"])):
                 break
-            norm = dict(ctrl.pop())
-            norm["time"] = self._now  # admitted when capacity freed, not offered
-            task = Task(
-                TaskId(int(norm["id"])), int(norm["size"]), self._now,
-                work=float(norm.get("work", 1.0)),
-            )
-            decision = self._absorb(
-                Arrival(self._now, task), dict(norm, slo="dequeue")
-            )
+            # Admitted when capacity freed, not when offered.
+            event, norm = self._event(dict(ctrl.pop(), time=self._now))
+            decision = self._absorb(event, dict(norm, slo="dequeue"))
             ctrl.admitted_total += 1
             ctrl.drained_total += 1
             self._note_violation(decision)
@@ -601,20 +543,6 @@ class AllocationSession:
         self._journal.record(self._journal_seq, {"record": record})
         self._journal_seq += 1
 
-    def offer_batch(
-        self, records: Sequence[Mapping[str, Any]]
-    ) -> list[AdmissionOutcome]:
-        """Offer a batch of records; one typed outcome per record.
-
-        Admission is inherently per-event (each decision depends on the
-        loads the previous one left), so SLO batches take the per-event
-        path; the journal still group-commits under the ``batch`` /
-        ``interval`` fsync policies, which is where batch throughput
-        lives.  A record that raises leaves the preceding records fully
-        applied, exactly like the per-event path.
-        """
-        return [self.offer(record) for record in records]
-
     def push_batch(
         self, records: Sequence[Mapping[str, Any]]
     ) -> Union[BatchDecision, list[AdmissionOutcome]]:
@@ -635,92 +563,34 @@ class AllocationSession:
         :class:`~repro.errors.BatchError` carrying the applied prefix is
         raised.
 
-        SLO sessions delegate to :meth:`offer_batch` (admission gating is
-        per-event) and return its outcome list.
+        SLO sessions :meth:`offer` record by record — each admission
+        decision depends on the loads the previous one left — and return
+        one typed outcome per record; the journal still group-commits
+        under the ``batch`` / ``interval`` fsync policies, which is where
+        their batch throughput lives.  A record that raises leaves the
+        preceding records fully applied, exactly like the per-event path.
         """
         if self._slo is not None:
-            return self.offer_batch(records)
+            return [self.offer(record) for record in records]
         fast = self._push_batch_fast(records)
         if fast is not None:
             return fast
         pairs: list[tuple[Any, dict[str, Any]]] = []
-        now = self._now
-        count = self._offered
-        next_id = self._next_task_id
+        now, offered, next_id = self._now, self._offered, self._next_task_id
         build_error: Optional[Exception] = None
         for record in records:
             try:
-                kind = record.get("kind")
-                t = record.get("time")
-                if t is None:
-                    t = now + 1.0 if count else 0.0
-                else:
-                    t = float(t)
-                    if t < now:
-                        raise SimulationError(
-                            f"event time {t} precedes the session clock ({now})"
-                        )
-                if kind == "arrival":
-                    rid = record.get("id")
-                    tid = next_id if rid is None else int(rid)
-                    work = float(record.get("work", 1.0))
-                    event: Any = Arrival(
-                        t, Task(TaskId(tid), int(record["size"]), t, work=work)
-                    )
-                    norm: dict[str, Any] = {
-                        "kind": "arrival", "time": t, "id": tid,
-                        "size": int(record["size"]), "work": work,
-                    }
-                    next_id = max(next_id, tid + 1)
-                elif kind == "departure":
-                    event = Departure(t, TaskId(int(record["id"])))
-                    norm = {"kind": "departure", "time": t,
-                            "id": int(record["id"])}
-                elif kind in ("failure", "repair", "kill"):
-                    if not self._fault_tolerant:
-                        raise SimulationError(
-                            f"{kind} events need a fault-tolerant session "
-                            "(AllocationSession(..., fault_tolerant=True))"
-                        )
-                    from repro.faults.plan import PEFailure, PERepair, TaskKill
-
-                    if kind == "failure":
-                        event = PEFailure(t, NodeId(int(record["node"])))
-                        norm = {"kind": kind, "time": t,
-                                "node": int(record["node"])}
-                    elif kind == "repair":
-                        event = PERepair(t, NodeId(int(record["node"])))
-                        norm = {"kind": kind, "time": t,
-                                "node": int(record["node"])}
-                    else:
-                        event = TaskKill(t, TaskId(int(record["id"])))
-                        norm = {"kind": kind, "time": t,
-                                "id": int(record["id"])}
-                elif kind == "resize":
-                    if not self._fault_tolerant:
-                        raise SimulationError(
-                            "resize events need a fault-tolerant session "
-                            "(AllocationSession(..., fault_tolerant=True))"
-                        )
-                    from repro.scenarios.elastic import MachineResize
-
-                    event = MachineResize(
-                        t, str(record["op"]), int(record.get("factor", 2))
-                    )
-                    norm = {"kind": "resize", "time": t, "op": event.op,
-                            "factor": event.factor}
-                else:
-                    raise SimulationError(
-                        f"unknown event record kind {kind!r}"
-                    )
+                event, norm = self._event(record, (now, offered, next_id))
             except (ReproError, KeyError, TypeError, ValueError) as exc:
                 # Bad record: apply + journal the records before it, just
                 # as the per-event path would have, then report.
                 build_error = exc
                 break
             pairs.append((event, norm))
-            now = t
-            count += 1
+            now = norm["time"]
+            offered += 1
+            if norm["kind"] == "arrival":
+                next_id = max(next_id, norm["id"] + 1)
         try:
             batch = self.kernel.apply_batch([e for e, _ in pairs])
         except BatchError as exc:
@@ -741,7 +611,7 @@ class AllocationSession:
         """Columnar wire-batch ingest: the journal fast path.
 
         One pass builds the kernel events *and* the packed column arrays
-        the v2 journal frames directly — no normalised per-record dicts
+        the journal frames directly — no normalised per-record dicts
         on the hot path.  The whole batch lands in the journal as a
         single :meth:`~repro.sim.checkpoint.CheckpointJournal.
         record_batch_blob` frame, which a resume decodes to exactly the
@@ -750,15 +620,13 @@ class AllocationSession:
 
         Returns ``None`` *before any state change* whenever a record
         falls outside the hot schema — fault/resize kinds, implicit
-        times or ids, clock regressions, malformed fields — or the
-        journal is v1; the caller then redoes the batch on the general
+        times or ids, clock regressions, malformed fields; the caller
+        then redoes the batch on the general
         path, reproducing the exact error text and prefix semantics.
         A mid-batch kernel failure commits and journals the applied
         prefix (as the general path would) and re-raises.
         """
         journal = self._journal
-        if journal is not None and journal.format != "v2":
-            return None
         n = len(records)
         if n == 0:
             return None
@@ -897,7 +765,7 @@ class AllocationSession:
 
     def _delta_state(self) -> dict[str, Any]:
         """O(1) digest of the session/kernel scalars, journaled between
-        full-state digests (v2 ``delta`` riders) and re-verified on resume.
+        full-state digests (``delta`` riders) and re-verified on resume.
 
         Deliberately cheap: counters and running loads only, no per-task
         state — a divergence in any replayed event perturbs at least one
@@ -930,25 +798,19 @@ class AllocationSession:
 
         ``base`` is ``len(self._events)`` before the batch; a rider is due
         when the batch crosses an interval boundary (for ``count == 1``
-        this is exactly the ``len % interval == 0`` schedule).  v1
-        journals embed the full checkpoint every ``snapshot_interval``,
-        while v2 journals embed a cheap :meth:`_delta_state` there and
-        reserve full checkpoints for ``full_snapshot_interval`` crossings.
+        this is exactly the ``len % interval == 0`` schedule): the full
+        checkpoint at ``full_snapshot_interval`` crossings, a cheap
+        :meth:`_delta_state` at the ``snapshot_interval`` ones between.
         """
         if self._journal is None or count <= 0:
             return None
         end = base + count
-        if self._journal.format == "v2":
-            full = self._full_snapshot_interval
-            if full and end // full > base // full:
-                return self._checkpoint_rider()
-            interval = self._snapshot_interval
-            if interval and end // interval > base // interval:
-                return {"delta": self._delta_state()}
-            return None
+        full = self._full_snapshot_interval
+        if full and end // full > base // full:
+            return self._checkpoint_rider()
         interval = self._snapshot_interval
         if interval and end // interval > base // interval:
-            return self._checkpoint_rider()
+            return {"delta": self._delta_state()}
         return None
 
     # -- Resume --------------------------------------------------------------
@@ -1008,33 +870,19 @@ class AllocationSession:
         queue head — rather than re-deciding, so a resumed SLO session
         reconstructs the exact queue and counters of the crashed one.
         """
-        kind = record.get("kind")
         mark = record.get("slo")
         if mark is not None:
             return self._replay_slo(str(mark), record)
-        if kind == "arrival":
-            t = self._clock(record.get("time"))
-            tid = int(record["id"])
-            task = Task(
-                TaskId(tid), int(record["size"]), t,
-                work=float(record.get("work", 1.0)),
-            )
-            decision = self._absorb(
-                Arrival(t, task), dict(record), journal=False
-            )
-            if self._slo is not None:
-                self._slo.revive(tid)
-                self._slo.admitted_total += 1
-                self._note_violation(decision)
-            return decision
-        if kind in ("departure", "kill", "failure", "repair", "resize"):
-            # Rebuild through the normal constructors, minus journaling.
-            journal, self._journal = self._journal, None
-            try:
-                return self._apply_record(record)
-            finally:
-                self._journal = journal
-        raise CheckpointError(f"journaled record has unknown kind {kind!r}")
+        kind = record.get("kind")
+        if kind not in _RECORD_KINDS:
+            raise CheckpointError(f"journaled record has unknown kind {kind!r}")
+        event, norm = self._event(record)
+        decision = self._absorb(event, norm, journal=False)
+        if kind == "arrival" and self._slo is not None:
+            self._slo.revive(norm["id"])
+            self._slo.admitted_total += 1
+            self._note_violation(decision)
+        return decision
 
     def _replay_slo(
         self, mark: str, record: Mapping[str, Any]
@@ -1054,14 +902,9 @@ class AllocationSession:
                     f"match the replayed queue head "
                     f"({None if head is None else head['id']})"
                 )
-            norm = dict(ctrl.pop())
-            norm["time"] = t
-            task = Task(
-                TaskId(int(norm["id"])), int(norm["size"]), t,
-                work=float(norm.get("work", 1.0)),
-            )
+            event, norm = self._event(dict(ctrl.pop(), time=t))
             decision = self._absorb(
-                Arrival(t, task), dict(norm, slo="dequeue"), journal=False
+                event, dict(norm, slo="dequeue"), journal=False
             )
             ctrl.admitted_total += 1
             ctrl.drained_total += 1

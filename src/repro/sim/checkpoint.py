@@ -9,15 +9,8 @@ it instead of recomputing them.  Because the executors in
 a resumed run produces **bit-identical** final results to an uninterrupted
 one: the journal only short-circuits work, never changes it.
 
-Two on-disk formats share one API and one recovery contract:
-
-**v1 — JSONL** (the original)::
-
-    {"kind": "repro-checkpoint", "version": 1, "fingerprint": "<sha256>", ...}
-    {"cell": 17, "json": {...}}                     # JSON-safe payloads
-    {"cell": 3,  "data": "<base64(pickle(result))>"}  # everything else
-
-**v2 — binary frames** (:mod:`repro.sim.frames`)::
+On disk the journal is a magic prefix and CRC-checked binary frames
+(:mod:`repro.sim.frames`)::
 
     b"RJF2\\x00"
     [u32 len | u8 kind | u32 crc32] header-JSON       (FRAME_HEADER)
@@ -25,13 +18,12 @@ Two on-disk formats share one API and one recovery contract:
     [u32 len | u8 kind | u32 crc32] pickle(idx, val)  (FRAME_PICKLE)
     ...
 
-v2 detects a torn tail *structurally* — a frame whose length prefix runs
-past EOF or whose payload fails its CRC — instead of relying on a JSON
-parse error, and it group-commits whole batches as single columnar
-frames.  **Format negotiation**: an existing file's format always wins
-(sniffed from its first bytes), so v1 journals written by older builds
-keep opening and resuming bit-identically; the ``format`` argument only
-chooses the layout of *new* files.
+A torn tail is detected *structurally* — a frame whose length prefix
+runs past EOF or whose payload fails its CRC — and whole batches are
+group-committed as single columnar frames.  This is the only format: a
+v1 JSONL journal written by an older build (its first byte is ``{``) is
+refused with a :class:`~repro.errors.CheckpointError` and left
+untouched.
 
 * The **header** pins a fingerprint of the workload (callable identity,
   cell parameters, seed streams).  Resuming against a different workload
@@ -57,7 +49,6 @@ exactly, instead of misreading it.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -66,22 +57,18 @@ import struct
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CheckpointError
 from repro.sim import frames as _frames
 
 __all__ = ["CheckpointJournal", "workload_fingerprint"]
 
-#: Bump when the v1 JSONL layout changes incompatibly.
-JOURNAL_VERSION = 1
-
-#: Header version written into v2 framed journals.
-JOURNAL_VERSION_V2 = 2
+#: Header version of the framed journal; bump on an incompatible change.
+JOURNAL_VERSION = 2
 
 _HEADER_KIND = "repro-checkpoint"
 _I64 = struct.Struct("<q")
-_SCALARS = (str, int, float, bool, type(None))
 
 
 def _parse_fsync_policy(spec: str) -> tuple[str, float]:
@@ -112,26 +99,6 @@ def _fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def _json_roundtrips(value: Any) -> bool:
-    """Would ``json.loads(json.dumps(value))`` return ``value`` exactly?
-
-    ``json.dumps`` silently *coerces* rather than failing for the lossy
-    cases — tuples become lists, int dict keys become strings — so a
-    try/except around ``dumps`` cannot guard a bit-identical resume.
-    This structural check admits only the JSON-native types, and lets
-    :meth:`CheckpointJournal.record` store plain dict payloads as raw
-    JSON (one encode) instead of pickle + base64 (~1.8x the bytes).
-    """
-    t = type(value)
-    if t is dict:
-        return all(
-            type(k) is str and _json_roundtrips(v) for k, v in value.items()
-        )
-    if t is list:
-        return all(_json_roundtrips(v) for v in value)
-    return t in _SCALARS
 
 
 def workload_fingerprint(
@@ -168,6 +135,15 @@ def workload_fingerprint(
     }
 
 
+def v1_refusal(path: Any) -> str:
+    """The error text for a v1 JSONL journal, which this build refuses."""
+    return (
+        f"{path} is a v1 JSONL journal from an older build; this build "
+        "reads only framed (v2) journals. Delete it and run again "
+        "(--resume journals are caches: their cells are recomputed)"
+    )
+
+
 def _fingerprint_digest(fingerprint: Mapping[str, Any]) -> str:
     return hashlib.sha256(
         json.dumps(fingerprint, sort_keys=True, default=repr).encode()
@@ -182,12 +158,6 @@ class CheckpointJournal:
     :meth:`commit` / :meth:`record_many` / :meth:`close`, and
     ``interval:<ms>`` syncs whenever that much wall time has elapsed
     since the last sync.
-
-    ``format`` chooses the on-disk layout for **new** files: ``"v1"``
-    (JSONL, the default — what :mod:`repro.sim.parallel` has always
-    written) or ``"v2"`` (binary frames — what the service sessions
-    write).  An existing file is always opened in whatever format it
-    already is; the negotiated result is exposed as :attr:`format`.
     """
 
     def __init__(
@@ -196,12 +166,7 @@ class CheckpointJournal:
         *,
         fingerprint: Mapping[str, Any],
         fsync_policy: str = "always",
-        format: Optional[str] = None,
     ):
-        if format not in (None, "v1", "v2"):
-            raise CheckpointError(
-                f"unknown journal format {format!r}; expected 'v1' or 'v2'"
-            )
         self.path = Path(path)
         self._policy, self._interval_s = _parse_fsync_policy(fsync_policy)
         self.fsync_policy = fsync_policy
@@ -212,34 +177,25 @@ class CheckpointJournal:
         self._fingerprint = dict(fingerprint)
         self._completed: dict[int, Any] = {}
         self._fh = None
-        self.format = format or "v1"
         if self.path.exists():
             self._load_existing()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             header = {
                 "kind": _HEADER_KIND,
-                "version": (
-                    JOURNAL_VERSION_V2 if self.format == "v2" else JOURNAL_VERSION
-                ),
+                "version": JOURNAL_VERSION,
                 "fingerprint": self._digest,
                 "workload": self._fingerprint,
             }
-            if self.format == "v2":
-                self._fh = open(self.path, "ab")
-                self._fh.write(
-                    _frames.JOURNAL_MAGIC
-                    + _frames.frame_bytes(
-                        _frames.FRAME_HEADER,
-                        json.dumps(header, sort_keys=True, default=repr).encode(
-                            "utf-8"
-                        ),
-                    )
+            self._fh = open(self.path, "ab")
+            self._fh.write(
+                _frames.JOURNAL_MAGIC
+                + _frames.frame_bytes(
+                    _frames.FRAME_HEADER,
+                    json.dumps(header, sort_keys=True, default=repr).encode("utf-8"),
                 )
-                self._sync()
-            else:
-                self._fh = open(self.path, "a", encoding="utf-8")
-                self._write_line(json.dumps(header, sort_keys=True, default=repr))
+            )
+            self._sync()
             # The header is durable; make the new directory entry durable
             # too, or a power loss could drop the whole file.
             _fsync_dir(self.path.parent)
@@ -247,128 +203,21 @@ class CheckpointJournal:
     # -- Opening / recovery -------------------------------------------------
 
     def _load_existing(self) -> None:
-        # Format negotiation: the file's first bytes win over the
-        # requested format — a v1 journal stays v1 for its lifetime.
-        with open(self.path, "rb") as fh:
-            head = fh.read(len(_frames.JOURNAL_MAGIC))
-        if head == _frames.JOURNAL_MAGIC:
-            self.format = "v2"
-            self._load_existing_v2()
-        elif head.startswith(b"{"):
-            self.format = "v1"
-            self._load_existing_v1()
-        else:
-            raise CheckpointError(
-                f"checkpoint {self.path} contains no readable header"
-            )
-
-    def _load_existing_v1(self) -> None:
-        raw = self.path.read_text(encoding="utf-8")
-        good_chars = 0  # byte offset (in chars) of the validated prefix
-        offset = 0
-        header: Optional[dict] = None
-        bad_reason: Optional[str] = None
-        for lineno, piece in enumerate(raw.splitlines(keepends=True), start=1):
-            line = piece.rstrip("\n")
-            if not piece.endswith("\n"):
-                # Every record is written as one ``line + "\n"`` — a final
-                # line without its newline is the partial write of a crash,
-                # even in the unlikely case it parses as complete JSON.
-                bad_reason = f"line {lineno}: truncated final record"
-                break
-            try:
-                record = json.loads(line)
-                if header is None:
-                    header = record
-                    index = None
-                else:
-                    index = int(record["cell"])
-                    if "json" in record:
-                        value = record["json"]
-                    else:
-                        value = pickle.loads(base64.b64decode(record["data"]))
-            except Exception as exc:
-                bad_reason = f"line {lineno}: {type(exc).__name__}: {exc}"
-                break
-            if header is record:
-                self._check_header(header, JOURNAL_VERSION)
-            elif index is not None:
-                self._completed[index] = value
-            offset += len(piece)
-            good_chars = offset
-        if header is None:
-            raise CheckpointError(
-                f"checkpoint {self.path} contains no readable header"
-            )
-        if bad_reason is not None:
-            warnings.warn(
-                f"checkpoint {self.path}: truncating corrupt tail ({bad_reason}); "
-                f"{len(self._completed)} completed cell(s) retained",
-                stacklevel=3,
-            )
-            with open(self.path, "r+", encoding="utf-8") as fh:
-                fh.truncate(good_chars)
-                os.fsync(fh.fileno())
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def _load_existing_v2(self) -> None:
         data = self.path.read_bytes()
-        frames, good_end, bad_reason = _frames.scan_frames(
-            data, len(_frames.JOURNAL_MAGIC)
-        )
-        header: Optional[dict] = None
-        for kind, payload, pos in frames:
-            try:
-                if kind == _frames.FRAME_HEADER:
-                    if header is None:
-                        header = json.loads(payload)
-                        self._check_header(header, JOURNAL_VERSION_V2)
-                elif header is None:
-                    raise CheckpointError(
-                        f"checkpoint {self.path} contains no readable header"
-                    )
-                elif kind == _frames.FRAME_JSON:
-                    index, value = json.loads(payload)
-                    self._completed[int(index)] = value
-                elif kind == _frames.FRAME_PICKLE:
-                    index, value = pickle.loads(payload)
-                    self._completed[int(index)] = value
-                elif kind == _frames.FRAME_BATCH:
-                    (first_index,) = _I64.unpack_from(payload)
-                    for i, rec in enumerate(
-                        _frames.decode_record_batch(payload[_I64.size:])
-                    ):
-                        self._completed[first_index + i] = {"record": rec}
-                elif kind == _frames.FRAME_ATTACH:
-                    index, extra = pickle.loads(payload)
-                    base = self._completed.get(int(index))
-                    if not isinstance(base, dict):
-                        raise CheckpointError("attach without its record")
-                    base.update(extra)
-                else:
-                    raise CheckpointError(f"unknown frame kind {kind}")
-            except CheckpointError:
-                if header is not None and kind == _frames.FRAME_HEADER:
-                    raise  # header mismatch is a hard error, not corruption
-                if header is None:
-                    raise
-                good_end, bad_reason = pos, f"undecodable frame kind {kind}"
-                break
-            except Exception as exc:
-                # The frame's CRC held but its payload would not decode —
-                # treat everything from this frame on as the corrupt tail.
-                good_end = pos
-                bad_reason = f"frame payload: {type(exc).__name__}: {exc}"
-                break
-        if header is None:
+        if data.startswith(b"{"):
+            raise CheckpointError(v1_refusal(self.path))
+        header, payloads, good_end, bad_reason = _frames.decode_journal(data)
+        if not isinstance(header, dict):
             raise CheckpointError(
                 f"checkpoint {self.path} contains no readable header"
             )
+        self._check_header(header)
+        self._completed = payloads
         if bad_reason is not None:
             warnings.warn(
                 f"checkpoint {self.path}: truncating corrupt tail "
                 f"(byte {good_end}: {bad_reason}); "
-                f"{len(self._completed)} completed cell(s) retained",
+                f"{len(payloads)} completed cell(s) retained",
                 stacklevel=3,
             )
             with open(self.path, "r+b") as fh:
@@ -376,12 +225,15 @@ class CheckpointJournal:
                 os.fsync(fh.fileno())
         self._fh = open(self.path, "ab")
 
-    def _check_header(self, header: dict, version: int) -> None:
-        if header.get("kind") != _HEADER_KIND or header.get("version") != version:
+    def _check_header(self, header: dict) -> None:
+        if (
+            header.get("kind") != _HEADER_KIND
+            or header.get("version") != JOURNAL_VERSION
+        ):
             raise CheckpointError(
                 f"checkpoint {self.path} has kind={header.get('kind')!r} "
                 f"version={header.get('version')!r}; this build expects "
-                f"{_HEADER_KIND!r} v{version}"
+                f"{_HEADER_KIND!r} v{JOURNAL_VERSION}"
             )
         if header.get("fingerprint") != self._digest:
             raise CheckpointError(
@@ -391,13 +243,6 @@ class CheckpointJournal:
             )
 
     # -- Recording ----------------------------------------------------------
-
-    def _write_line(self, line: str) -> None:
-        # Unconditionally durable — used for the v1 header, which must hit
-        # disk before any record regardless of the fsync policy.
-        assert self._fh is not None
-        self._fh.write(line + "\n")
-        self._sync()
 
     def _sync(self) -> None:
         assert self._fh is not None
@@ -431,12 +276,6 @@ class CheckpointJournal:
         if self._fh is not None and self._pending:
             self._sync()
 
-    def _encode_v1(self, index: int, value: Any) -> str:
-        if _json_roundtrips(value):
-            return json.dumps({"cell": int(index), "json": value})
-        data = base64.b64encode(pickle.dumps(value)).decode("ascii")
-        return json.dumps({"cell": int(index), "data": data})
-
     def record(self, index: int, value: Any) -> None:
         """Journal one completed cell.
 
@@ -446,26 +285,20 @@ class CheckpointJournal:
         """
         if self._fh is None:
             raise CheckpointError(f"checkpoint {self.path} is closed")
-        if self.format == "v2":
-            blob = _frames.frame_bytes(
-                _frames.FRAME_PICKLE,
-                pickle.dumps((int(index), value), protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            self._fh.write(blob)
-            size = len(blob)
-        else:
-            line = self._encode_v1(index, value) + "\n"
-            self._fh.write(line)
-            size = len(line)
+        blob = _frames.frame_bytes(
+            _frames.FRAME_PICKLE,
+            pickle.dumps((int(index), value), protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        self._fh.write(blob)
         self._pending += 1
-        self._pending_bytes += size
+        self._pending_bytes += len(blob)
         self._completed[int(index)] = value
         if self._policy == "always":
             self._sync()
         elif self._policy == "interval":
             self._maybe_interval_sync()
 
-    def _encode_v2_many(self, items: list[tuple[int, Any]]) -> bytes:
+    def _encode_many(self, items: list[tuple[int, Any]]) -> bytes:
         """Frame a batch: contiguous ``{"record": ...}`` runs become one
         columnar ``FRAME_BATCH`` (extras ride as ``FRAME_ATTACH``), and
         everything else falls back to per-record pickle frames."""
@@ -530,19 +363,12 @@ class CheckpointJournal:
         items = list(items)
         if not items:
             return
-        if self.format == "v2":
-            blob_b = self._encode_v2_many(items)
-            self._fh.write(blob_b)
-            size = len(blob_b)
-        else:
-            lines = [self._encode_v1(index, value) for index, value in items]
-            text = "\n".join(lines) + "\n"
-            self._fh.write(text)
-            size = len(text)
+        blob = self._encode_many(items)
+        self._fh.write(blob)
         for index, value in items:
             self._completed[int(index)] = value
         self._pending += len(items)
-        self._pending_bytes += size
+        self._pending_bytes += len(blob)
         if self._policy == "interval":
             self._maybe_interval_sync()
         else:
@@ -559,7 +385,7 @@ class CheckpointJournal:
         batch blob (:mod:`repro.sim.frames` layout W) at indices
         ``first_index .. first_index + count - 1``.
 
-        This is the v2-only zero-copy fast path: the session frames the
+        This is the zero-copy fast path: the session frames the
         blob directly, never materializing per-record dicts.  ``extras`` are
         ``(index, extra_dict)`` riders — snapshots, deltas — merged into
         the payload at ``index`` on load.  Unlike :meth:`record` /
@@ -570,10 +396,6 @@ class CheckpointJournal:
         """
         if self._fh is None:
             raise CheckpointError(f"checkpoint {self.path} is closed")
-        if self.format != "v2":
-            raise CheckpointError(
-                f"checkpoint {self.path} is format v1; batch blobs need v2"
-            )
         out = bytearray(
             _frames.frame_bytes(_frames.FRAME_BATCH, _I64.pack(first_index) + blob)
         )

@@ -1,7 +1,10 @@
-"""Length-prefixed binary frames: the v2 journal format.
+"""Length-prefixed binary frames: the journal format (header version 2).
 
-The durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal`
-format v2) is a magic prefix followed by CRC-checked frames.
+Every durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal`,
+session and cell-bag alike) is a magic prefix followed by CRC-checked
+frames, and :func:`decode_journal` is its one decoder.  The v1 JSONL
+layout of older builds is not read at all: the journal refuses such a
+file on open.
 
 Frame layout (all integers little-endian)::
 
@@ -12,8 +15,9 @@ Frame layout (all integers little-endian)::
 Torn-tail detection is structural: a file (or stream) that ends inside a
 header or payload, or whose payload fails its CRC, is cut at the last
 good frame boundary — no JSON parse heuristics.  The CRC also catches
-bit rot in the middle of a frame, which the v1 line format could only
-catch when it happened to break JSON syntax.
+bit rot in the middle of a frame.  A frame whose CRC holds but whose
+payload will not decode, or whose kind is unknown, is treated the same
+way: it and everything after it are the corrupt tail.
 
 Frame kinds:
 
@@ -21,7 +25,7 @@ Frame kinds:
 kind                  id    payload
 ====================  ====  =====================================================
 ``FRAME_HEADER``      1     JSON header dict (kind/version/fingerprint/workload)
-``FRAME_JSON``        2     JSON ``[index, payload]``
+(retired)             2     never written; reserved so the id is not reused
 ``FRAME_PICKLE``      3     pickle ``(index, payload)``
 ``FRAME_BATCH``       4     i64 first_index + columnar record batch (below)
 ``FRAME_ATTACH``      5     pickle ``(index, extra)`` — merged into the payload
@@ -45,11 +49,10 @@ import pickle
 import struct
 import zlib
 from array import array
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 __all__ = [
     "FRAME_HEADER",
-    "FRAME_JSON",
     "FRAME_PICKLE",
     "FRAME_BATCH",
     "FRAME_ATTACH",
@@ -62,13 +65,13 @@ __all__ = [
     "encode_wire_columns",
     "encode_wire_records",
     "decode_record_batch",
+    "decode_journal",
     "iter_journal_payloads",
 ]
 
 JOURNAL_MAGIC = b"RJF2\x00"
 
 FRAME_HEADER = 1
-FRAME_JSON = 2
 FRAME_PICKLE = 3
 FRAME_BATCH = 4
 FRAME_ATTACH = 5
@@ -232,7 +235,7 @@ def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
     """Materialize a columnar batch back into per-record dicts.
 
     The dicts are key-for-key identical to the records that were encoded
-    — the property the v1/v2 parity referee holds both formats to.
+    — so a resumed session replays exactly what it journaled.
     """
     layout, count, cols = _unpack_batch(blob)
     if layout != b"W":
@@ -263,102 +266,78 @@ def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
     return out
 
 
-# -- Journal payload iteration (both formats) --------------------------------
+# -- Journal decoding ----------------------------------------------------------
 
 
-def _iter_v1_payloads(raw: str) -> Iterator[tuple[int, Any]]:
-    """Yield ``(index, payload)`` from v1 JSONL text, corrupt-tail
-    tolerant: parsing stops silently at the first bad or unterminated
-    line (mirrors :class:`CheckpointJournal`'s recovery)."""
-    import base64 as _b64
+def decode_journal(
+    data: bytes,
+) -> tuple[Optional[dict], dict[int, Any], int, Optional[str]]:
+    """Decode a whole v2 journal (magic included) in one pass.
 
-    first = True
-    for piece in raw.splitlines(keepends=True):
-        if not piece.endswith("\n"):
-            return
-        if first:
-            first = False  # header line
-            continue
-        try:
-            rec = json.loads(piece)
-            index = int(rec["cell"])
-            if "json" in rec:
-                value = rec["json"]
-            else:
-                value = pickle.loads(_b64.b64decode(rec["data"]))
-        except Exception:
-            return
-        yield index, value
-
-
-def _iter_v2_payloads(data: bytes) -> Iterator[tuple[int, Any]]:
-    """Yield ``(index, payload)`` from v2 frame bytes (magic included),
-    with the same stop-at-first-bad-frame tolerance.  ``FRAME_ATTACH``
-    extras are merged into the payload they ride on."""
+    Returns ``(header, payloads, good_end, bad_reason)``.  ``header`` is
+    the first frame's JSON dict, or ``None`` when the file does not open
+    with one (the magic is missing, or the first frame is not a readable
+    ``FRAME_HEADER``).  ``payloads`` maps index -> payload in first-seen
+    order, a repeated index keeping its last payload; ``FRAME_ATTACH``
+    extras are merged into the payload they ride on.  Decoding stops at
+    the first frame that is torn, fails its CRC, will not decode, has an
+    unknown kind, or attaches to an index with no dict payload:
+    ``good_end`` is the byte offset where that frame starts (the end of
+    the data when every frame was good) and ``bad_reason`` says why
+    (``None`` when nothing was cut).
+    """
     if not data.startswith(JOURNAL_MAGIC):
-        return
-    frames, _end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
-    by_index: dict[int, Any] = {}
-    order: list[int] = []
-
-    def put(index: int, value: Any) -> None:
-        if index not in by_index:
-            order.append(index)
-        by_index[index] = value
-
-    for kind, payload, _pos in frames:
+        return None, {}, 0, "no journal magic"
+    frames, good_end, bad_reason = scan_frames(data, len(JOURNAL_MAGIC))
+    header: Optional[dict] = None
+    payloads: dict[int, Any] = {}
+    for kind, payload, pos in frames:
         try:
-            if kind == FRAME_HEADER:
+            if header is None:
+                if kind != FRAME_HEADER:
+                    return None, {}, pos, "missing header"
+                header = json.loads(payload)
+            elif kind == FRAME_HEADER:
                 continue
-            if kind == FRAME_JSON:
-                index, value = json.loads(payload)
-                put(int(index), value)
             elif kind == FRAME_PICKLE:
                 index, value = pickle.loads(payload)
-                put(int(index), value)
+                payloads[int(index)] = value
             elif kind == FRAME_BATCH:
                 (first_index,) = _I64.unpack_from(payload)
-                for i, rec in enumerate(decode_record_batch(payload[8:])):
-                    put(first_index + i, {"record": rec})
+                for i, rec in enumerate(decode_record_batch(payload[_I64.size:])):
+                    payloads[first_index + i] = {"record": rec}
             elif kind == FRAME_ATTACH:
                 index, extra = pickle.loads(payload)
-                base = by_index.get(int(index))
+                base = payloads.get(int(index))
                 if not isinstance(base, dict):
-                    return  # an attach without its record: corrupt tail
+                    return header, payloads, pos, "attach without its record"
                 base.update(extra)
-        except Exception:
-            return
-    for index in order:
-        yield index, by_index[index]
+            else:
+                return header, payloads, pos, f"unknown frame kind {kind}"
+        except Exception as exc:
+            # The frame's CRC held but its payload would not decode —
+            # everything from this frame on is the corrupt tail.
+            return header, payloads, pos, (
+                f"frame payload: {type(exc).__name__}: {exc}"
+            )
+    return header, payloads, good_end, bad_reason
 
 
 def iter_journal_payloads(path: Any) -> list[tuple[int, Any]]:
-    """``(index, payload)`` pairs of a journal in either format.
+    """``(index, payload)`` pairs of a v2 journal, corrupt-tail tolerant.
 
-    Format is sniffed from the first bytes (``{`` → v1 JSONL, the frame
-    magic → v2); an unreadable or unrecognisable file yields ``[]``.
-    Duplicate indices keep the last occurrence (the journals' last-wins
-    contract); pairs come back in first-seen index order.
+    Decoding stops silently at the first bad frame (see
+    :func:`decode_journal`); an unreadable file, or one that is not a v2
+    journal (a v1 JSONL journal included), yields ``[]``.  Duplicate
+    indices keep the last occurrence (the journals' last-wins contract);
+    pairs come back in first-seen index order.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         return []
-    if data.startswith(JOURNAL_MAGIC):
-        pairs = list(_iter_v2_payloads(data))
-    elif data.startswith(b"{"):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return []
-        pairs = list(_iter_v1_payloads(text))
-    else:
+    header, payloads, _end, _reason = decode_journal(data)
+    if header is None:
         return []
-    last: dict[int, Any] = {}
-    order: list[int] = []
-    for index, value in pairs:
-        if index not in last:
-            order.append(index)
-        last[index] = value
-    return [(index, last[index]) for index in order]
+    return list(payloads.items())

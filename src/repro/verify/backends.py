@@ -1,8 +1,8 @@
-"""Backend-parity referee: per-event loop vs columnar batch engines.
+"""Backend-parity referee: per-event loop vs the columnar batch engine.
 
-The columnar engines (:mod:`repro.kernel.columnar`) promise strict
+The columnar engine (:mod:`repro.kernel.columnar`) promises strict
 bit-identity with the per-event kernel path.  This module is the referee
-that holds them to it: :func:`check_backend_parity` replays one task
+that holds it to that promise: :func:`check_backend_parity` replays one task
 sequence through a fresh kernel per batch backend — identical chunked
 ``apply_batch`` calls — and demands that every observable agree exactly:
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.registry import make_algorithm
 from repro.errors import BatchError, ReproError
-from repro.kernel.columnar import available_backends
+from repro.kernel.columnar import BACKENDS
 from repro.kernel.core import AllocationKernel
 from repro.machines.tree import TreeMachine
 from repro.tasks.sequence import TaskSequence
@@ -72,7 +72,7 @@ def _run_backend(
     if churn:
         # Full event alphabet (faults, kills, resizes): the algorithm needs
         # the fault-tolerant wrapper and the kernel a degraded view.  The
-        # columnar engines decline such batches and fall back to the exact
+        # columnar engine declines such batches and fall back to the exact
         # per-event path — which is precisely the behaviour under test:
         # the decline must be deterministic and identical across backends.
         from repro.faults.salvage import FaultTolerantAlgorithm
@@ -120,13 +120,13 @@ def check_backend_parity(
     """Replay ``sequence`` under every batch backend and diff the runs.
 
     Returns a list of violation strings (empty = all backends agree).
-    ``backends`` defaults to every backend usable in this environment;
+    ``backends`` defaults to every backend (``python``, ``numpy``);
     the first entry (normally ``python``, the per-event oracle) is the
     reference the others are diffed against.  ``chunk`` is the
     ``apply_batch`` size — small enough that batches straddle arrival
     runs, large enough to engage the columnar run path.
     """
-    names = tuple(backends) if backends is not None else available_backends()
+    names = tuple(backends) if backends is not None else BACKENDS
     if len(names) < 2:
         return []
     events = list(sequence)
@@ -151,11 +151,11 @@ def check_churn_backend_parity(
     the scenario's merged alphabet — arrivals, departures, failures,
     repairs, kills, and resizes — fed through ``apply_batch`` in chunks
     that deliberately straddle fault and resize boundaries.  The columnar
-    engines must decline such batches onto the per-event path identically,
+    engine must decline such batches onto the per-event path identically,
     so every observable (decision stream, snapshot digest, metered series,
     peak snapshots, error behaviour) stays bit-identical across backends.
     """
-    names = tuple(backends) if backends is not None else available_backends()
+    names = tuple(backends) if backends is not None else BACKENDS
     if len(names) < 2:
         return []
     events = list(scenario.merged_events())

@@ -197,7 +197,7 @@ def check_algorithm(
             )
 
     # Backend-parity axis: columnar-capable algorithms additionally replay
-    # the sequence through every available batch backend and must produce
+    # the sequence through every batch backend and must produce
     # bit-identical decisions, metrics, and state (fifth referee).  Gated on
     # the capability so non-columnar algorithms don't pay the extra runs.
     if getattr(algorithm, "columnar_state", None) is not None:

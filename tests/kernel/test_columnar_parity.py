@@ -4,9 +4,7 @@ Every test here pits a columnar-backend kernel against the per-event
 oracle kernel on the same event stream and demands strict bit-identity:
 decision tuples, metrics series, peak snapshots, state digests, error
 types and messages, even where mid-batch failures stop.  The suite runs
-for every backend usable in this environment (``numpy`` always; ``numba``
-joins automatically when the optional package is installed), across all
-six machine topologies, under fault plans (where the engine must fall
+for every columnar backend (``numpy``), across all six machine topologies, under fault plans (where the engine must fall
 back, not misbehave), and through ``snapshot()``/``restore()`` cycles.
 """
 
@@ -28,7 +26,6 @@ from repro.kernel import AllocationKernel
 from repro.kernel.columnar import (
     BACKENDS,
     RUN_MIN,
-    available_backends,
     resolve_backend,
 )
 from repro.machines.butterfly import Butterfly
@@ -47,8 +44,8 @@ from repro.workloads.generators import churn_sequence
 
 N = 32
 
-#: Backends under test: everything usable here except the per-event oracle.
-COLUMNAR = [b for b in available_backends() if b != "python"]
+#: Backends under test: everything except the per-event oracle.
+COLUMNAR = [b for b in BACKENDS if b != "python"]
 
 #: All six CLI topologies at a size every one of them accepts (Mesh2D
 #: needs a 4**k PE count).
@@ -115,21 +112,17 @@ def _run_pair(backend, events, rng, machine_factory=TreeMachine, *, n: int = N):
 
 class TestBackendRegistry:
     def test_available_is_subset_of_known(self):
-        avail = available_backends()
-        assert set(avail) <= set(BACKENDS)
-        assert avail[0] == "python"
-        assert "numpy" in avail
+        assert BACKENDS == ("python", "numpy")
+        assert all(resolve_backend(name) == name for name in BACKENDS)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError, match="unknown batch backend"):
             resolve_backend("fortran")
 
     def test_numba_backend_gated_on_import(self):
-        if "numba" in available_backends():
-            assert resolve_backend("numba") == "numba"
-        else:
-            with pytest.raises(SimulationError, match="optional numba package"):
-                resolve_backend("numba")
+        # The numba backend was deleted: the name is now simply unknown.
+        with pytest.raises(SimulationError, match="unknown batch backend"):
+            resolve_backend("numba")
 
     def test_python_backend_has_no_engine(self):
         kernel = _kernel("python")

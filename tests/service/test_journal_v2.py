@@ -1,9 +1,9 @@
-"""Journal format v2 torture tests: frames, digests, negotiation, kills.
+"""Framed (v2) journal torture tests: frames, digests, refusal, kills.
 
 The binary journal's contracts, attacked one at a time: a torn tail or
 flipped CRC byte must surrender exactly the intact prefix with a
-warning; a v1 journal reopened by v2-default code must stay v1 and
-resume bit-identically; tampered records must fail the delta check, a
+warning; a v1 JSONL journal of an older build must be refused and left
+byte-for-byte untouched; tampered records must fail the delta check, a
 rewritten state digest must fail the digest check, and a divergence in
 history alone must still be caught; journals that embed full snapshots
 (older builds) must keep resuming; and a SIGKILL landing *inside a delta
@@ -20,15 +20,18 @@ import signal
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.registry import make_algorithm
 from repro.errors import CheckpointError
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
 from repro.service.session import _state_digest
+from repro.sim.checkpoint import CheckpointJournal
 from repro.sim.frames import (
     JOURNAL_MAGIC,
     frame_bytes,
@@ -91,51 +94,43 @@ class TestFormatLayout:
         assert not any("snapshot" in p for p in payloads.values())
         assert all(len(payloads[i]["state_sha256"]) == 64 for i in fulls)
 
-    def test_v1_requested_stays_jsonl(self, tmp_path):
-        journal = tmp_path / "s.journal"
-        _fill(journal, _records(tasks=10, seed=2), journal_format="v1")
-        text = journal.read_text()
-        assert text.startswith("{")
-        # v1 raw-JSON records: plain payloads keep their JSON shape
-        # instead of the old pickle+base64 double encoding.
-        body = text.splitlines()[1:]
-        assert any('"json"' in line for line in body)
-        assert not any('"data"' in line for line in body)
 
+class TestV1Refusal:
+    """Journals are v2 only: a v1 JSONL journal from an older build is
+    refused on open — never converted, truncated or appended to."""
 
-class TestFormatNegotiation:
-    def test_v1_reopened_by_v2_default_stays_v1(self, tmp_path):
-        records = _records(tasks=30, seed=3)
-        cut = len(records) // 2
-        reference = _session()
-        for rec in records:
-            reference.push(rec)
+    V1 = (
+        '{"fingerprint": "0", "kind": "repro-checkpoint", "version": 1}\n'
+        '{"cell": 0, "json": {"record": {"kind": "arrival", "time": 0.0, '
+        '"id": 0, "size": 2, "work": 1.0}}}\n'
+    )
 
-        journal = tmp_path / "old.journal"
-        _fill(journal, records[:cut], journal_format="v1")
+    @pytest.mark.parametrize(
+        "opener",
+        [
+            lambda path: CheckpointJournal(path, fingerprint={"kind": "x"}),
+            lambda path: _session(journal_path=path),
+        ],
+        ids=["journal", "session"],
+    )
+    def test_v1_journal_is_refused_untouched(self, tmp_path, opener):
+        path = tmp_path / "old.journal"
+        path.write_text(self.V1)
+        before = path.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no corrupt-tail warning either
+            with pytest.raises(CheckpointError, match="v1 JSONL journal"):
+                opener(path)
+        assert path.read_bytes() == before
 
-        resumed = _session(journal_path=journal)  # journal_format="v2"
-        assert resumed.num_events == cut
-        for rec in records[cut:]:
-            resumed.push(rec)
-        resumed.close()
-        assert _digest(resumed.snapshot()) == _digest(reference.snapshot())
-        # The appended tail is still JSONL — a journal never mixes formats.
-        assert not journal.read_bytes().startswith(JOURNAL_MAGIC)
-        assert journal.read_text().endswith("\n")
-
-    def test_v2_reopened_with_v1_request_stays_v2(self, tmp_path):
-        records = _records(tasks=20, seed=4)
-        journal = tmp_path / "new.journal"
-        _fill(journal, records)
-        resumed = _session(journal_path=journal, journal_format="v1")
-        assert resumed.num_events == len(records)
-        resumed.submit(2)
-        resumed.close()
-        data = journal.read_bytes()
-        assert data.startswith(JOURNAL_MAGIC)
-        _frames, _end, reason = scan_frames(data, len(JOURNAL_MAGIC))
-        assert reason is None
+    def test_journal_dump_refuses_it_too(self, tmp_path, capsys):
+        path = tmp_path / "old.journal"
+        path.write_text(self.V1)
+        assert main(["journal", "dump", str(path)]) != 0
+        err = capsys.readouterr().err
+        assert "v1 JSONL journal from an older build" in err
+        assert "Delete it" in err
+        assert path.read_text() == self.V1
 
 
 class TestCorruptTails:
@@ -305,18 +300,17 @@ class TestLegacySnapshotRiders:
     """Journals written by builds that embedded the full snapshot."""
 
     @staticmethod
-    def _write(journal, records, fmt, rider):
+    def _write(journal, records, rider):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(AllocationSession, "_checkpoint_rider", rider)
-            _fill(journal, records, journal_format=fmt)
+            _fill(journal, records)
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_full_snapshot_riders_still_resume(self, tmp_path, fmt):
+    def test_full_snapshot_riders_still_resume(self, tmp_path):
         records = _records(tasks=40, seed=8)
         cut = 2 * len(records) // 3
-        journal = tmp_path / f"legacy.{fmt}"
+        journal = tmp_path / "legacy.journal"
         self._write(
-            journal, records[:cut], fmt,
+            journal, records[:cut],
             lambda self: {"snapshot": self.kernel.snapshot()},
         )
         payloads = dict(iter_journal_payloads(journal))
@@ -325,7 +319,7 @@ class TestLegacySnapshotRiders:
         for rec in records:
             reference.push(rec)
 
-        resumed = _session(journal_path=journal, journal_format=fmt)
+        resumed = _session(journal_path=journal)
         assert resumed.num_events == cut
         for rec in records[cut:]:
             resumed.push(rec)
@@ -335,17 +329,16 @@ class TestLegacySnapshotRiders:
             resumed.kernel.metrics.to_state() == reference.kernel.metrics.to_state()
         )
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_tampered_legacy_snapshot_is_refused(self, tmp_path, fmt):
+    def test_tampered_legacy_snapshot_is_refused(self, tmp_path):
         def rider(self):
             snap = self.kernel.snapshot()
             snap["active_size"] += 1  # not the state replay reaches
             return {"snapshot": snap}
 
-        journal = tmp_path / f"legacy.{fmt}"
-        self._write(journal, _records(tasks=40, seed=8), fmt, rider)
+        journal = tmp_path / "legacy.journal"
+        self._write(journal, _records(tasks=40, seed=8), rider)
         with pytest.raises(CheckpointError, match="diverges from the snapshot"):
-            _session(journal_path=journal, journal_format=fmt)
+            _session(journal_path=journal)
 
 
 class TestJournalSize:
@@ -470,11 +463,8 @@ def _repo_src():
 
 def _has_partial_tail(journal) -> bool:
     data = journal.read_bytes()
-    if data.startswith(JOURNAL_MAGIC):
-        _frames, good_end, reason = scan_frames(data, len(JOURNAL_MAGIC))
-        return reason is not None and good_end < len(data)
-    text = data.decode("utf-8")
-    return bool(text) and not text.endswith("\n")
+    _frames, good_end, reason = scan_frames(data, len(JOURNAL_MAGIC))
+    return reason is not None and good_end < len(data)
 
 
 def _noop():

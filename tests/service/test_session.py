@@ -8,6 +8,7 @@ through the batch simulator agrees bit-for-bit.
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.core.registry import make_algorithm
 from repro.errors import CheckpointError, SimulationError
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
+from repro.sim.frames import FRAME_PICKLE, JOURNAL_MAGIC, frame_bytes, scan_frames
 from repro.workloads.generators import poisson_sequence
 
 
@@ -184,22 +186,26 @@ class TestResume:
             _session(name="firstfit", journal_path=journal)
 
     def test_resume_detects_divergent_replay(self, tmp_path):
-        """Tampered journal records fail the embedded-snapshot digest check."""
+        """A record rewritten under a valid CRC fails the embedded
+        state-digest check."""
         journal = tmp_path / "tamper.journal"
-        s = _session(
-            journal_path=journal, snapshot_interval=2, journal_format="v1"
-        )
+        intervals = dict(snapshot_interval=2, full_snapshot_interval=2)
+        s = _session(journal_path=journal, **intervals)
         s.submit(2)
         s.submit(4)
         s.close()
 
-        lines = journal.read_text().splitlines()
-        rec = json.loads(lines[1])  # first event record
-        rec["json"]["record"]["size"] = 1  # not what the snapshot saw
-        lines[1] = json.dumps(rec)
-        journal.write_text("\n".join(lines) + "\n")
+        data = journal.read_bytes()
+        frames, _end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
+        out = bytearray(JOURNAL_MAGIC)
+        for kind, payload, _pos in frames:
+            if kind == FRAME_PICKLE:
+                index, value = pickle.loads(payload)
+                if index == 0:  # first event record
+                    value["record"]["size"] = 1  # not what the digest saw
+                    payload = pickle.dumps((index, value))
+            out += frame_bytes(kind, payload)
+        journal.write_bytes(bytes(out))
 
         with pytest.raises(CheckpointError, match="diverges from the snapshot"):
-            _session(
-                journal_path=journal, snapshot_interval=2, journal_format="v1"
-            )
+            _session(journal_path=journal, **intervals)

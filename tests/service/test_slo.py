@@ -230,7 +230,7 @@ class TestStatusAndWire:
         one = _session(n=8, slo=slo)
         verdicts_a = [one.offer(dict(r)).verdict for r in records]
         two = _session(n=8, slo=slo)
-        verdicts_b = [o.verdict for o in two.offer_batch(records)]
+        verdicts_b = [o.verdict for o in two.push_batch(records)]
         assert verdicts_a == verdicts_b
         assert one.status() == two.status()
 

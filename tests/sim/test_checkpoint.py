@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import stat
 
 import numpy as np
@@ -12,6 +13,13 @@ from repro.sim.checkpoint import (
     JOURNAL_VERSION,
     CheckpointJournal,
     workload_fingerprint,
+)
+from repro.sim.frames import (
+    FRAME_HEADER,
+    FRAME_PICKLE,
+    JOURNAL_MAGIC,
+    decode_journal,
+    frame_bytes,
 )
 
 FP = {"kind": "test", "what": "checkpoint-unit"}
@@ -64,17 +72,19 @@ class TestWorkloadPinning:
     def test_version_mismatch_is_refused(self, tmp_path):
         path = tmp_path / "j.ckpt"
         CheckpointJournal(path, fingerprint=FP).close()
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
+        header, _payloads, _end, _reason = decode_journal(path.read_bytes())
         header["version"] = JOURNAL_VERSION + 1
-        path.write_text(json.dumps(header) + "\n")
+        path.write_bytes(
+            JOURNAL_MAGIC
+            + frame_bytes(FRAME_HEADER, json.dumps(header).encode())
+        )
         with pytest.raises(CheckpointError, match="version"):
             CheckpointJournal(path, fingerprint=FP)
 
     def test_foreign_file_is_refused(self, tmp_path):
         path = tmp_path / "j.ckpt"
-        path.write_text('{"kind": "something-else"}\n')
-        with pytest.raises(CheckpointError):
+        path.write_bytes(b"PK\x03\x04 not a journal")
+        with pytest.raises(CheckpointError, match="no readable header"):
             CheckpointJournal(path, fingerprint=FP)
 
     def test_workload_fingerprint_tracks_cells_and_streams(self):
@@ -98,8 +108,8 @@ class TestCrashRecovery:
     def test_truncated_final_record_is_dropped_with_warning(self, tmp_path):
         path = tmp_path / "j.ckpt"
         self._journal_with_two_records(path)
-        raw = path.read_text()
-        path.write_text(raw[:-10])  # crash mid-write of the last record
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-10])  # crash mid-write of the last record
         with pytest.warns(UserWarning, match="corrupt tail"):
             journal = CheckpointJournal(path, fingerprint=FP)
         assert journal.completed() == {0: "a"}
@@ -111,23 +121,32 @@ class TestCrashRecovery:
     def test_unterminated_but_parseable_final_line_is_still_dropped(self, tmp_path):
         path = tmp_path / "j.ckpt"
         self._journal_with_two_records(path)
-        raw = path.read_text()
-        assert raw.endswith("\n")
-        path.write_text(raw[:-1])  # valid JSON, missing only the newline
-        with pytest.warns(UserWarning, match="truncated final record"):
+        # A final record whose payload is a complete, loadable pickle but
+        # whose frame is one byte short (its length prefix runs past EOF)
+        # is still the partial write of a crash.
+        payload = pickle.dumps((2, "c"))
+        header = frame_bytes(FRAME_PICKLE, payload + b"\x00")[:9]
+        with open(path, "ab") as fh:
+            fh.write(header + payload)
+        with pytest.warns(UserWarning, match="torn payload"):
             journal = CheckpointJournal(path, fingerprint=FP)
-        assert journal.completed() == {0: "a"}
+        assert journal.completed() == {0: "a", 1: "b"}
         journal.close()
 
     def test_garbage_record_line_truncates_from_there(self, tmp_path):
         path = tmp_path / "j.ckpt"
         self._journal_with_two_records(path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"cell": 2, "data": "not-base64-pickle!!"}\n')
+        good = path.stat().st_size
+        with open(path, "ab") as fh:
+            # CRC-valid frames whose payload is not a pickle: the CRC
+            # cannot vouch for them, so the tail is cut at the first one.
+            fh.write(frame_bytes(FRAME_PICKLE, b"not-a-pickle!!"))
+            fh.write(frame_bytes(FRAME_PICKLE, pickle.dumps((3, "d"))))
         with pytest.warns(UserWarning, match="corrupt tail"):
             journal = CheckpointJournal(path, fingerprint=FP)
         assert journal.completed() == {0: "a", 1: "b"}
         journal.close()
+        assert path.stat().st_size == good
 
     def test_missing_header_is_an_error(self, tmp_path):
         path = tmp_path / "j.ckpt"
@@ -154,10 +173,9 @@ class TestCrashConsistencySyncs:
         monkeypatch.setattr(os, "fsync", spy)
         return calls
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_new_journal_syncs_its_directory(self, tmp_path, fsyncs, fmt):
+    def test_new_journal_syncs_its_directory(self, tmp_path, fsyncs):
         path = tmp_path / "sub" / "j.ckpt"
-        CheckpointJournal(path, fingerprint=FP, format=fmt).close()
+        CheckpointJournal(path, fingerprint=FP).close()
         dir_ino = os.stat(path.parent).st_ino
         assert (True, dir_ino) in [(is_dir, ino) for is_dir, ino, _ in fsyncs]
         # The directory is synced after the header is durable.
@@ -165,10 +183,9 @@ class TestCrashConsistencySyncs:
         dir_syncs = [i for i, c in enumerate(fsyncs) if c[0]]
         assert file_syncs and dir_syncs and file_syncs[0] < dir_syncs[0]
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_torn_tail_truncation_is_synced(self, tmp_path, fsyncs, fmt):
+    def test_torn_tail_truncation_is_synced(self, tmp_path, fsyncs):
         path = tmp_path / "j.ckpt"
-        with CheckpointJournal(path, fingerprint=FP, format=fmt) as journal:
+        with CheckpointJournal(path, fingerprint=FP) as journal:
             journal.record(0, "a")
         good = path.stat().st_size
         with open(path, "ab") as fh:

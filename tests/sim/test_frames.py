@@ -13,10 +13,12 @@ import pytest
 
 from repro.sim.frames import (
     FRAME_ATTACH,
-    FRAME_JSON,
+    FRAME_BATCH,
+    FRAME_HEADER,
     FRAME_PICKLE,
     JOURNAL_MAGIC,
     FrameError,
+    decode_journal,
     decode_record_batch,
     encode_wire_records,
     frame_bytes,
@@ -128,16 +130,13 @@ class TestColumnarRoundTrips:
 
 class TestIterJournalPayloads:
     def test_v2_attach_merges_and_last_wins(self, tmp_path):
-        import json as _json
-        import pickle as _pickle
-
         path = tmp_path / "j.v2"
         path.write_bytes(
             JOURNAL_MAGIC
             + frame_bytes(1, b'{"kind": "h"}')
-            + frame_bytes(FRAME_JSON, _json.dumps([0, {"record": 1}]).encode())
-            + frame_bytes(FRAME_ATTACH, _pickle.dumps((0, {"snapshot": "s"})))
-            + frame_bytes(FRAME_JSON, _json.dumps([0, {"record": 2}]).encode())
+            + frame_bytes(FRAME_PICKLE, pickle.dumps((0, {"record": 1})))
+            + frame_bytes(FRAME_ATTACH, pickle.dumps((0, {"snapshot": "s"})))
+            + frame_bytes(FRAME_PICKLE, pickle.dumps((0, {"record": 2})))
         )
         assert iter_journal_payloads(path) == [(0, {"record": 2})]
 
@@ -150,16 +149,68 @@ class TestIterJournalPayloads:
         assert iter_journal_payloads(path) == [(3, "x")]
 
     def test_v1_unterminated_tail_is_ignored(self, tmp_path):
+        """A v1 JSONL journal of an older build is not read at all: its
+        torn tail, and every complete line before it, yield nothing."""
         path = tmp_path / "j.v1"
         path.write_text(
             '{"kind": "h"}\n'
             '{"cell": 0, "json": {"record": "a"}}\n'
             '{"cell": 1, "json": {"record": '
         )
-        assert iter_journal_payloads(path) == [(0, {"record": "a"})]
+        assert iter_journal_payloads(path) == []
 
     def test_unrecognisable_file_is_empty(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"\x00\x01\x02")
         assert iter_journal_payloads(path) == []
         assert iter_journal_payloads(tmp_path / "absent") == []
+
+
+def _journal(*frames: bytes) -> bytes:
+    return JOURNAL_MAGIC + frame_bytes(FRAME_HEADER, b'{"kind": "h"}') + b"".join(
+        frames
+    )
+
+
+class TestDecodeJournal:
+    """The one decoder behind both the journal's open and the iterator."""
+
+    def test_clean_journal_decodes_every_kind(self):
+        batch = encode_wire_records(WIRE_RECORDS)
+        data = _journal(
+            frame_bytes(FRAME_PICKLE, pickle.dumps((0, "cell"))),
+            frame_bytes(FRAME_BATCH, (1).to_bytes(8, "little") + batch),
+            frame_bytes(FRAME_ATTACH, pickle.dumps((2, {"delta": 1}))),
+        )
+        header, payloads, good_end, reason = decode_journal(data)
+        assert header == {"kind": "h"}
+        assert (good_end, reason) == (len(data), None)
+        assert payloads[0] == "cell"
+        assert [payloads[1 + i]["record"] for i in range(len(WIRE_RECORDS))] == (
+            WIRE_RECORDS
+        )
+        assert payloads[2]["delta"] == 1
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            # Kind 2 was reserved for JSON records and never written.
+            (frame_bytes(2, b'[1, "x"]'), "unknown frame kind 2"),
+            (frame_bytes(FRAME_ATTACH, pickle.dumps((9, {"x": 1}))),
+             "attach without its record"),
+            (frame_bytes(FRAME_PICKLE, b"not a pickle"), "frame payload"),
+        ],
+    )
+    def test_bad_frame_is_the_corrupt_tail(self, bad, reason):
+        good = _journal(frame_bytes(FRAME_PICKLE, pickle.dumps((0, "a"))))
+        after = frame_bytes(FRAME_PICKLE, pickle.dumps((1, "b")))
+        header, payloads, good_end, why = decode_journal(good + bad + after)
+        assert header == {"kind": "h"}
+        assert payloads == {0: "a"}  # nothing past the bad frame survives
+        assert good_end == len(good)
+        assert reason in why
+
+    def test_missing_header_or_magic(self):
+        record = frame_bytes(FRAME_PICKLE, pickle.dumps((0, "a")))
+        assert decode_journal(JOURNAL_MAGIC + record)[0] is None
+        assert decode_journal(b'{"kind": "repro-checkpoint"}\n')[0] is None

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CellExecutionError
+from repro.sim.frames import JOURNAL_MAGIC, iter_journal_payloads, scan_frames
 from repro.sim.parallel import parallel_map, run_seeded_cells
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -53,6 +54,11 @@ def _suicidal(x, flag_dir):
 
 def _seeded(rng, base):
     return base + int(rng.integers(0, 1_000_000))
+
+
+def _seeded_rich(rng, base):
+    # No JSON round trip keeps this exact: a tuple, int keys, a set, a float.
+    return {base: (base, float(rng.random())), "tags": frozenset({base % 3})}
 
 
 class TestTimeouts:
@@ -131,6 +137,29 @@ class TestCheckpointedExecution:
         )
         assert serial == checkpointed == resumed
 
+    def test_run_seeded_cells_resumes_after_a_torn_frame(self, tmp_path):
+        cells = [{"base": i} for i in range(6)]
+        serial = run_seeded_cells(
+            _seeded_rich, cells, np.random.SeedSequence(7).spawn(6)
+        )
+        ckpt = tmp_path / "cells.ckpt"
+        run_seeded_cells(
+            _seeded_rich, cells, np.random.SeedSequence(7).spawn(6),
+            checkpoint=ckpt,
+        )
+        data = ckpt.read_bytes()
+        frames, _end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
+        _kind, payload, start = frames[-2]  # a crash inside the 5th cell
+        ckpt.write_bytes(data[: start + 9 + len(payload) // 2])
+        with pytest.warns(UserWarning, match="torn payload"):
+            resumed = run_seeded_cells(
+                _seeded_rich, cells, np.random.SeedSequence(7).spawn(6),
+                checkpoint=ckpt,
+            )
+        assert resumed == serial
+        # The torn cell and the one after it were recomputed and journaled.
+        assert dict(iter_journal_payloads(ckpt)) == dict(enumerate(serial))
+
     def test_dead_coordinator_resumes_bit_identically(self, tmp_path):
         """SIGKILL-equivalent coordinator death mid-sweep, then resume.
 
@@ -169,8 +198,8 @@ class TestCheckpointedExecution:
             [sys.executable, "-c", child], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 9, proc.stderr
-        # Header + cells 0..2: the journal survived the coordinator.
-        assert len(ckpt.read_text().splitlines()) == 4
+        # Cells 0..2: the journal survived the coordinator.
+        assert [i for i, _ in iter_journal_payloads(ckpt)] == [0, 1, 2]
 
         sys.path.insert(0, str(tmp_path))
         try:

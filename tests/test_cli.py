@@ -589,7 +589,7 @@ class TestBatchedStreaming:
 
 class TestJournalDump:
     @staticmethod
-    def _journal(path, fmt="v2", events=40):
+    def _journal(path, events=40):
         from repro.core.registry import make_algorithm
         from repro.machines.tree import TreeMachine
         from repro.service import AllocationSession
@@ -597,7 +597,7 @@ class TestJournalDump:
         machine = TreeMachine(8)
         session = AllocationSession(
             machine, make_algorithm("greedy", machine, d=2.0),
-            journal_path=path, journal_format=fmt, fsync_policy="batch",
+            journal_path=path, fsync_policy="batch",
             snapshot_interval=4, full_snapshot_interval=16,
         )
         for i in range(events):
@@ -637,10 +637,9 @@ class TestJournalDump:
             lambda self: {"snapshot": self.kernel.snapshot()},
         )
         journal = tmp_path / "old.journal"
-        self._journal(journal, fmt="v1", events=8)
+        self._journal(journal, events=16)
         assert main(["journal", "dump", str(journal)]) == 0
         fields = self._fields(capsys.readouterr().out)
-        assert fields["format"] == "v1 (JSONL)"
         assert fields["state digests"] == "none"
-        assert fields["legacy snapshots"] == "at [3, 7, 11, 15]"
-        assert "bytes per kind" not in fields
+        assert fields["legacy snapshots"] == "at [15, 31]"
+        assert fields["delta riders"] == "at [3, 7, 11, 19, 23, 27]"
