@@ -6,8 +6,9 @@ Three layers are metered:
 * codec microbenches: columnar encode/decode of wire-record batches,
 * replay: reopening a journaled session (the resume path), which
   decodes batch frames columnar-wise,
-* journaled ingest: ``push_batch`` end-to-end per fsync policy,
-  including the headline numpy-backend configuration.
+* journaled ingest: ``push_batch`` end-to-end per fsync policy (the
+  ``batch`` policy is the headline configuration: batch frames, the
+  columnar kernel engine and group commit at batch 256).
 
 Journal benches are fsync/I-O bound; the snapshot gate holds them to a
 looser events/sec-only tolerance (see ``scripts/bench_snapshot.py``).
@@ -58,14 +59,13 @@ def wire_records(records):
     ]
 
 
-def _fresh_session(tmp_path, fsync_policy, backend="python"):
+def _fresh_session(tmp_path, fsync_policy):
     machine = TreeMachine(N_LARGE)
     return AllocationSession(
         machine,
         make_algorithm("greedy", machine, d=2.0),
         journal_path=tmp_path / f"journal-{next(_journal_ids)}.journal",
         fsync_policy=fsync_policy,
-        batch_backend=backend,
     )
 
 
@@ -147,19 +147,6 @@ def test_perf_journal_replay(benchmark, records, tmp_path):
 def test_perf_ingest_journal_policy(benchmark, records, tmp_path, fsync_policy):
     def setup():
         return (_fresh_session(tmp_path, fsync_policy), records), {}
-
-    benchmark.pedantic(_ingest, setup=setup, rounds=3, iterations=1)
-    _note_rate(benchmark, len(records))
-
-
-def test_perf_ingest_journal_v2_numpy(benchmark, records, tmp_path):
-    """The headline configuration: batch frames + columnar numpy
-    kernel backend + group commit at batch 256."""
-
-    def setup():
-        return (
-            _fresh_session(tmp_path, "batch", backend="numpy"), records
-        ), {}
 
     benchmark.pedantic(_ingest, setup=setup, rounds=3, iterations=1)
     _note_rate(benchmark, len(records))

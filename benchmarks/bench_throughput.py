@@ -4,9 +4,12 @@ Not a paper artifact — this suite tracks the streaming implementation
 itself.  Three layers are metered:
 
 * kernel-only ingest: ``AllocationKernel.apply`` in a loop vs.
-  ``apply_batch`` at several batch sizes (amortised metering/bookkeeping),
-* columnar ingest: ``apply_batch`` under the ``numpy`` backend — the
-  structure-of-arrays hot path of :mod:`repro.kernel.columnar`,
+  ``apply_batch`` at several batch sizes (amortised metering/bookkeeping;
+  the kernel runs batches of ``_COLUMNAR_MIN_BATCH`` or more events on
+  its columnar engine),
+* columnar ingest: the structure-of-arrays engine of
+  :mod:`repro.kernel.columnar` driven directly, whatever the kernel's
+  routing threshold,
 * journaled ingest: ``AllocationSession.push`` with ``fsync=always`` vs.
   ``push_batch`` under group commit (``fsync=batch``) and interval
   fsync — the headline events/sec numbers,
@@ -15,7 +18,7 @@ itself.  Three layers are metered:
 
 Benchmarks whose name contains ``journal`` are fsync/I-O bound and are
 exempted from the snapshot regression gate (``scripts/bench_snapshot.py``)
-because their variance tracks the storage stack, not the code.  The two
+because their variance tracks the storage stack, not the code.  The three
 ``*_speedup_floor`` tests at the bottom are plain-timing acceptance
 assertions (skipped at smoke N); they run without ``--benchmark-only``.
 
@@ -32,7 +35,6 @@ import pytest
 
 from repro.core.registry import make_algorithm
 from repro.kernel import AllocationKernel
-from repro.kernel.columnar import BACKENDS
 from repro.machines.hypercube import Hypercube
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
@@ -54,15 +56,9 @@ def records(sigma):
     return list(sequence_records(sigma))
 
 
-#: Columnar backends (everything but the per-event oracle).
-COLUMNAR_BACKENDS = [b for b in BACKENDS if b != "python"]
-
-
-def _fresh_kernel(machine_cls=TreeMachine, backend="python"):
+def _fresh_kernel(machine_cls=TreeMachine):
     machine = machine_cls(N_LARGE)
-    return AllocationKernel(
-        machine, make_algorithm("greedy", machine, d=2.0), batch_backend=backend
-    )
+    return AllocationKernel(machine, make_algorithm("greedy", machine, d=2.0))
 
 
 def _fresh_session(tmp_path, fsync_policy):
@@ -92,6 +88,19 @@ def _ingest_events(kernel, events, batch):
     else:
         for i in range(0, len(events), batch):
             kernel.apply_batch(events[i : i + batch])
+
+
+def _ingest_columnar(kernel, events, batch):
+    """Every batch straight through the columnar engine."""
+    engine = kernel._columnar
+    for i in range(0, len(events), batch):
+        assert engine.try_apply_batch(events[i : i + batch]) is not None
+
+
+def _ingest_loop(kernel, events, batch):
+    """Every batch through the kernel's per-event batch loop."""
+    for i in range(0, len(events), batch):
+        kernel._apply_batch_loop(events[i : i + batch])
 
 
 def _note_rate(benchmark, num_events):
@@ -129,19 +138,18 @@ def test_perf_ingest_kernel_hypercube_batch256(benchmark, sigma):
 
 
 # ---------------------------------------------------------------------------
-# Columnar ingest: the structure-of-arrays batch engine, per backend.
+# Columnar ingest: the structure-of-arrays batch engine on its own.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("batch", [64, 256], ids=lambda b: f"batch{b}")
-@pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
-def test_perf_ingest_kernel_columnar(benchmark, sigma, backend, batch):
+def test_perf_ingest_kernel_columnar(benchmark, sigma, batch):
     events = list(sigma)
 
     def setup():
-        return (_fresh_kernel(backend=backend), events, batch), {}
+        return (_fresh_kernel(), events, batch), {}
 
-    benchmark.pedantic(_ingest_events, setup=setup, rounds=5, iterations=1)
+    benchmark.pedantic(_ingest_columnar, setup=setup, rounds=5, iterations=1)
     _note_rate(benchmark, len(events))
 
 
@@ -205,23 +213,21 @@ def test_batched_journal_ingest_speedup_floor(records, tmp_path):
 
 @pytest.mark.skipif(N_LARGE < 1024, reason="floors calibrated for N >= 1024")
 def test_columnar_ingest_speedup_floor(sigma):
-    """The numpy columnar backend beats the per-event batch loop >= 2x.
+    """The columnar engine beats the per-event batch loop >= 2x.
 
-    Measured in-run against the python backend on the same machine, so
-    the floor is hardware-independent; the absolute events/sec per
-    backend is recorded in the benchmark snapshots (where the numpy
-    backend clears 3x the PR-5 unjournaled baseline at N = 4096).
+    Measured in-run against the loop on the same machine, so the floor is
+    hardware-independent; the absolute events/sec of each path is
+    recorded in the benchmark snapshots (86k events/sec for the engine at
+    N = 4096 in the snapshot that introduced it).
     """
     events = list(sigma)
-    python_t = _best_of(
-        3, lambda: _ingest_events(_fresh_kernel(), events, 256)
+    loop_t = _best_of(3, lambda: _ingest_loop(_fresh_kernel(), events, 256))
+    engine_t = _best_of(
+        3, lambda: _ingest_columnar(_fresh_kernel(), events, 256)
     )
-    numpy_t = _best_of(
-        3, lambda: _ingest_events(_fresh_kernel(backend="numpy"), events, 256)
-    )
-    ratio = python_t / numpy_t
+    ratio = loop_t / engine_t
     assert ratio >= 2.0, (
-        f"columnar numpy ingest only {ratio:.2f}x faster than the "
+        f"columnar engine ingest only {ratio:.2f}x faster than the "
         f"per-event batch loop (floor 2.0x at N={N_LARGE})"
     )
 

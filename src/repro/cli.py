@@ -46,7 +46,6 @@ from repro.analysis.tables import format_table
 from repro.core.bounds import deterministic_upper_factor
 from repro.core.periodic import PeriodicReallocationAlgorithm
 from repro.core.registry import ALGORITHM_SPECS, algorithm_names, make_algorithm
-from repro.kernel.columnar import BACKENDS
 from repro.machines.butterfly import Butterfly
 from repro.machines.fattree import FatTree
 from repro.machines.hypercube import Hypercube
@@ -164,7 +163,6 @@ def _make_session(args: argparse.Namespace, journal_path=None):
         fault_tolerant=getattr(args, "faults", False),
         journal_path=journal_path,
         fsync_policy=getattr(args, "fsync", "always"),
-        batch_backend=getattr(args, "backend", "python"),
         slo=slo,
     )
 
@@ -363,10 +361,7 @@ def _cmd_simulate_churn(args: argparse.Namespace) -> int:
         ),
     )
     scenario = process.build()
-    result = run_scenario(
-        scenario, args.algorithm, d=args.d, seed=args.seed,
-        batch_backend=getattr(args, "backend", "python"),
-    )
+    result = run_scenario(scenario, args.algorithm, d=args.d, seed=args.seed)
     if args.save_run:
         print("note: --save-run is not supported for churn scenarios "
               "(the machine size varies); skipping", file=sys.stderr)
@@ -411,7 +406,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         moves=args.moves,
         seed=args.seed,
     )
-    backend = getattr(args, "backend", "python")
     if args.faults:
         from repro.faults import FaultAwareSimulator, generate_fault_plan
 
@@ -419,10 +413,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.fault_seed if args.fault_seed is not None else args.seed
         )
         plan = generate_fault_plan(args.n, sigma, fault_rng)
-        sim = FaultAwareSimulator(machine, algo, plan, batch_backend=backend)
+        sim = FaultAwareSimulator(machine, algo, plan)
     else:
         plan = None
-        sim = Simulator(machine, algo, batch_backend=backend)
+        sim = Simulator(machine, algo)
     load_frames: list[list[int]] = []
     if args.plot:
         sim.add_observer(
@@ -956,12 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot (default: 1, per-event)",
     )
     p_sim.add_argument(
-        "--backend", choices=BACKENDS, default="python",
-        help="batch execution backend for apply_batch: 'numpy' runs the "
-        "columnar engine; decisions are bit-identical across backends "
-        "(default: python)",
-    )
-    p_sim.add_argument(
         "--journal", default=None, metavar="FILE",
         help="(--stream) durability journal for the streamed session "
         "(same format and resume semantics as `repro serve --journal`)",
@@ -1027,12 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal fsync policy: 'always' (durable per event), "
         "'batch' (group-commit; control ops, interrupt, and close are "
         "commit points), or 'interval:<ms>' (default: always)",
-    )
-    p_serve.add_argument(
-        "--backend", choices=BACKENDS, default="python",
-        help="batch execution backend for batched event records "
-        "(bit-identical decisions; journals stay backend-portable, "
-        "default: python)",
     )
     p_serve.add_argument(
         "--listen", default=None, metavar="HOST:PORT",

@@ -61,7 +61,6 @@ class FaultAwareSimulator(Simulator):
         *,
         collect_leaf_snapshots: bool = True,
         repack_on_repair: bool = True,
-        batch_backend: str = "python",
     ):
         plan.validate_for(machine.num_pes)
         if isinstance(algorithm, FaultTolerantAlgorithm):
@@ -78,7 +77,6 @@ class FaultAwareSimulator(Simulator):
             wrapper,
             cost_model,
             collect_leaf_snapshots=collect_leaf_snapshots,
-            batch_backend=batch_backend,
         )
         self.plan = plan
         self.view = wrapper.view
@@ -98,7 +96,6 @@ class FaultAwareSimulator(Simulator):
             collect_leaf_snapshots=collect_leaf_snapshots,
             view=self._pending_view,
             repack_on_repair=self._pending_repack_on_repair,
-            batch_backend=self._batch_backend,
         )
 
     @property

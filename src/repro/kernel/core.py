@@ -52,7 +52,7 @@ from repro.errors import (
     SalvageError,
     SimulationError,
 )
-from repro.kernel.columnar import ColumnarEngine, resolve_backend
+from repro.kernel.columnar import _COLUMNAR_MIN_BATCH, ColumnarEngine
 from repro.kernel.decision import BatchDecision, Decision
 from repro.machines.base import PartitionableMachine
 from repro.machines.degraded import DegradedView
@@ -123,14 +123,6 @@ class AllocationKernel:
     repack_on_repair:
         Whether a repair event triggers a salvage repack onto the
         recovered capacity.
-    batch_backend:
-        Execution strategy for :meth:`apply_batch`: ``"python"`` (the
-        per-event loop) or ``"numpy"`` (the columnar
-        structure-of-arrays engine in :mod:`repro.kernel.columnar`).
-        The numpy backend is bit-identical to the per-event loop and
-        falls back to it transparently for batches it cannot vectorise
-        (fault events, algorithms without the ``columnar_state``
-        capability).
     """
 
     def __init__(
@@ -142,7 +134,6 @@ class AllocationKernel:
         collect_leaf_snapshots: bool = True,
         view: Optional[DegradedView] = None,
         repack_on_repair: bool = True,
-        batch_backend: str = "python",
     ) -> None:
         if algorithm is not None and algorithm.machine is not machine:
             raise SimulationError(
@@ -154,12 +145,7 @@ class AllocationKernel:
         self.collect_leaf_snapshots = collect_leaf_snapshots
         self.view = view
         self.repack_on_repair = repack_on_repair
-        self.batch_backend = resolve_backend(batch_backend)
-        self._columnar: Optional[ColumnarEngine] = (
-            ColumnarEngine(self, self.batch_backend)
-            if self.batch_backend != "python"
-            else None
-        )
+        self._columnar = ColumnarEngine(self)
         self._loads = machine.new_load_tracker()
         self._placements: dict[TaskId, NodeId] = {}
         self._tasks: dict[TaskId, Task] = {}
@@ -237,16 +223,22 @@ class AllocationKernel:
         ``finally`` below) and a :class:`~repro.errors.BatchError`
         carrying the applied prefix is raised.
 
-        With a non-python ``batch_backend`` the batch is first offered to
-        the columnar engine (:mod:`repro.kernel.columnar`), which either
+        A batch of at least ``_COLUMNAR_MIN_BATCH`` events is first offered
+        to the columnar engine (:mod:`repro.kernel.columnar`), which either
         absorbs it whole — same decisions, metrics, snapshots and error
-        semantics, bit for bit — or declines without side effects, in
-        which case the loop below runs as always.
+        semantics, bit for bit — or declines without side effects.  Shorter
+        batches, where the engine's fixed NumPy overhead outweighs its
+        gain, and declined ones run the per-event loop
+        (:meth:`_apply_batch_loop`).
         """
-        if self._columnar is not None:
+        if len(events) >= _COLUMNAR_MIN_BATCH:
             summary = self._columnar.try_apply_batch(events)
             if summary is not None:
                 return summary
+        return self._apply_batch_loop(events)
+
+    def _apply_batch_loop(self, events: Sequence[Any]) -> BatchDecision:
+        """The per-event batch loop: :meth:`apply` semantics, batched metering."""
         decisions: list[Decision] = []
         times: list[Time] = []
         max_loads: list[int] = []
@@ -628,10 +620,9 @@ class AllocationKernel:
         )
         self.machine = new_machine
         self.view = new_view
-        if self._columnar is not None:
-            # The columnar engine caches the hierarchy's level geometry at
-            # construction; rebind it to the new tree.
-            self._columnar = ColumnarEngine(self, self.batch_backend)
+        # The columnar engine caches the hierarchy's level geometry at
+        # construction; rebind it to the new tree.
+        self._columnar = ColumnarEngine(self)
         realloc = cast(_ResizeCapable, self.algorithm).on_resize(
             new_machine, new_view
         )
@@ -1018,8 +1009,7 @@ class AllocationKernel:
             self._loads = machine.new_load_tracker()
             if self.view is not None:
                 self.view = DegradedView(machine)
-            if self._columnar is not None:
-                self._columnar = ColumnarEngine(self, self.batch_backend)
+            self._columnar = ColumnarEngine(self)
         if self.algorithm is None:
             self._restored_algorithm_name = state.get("algorithm")
         if self.view is not None:

@@ -194,7 +194,6 @@ def run_scenario(
     seed: int = 0,
     cost_model: Optional[MigrationCostModel] = None,
     collect_leaf_snapshots: bool = True,
-    batch_backend: str = "python",
     validate: bool = True,
 ) -> ScenarioRunResult:
     """Run one registry algorithm over one churn scenario.
@@ -217,7 +216,6 @@ def run_scenario(
         cost_model,
         collect_leaf_snapshots=collect_leaf_snapshots,
         view=view,
-        batch_backend=batch_backend,
     )
     for event in scenario.merged_events():
         kernel.apply(event)

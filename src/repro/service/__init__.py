@@ -8,8 +8,6 @@ times" — as a long-lived, durably journaled service:
   session: push arrivals/departures (and faults), read the running
   ``L_A``/``L*``/competitive ratio at any instant, resume bit-identically
   from its journal after a crash;
-* :class:`~repro.service.cluster.ClusterManager` — many named sessions
-  with a shared journal directory;
 * :mod:`~repro.service.slo` — per-task SLOs: the admission controller,
   typed ``Admit | Queue | Reject | Cancel`` outcomes, and the
   backpressure watermarks (see ``docs/SLO.md``);
@@ -21,7 +19,6 @@ times" — as a long-lived, durably journaled service:
   live ``L_A``/``L*``/ratio/event-rate gauges (``--metrics-port``).
 """
 
-from repro.service.cluster import ClusterManager
 from repro.service.metrics import (
     Sample,
     parse_exposition,
@@ -54,7 +51,6 @@ __all__ = [
     "AdmissionOutcome",
     "AllocationSession",
     "Cancel",
-    "ClusterManager",
     "EVENT_KINDS",
     "Queue",
     "Reject",

@@ -137,14 +137,6 @@ class AllocationSession:
         once per batch and per-event pushes buffer until :meth:`flush`
         (or a control read, or close) — so a crash loses at most the
         records since the last commit: one uncommitted batch.
-    batch_backend:
-        Execution strategy for :meth:`push_batch`'s kernel ingest
-        (``python`` | ``numpy``, see
-        :class:`~repro.kernel.core.AllocationKernel`).  Decisions and
-        journals are bit-identical across backends, so the backend is a
-        per-process tuning knob — it is deliberately *not* part of the
-        journal fingerprint, and a journal written under one backend
-        resumes cleanly under another.
     slo:
         An :class:`~repro.service.slo.SLOPolicy` switches the session
         into SLO mode: :meth:`push` / :meth:`push_batch` (and the public
@@ -167,7 +159,6 @@ class AllocationSession:
         repack_on_repair: bool = True,
         fsync_policy: str = "always",
         full_snapshot_interval: Optional[int] = None,
-        batch_backend: str = "python",
         slo: Optional[SLOPolicy] = None,
     ) -> None:
         self.machine = machine
@@ -193,7 +184,6 @@ class AllocationSession:
             collect_leaf_snapshots=collect_leaf_snapshots,
             view=view,
             repack_on_repair=repack_on_repair,
-            batch_backend=batch_backend,
         )
         self._slo: Optional[AdmissionController] = (
             AdmissionController(slo) if slo is not None else None

@@ -32,6 +32,10 @@ from repro.service.stream import admission_lines, decision_line, parse_event_rec
 
 __all__ = ["ServiceServer", "StdioServer"]
 
+#: Longest client line the socket reader buffers (asyncio's default).  A
+#: longer line gets an error reply and its connection is closed.
+_LINE_LIMIT = 1 << 16
+
 
 class ServiceServer:
     """One session, one event-stream listener, one optional scrape port."""
@@ -91,7 +95,7 @@ class ServiceServer:
     async def start(self) -> tuple[str, int]:
         """Bind both listeners; returns the event listener's (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_client, self._host, self._port
+            self._handle_client, self._host, self._port, limit=_LINE_LIMIT
         )
         sock = self._server.sockets[0]
         addr = sock.getsockname()
@@ -129,7 +133,11 @@ class ServiceServer:
         try:
             lineno = 0
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran _LINE_LIMIT
+                    await self._refuse_long_line(reader, writer, lineno + 1)
+                    break
                 if not line:
                     break
                 lineno += 1
@@ -151,6 +159,24 @@ class ServiceServer:
             except (asyncio.CancelledError, ConnectionResetError,
                     BrokenPipeError, OSError):
                 pass
+
+    @staticmethod
+    async def _refuse_long_line(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter, lineno: int
+    ) -> None:
+        writer.write(json.dumps(
+            {"error": f"line longer than {_LINE_LIMIT} bytes", "op": None,
+             "line": lineno}
+        ).encode("utf-8") + b"\n")
+        await writer.drain()
+        # Half-close, then discard what the client is still sending (for at
+        # most a second): closing with unread input would reset the
+        # connection before the client reads the reply.
+        writer.write_eof()
+        try:
+            await asyncio.wait_for(_discard(reader), timeout=1.0)
+        except asyncio.TimeoutError:
+            pass
 
     def _serve_line(self, text: str, lineno: int) -> list[str]:
         """Reply lines for one client line.  No lock is needed: every
@@ -224,6 +250,11 @@ class ServiceServer:
             except (asyncio.CancelledError, ConnectionResetError,
                     BrokenPipeError, OSError):
                 pass
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    while await reader.read(_LINE_LIMIT):
+        pass
 
 
 class StdioServer(ServiceServer):

@@ -292,7 +292,6 @@ class CheckpointJournal:
         self._fh.write(blob)
         self._pending += 1
         self._pending_bytes += len(blob)
-        self._completed[int(index)] = value
         if self._policy == "always":
             self._sync()
         elif self._policy == "interval":
@@ -365,8 +364,6 @@ class CheckpointJournal:
             return
         blob = self._encode_many(items)
         self._fh.write(blob)
-        for index, value in items:
-            self._completed[int(index)] = value
         self._pending += len(items)
         self._pending_bytes += len(blob)
         if self._policy == "interval":
@@ -388,9 +385,9 @@ class CheckpointJournal:
         This is the zero-copy fast path: the session frames the
         blob directly, never materializing per-record dicts.  ``extras`` are
         ``(index, extra_dict)`` riders — snapshots, deltas — merged into
-        the payload at ``index`` on load.  Unlike :meth:`record` /
-        :meth:`record_many`, this does **not** populate
-        :meth:`completed`; a later open reads the records back from disk.
+        the payload at ``index`` on load.  Like every write method, it
+        leaves :meth:`completed` alone; a later open reads the records
+        back from disk.
 
         Same durability contract as :meth:`record_many`.
         """
@@ -415,12 +412,13 @@ class CheckpointJournal:
             self._sync()
 
     def completed(self) -> dict[int, Any]:
-        """Cell index -> result for every journaled cell.
+        """Cell index -> result for every cell on disk at open.
 
-        Populated from disk on open and kept current by :meth:`record` /
-        :meth:`record_many`; records appended through
-        :meth:`record_batch_blob` live only in the file until the next
-        open.
+        Records written since (by :meth:`record`, :meth:`record_many` or
+        :meth:`record_batch_blob`) live only in the file until the next
+        open: every caller reads this once, before writing, so keeping a
+        second in-memory copy of the journal would only cost memory.  A
+        cell recorded twice resolves last-wins on the next open.
         """
         return dict(self._completed)
 

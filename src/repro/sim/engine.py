@@ -109,10 +109,7 @@ class Simulator:
         cost_model: Optional[MigrationCostModel] = None,
         *,
         collect_leaf_snapshots: bool = True,
-        batch_backend: str = "python",
     ):
-        # Stashed before _build_kernel so subclass hooks can forward it.
-        self._batch_backend = batch_backend
         self.kernel = self._build_kernel(
             machine, algorithm, cost_model, collect_leaf_snapshots
         )
@@ -131,7 +128,6 @@ class Simulator:
             algorithm,
             cost_model,
             collect_leaf_snapshots=collect_leaf_snapshots,
-            batch_backend=self._batch_backend,
         )
 
     # -- Kernel state, re-exported for drivers, tests and observers ----------
@@ -209,10 +205,10 @@ class Simulator:
         """Drive the sequence in ``batch_size`` chunks via ``apply_batch``.
 
         Bit-identical results to :meth:`run` (the kernel guarantees it),
-        but the per-event metering is amortised and, with a non-python
-        ``batch_backend``, whole batches execute columnar — the fast path
-        for large offline sweeps.  Observer hooks are per-event by nature
-        and are not invoked; use :meth:`run` when observers are attached.
+        but the per-event metering is amortised and the kernel runs whole
+        batches columnar where it can — the fast path for large offline
+        sweeps.  Observer hooks are per-event by nature and are not
+        invoked; use :meth:`run` when observers are attached.
         """
         if self._observers:
             raise ValueError(

@@ -22,9 +22,10 @@ the suite's scattered ad-hoc checks into one engine:
   ``load_bound`` table);
 * :mod:`repro.verify.backends` —
   :func:`~repro.verify.backends.check_backend_parity`, a fifth referee
-  that replays each sequence through every columnar batch backend
-  (:mod:`repro.kernel.columnar`) and demands bit-identical decisions,
-  metrics, and kernel state against the per-event oracle path;
+  that replays each sequence through chunked ``apply_batch`` (where the
+  columnar engine of :mod:`repro.kernel.columnar` runs) and demands
+  bit-identical decisions, metrics, and kernel state against per-event
+  ``apply``;
 * :mod:`repro.verify.churn` —
   :func:`~repro.verify.churn.check_algorithm_under_churn`, the
   piecewise-N referee for full churn scenarios (faults, kills,

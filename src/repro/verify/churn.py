@@ -29,9 +29,10 @@ the production kernel over the full event alphabet, then per epoch:
 Globally the engine's metered max load must dominate every epoch's
 interval max (the engine also sees same-instant transients the interval
 referees cannot), the machine-size trajectory must match the scenario,
-and — when several batch backends are available — the whole scenario must
-replay bit-identically under each (:func:`check_churn_backend_parity`
-exercises the columnar decline-and-fallback on fault/resize batches).
+and the whole scenario must replay bit-identically through chunked
+``apply_batch`` and per-event ``apply`` (:func:`check_churn_backend_parity`
+holds the batch loop's amortised metering to the per-event path on
+fault/resize batches).
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def check_algorithm_under_churn(
             "to explain a transient"
         )
 
-    # -- Backend parity over the full event alphabet -------------------------
+    # -- Batch parity over the full event alphabet ---------------------------
     violations.extend(
         f"backend: {v}"
         for v in check_churn_backend_parity(name, d, seed, scenario)

@@ -196,10 +196,11 @@ def check_algorithm(
                 f"({spec.guarantee})"
             )
 
-    # Backend-parity axis: columnar-capable algorithms additionally replay
-    # the sequence through every batch backend and must produce
-    # bit-identical decisions, metrics, and state (fifth referee).  Gated on
-    # the capability so non-columnar algorithms don't pay the extra runs.
+    # Batch-parity axis: columnar-capable algorithms additionally replay
+    # the sequence through chunked apply_batch (the columnar engine's
+    # path) and per-event apply, and must produce bit-identical
+    # decisions, metrics, and state (fifth referee).  Gated on the
+    # capability so non-columnar algorithms don't pay the extra runs.
     if getattr(algorithm, "columnar_state", None) is not None:
         from repro.verify.backends import check_backend_parity
 

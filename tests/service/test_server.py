@@ -134,6 +134,40 @@ class TestStructuredErrors:
         assert replies[0]["op"] == "save" and "unknown op" in replies[0]["error"]
         assert not target.exists()
 
+    def test_overlong_line_is_refused_and_the_server_stays_up(self):
+        async def scenario():
+            backend = _session_backend()
+            server = ServiceServer(backend)
+            host, port = await server.start()
+
+            async def client(lines):
+                reader, writer = await asyncio.open_connection(host, port)
+                for line in lines:
+                    writer.write(line + b"\n")
+                await writer.drain()
+                writer.write_eof()
+                replies = []
+                while raw := await asyncio.wait_for(reader.readline(), 10):
+                    replies.append(json.loads(raw))
+                writer.close()
+                return replies
+
+            arrival = json.dumps(
+                {"kind": "arrival", "time": 0.0, "id": 0, "size": 1}
+            ).encode()
+            long_line = b'{"kind": "arrival", "pad": "' + b"x" * 200_000 + b'"}'
+            refused = await client([b"# comment", long_line, arrival])
+            served = await client([arrival])
+            await server.close()
+            backend.close()
+            return refused, served
+
+        refused, served = asyncio.run(scenario())
+        assert refused == [
+            {"error": "line longer than 65536 bytes", "op": None, "line": 2}
+        ]
+        assert served[0]["task_id"] == 0
+
 
 class TestStdio:
     def test_same_replies_as_the_socket(self):

@@ -48,12 +48,23 @@ class TestRecordAndResume:
         with CheckpointJournal(path, fingerprint=FP) as journal:
             assert journal.completed() == {0: "a", 1: "b"}
 
-    def test_rerecord_overwrites_in_memory(self, tmp_path):
+    def test_rerecord_is_last_wins_on_reopen(self, tmp_path):
         path = tmp_path / "j.ckpt"
         with CheckpointJournal(path, fingerprint=FP) as journal:
             journal.record(0, "old")
             journal.record(0, "new")
-            assert journal.completed()[0] == "new"
+            journal.record_many([(1, "old"), (1, "new")])
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            assert journal.completed() == {0: "new", 1: "new"}
+
+    def test_completed_is_what_was_on_disk_at_open(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            journal.record(0, "a")
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            journal.record(1, "b")
+            journal.record_many([(2, "c"), (3, "d")])
+            assert journal.completed() == {0: "a"}
 
     def test_closed_journal_refuses_records(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j.ckpt", fingerprint=FP)
