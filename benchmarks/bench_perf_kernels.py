@@ -8,8 +8,9 @@ every experiment leans on:
 * the O(log N) min-load tree descent (greedy's inner loop) and the
   legacy O(N/size) level scan it replaced, side by side,
 * the journal-backed leaf-load snapshot,
-* procedure A_R packing plus the vectorised LoadTracker adoption
-  (``rebuild_from``) and the legacy clear+place loop it replaced,
+* procedure A_R packing (closed form) plus the vectorised LoadTracker
+  adoption (``rebuild_from``), and side by side the per-task first-fit
+  oracle and the legacy clear+place loop they replaced,
 * BuddyCopy allocate/free cycles,
 * a full greedy run (end-to-end event rate).
 
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.greedy import GreedyAlgorithm
-from repro.core.repack import repack
+from repro.core.repack import repack, repack_reference
 from repro.machines.copies import BuddyCopy
 from repro.machines.hierarchy import Hierarchy
 from repro.machines.loads import LoadTracker
@@ -123,6 +124,25 @@ def test_perf_repack_cycle(benchmark, hierarchy):
     result = benchmark(kernel)
     assert result.num_copies >= 1
     assert tracker.max_load >= 1
+
+
+def test_perf_repack_reference(benchmark, hierarchy):
+    # The per-task first-fit procedure the closed form replaced, in the
+    # same cycle — kept benchmarked so one snapshot shows the
+    # closed-form/reference ratio at the current N.
+    tasks = _repack_workload()
+    sizes = {task.task_id: task.size for task in tasks}
+    tracker = _churned_tracker(hierarchy)
+
+    def kernel():
+        result = repack_reference(hierarchy, tasks)
+        tracker.rebuild_from(
+            (node, sizes[tid]) for tid, node in result.mapping.items()
+        )
+        return result
+
+    result = benchmark(kernel)
+    assert result.mapping == repack(hierarchy, tasks).mapping
 
 
 def test_perf_repack_adopt_rebuild(benchmark, hierarchy):

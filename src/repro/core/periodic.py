@@ -65,8 +65,9 @@ class PeriodicReallocationAlgorithm(AllocationAlgorithm):
             GreedyAlgorithm(machine) if self._uses_greedy else BasicAlgorithm(machine)
         )
         self._active: dict[TaskId, Task] = {}
-        # Mirror of current placements for the lazy trigger's load check.
-        self._tracker = machine.new_load_tracker()
+        # Mirror of current placements for the lazy trigger's load check;
+        # the eager trigger never reads it, so only a lazy A_M keeps one.
+        self._tracker = machine.new_load_tracker() if lazy else None
         self._nodes: dict[TaskId, int] = {}
 
     @property
@@ -94,22 +95,23 @@ class PeriodicReallocationAlgorithm(AllocationAlgorithm):
             raise AllocationError(f"task {task.task_id} already placed")
         placement = self._inner.on_arrival(task)
         self._active[task.task_id] = task
-        self._tracker.place(placement.node, task.size)
-        self._nodes[task.task_id] = placement.node
+        if self._tracker is not None:
+            self._tracker.place(placement.node, task.size)
+            self._nodes[task.task_id] = placement.node
         return placement
 
     def on_departure(self, task: Task) -> None:
         self._inner.on_departure(task)
         self._active.pop(task.task_id, None)
-        node = self._nodes.pop(task.task_id)
-        self._tracker.remove(node, task.size)
+        if self._tracker is not None:
+            self._tracker.remove(self._nodes.pop(task.task_id), task.size)
 
     def maybe_reallocate(self, arrived_since_last: int) -> Optional[Reallocation]:
         if self._uses_greedy:
             return None
         if arrived_since_last < self._d * self.machine.num_pes:
             return None
-        if self._lazy:
+        if self._tracker is not None:
             active_volume = sum(t.size for t in self._active.values())
             best_possible = ceil_div(active_volume, self.machine.num_pes)
             if self._tracker.max_load <= best_possible:
@@ -117,17 +119,20 @@ class PeriodicReallocationAlgorithm(AllocationAlgorithm):
         result = repack(self.machine.hierarchy, self._active.values())
         assert isinstance(self._inner, BasicAlgorithm)
         self._inner.adopt_repack(result)
-        # One vectorised O(N) rebuild instead of clear() + per-task place():
-        # repacks remap every active task, so incremental updates would
-        # walk the whole tree once per task.
-        self._tracker.rebuild_from(
-            (node, self._active[tid].size) for tid, node in result.mapping.items()
-        )
-        self._nodes = dict(result.mapping)
+        if self._tracker is not None:
+            # One vectorised O(N) rebuild instead of clear() + per-task
+            # place(): repacks remap every active task, so incremental
+            # updates would walk the whole tree once per task.
+            self._tracker.rebuild_from(
+                (node, self._active[tid].size)
+                for tid, node in result.mapping.items()
+            )
+            self._nodes = dict(result.mapping)
         return Reallocation(dict(result.mapping))
 
     def reset(self) -> None:
         self._inner.reset()
         self._active.clear()
-        self._tracker = self.machine.new_load_tracker()
+        if self._tracker is not None:
+            self._tracker = self.machine.new_load_tracker()
         self._nodes.clear()

@@ -424,24 +424,42 @@ class AllocationKernel:
                 f"reallocation must remap exactly the active tasks; "
                 f"missing={sorted(missing)!r} extra={sorted(extra)!r}"
             )
-        self.metrics.realloc.record_reallocation()
-        moves: list[tuple[NodeId, NodeId, int]] = []
-        for tid, new_node in mapping.items():
-            task = self._tasks[tid]
-            self._validate_node_for(task, new_node)
-            old_node = self._placements[tid]
-            if new_node == old_node:
-                self.metrics.realloc.record_stationary()
-                continue
-            charge = self.cost_model.charge(self.machine, task.size, old_node, new_node)
-            self.metrics.realloc.record_move(
-                task.size, charge.distance, charge.bytes_moved
-            )
-            moves.append((old_node, new_node, task.size))
-            self._placements[tid] = new_node
-            self._placement_log[tid].append((now, new_node))
-        self._commit_moves(moves)
-        return len(moves)
+        stats = self.metrics.realloc
+        stats.record_reallocation()
+        # Bulk form of the per-task validate/charge loop: gather the remap
+        # as arrays, check and price every move at once, then write the
+        # moved tasks back.  Any failed check reruns the per-task
+        # validation so the error is the one (and the text) it raises.
+        tids = list(mapping)
+        placements, tasks = self._placements, self._tasks
+        count = len(tids)
+        try:
+            new = np.fromiter(mapping.values(), dtype=np.int64, count=count)
+        except OverflowError:  # beyond int64 is no node; let the loop say so
+            new = np.zeros(count, dtype=np.int64)
+        old = np.fromiter((placements[t] for t in tids), dtype=np.int64, count=count)
+        sizes = np.fromiter((tasks[t].size for t in tids), dtype=np.int64, count=count)
+        if not self.machine.hierarchy.roots_of_size(new, sizes).all():
+            for tid, node in mapping.items():
+                self._validate_node_for(tasks[tid], node)
+        if self.view is not None:
+            for tid, node in mapping.items():
+                self.view.validate_placement(node, task_id=tid)
+        moved = np.flatnonzero(new != old)
+        stats.record_stationary(count - len(moved))
+        src, dst, moved_sizes = old[moved], new[moved], sizes[moved]
+        distances = self.machine.migration_distances(src, dst)
+        stats.record_moves(
+            moved_sizes, distances, self.cost_model.bytes_moved(moved_sizes, distances)
+        )
+        log = self._placement_log
+        for i in moved.tolist():
+            tid = tids[i]
+            node = mapping[tid]
+            placements[tid] = node
+            log[tid].append((now, node))
+        self._commit_moves(list(zip(src.tolist(), dst.tolist(), moved_sizes.tolist())))
+        return len(moved)
 
     # -- Fault events --------------------------------------------------------
 

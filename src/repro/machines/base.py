@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.errors import InvalidMachineError
 from repro.machines.hierarchy import Hierarchy
 from repro.machines.loads import LoadTracker
@@ -161,6 +163,18 @@ class PartitionableMachine(abc.ABC):
         a = h.leaf_span(src)[0]
         b = h.leaf_span(dst)[0]
         return self.pe_distance(a, b)
+
+    def migration_distances(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`migration_distance` over paired int64 node arrays.
+
+        This default calls the scalar method once per pair; topologies
+        with a closed-form distance override it with array arithmetic.
+        """
+        return np.fromiter(
+            (self.migration_distance(a, b) for a, b in zip(src.tolist(), dst.tolist())),
+            dtype=np.int64,
+            count=len(src),
+        )
 
     # -- Introspection ------------------------------------------------------------
 

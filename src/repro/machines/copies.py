@@ -59,6 +59,19 @@ class BuddyCopy:
         # submachines in a degraded copy); occupy vacancy but not task count.
         self._blocked: frozenset[NodeId] = frozenset()
 
+    @classmethod
+    def _from_arrays(
+        cls, hierarchy: Hierarchy, assigned: np.ndarray, max_vacant: np.ndarray,
+        num_tasks: int,
+    ) -> "BuddyCopy":
+        copy = cls.__new__(cls)
+        copy.hierarchy = hierarchy
+        copy._assigned = assigned
+        copy._max_vacant = max_vacant
+        copy._num_tasks = num_tasks
+        copy._blocked = frozenset()
+        return copy
+
     # -- Queries ---------------------------------------------------------
 
     @property
@@ -255,6 +268,47 @@ class CopySet:
     def num_nonempty_copies(self) -> int:
         """Copies currently holding at least one task — the tight load bound."""
         return sum(1 for c in self._copies if not c.is_empty)
+
+    @classmethod
+    def from_packing(
+        cls,
+        hierarchy: Hierarchy,
+        copy_ids: np.ndarray,
+        nodes: np.ndarray,
+        num_copies: int,
+    ) -> "CopySet":
+        """Copies holding one task at each ``nodes[k]`` of copy ``copy_ids[k]``.
+
+        The bulk constructor behind the closed-form repack: it sets every
+        copy's assignments at once and derives the vacancy trees bottom-up,
+        one vectorised step per level across all copies, with the rule of
+        :meth:`BuddyCopy._recompute_up`.  Below an assigned node nothing is
+        assigned, so those entries come out at their full subtree sizes,
+        which is what per-task :meth:`BuddyCopy.allocate` leaves there too.
+        The nodes must not nest within a copy (a packing never does).
+        """
+        h = hierarchy
+        n = h.num_leaves
+        assigned = np.zeros((num_copies, 2 * n), dtype=bool)
+        assigned[copy_ids, nodes] = True
+        mv = np.zeros((num_copies, 2 * n), dtype=np.int64)
+        mv[:, n:] = ~assigned[:, n:]
+        for level in range(h.height - 1, -1, -1):
+            lo, hi = 1 << level, 2 << level
+            half = n >> (level + 1)
+            left = mv[:, 2 * lo : 2 * hi : 2]
+            right = mv[:, 2 * lo + 1 : 2 * hi : 2]
+            up = np.where((left == half) & (right == half), 2 * half,
+                          np.maximum(left, right))
+            up[assigned[:, lo:hi]] = 0
+            mv[:, lo:hi] = up
+        counts = np.bincount(copy_ids, minlength=num_copies).tolist()
+        copy_set = cls(hierarchy)
+        copy_set._copies = [
+            BuddyCopy._from_arrays(h, assigned[c], mv[c], counts[c])
+            for c in range(num_copies)
+        ]
+        return copy_set
 
     def _new_copy(self) -> BuddyCopy:
         """Construct a fresh copy; subclasses pre-shape it (degraded copies)."""

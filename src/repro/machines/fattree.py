@@ -11,6 +11,8 @@ transfer time of migrations that cross well-provisioned upper levels.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import InvalidMachineError
 from repro.machines.base import PartitionableMachine
 from repro.types import NodeId, PEId, ilog2
@@ -61,6 +63,10 @@ class FatTree(PartitionableMachine):
     def pe_distance(self, a: PEId, b: PEId) -> int:
         """Hop count — same as the plain tree (fatness adds capacity, not links)."""
         return self._hierarchy.leaf_distance(a, b)
+
+    def migration_distances(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Tree hop counts in bulk, as :meth:`TreeMachine.migration_distances`."""
+        return self._hierarchy.first_leaf_distances(src, dst)
 
     def weighted_transfer_cost(self, a: PEId, b: PEId) -> float:
         """Sum over the route of ``1 / capacity`` — time to push a unit of state.

@@ -274,6 +274,33 @@ class Hierarchy:
         """Slice selecting level ``level`` in a heap-indexed array of size 2N."""
         return slice(1 << level, 1 << (level + 1))
 
+    def roots_of_size(self, nodes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Mask: does ``nodes[k]`` root a ``sizes[k]``-PE submachine?
+
+        The array form of ``is_valid_node(v) and subtree_size(v) == size``
+        (which forces a power-of-two size ``<= N``): it holds exactly when
+        ``N // size <= v < 2 * (N // size)``.
+        """
+        first = self.num_leaves // np.maximum(sizes, 1)
+        return ((sizes >= 1) & (first * sizes == self.num_leaves)
+                & (nodes >= first) & (nodes < 2 * first))
+
+    def first_leaf_distances(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`leaf_distance` between the first PEs of paired nodes.
+
+        ``src`` and ``dst`` hold valid int64 node ids.  A node's first PE
+        is ``(v << (height - level)) - N``, and two leaves are
+        ``2 * bit_length(a ^ b)`` hops apart; bit lengths come from the
+        float exponent, which is exact below ``2**53``.
+        """
+
+        def bit_length(x: np.ndarray) -> np.ndarray:
+            return np.frexp(x.astype(np.float64))[1].astype(np.int64)
+
+        a = (src << (self.height + 1 - bit_length(src))) - self.num_leaves
+        b = (dst << (self.height + 1 - bit_length(dst))) - self.num_leaves
+        return 2 * bit_length(a ^ b)
+
     def ancestor_sums(self, values: np.ndarray, level: int) -> np.ndarray:
         """For each node at ``level``, sum of ``values`` over its proper ancestors.
 

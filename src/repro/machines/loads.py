@@ -300,16 +300,20 @@ class LoadTracker:
         adoption in ``A_C``/``A_M`` reallocations stop being the dominant
         cost of repack-heavy runs.
         """
-        h = self.hierarchy
-        count = self._count
-        count[:] = 0
-        nodes: list[int] = []
-        for node, size in placements:
-            self._validate_placement(node, size)
-            nodes.append(node)
-        if nodes:
-            np.add.at(count, np.asarray(nodes, dtype=np.int64), 1)
-        self._active = len(nodes)
+        pairs = list(placements)
+        n = self.hierarchy.num_leaves
+        try:
+            nodes = np.fromiter((v for v, _ in pairs), dtype=np.int64, count=len(pairs))
+            sizes = np.fromiter((s for _, s in pairs), dtype=np.int64, count=len(pairs))
+        except OverflowError:  # beyond int64: invalid, the loop below says how
+            nodes = sizes = np.zeros(len(pairs), dtype=np.int64)
+        # All pairs checked at once; on a miss the per-pair check raises
+        # the first offender's exact error.
+        if not self.hierarchy.roots_of_size(nodes, sizes).all():
+            for node, size in pairs:
+                self._validate_placement(node, size)
+        self._count[:] = np.bincount(nodes, minlength=2 * n)
+        self._active = len(pairs)
         self._recompute_aggregates()
 
     def resized(

@@ -33,6 +33,10 @@ class TreeMachine(PartitionableMachine):
         """Hops between leaves: up to the LCA switch and back down."""
         return self._hierarchy.leaf_distance(a, b)
 
+    def migration_distances(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Leaf distance between first PEs, ``2 * bit_length(a ^ b)``, in bulk."""
+        return self._hierarchy.first_leaf_distances(src, dst)
+
     def submachine_diameter(self, node: NodeId) -> int:
         """A ``2^x``-PE subtree has diameter ``2x`` (leaf-root-leaf)."""
         size = self._hierarchy.subtree_size(node)

@@ -89,6 +89,11 @@ class LoadTimeSeries:
         return float((v[:-1] * dt).sum() / span)
 
 
+def _fold(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added strictly left to right."""
+    return float(np.add.accumulate(np.concatenate(([start], values)), dtype=np.float64)[-1])
+
+
 @dataclass
 class ReallocationStats:
     """Accounting of reallocation events and the migrations they caused."""
@@ -109,8 +114,24 @@ class ReallocationStats:
         self.traffic_pe_hops += size * distance
         self.checkpoint_bytes += bytes_moved
 
-    def record_stationary(self) -> None:
-        self.num_stationary += 1
+    def record_moves(
+        self, sizes: np.ndarray, distances: np.ndarray, bytes_moved: np.ndarray
+    ) -> None:
+        """Record many moves, exactly as one :meth:`record_move` per move.
+
+        The float totals fold in one move at a time, in the given order:
+        ``np.add.accumulate`` is a sequential left fold, whereas a pairwise
+        ``np.sum`` rounds differently and would change the state digests.
+        """
+        if not len(sizes):
+            return
+        self.num_migrations += len(sizes)
+        self.migrated_pe_volume += int(sizes.sum())
+        self.traffic_pe_hops = _fold(self.traffic_pe_hops, sizes * distances)
+        self.checkpoint_bytes = _fold(self.checkpoint_bytes, bytes_moved)
+
+    def record_stationary(self, count: int = 1) -> None:
+        self.num_stationary += count
 
     def to_state(self) -> dict:
         """JSON-safe snapshot (kernel snapshot format)."""

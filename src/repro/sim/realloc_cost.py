@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.machines.base import PartitionableMachine
 from repro.types import NodeId
 
@@ -89,6 +91,10 @@ class MigrationCostModel:
             byte_hops=byte_hops,
             seconds=seconds,
         )
+
+    def bytes_moved(self, sizes: np.ndarray, distances: np.ndarray) -> np.ndarray:
+        """Checkpoint bytes of many moves, each as :meth:`charge` prices it."""
+        return np.where(distances == 0, 0.0, self.bytes_per_pe * sizes)
 
     def reallocation_overhead_seconds(self, num_reallocations: int) -> float:
         """Total barrier time across a run."""

@@ -1,10 +1,16 @@
 """Unit and property tests for the reallocation procedure A_R (Lemma 1)."""
 
+import re
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.repack import repack
+from repro.core.repack import repack, repack_reference
+from repro.errors import ReproError
 from repro.machines.hierarchy import Hierarchy
+from repro.machines.loads import LoadTracker
 from repro.tasks.task import Task
 from repro.types import TaskId, ceil_div
 
@@ -96,3 +102,82 @@ class TestLemma1:
             occupancy[result.copy_of[tid]] += hi - lo
         for filled in occupancy[:-1]:
             assert filled == n
+
+
+def _heights():
+    return st.sampled_from([1, 2, 64, 4096])
+
+
+@st.composite
+def _repack_case(draw):
+    """A machine size, a task set and a follow-up first_fit/free script."""
+    n = draw(_heights())
+    h = Hierarchy(n)
+    max_exp = h.height
+    # Few tasks at large N keep the per-copy invariant sweeps cheap; the
+    # size mix still spans every level and several copies.
+    count = draw(st.integers(0, 40 if n == 4096 else 120))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=count, max_size=count,
+                        unique=True))
+    sizes = draw(st.lists(st.integers(0, max_exp).map(lambda x: 1 << x),
+                          min_size=count, max_size=count))
+    script = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, max_exp), st.integers(0, 10_000)),
+        max_size=40,
+    ))
+    return h, [Task(TaskId(i), s, 0.0) for i, s in zip(ids, sizes)], script
+
+
+class TestClosedFormMatchesReference:
+    """``repack`` (offset arithmetic) against ``repack_reference`` (first-fit)."""
+
+    @given(_repack_case())
+    @settings(max_examples=120, deadline=None)
+    def test_same_result_and_same_follow_up_answers(self, case):
+        h, tasks, script = case
+        fast = repack(h, tasks)
+        ref = repack_reference(h, tasks)
+        assert list(fast.mapping.items()) == list(ref.mapping.items())
+        assert list(fast.copy_of.items()) == list(ref.copy_of.items())
+        assert fast.num_copies == ref.num_copies == len(fast.copies)
+        for cid in range(ref.num_copies):
+            a, b = fast.copies[cid], ref.copies[cid]
+            assert np.array_equal(a._assigned, b._assigned)
+            assert a.num_tasks == b.num_tasks
+            a.check_invariants()
+        # Both copy sets must keep answering identically as A_B continues.
+        placed = [(ref.copy_of[tid], node) for tid, node in ref.mapping.items()]
+        for allocate, exp, pick in script:
+            if allocate or not placed:
+                got = fast.copies.first_fit(1 << exp)
+                assert got == ref.copies.first_fit(1 << exp)
+                placed.append(got)
+            else:
+                slot = placed.pop(pick % len(placed))
+                fast.copies.free(*slot)
+                ref.copies.free(*slot)
+        fast.copies.check_invariants()
+
+    @pytest.mark.parametrize("sizes", [[16], [4, 16, 1]])
+    def test_oversize_task_raises_as_the_reference(self, sizes):
+        h, tasks = Hierarchy(8), _tasks(sizes)
+        with pytest.raises(ReproError) as ref_err:
+            repack_reference(h, tasks)
+        with pytest.raises(type(ref_err.value), match=re.escape(str(ref_err.value))):
+            repack(h, tasks)
+
+    @given(_repack_case())
+    @settings(max_examples=60, deadline=None)
+    def test_lemma1_per_pe_load(self, case):
+        """After a repack PE ``p`` carries ``S // N`` tasks, plus one if
+        ``p < S % N``: the copies stack as one contiguous prefix."""
+        h, tasks, _ = case
+        n = h.num_leaves
+        result = repack(h, tasks)
+        tracker = LoadTracker(h)
+        size_of = {t.task_id: t.size for t in tasks}
+        tracker.rebuild_from((node, size_of[tid]) for tid, node in result.mapping.items())
+        total = sum(size_of.values())
+        expected = np.full(n, total // n)
+        expected[: total % n] += 1
+        assert np.array_equal(tracker.leaf_loads(), expected)
