@@ -179,8 +179,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if session.slo_policy is not None:
         from repro.service import admission_lines
 
-        # Admission gating is per-event; --batch still group-commits the
-        # journal but the columnar ingest path does not apply.
+        # Admission gating is per-event: SLO sessions offer record by
+        # record whatever --batch says; only --fsync groups commits.
         for record in records:
             for line in admission_lines(session.offer(record)):
                 print(line, flush=True)

@@ -28,6 +28,16 @@ embed the full snapshot instead, are checked by digesting both sides.
 The resumed session then continues to the same final metrics the
 uninterrupted run would have produced.
 
+Ingest: every record — pushed alone or in a batch, drained from the
+admission queue, or replayed from the journal — takes one path.
+:meth:`AllocationSession._event` decodes it (the one place a wire record
+becomes a kernel event, and where hostile numbers are refused), SLO
+sessions admit it, and :meth:`AllocationSession._absorb` applies it,
+moves the session cursor (clock, offer count, next implicit task id) and
+journals it.  A lone event is journaled with ``CheckpointJournal.record``,
+which buffers under ``fsync=batch``; a batch is one ``record_many`` group
+commit, durable on return.
+
 SLO mode (``slo=SLOPolicy(...)``): every wire record goes through
 :meth:`AllocationSession.offer`, which gates arrivals against the
 slowdown-derived load target (:mod:`repro.service.slo`) and returns a
@@ -48,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -67,7 +78,6 @@ from repro.service.slo import (
 )
 from repro.sim.checkpoint import CheckpointJournal
 from repro.sim.engine import RunResult
-from repro.sim.frames import encode_wire_columns
 from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.events import Arrival, Departure
 from repro.tasks.sequence import TaskSequence
@@ -82,18 +92,67 @@ _FAULT_KINDS = ("failure", "repair", "kill", "resize")
 _RECORD_KINDS = ("arrival", "departure") + _FAULT_KINDS
 
 
+_INF = math.inf
+
+
+def _finite(value: Any, field: str) -> float:
+    """A time or work field as a finite float; bools, NaN, infinities and
+    ints too large for a float are refused rather than coerced."""
+    if not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise SimulationError(f"event {field} must be a finite number, got {value!r}")
+
+
+def _integral(value: Any, field: str) -> int:
+    """An id, size, node or factor field as an int.  Integral floats
+    (``3.0``) are accepted; bools and fractions (``true``, ``1.7``) are
+    refused rather than truncated."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise SimulationError(f"event {field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _event_time(time: Any, now: float, offered: int) -> float:
-    """A record's event time: ``time`` itself, which may not precede the
-    clock ``now``, or — when absent — 0.0 for a session's first record
-    and ``now + 1`` after that."""
+    """A record's event time: ``time`` itself, which must be finite and may
+    not precede the clock ``now``, or — when absent — 0.0 for a session's
+    first record and ``now + 1`` after that."""
     if time is None:
         return now + 1.0 if offered else 0.0
-    t = float(time)
+    t = _finite(time, "time")
     if t < now:
         raise SimulationError(
             f"event time {t} precedes the session clock ({now})"
         )
     return t
+
+
+#: The session cursor: (clock, offers, next implicit task id).
+Cursor = tuple[float, int, int]
+#: What :meth:`AllocationSession._event` makes of one record.
+Decoded = tuple[Any, dict[str, Any], Cursor]
+
+
+def _advance(cursor: Cursor, record: Mapping[str, Any]) -> Cursor:
+    """The session cursor after one normalised record.
+
+    The cursor is ``(clock, offers, next implicit task id)``.  The clock
+    moves to the record's time; every record but a queue drain (counted
+    when it was first offered) is one more offer; an arrival moves the
+    next implicit id past its own.
+    """
+    now, offered, next_id = cursor
+    if record.get("slo") != "dequeue":
+        offered += 1
+    if record["kind"] == "arrival" and record["id"] >= next_id:
+        next_id = record["id"] + 1
+    return record["time"], offered, next_id
 
 
 def _state_digest(state: Mapping[str, Any]) -> str:
@@ -189,9 +248,8 @@ class AllocationSession:
             AdmissionController(slo) if slo is not None else None
         )
         self._events: list[Any] = []
-        self._now = 0.0
-        self._next_task_id = 0
-        self._offered = 0
+        # (clock, offers, next implicit task id): moved only by _advance.
+        self._cursor: Cursor = (0.0, 0, 0)
         self._journal_seq = 0
         self._overloaded = False
         self._snapshot_interval = max(0, int(snapshot_interval))
@@ -233,70 +291,88 @@ class AllocationSession:
     # -- Event intake --------------------------------------------------------
 
     def _event(
-        self,
-        record: Mapping[str, Any],
-        cursor: Optional[tuple[float, int, int]] = None,
-    ) -> tuple[Any, dict[str, Any]]:
-        """Wire record -> ``(kernel event, normalised journal record)``.
+        self, record: Mapping[str, Any], cursor: Optional[Cursor] = None
+    ) -> Decoded:
+        """Wire record -> ``(kernel event, normalised record, cursor after)``.
 
         The one place a record becomes an event.  ``cursor`` is the
-        ``(clock, offers, next implicit task id)`` the record is read
-        against: the session's own by default, running values inside a
-        batch.  Raises on an invalid record without touching any state.
+        session cursor the record is read against — the session's own by
+        default, the running one inside a batch — and the third item is
+        the cursor the record leaves behind (:func:`_advance`), which
+        :meth:`_absorb` adopts once the event is applied.  Raises on an
+        invalid record without touching any state: non-finite times and
+        works, and ids or sizes that are bools or fractions, are refused
+        rather than coerced.
 
-        The journaled record spells its kind as a literal, never as the
-        wire string: the journal keeps every record in memory, and a
-        shared constant costs nothing per record where a decoded copy
+        Fields that are already exact (float time, int id and size, the
+        common case on every path) skip the checks through ``type() is``
+        tests.  The normalised record spells its kind as a literal, never
+        as the wire string: the journal keeps every record in memory, and
+        a shared constant costs nothing per record where a decoded copy
         of the string would.
         """
-        now, offered, next_id = cursor or (
-            self._now, self._offered, self._next_task_id
-        )
+        cursor = cursor or self._cursor
+        now, offered, next_id = cursor
         kind = record.get("kind")
-        if kind in _FAULT_KINDS and not self._fault_tolerant:
+        t = record.get("time")
+        if type(t) is not float or not now <= t < _INF:
+            t = _event_time(t, now, offered)
+        if kind == "arrival":
+            tid = record.get("id")
+            if tid is None:
+                tid = next_id
+            elif type(tid) is not int:
+                tid = _integral(tid, "id")
+            size = record["size"]
+            if type(size) is not int:
+                size = _integral(size, "size")
+            work = record.get("work", 1.0)
+            if type(work) is not float or not -_INF < work < _INF:
+                work = _finite(work, "work")
+            event: Any = Arrival(t, Task(tid, size, t, work=work))
+            norm: dict[str, Any] = {
+                "kind": "arrival", "time": t, "id": tid, "size": size,
+                "work": work,
+            }
+        elif kind == "departure":
+            tid = record["id"]
+            if type(tid) is not int:
+                tid = _integral(tid, "id")
+            event = Departure(t, tid)
+            norm = {"kind": "departure", "time": t, "id": tid}
+        elif kind not in _FAULT_KINDS:
+            raise SimulationError(f"unknown event record kind {kind!r}")
+        elif not self._fault_tolerant:
             raise SimulationError(
                 f"{kind} events need a fault-tolerant session "
                 "(AllocationSession(..., fault_tolerant=True))"
             )
-        t = _event_time(record.get("time"), now, offered)
-        if kind == "arrival":
-            rid = record.get("id")
-            tid = next_id if rid is None else int(rid)
-            size = int(record["size"])
-            work = float(record.get("work", 1.0))
-            return Arrival(t, Task(TaskId(tid), size, t, work=work)), {
-                "kind": "arrival", "time": t, "id": tid, "size": size,
-                "work": work,
-            }
-        if kind == "departure":
-            tid = int(record["id"])
-            return Departure(t, TaskId(tid)), {
-                "kind": "departure", "time": t, "id": tid,
-            }
-        if kind not in _FAULT_KINDS:
-            raise SimulationError(f"unknown event record kind {kind!r}")
-        # Fault and resize event types load lazily: a plain session never
-        # imports the fault and scenario packages.
-        from repro.faults.plan import PEFailure, PERepair, TaskKill
-        from repro.scenarios.elastic import MachineResize
+        else:
+            # Fault and resize event types load lazily: a plain session
+            # never imports the fault and scenario packages.
+            from repro.faults.plan import PEFailure, PERepair, TaskKill
+            from repro.scenarios.elastic import MachineResize
 
-        if kind == "kill":
-            tid = int(record["id"])
-            return TaskKill(t, TaskId(tid)), {"kind": "kill", "time": t, "id": tid}
-        if kind == "resize":
-            event = MachineResize(
-                t, str(record["op"]), int(record.get("factor", 2))
-            )
-            return event, {
-                "kind": "resize", "time": t, "op": event.op,
-                "factor": event.factor,
-            }
-        node = int(record["node"])
-        if kind == "failure":
-            return PEFailure(t, NodeId(node)), {
-                "kind": "failure", "time": t, "node": node,
-            }
-        return PERepair(t, NodeId(node)), {"kind": "repair", "time": t, "node": node}
+            if kind == "kill":
+                tid = _integral(record["id"], "id")
+                event = TaskKill(t, TaskId(tid))
+                norm = {"kind": "kill", "time": t, "id": tid}
+            elif kind == "resize":
+                factor = _integral(record.get("factor", 2), "factor")
+                event = MachineResize(t, str(record["op"]), factor)
+                norm = {
+                    "kind": "resize", "time": t, "op": event.op,
+                    "factor": event.factor,
+                }
+            else:
+                node = _integral(record["node"], "node")
+                if kind == "failure":
+                    event = PEFailure(t, NodeId(node))
+                    norm = {"kind": "failure", "time": t, "node": node}
+                else:
+                    event = PERepair(t, NodeId(node))
+                    norm = {"kind": "repair", "time": t, "node": node}
+        return event, norm, _advance(cursor, norm)
 
     @staticmethod
     def _timed(record: dict[str, Any], time: Optional[float]) -> dict[str, Any]:
@@ -386,7 +462,182 @@ class AllocationSession:
         """
         if self._slo is not None:
             return self.offer(record)
-        return self._absorb(*self._event(record))
+        return self._absorb(self._event(record))
+
+    def push_batch(
+        self, records: Sequence[Mapping[str, Any]]
+    ) -> Union[BatchDecision, list[AdmissionOutcome]]:
+        """Absorb a batch of wire-format records in one amortised call.
+
+        Bit-identical to :meth:`push`-ing each record — same decisions,
+        metrics, clock/task-id assignment and journaled records — but the
+        kernel meters the batch in one pass
+        (:meth:`AllocationKernel.apply_batch`) and the journal absorbs it
+        as one group commit (:meth:`CheckpointJournal.record_many`: one
+        write, one ``fsync``, the records as one columnar frame).  A crash
+        mid-call therefore loses at most this one batch; once
+        ``push_batch`` returns under the ``always`` or ``batch`` policy
+        the batch is durable.
+
+        If a record is invalid or an event fails in the kernel, every
+        preceding event is fully applied and journaled (exactly as the
+        per-event path would leave it) and a
+        :class:`~repro.errors.BatchError` carrying the applied prefix is
+        raised.
+
+        SLO sessions :meth:`offer` record by record — each admission
+        decision depends on the loads the previous one left — and return
+        one typed outcome per record; only the ``batch`` / ``interval``
+        fsync policies group their journal commits.  A record that raises
+        leaves the preceding records fully applied, exactly like the
+        per-event path.
+        """
+        if self._slo is not None:
+            return [self.offer(record) for record in records]
+        decoded: list[Decoded] = []
+        decode, append = self._event, decoded.append
+        cursor = self._cursor
+        error: Optional[Exception] = None
+        for record in records:
+            try:
+                item = decode(record, cursor)
+            except (ReproError, KeyError, TypeError, ValueError) as exc:
+                # Bad record: the records before it still apply.
+                error = exc
+                break
+            append(item)
+            cursor = item[2]
+        batch = self._absorb(decoded)
+        if error is not None:
+            raise BatchError(
+                f"batch record {len(decoded)} is invalid: {error}",
+                applied=len(decoded),
+                decisions=list(batch.decisions),
+            ) from error
+        return batch
+
+    def flush(self) -> None:
+        """Make buffered journal records durable (group-commit boundary).
+
+        A no-op without a journal or when nothing is pending; under the
+        ``always`` policy there is never anything to flush.
+        """
+        if self._journal is not None:
+            self._journal.commit()
+
+    def _absorb(
+        self, decoded: Union[Decoded, list[Decoded]], *, journal: bool = True
+    ) -> Any:
+        """The commit step every absorbed record takes: apply, advance the
+        cursor, journal.
+
+        ``decoded`` holds :meth:`_event` results.  A list is a batch: the
+        kernel applies it with :meth:`~repro.kernel.AllocationKernel.
+        apply_batch`, the journal group-commits it with
+        :meth:`~repro.sim.checkpoint.CheckpointJournal.record_many`, and a
+        :class:`~repro.kernel.BatchDecision` comes back.  A single result
+        is one event — a push, a queue drain, a replayed record: the
+        kernel :meth:`~repro.kernel.AllocationKernel.apply`-s it,
+        :meth:`~repro.sim.checkpoint.CheckpointJournal.record` journals it
+        (buffered under ``fsync=batch`` until the next commit point), and
+        its :class:`~repro.kernel.Decision` comes back.
+
+        Only applied events advance the session: when the kernel rejects
+        a batch part-way, the applied prefix is committed and journaled
+        before the :class:`~repro.errors.BatchError` propagates.  The
+        session adopts the cursor of the last committed record, and a
+        checkpoint rider (:meth:`_batch_rider`) rides that record.
+        ``journal=False`` (replay) skips the journal write.
+        """
+        committed: list[Decoded]
+        error: Optional[BatchError] = None
+        result: Any = None
+        if isinstance(decoded, list):
+            committed = decoded
+            try:
+                result = self.kernel.apply_batch([item[0] for item in decoded])
+            except BatchError as exc:
+                error = exc
+                committed = decoded[: exc.applied]
+        else:
+            committed = [decoded]
+            result = self.kernel.apply(decoded[0])
+        if committed:
+            base = len(self._events)
+            sink = self._journal if journal else None
+            payloads: list[dict[str, Any]] = []
+            for event, record, _cursor in committed:
+                self._events.append(event)
+                if sink is not None:
+                    payloads.append({"record": record})
+            self._cursor = committed[-1][2]
+            if sink is not None:
+                rider = self._batch_rider(base, len(payloads))
+                if rider is not None:
+                    payloads[-1].update(rider)
+                seq = self._journal_seq
+                if isinstance(decoded, list):
+                    sink.record_many(enumerate(payloads, seq))
+                else:
+                    sink.record(seq, payloads[0])
+                self._journal_seq = seq + len(payloads)
+        if error is not None:
+            raise error
+        return result
+
+    def _delta_state(self) -> dict[str, Any]:
+        """O(1) digest of the session/kernel scalars, journaled between
+        full-state digests (``delta`` riders) and re-verified on resume.
+
+        Deliberately cheap: counters and running loads only, no per-task
+        state — a divergence in any replayed event perturbs at least one
+        of these, so deltas catch configuration/build drift between the
+        full checkpoints without building a kernel snapshot.
+        """
+        k = self.kernel
+        now, offered, next_id = self._cursor
+        return {
+            "events": len(self._events),
+            "now": now,
+            "offered": offered,
+            "next_id": next_id,
+            "tasks": k.num_active(),
+            "active": k.active_size(),
+            "peak_active": k.peak_active_size,
+            "max_load": k.current_max_load,
+            "peak_load": k.metrics.max_load,
+        }
+
+    def _checkpoint_rider(self) -> dict[str, Any]:
+        """The full checkpoint: a digest of the complete kernel state.
+
+        The snapshot covers every task's placement history, so it grows
+        with every migration; its 64-character digest does not.
+        """
+        return {"state_sha256": _state_digest(self.kernel.snapshot())}
+
+    def _batch_rider(self, base: int, count: int) -> Optional[dict[str, Any]]:
+        """Checkpoint/delta payload extras riding a commit's last record.
+
+        ``base`` is ``len(self._events)`` before the commit of ``count``
+        events; a rider is due when the commit crosses an interval
+        boundary (for ``count == 1`` this is exactly the
+        ``len % interval == 0`` schedule): the full checkpoint at
+        ``full_snapshot_interval`` crossings, a cheap :meth:`_delta_state`
+        at the ``snapshot_interval`` ones between.  Mid-batch kernel
+        states no longer exist, so a batch's rider rides its last record
+        (resume verifies riders wherever they appear).
+        """
+        if self._journal is None or count <= 0:
+            return None
+        end = base + count
+        full = self._full_snapshot_interval
+        if full and end // full > base // full:
+            return self._checkpoint_rider()
+        interval = self._snapshot_interval
+        if interval and end // interval > base // interval:
+            return {"delta": self._delta_state()}
+        return None
 
     # -- SLO admission -------------------------------------------------------
 
@@ -410,19 +661,18 @@ class AllocationSession:
         """
         ctrl = self._slo
         if ctrl is None:
-            decision = self._absorb(*self._event(record))
+            decision = self._absorb(self._event(record))
             return Admit(record=dict(record), decision=decision)
         kind = record.get("kind")
         if kind == "arrival":
             return self._offer_arrival(record)
         if kind in ("departure", "kill"):
-            tid = int(record["id"])
+            tid = _integral(record["id"], "id")
             active = TaskId(tid) in self.kernel.placements
             if not active and (ctrl.is_pending(tid) or ctrl.was_dropped(tid)):
-                return self._cancel(str(kind), record, tid)
-        decision = self._absorb(*self._event(record))
-        drained = self._drain()
-        return Admit(record=dict(record), decision=decision, drained=drained)
+                return self._cancel(kind, record, tid)
+        decision = self._absorb(self._event(record))
+        return Admit(record=dict(record), decision=decision, drained=self._drain())
 
     def _admissible(self, size: int) -> bool:
         assert self._slo is not None
@@ -432,29 +682,28 @@ class AllocationSession:
                 <= self._slo.load_target
             )
         except ReproError:
-            # e.g. a queued task larger than the machine after a shrink:
-            # it stays queued until a grow makes it placeable again.
+            # e.g. a task queued before a shrink made it too large: it
+            # stays queued until a grow makes it placeable again.
             return False
 
     def _offer_arrival(self, record: Mapping[str, Any]) -> AdmissionOutcome:
         ctrl = self._slo
         assert ctrl is not None
-        self.machine.validate_task_size(int(record["size"]))
-        event, norm = self._event(record)
-        t, tid, size = norm["time"], norm["id"], norm["size"]
+        decoded = self._event(record)
+        norm = decoded[1]
+        tid, size = norm["id"], norm["size"]
+        # The machine as it is now: a grow or shrink replaced it.
+        self.kernel.machine.validate_task_size(size)
         if ctrl.is_pending(tid) or TaskId(tid) in self.kernel.placements:
             raise SimulationError(f"task {tid} is already active or queued")
         ctrl.revive(tid)  # a retry of a rejected/canceled id is a fresh task
         if ctrl.queue_empty and self._admissible(size):
-            decision = self._absorb(event, norm)
+            decision = self._absorb(decoded)
             ctrl.admitted_total += 1
             self._note_violation(decision)
-            drained = self._drain()
-            return Admit(record=norm, decision=decision, drained=drained)
+            return Admit(record=norm, decision=decision, drained=self._drain())
         # FIFO discipline: while anything waits, newcomers wait behind it.
-        self._now = t
-        self._next_task_id = max(self._next_task_id, tid + 1)
-        self._offered += 1
+        self._cursor = decoded[2]
         if ctrl.queue_full:
             ctrl.reject(tid)
             self._journal_slo(dict(norm, slo="reject"))
@@ -476,16 +725,18 @@ class AllocationSession:
     def _cancel(
         self, kind: str, record: Mapping[str, Any], tid: int
     ) -> Cancel:
-        """A departure/kill for a task the gate held back: no kernel event."""
+        """A departure/kill for a task the gate held back: no kernel event,
+        so a kill needs no fault-tolerant session here."""
         ctrl = self._slo
         assert ctrl is not None
-        t = _event_time(record.get("time"), self._now, self._offered)
-        self._now = t
-        self._offered += 1
+        now, offered, _next_id = self._cursor
+        norm = {
+            "kind": kind, "time": _event_time(record.get("time"), now, offered),
+            "id": tid, "slo": "cancel",
+        }
+        self._cursor = _advance(self._cursor, norm)
         dequeued = ctrl.cancel(tid)
-        self._journal_slo(
-            {"kind": kind, "time": t, "id": tid, "slo": "cancel"}
-        )
+        self._journal_slo(norm)
         # Removing the (possibly blocking) head can expose an admissible
         # successor — same drain discipline as a capacity-freeing event.
         drained = self._drain() if dequeued else ()
@@ -501,16 +752,27 @@ class AllocationSession:
         decisions: list[Decision] = []
         while True:
             head = ctrl.head()
-            if head is None or not self._admissible(int(head["size"])):
+            if head is None or not self._admissible(head["size"]):
                 break
-            # Admitted when capacity freed, not when offered.
-            event, norm = self._event(dict(ctrl.pop(), time=self._now))
-            decision = self._absorb(event, dict(norm, slo="dequeue"))
-            ctrl.admitted_total += 1
-            ctrl.drained_total += 1
-            self._note_violation(decision)
-            decisions.append(decision)
+            decisions.append(self._dequeue(self._cursor[0]))
         return tuple(decisions)
+
+    def _dequeue(self, time: float, *, journal: bool = True) -> Decision:
+        """Admit the queue head at ``time`` — when capacity freed, not when
+        it was offered.  ``journal=False`` (replay) skips the journal
+        write, as in :meth:`_absorb`."""
+        ctrl = self._slo
+        assert ctrl is not None
+        event, norm, _cursor = self._event(dict(ctrl.pop(), time=time))
+        # Not a new offer: the cursor counted it when it was queued.
+        norm["slo"] = "dequeue"
+        decision = self._absorb(
+            (event, norm, _advance(self._cursor, norm)), journal=journal
+        )
+        ctrl.admitted_total += 1
+        ctrl.drained_total += 1
+        self._note_violation(decision)
+        return decision
 
     def _note_violation(self, decision: Decision) -> None:
         """Meter a placement that landed past the load target.
@@ -532,276 +794,6 @@ class AllocationSession:
             return
         self._journal.record(self._journal_seq, {"record": record})
         self._journal_seq += 1
-
-    def push_batch(
-        self, records: Sequence[Mapping[str, Any]]
-    ) -> Union[BatchDecision, list[AdmissionOutcome]]:
-        """Absorb a batch of wire-format records in one amortised call.
-
-        Bit-identical to :meth:`push`-ing each record — same decisions,
-        metrics, journal records, and clock/task-id assignment — but the
-        kernel meters the batch in one pass
-        (:meth:`AllocationKernel.apply_batch`) and the journal absorbs it
-        as one group commit (:meth:`CheckpointJournal.record_many`: one
-        write, one ``fsync``).  A crash mid-call therefore loses at most
-        this one batch; once ``push_batch`` returns under the ``always``
-        or ``batch`` policy the batch is durable.
-
-        If a record is invalid or an event fails in the kernel, every
-        preceding event is fully applied and journaled (exactly as the
-        per-event path would leave it) and a
-        :class:`~repro.errors.BatchError` carrying the applied prefix is
-        raised.
-
-        SLO sessions :meth:`offer` record by record — each admission
-        decision depends on the loads the previous one left — and return
-        one typed outcome per record; the journal still group-commits
-        under the ``batch`` / ``interval`` fsync policies, which is where
-        their batch throughput lives.  A record that raises leaves the
-        preceding records fully applied, exactly like the per-event path.
-        """
-        if self._slo is not None:
-            return [self.offer(record) for record in records]
-        fast = self._push_batch_fast(records)
-        if fast is not None:
-            return fast
-        pairs: list[tuple[Any, dict[str, Any]]] = []
-        now, offered, next_id = self._now, self._offered, self._next_task_id
-        build_error: Optional[Exception] = None
-        for record in records:
-            try:
-                event, norm = self._event(record, (now, offered, next_id))
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
-                # Bad record: apply + journal the records before it, just
-                # as the per-event path would have, then report.
-                build_error = exc
-                break
-            pairs.append((event, norm))
-            now = norm["time"]
-            offered += 1
-            if norm["kind"] == "arrival":
-                next_id = max(next_id, norm["id"] + 1)
-        try:
-            batch = self.kernel.apply_batch([e for e, _ in pairs])
-        except BatchError as exc:
-            self._commit_batch(pairs[: exc.applied])
-            raise
-        self._commit_batch(pairs)
-        if build_error is not None:
-            raise BatchError(
-                f"batch record {len(pairs)} is invalid: {build_error}",
-                applied=len(pairs),
-                decisions=list(batch.decisions),
-            ) from build_error
-        return batch
-
-    def _push_batch_fast(
-        self, records: Sequence[Mapping[str, Any]]
-    ) -> Optional[BatchDecision]:
-        """Columnar wire-batch ingest: the journal fast path.
-
-        One pass builds the kernel events *and* the packed column arrays
-        the journal frames directly — no normalised per-record dicts
-        on the hot path.  The whole batch lands in the journal as a
-        single :meth:`~repro.sim.checkpoint.CheckpointJournal.
-        record_batch_blob` frame, which a resume decodes to exactly the
-        dicts the general path would have journaled (bit-identical
-        replay).
-
-        Returns ``None`` *before any state change* whenever a record
-        falls outside the hot schema — fault/resize kinds, implicit
-        times or ids, clock regressions, malformed fields; the caller
-        then redoes the batch on the general
-        path, reproducing the exact error text and prefix semantics.
-        A mid-batch kernel failure commits and journals the applied
-        prefix (as the general path would) and re-raises.
-        """
-        journal = self._journal
-        n = len(records)
-        if n == 0:
-            return None
-        now = self._now
-        events: list[Any] = []
-        kinds = bytearray(n)
-        times: list[float] = []
-        ids: list[int] = []
-        sizes: list[int] = []
-        works: list[float] = []
-        try:
-            for i, record in enumerate(records):
-                kind = record["kind"]
-                t = record["time"]
-                if type(t) is not float:
-                    t = float(t)
-                if t < now:
-                    return None
-                tid = record["id"]
-                if type(tid) is not int:
-                    tid = int(tid)
-                if kind == "arrival":
-                    size = record["size"]
-                    if type(size) is not int:
-                        size = int(size)
-                    work = record.get("work", 1.0)
-                    if type(work) is not float:
-                        work = float(work)
-                    events.append(
-                        Arrival(t, Task(TaskId(tid), size, t, work=work))
-                    )
-                    sizes.append(size)
-                    works.append(work)
-                elif kind == "departure":
-                    kinds[i] = 1
-                    events.append(Departure(t, TaskId(tid)))
-                    sizes.append(0)
-                    works.append(0.0)
-                else:
-                    return None
-                times.append(t)
-                ids.append(tid)
-                now = t
-        except (ReproError, KeyError, TypeError, ValueError):
-            return None
-
-        def commit(m: int) -> None:
-            if m == 0:
-                return
-            base = len(self._events)
-            self._events.extend(events[:m])
-            self._now = times[m - 1]
-            self._offered += m
-            nid = self._next_task_id
-            for j in range(m):
-                if kinds[j] == 0 and ids[j] >= nid:
-                    nid = ids[j] + 1
-            self._next_task_id = nid
-            if journal is None:
-                return
-            blob = encode_wire_columns(
-                kinds[:m], times[:m], ids[:m], sizes[:m], works[:m]
-            )
-            rider = self._batch_rider(base, m)
-            seq = self._journal_seq
-            extras = [] if rider is None else [(seq + m - 1, rider)]
-            journal.record_batch_blob(seq, m, blob, extras)
-            self._journal_seq = seq + m
-
-        try:
-            batch = self.kernel.apply_batch(events)
-        except BatchError as exc:
-            commit(exc.applied)
-            raise
-        commit(n)
-        return batch
-
-    def _commit_batch(self, pairs: list[tuple[Any, dict[str, Any]]]) -> None:
-        """Advance session state and journal one applied batch."""
-        if not pairs:
-            return
-        base = len(self._events)
-        for event, record in pairs:
-            self._events.append(event)
-            self._now = float(event.time)
-            self._offered += 1
-            tid = record.get("id")
-            if record["kind"] == "arrival" and tid is not None:
-                self._next_task_id = max(self._next_task_id, int(tid) + 1)
-        if self._journal is None:
-            return
-        payloads: list[tuple[int, dict[str, Any]]] = [
-            (self._journal_seq + i, {"record": record})
-            for i, (_, record) in enumerate(pairs)
-        ]
-        # Mid-batch kernel states no longer exist, so the digest (or
-        # delta) that per-event journaling would have embedded at the
-        # interval boundary rides on the batch's last record instead
-        # (resume verifies them wherever they appear).
-        rider = self._batch_rider(base, len(pairs))
-        if rider is not None:
-            payloads[-1][1].update(rider)
-        self._journal.record_many(payloads)
-        self._journal_seq += len(payloads)
-
-    def flush(self) -> None:
-        """Make buffered journal records durable (group-commit boundary).
-
-        A no-op without a journal or when nothing is pending; under the
-        ``always`` policy there is never anything to flush.
-        """
-        if self._journal is not None:
-            self._journal.commit()
-
-    def _absorb(
-        self, event: Any, record: dict[str, Any], *, journal: bool = True
-    ) -> Decision:
-        decision = self.kernel.apply(event)
-        # Only a successfully applied event advances the session.
-        self._events.append(event)
-        self._now = float(event.time)
-        if record.get("slo") != "dequeue":
-            # Drained arrivals were already counted when first offered.
-            self._offered += 1
-        tid = record.get("id")
-        if record["kind"] == "arrival" and tid is not None:
-            self._next_task_id = max(self._next_task_id, int(tid) + 1)
-        if journal and self._journal is not None:
-            payload: dict[str, Any] = {"record": record}
-            rider = self._batch_rider(len(self._events) - 1, 1)
-            if rider is not None:
-                payload.update(rider)
-            self._journal.record(self._journal_seq, payload)
-            self._journal_seq += 1
-        return decision
-
-    def _delta_state(self) -> dict[str, Any]:
-        """O(1) digest of the session/kernel scalars, journaled between
-        full-state digests (``delta`` riders) and re-verified on resume.
-
-        Deliberately cheap: counters and running loads only, no per-task
-        state — a divergence in any replayed event perturbs at least one
-        of these, so deltas catch configuration/build drift between the
-        full checkpoints without building a kernel snapshot.
-        """
-        k = self.kernel
-        return {
-            "events": len(self._events),
-            "now": self._now,
-            "offered": self._offered,
-            "next_id": self._next_task_id,
-            "tasks": k.num_active(),
-            "active": k.active_size(),
-            "peak_active": k.peak_active_size,
-            "max_load": k.current_max_load,
-            "peak_load": k.metrics.max_load,
-        }
-
-    def _checkpoint_rider(self) -> dict[str, Any]:
-        """The full checkpoint: a digest of the complete kernel state.
-
-        The snapshot covers every task's placement history, so it grows
-        with every migration; its 64-character digest does not.
-        """
-        return {"state_sha256": _state_digest(self.kernel.snapshot())}
-
-    def _batch_rider(self, base: int, count: int) -> Optional[dict[str, Any]]:
-        """Checkpoint/delta payload extras riding a batch's last record.
-
-        ``base`` is ``len(self._events)`` before the batch; a rider is due
-        when the batch crosses an interval boundary (for ``count == 1``
-        this is exactly the ``len % interval == 0`` schedule): the full
-        checkpoint at ``full_snapshot_interval`` crossings, a cheap
-        :meth:`_delta_state` at the ``snapshot_interval`` ones between.
-        """
-        if self._journal is None or count <= 0:
-            return None
-        end = base + count
-        full = self._full_snapshot_interval
-        if full and end // full > base // full:
-            return self._checkpoint_rider()
-        interval = self._snapshot_interval
-        if interval and end // interval > base // interval:
-            return {"delta": self._delta_state()}
-        return None
 
     # -- Resume --------------------------------------------------------------
 
@@ -866,10 +858,10 @@ class AllocationSession:
         kind = record.get("kind")
         if kind not in _RECORD_KINDS:
             raise CheckpointError(f"journaled record has unknown kind {kind!r}")
-        event, norm = self._event(record)
-        decision = self._absorb(event, norm, journal=False)
+        decoded = self._event(record)
+        decision = self._absorb(decoded, journal=False)
         if kind == "arrival" and self._slo is not None:
-            self._slo.revive(norm["id"])
+            self._slo.revive(decoded[1]["id"])
             self._slo.admitted_total += 1
             self._note_violation(decision)
         return decision
@@ -877,52 +869,42 @@ class AllocationSession:
     def _replay_slo(
         self, mark: str, record: Mapping[str, Any]
     ) -> Optional[Decision]:
+        """Re-apply one journaled admission decision.  Journaled records
+        are already normalised, so the queue, reject and cancel marks move
+        the cursor over the record as written."""
         ctrl = self._slo
         if ctrl is None:
             raise CheckpointError(
                 "journal contains SLO admission records but the session "
                 "was opened without an SLO policy"
             )
-        t = float(record["time"])
         if mark == "dequeue":
             head = ctrl.head()
-            if head is None or int(head["id"]) != int(record["id"]):
+            if head is None or head["id"] != record["id"]:
                 raise CheckpointError(
                     f"journaled dequeue of task {record['id']} does not "
                     f"match the replayed queue head "
                     f"({None if head is None else head['id']})"
                 )
-            event, norm = self._event(dict(ctrl.pop(), time=t))
-            decision = self._absorb(
-                event, dict(norm, slo="dequeue"), journal=False
-            )
-            ctrl.admitted_total += 1
-            ctrl.drained_total += 1
-            self._note_violation(decision)
-            return decision
-        self._now = t
-        self._offered += 1
+            return self._dequeue(record["time"], journal=False)
+        if mark not in ("queue", "reject", "cancel"):
+            raise CheckpointError(f"journaled record has unknown slo mark {mark!r}")
+        self._cursor = _advance(self._cursor, record)
         if mark == "queue":
-            norm = {k: v for k, v in record.items() if k != "slo"}
-            ctrl.revive(int(record["id"]))
-            ctrl.enqueue(norm)
-            self._next_task_id = max(self._next_task_id, int(record["id"]) + 1)
-            return None
-        if mark == "reject":
-            ctrl.reject(int(record["id"]))
-            self._next_task_id = max(self._next_task_id, int(record["id"]) + 1)
-            return None
-        if mark == "cancel":
-            ctrl.cancel(int(record["id"]))
-            return None
-        raise CheckpointError(f"journaled record has unknown slo mark {mark!r}")
+            ctrl.revive(record["id"])
+            ctrl.enqueue({k: v for k, v in record.items() if k != "slo"})
+        elif mark == "reject":
+            ctrl.reject(record["id"])
+        else:
+            ctrl.cancel(record["id"])
+        return None
 
     # -- Live metrics --------------------------------------------------------
 
     @property
     def now(self) -> float:
         """The session clock: time of the last absorbed event."""
-        return self._now
+        return self._cursor[0]
 
     @property
     def num_events(self) -> int:
@@ -935,7 +917,7 @@ class AllocationSession:
         record).  This is the resume cursor for a record feed: after a
         crash, continue from ``records[session.num_offers:]``.  Equal to
         :attr:`num_events` outside SLO mode."""
-        return self._offered
+        return self._cursor[1]
 
     @property
     def events(self) -> tuple[Any, ...]:
@@ -1021,7 +1003,7 @@ class AllocationSession:
         """
         out: dict[str, Any] = {
             "events": self.num_events,
-            "now": self._now,
+            "now": self.now,
             "active_tasks": len(self.kernel.active_tasks),
             "active_size": self.kernel.active_size(),
             "max_load": self.max_load,

@@ -184,7 +184,7 @@ class ServiceServer:
         per-line critical sections across connections by construction."""
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an over-long int
             return [json.dumps(
                 {"error": f"invalid JSON: {exc}", "op": None, "line": lineno}
             )]

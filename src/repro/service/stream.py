@@ -62,7 +62,7 @@ def parse_event_record(source: Any) -> dict[str, Any]:
     if isinstance(source, (str, bytes)):
         try:
             record = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an over-long int
             raise TraceFormatError(f"invalid event JSON: {exc}") from exc
     else:
         record = source

@@ -298,46 +298,30 @@ class CheckpointJournal:
             self._maybe_interval_sync()
 
     def _encode_many(self, items: list[tuple[int, Any]]) -> bytes:
-        """Frame a batch: contiguous ``{"record": ...}`` runs become one
-        columnar ``FRAME_BATCH`` (extras ride as ``FRAME_ATTACH``), and
-        everything else falls back to per-record pickle frames."""
+        """Frame a batch: each contiguous run of ``{"record": ...}``
+        payloads whose records fit the columnar schema becomes one
+        ``FRAME_BATCH`` (extras such as checkpoint riders follow as
+        ``FRAME_ATTACH``); everything else gets a pickle frame per item."""
         out = bytearray()
-        i = 0
-        n = len(items)
+        i, n = 0, len(items)
         while i < n:
-            run: list[Any] = []
-            attaches: list[tuple[int, dict]] = []
+            # The longest run of consecutive indices with record payloads.
             first = items[i][0]
             j = i
-            while j < n:
-                index, payload = items[j]
+            for index, payload in items[i:]:
                 if (
-                    index != first + len(run)
+                    index != first + j - i
                     or type(payload) is not dict
                     or "record" not in payload
                 ):
                     break
-                run.append(payload["record"])
-                if len(payload) > 1:
-                    extra = {k: v for k, v in payload.items() if k != "record"}
-                    attaches.append((index, extra))
                 j += 1
-            blob = None
-            if len(run) > 1:
-                blob = _frames.encode_wire_records(run)
-            if blob is not None:
-                out += _frames.frame_bytes(
-                    _frames.FRAME_BATCH, _I64.pack(first) + blob
-                )
-                for index, extra in attaches:
-                    out += _frames.frame_bytes(
-                        _frames.FRAME_ATTACH,
-                        pickle.dumps(
-                            (index, extra), protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                    )
-                i = j
-            else:
+            run = items[i:j]
+            blob = (
+                _frames.encode_wire_records([p["record"] for _, p in run])
+                if run else None
+            )
+            if blob is None:
                 index, payload = items[i]
                 out += _frames.frame_bytes(
                     _frames.FRAME_PICKLE,
@@ -346,6 +330,18 @@ class CheckpointJournal:
                     ),
                 )
                 i += 1
+                continue
+            out += _frames.frame_bytes(_frames.FRAME_BATCH, _I64.pack(first) + blob)
+            for index, payload in run:
+                if len(payload) > 1:
+                    extra = {k: v for k, v in payload.items() if k != "record"}
+                    out += _frames.frame_bytes(
+                        _frames.FRAME_ATTACH,
+                        pickle.dumps(
+                            (index, extra), protocol=pickle.HIGHEST_PROTOCOL
+                        ),
+                    )
+            i = j
         return bytes(out)
 
     def record_many(self, items: Iterable[tuple[int, Any]]) -> None:
@@ -371,53 +367,13 @@ class CheckpointJournal:
         else:
             self._sync()
 
-    def record_batch_blob(
-        self,
-        first_index: int,
-        count: int,
-        blob: bytes,
-        extras: Sequence[tuple[int, Mapping[str, Any]]] = (),
-    ) -> None:
-        """Group-commit ``count`` records already encoded as one columnar
-        batch blob (:mod:`repro.sim.frames` layout W) at indices
-        ``first_index .. first_index + count - 1``.
-
-        This is the zero-copy fast path: the session frames the
-        blob directly, never materializing per-record dicts.  ``extras`` are
-        ``(index, extra_dict)`` riders — snapshots, deltas — merged into
-        the payload at ``index`` on load.  Like every write method, it
-        leaves :meth:`completed` alone; a later open reads the records
-        back from disk.
-
-        Same durability contract as :meth:`record_many`.
-        """
-        if self._fh is None:
-            raise CheckpointError(f"checkpoint {self.path} is closed")
-        out = bytearray(
-            _frames.frame_bytes(_frames.FRAME_BATCH, _I64.pack(first_index) + blob)
-        )
-        for index, extra in extras:
-            out += _frames.frame_bytes(
-                _frames.FRAME_ATTACH,
-                pickle.dumps(
-                    (int(index), dict(extra)), protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            )
-        self._fh.write(out)
-        self._pending += count
-        self._pending_bytes += len(out)
-        if self._policy == "interval":
-            self._maybe_interval_sync()
-        else:
-            self._sync()
-
     def completed(self) -> dict[int, Any]:
         """Cell index -> result for every cell on disk at open.
 
-        Records written since (by :meth:`record`, :meth:`record_many` or
-        :meth:`record_batch_blob`) live only in the file until the next
-        open: every caller reads this once, before writing, so keeping a
-        second in-memory copy of the journal would only cost memory.  A
+        Records written since (by :meth:`record` or :meth:`record_many`)
+        live only in the file until the next open: every caller reads
+        this once, before writing, so keeping a second in-memory copy of
+        the journal would only cost memory.  A
         cell recorded twice resolves last-wins on the next open.
         """
         return dict(self._completed)

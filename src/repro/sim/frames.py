@@ -33,13 +33,15 @@ kind                  id    payload
 ====================  ====  =====================================================
 
 Columnar record batches are the structure-of-arrays encoding of the hot
-arrival/departure record schema — one frame per ``push_batch`` instead
-of one dict per event.  Each column is a packed :mod:`array`-module byte
-string (u8 kinds, f64 times/works, i64 ids/sizes); the envelope is a pickled tuple of those byte
+arrival/departure record schema: a session's group commit
+(:meth:`~repro.sim.checkpoint.CheckpointJournal.record_many`) writes each
+contiguous run of records as one frame instead of one pickle per event.
+Each column is a packed :mod:`array`-module byte string (u8 kinds, f64
+times/works, i64 ids/sizes); the envelope is a pickled tuple of those byte
 strings.  Only records matching the exact hot schema are eligible —
-``encode_*`` returns ``None`` for anything else and the caller falls back
-to per-record frames, so the columnar path never has to approximate a
-record it cannot represent exactly.
+:func:`encode_wire_records` returns ``None`` for anything else and the
+caller falls back to per-record frames, so the columnar path never has to
+approximate a record it cannot represent exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ __all__ = [
     "frame_bytes",
     "read_frame",
     "scan_frames",
-    "encode_wire_columns",
     "encode_wire_records",
     "decode_record_batch",
     "decode_journal",
@@ -153,46 +154,21 @@ def scan_frames(
 
 # -- Columnar record batches -------------------------------------------------
 #
-# Layout "W" (wire records, ``push_batch``):
+# Layout "W" (normalised session records):
 #   arrival   {kind, time, id, size, work}
 #   departure {kind, time, id}
 #
 # kind codes within a batch: 0 = arrival, 1 = departure.
 
 
-def _pack_batch(layout: bytes, count: int, cols: tuple[bytes, ...]) -> bytes:
-    return pickle.dumps((layout, count, cols), protocol=_PICKLE_PROTO)
-
-
-def encode_wire_columns(
-    kinds: bytearray,
-    times: Sequence[float],
-    ids: Sequence[int],
-    sizes: Sequence[int],
-    works: Sequence[float],
-) -> bytes:
-    """Pack already-columnar wire records (the zero-dict hot path)."""
-    return _pack_batch(
-        b"W",
-        len(kinds),
-        (
-            bytes(kinds),
-            array("d", times).tobytes(),
-            array("q", ids).tobytes(),
-            array("q", sizes).tobytes(),
-            array("d", works).tobytes(),
-        ),
-    )
-
-
 def encode_wire_records(
     records: Sequence[Mapping[str, Any]]
 ) -> Optional[bytes]:
-    """Columnar-encode plain arrival/departure wire records.
+    """Columnar-encode normalised arrival/departure records (layout W).
 
     ``None`` when any record deviates from the exact hot schema (extra
-    keys, missing fields, non-scalar types) — the caller must fall back
-    to per-record encoding.
+    keys, missing fields, non-scalar types, an id or size outside int64)
+    — the caller must fall back to per-record encoding.
     """
     kinds = bytearray()
     times: list[float] = []
@@ -223,12 +199,17 @@ def encode_wire_records(
             return None
         times.append(t)
         ids.append(i)
-    return encode_wire_columns(kinds, times, ids, sizes, works)
-
-
-def _unpack_batch(blob: bytes) -> tuple[bytes, int, tuple[bytes, ...]]:
-    layout, count, cols = pickle.loads(blob)
-    return layout, count, cols
+    try:
+        cols = (
+            bytes(kinds),
+            array("d", times).tobytes(),
+            array("q", ids).tobytes(),
+            array("q", sizes).tobytes(),
+            array("d", works).tobytes(),
+        )
+    except OverflowError:
+        return None
+    return pickle.dumps((b"W", len(kinds), cols), protocol=_PICKLE_PROTO)
 
 
 def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
@@ -237,7 +218,7 @@ def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
     The dicts are key-for-key identical to the records that were encoded
     — so a resumed session replays exactly what it journaled.
     """
-    layout, count, cols = _unpack_batch(blob)
+    layout, count, cols = pickle.loads(blob)
     if layout != b"W":
         raise FrameError(f"unknown batch layout {layout!r}")
     kinds_b, times_b, ids_b, sizes_b, works_b = cols

@@ -94,8 +94,7 @@ def _fingerprint(session: AllocationSession) -> tuple[str, int]:
         "snapshot": session.snapshot(),
         "status": status,
         "metrics": session.kernel.metrics.to_state(),
-        "now": session.now,
-        "next_id": session._next_task_id,
+        "cursor": list(session._cursor),
     }
     return _digest(state), session.num_events
 

@@ -65,7 +65,7 @@ class TestPushBatchEquivalence:
         assert _digest(batched.snapshot()) == _digest(serial.snapshot())
         assert batched.status() == serial.status()
         assert batched.now == serial.now
-        assert batched._next_task_id == serial._next_task_id
+        assert batched._cursor == serial._cursor
 
     def test_auto_clock_and_ids_match(self):
         """Records without time/id get the same assignments either way."""
@@ -98,6 +98,22 @@ class TestPushBatchEquivalence:
         assert _digest(resumed.snapshot()) == _digest(reference.snapshot())
         assert resumed.kernel.metrics.to_state() == reference.kernel.metrics.to_state()
 
+    @pytest.mark.parametrize("size", [2, 10], ids=["loop", "columnar"])
+    def test_id_beyond_int64_is_journaled(self, tmp_path, size):
+        """The columnar journal frame holds int64 ids; a batch carrying a
+        larger one falls back to per-record frames and still resumes."""
+        records = [
+            {"kind": "arrival", "time": float(i), "id": 2**70 + i, "size": 2}
+            for i in range(size)
+        ]
+        journal = tmp_path / "big.journal"
+        writer = _session(journal_path=journal, fsync_policy="batch")
+        assert len(writer.push_batch(records).decisions) == size
+        writer.close()
+        resumed = _session(journal_path=journal)
+        assert resumed.num_events == size
+        assert _digest(resumed.snapshot()) == _digest(writer.snapshot())
+
     def test_fault_records_in_batches(self):
         serial = _session(fault_tolerant=True)
         batched = _session(fault_tolerant=True)
@@ -114,28 +130,42 @@ class TestPushBatchEquivalence:
         assert _digest(batched.snapshot()) == _digest(serial.snapshot())
 
 
+#: Invalid records, among them hostile numbers a decoder must refuse
+#: rather than coerce: a NaN or infinite time, a fractional size, a
+#: boolean or fractional id.
+INVALID_RECORDS = [
+    {"kind": "nonsense"},
+    {"kind": "departure", "time": float("nan"), "id": 0},
+    {"kind": "arrival", "time": float("inf"), "size": 2},
+    {"kind": "arrival", "size": 1.7},
+    {"kind": "arrival", "size": 2, "id": True},
+    {"kind": "departure", "id": 0.5},
+]
+
+
 class TestPushBatchFailure:
     def test_invalid_record_applies_prefix(self, tmp_path):
         records = _records(tasks=10, seed=1)
         k = 4
-        batch = records[:k] + [{"kind": "nonsense"}] + records[k:]
-
         serial = _session()
-        for rec in records[:k]:
-            serial.push(rec)
+        expected = [serial.push(rec) for rec in records[:k]]
 
-        journal = tmp_path / "fail.journal"
-        batched = _session(journal_path=journal, fsync_policy="batch")
-        with pytest.raises(BatchError) as info:
-            batched.push_batch(batch)
-        assert info.value.applied == k
-        assert len(info.value.decisions) == k
-        assert _digest(batched.snapshot()) == _digest(serial.snapshot())
-        batched.close()
-        # The journaled prefix is replayable.
-        resumed = _session(journal_path=journal)
-        assert resumed.num_events == k
-        assert _digest(resumed.snapshot()) == _digest(serial.snapshot())
+        for case, bad in enumerate(INVALID_RECORDS):
+            batch = records[:k] + [bad] + records[k:]
+            journal = tmp_path / f"fail-{case}.journal"
+            batched = _session(journal_path=journal, fsync_policy="batch")
+            with pytest.raises(BatchError) as info:
+                batched.push_batch(batch)
+            assert info.value.applied == k, bad
+            assert list(info.value.decisions) == expected, bad
+            assert _digest(batched.snapshot()) == _digest(serial.snapshot())
+            assert batched.status() == serial.status(), bad
+            batched.close()
+            # The journaled prefix is replayable.
+            resumed = _session(journal_path=journal)
+            assert resumed.num_events == k
+            assert _digest(resumed.snapshot()) == _digest(serial.snapshot())
+            resumed.close()
 
     def test_kernel_rejection_applies_prefix(self):
         serial = _session()

@@ -21,6 +21,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ from repro.workloads.generators import poisson_sequence
 
 SNAP, FULL = 4, 16
 GOLDEN_DIGEST = "8ac8ceff5511b49d6e4fbb0701ffec66154b0274cb72fdf5836ac22a1f4f6761"
+#: sha256 of the journal that ``push_batch`` writes for ``_golden_stream``.
+GOLDEN_JOURNAL_SHA256 = (
+    "6fa74c364a90864850d7d5a06d104a769bcbd6acf7bd857baf6f037fa2482552"
+)
+#: That journal as an earlier build wrote it (the build whose batch path
+#: had its own column encoder); a later build must resume it verified.
+GOLDEN_JOURNAL = Path(__file__).parent / "data" / "golden_push_batch.journal"
 
 
 def _digest(state) -> str:
@@ -294,6 +302,85 @@ class TestDigestEncoding:
         session.depart(1)
         session.submit(8, task_id=3)
         assert _state_digest(session.snapshot()) == GOLDEN_DIGEST
+
+
+def _golden_stream(tasks=300):
+    """600 arrival/departure records, fixed by arithmetic alone.
+
+    Some arrivals omit ``work`` and some carry an int time, as JSON
+    decodes them, so the stream also pins how records are normalised.
+    """
+    events = []
+    for i in range(tasks):
+        arrival = {"kind": "arrival", "time": float(i), "id": i,
+                   "size": 1 << (i * 7 % 6)}
+        if i % 3:
+            arrival["work"] = 1.0 + (i % 5) * 0.25
+        if i % 10 == 0:
+            arrival["time"] = i
+        events.append((float(i), 0, arrival))
+        leave = i + 20.5 + (i % 7)
+        events.append((leave, 1, {"kind": "departure", "time": leave, "id": i}))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return [record for _t, _k, record in events]
+
+
+def _golden_session(journal, **kw):
+    machine = TreeMachine(64)
+    return AllocationSession(
+        machine, make_algorithm("greedy", machine, d=2.0),
+        journal_path=journal, snapshot_interval=64, full_snapshot_interval=512,
+        **kw,
+    )
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenBatchJournal:
+    """The bytes a batched journal holds are an on-disk format."""
+
+    def test_push_batch_journal_bytes_are_pinned(self, tmp_path):
+        """Three group commits of 256, 256 and 88 records: a delta rider,
+        then the state digest, then a delta again."""
+        journal = tmp_path / "golden.journal"
+        session = _golden_session(journal, fsync_policy="batch")
+        records = _golden_stream()
+        for i in range(0, len(records), 256):
+            session.push_batch(records[i : i + 256])
+        session.close()
+        payloads = dict(iter_journal_payloads(journal))
+        assert [i for i, p in payloads.items() if "delta" in p] == [255, 599]
+        assert [i for i, p in payloads.items() if "state_sha256" in p] == [511]
+        assert _sha256(journal) == GOLDEN_JOURNAL_SHA256
+
+    def test_earlier_build_journal_resumes_with_every_rider_verified(
+        self, tmp_path, monkeypatch
+    ):
+        journal = tmp_path / "golden.journal"
+        journal.write_bytes(GOLDEN_JOURNAL.read_bytes())
+        assert _sha256(journal) == GOLDEN_JOURNAL_SHA256
+        digests, deltas = [], []
+        real_delta = AllocationSession._delta_state
+        monkeypatch.setattr(
+            "repro.service.session._state_digest",
+            lambda state: digests.append(1) or _state_digest(state),
+        )
+        monkeypatch.setattr(
+            AllocationSession, "_delta_state",
+            lambda self: deltas.append(1) or real_delta(self),
+        )
+        resumed = _golden_session(journal)
+        assert (len(digests), len(deltas)) == (1, 2)
+
+        reference = _golden_session(None)
+        for record in _golden_stream():
+            reference.push(record)
+        assert resumed.num_events == reference.num_events == 600
+        assert resumed.snapshot() == reference.snapshot()
+        assert resumed.status() == reference.status()
+        resumed.close()
 
 
 class TestLegacySnapshotRiders:

@@ -201,6 +201,87 @@ class TestStdio:
         assert target.exists()
 
 
+def _strict_json(line):
+    """Parse a reply line as strict JSON: a bare NaN or Infinity fails."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+#: Wire records with hostile numbers: each must get exactly one error reply.
+HOSTILE_LINES = [
+    '{"kind": "departure", "time": NaN, "id": 0}',
+    '{"kind": "arrival", "time": Infinity, "size": 2}',
+    '{"kind": "arrival", "time": 1e400, "size": 2}',
+    '{"kind": "arrival", "time": 1' + "0" * 400 + ', "size": 2}',
+    '{"kind": "arrival", "size": 1.7}',
+    '{"kind": "arrival", "size": 2, "id": true}',
+    '{"kind": "departure", "id": 0.5}',
+    '{"kind": "arrival", "size": 2, "work": NaN}',
+    '{"kind": "arrival", "size": 2, "id": ' + "9" * 5000 + "}",
+]
+
+
+class TestHostileNumbers:
+    """Non-finite times, fractional or boolean ids and sizes, and numbers
+    too long to parse are refused with one error record each; state and
+    journal stay untouched, and the journal still resumes."""
+
+    GOOD = [
+        {"kind": "arrival", "time": 1.0, "id": 0, "size": 4},
+        {"kind": "arrival", "time": 2.0, "id": 1, "size": 2, "work": 1.5},
+    ]
+    TAIL = [
+        {"kind": "departure", "time": 3.0, "id": 0},
+        {"kind": "arrival", "time": 4.0, "size": 8},
+    ]
+
+    @staticmethod
+    def _journaled(path):
+        machine = TreeMachine(N)
+        return AllocationSession(
+            machine, make_algorithm("greedy", machine, d=2.0),
+            journal_path=path, fsync_policy="batch",
+        )
+
+    def test_each_hostile_line_gets_an_error_and_changes_nothing(self, tmp_path):
+        journal = tmp_path / "s.journal"
+        session = self._journaled(journal)
+        server = StdioServer(session)
+        lines = [json.dumps(r) for r in self.GOOD]
+        assert len(list(server.serve_lines(lines))) == len(lines)
+        session.flush()
+        status, snapshot = session.status(), session.snapshot()
+        journal_bytes = journal.read_bytes()
+
+        for line in HOSTILE_LINES:
+            replies = [_strict_json(out) for out in server.serve_lines([line])]
+            assert len(replies) == 1 and "error" in replies[0], (line, replies)
+            assert replies[0]["line"] == 1
+        # An arrival that precedes the clock is still refused: no hostile
+        # time moved it (a NaN clock would have let this one through).
+        late = json.dumps({"kind": "arrival", "time": 0.5, "size": 2})
+        assert "precedes" in _strict_json(next(server.serve_lines([late])))["error"]
+        session.flush()
+        assert session.status() == status
+        assert session.snapshot() == snapshot
+        assert journal.read_bytes() == journal_bytes
+
+        tail = [json.dumps(r) for r in self.TAIL]
+        replies = [_strict_json(out) for out in server.serve_lines(tail)]
+        session.close()
+        reference = _session_backend()
+        expected = [reference.push(r).to_dict() for r in self.GOOD + self.TAIL]
+        assert replies == expected[len(self.GOOD):]
+
+        resumed = self._journaled(journal)
+        assert resumed.num_events == len(self.GOOD + self.TAIL)
+        assert resumed.snapshot() == reference.snapshot()
+        assert resumed.status() == reference.status()
+        resumed.close()
+
+
 class TestMetrics:
     def test_metrics_op_returns_exposition(self):
         replies = _serve(

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.registry import make_algorithm
-from repro.errors import SimulationError
+from repro.errors import InvalidMachineError, SimulationError
 from repro.machines.tree import TreeMachine
 from repro.service import (
     Admit,
@@ -179,6 +179,32 @@ class TestAdmissionGate:
         pytest.fail("oblivious random never produced an SLO violation")
 
 
+class TestResizedMachine:
+    """Arrival sizes are checked against the machine as it is now, not
+    the one the session was built with."""
+
+    SLO = SLOPolicy(slowdown_target=2.0)
+
+    def test_grow_admits_a_task_only_the_grown_machine_holds(self):
+        gated = _session(n=8, slo=self.SLO, fault_tolerant=True)
+        plain = _session(n=8, fault_tolerant=True)
+        for s in (gated, plain):
+            s.grow(2)
+        out = gated.submit(16)
+        assert isinstance(out, Admit)
+        assert out.decision == plain.submit(16)
+        assert gated.snapshot() == plain.snapshot()
+
+    def test_shrink_refuses_a_task_the_shrunk_machine_cannot_hold(self):
+        s = _session(n=8, slo=self.SLO, fault_tolerant=True)
+        s.shrink(2)
+        with pytest.raises(InvalidMachineError, match="4-PE machine"):
+            s.submit(8)
+        assert s.admission_queue() == ()
+        assert s.num_offers == 1  # the shrink alone
+        assert isinstance(s.submit(4), Admit)
+
+
 class TestStatusAndWire:
     def test_status_keys_zero_valued_without_slo(self):
         s = _session(n=8)
@@ -308,6 +334,28 @@ class TestJournaledAdmission:
         assert resumed.status() == want_status
         assert resumed.snapshot() == want_snapshot
         resumed.close()
+
+    def test_resume_leaves_journal_untouched_and_resumes_twice(self, tmp_path):
+        """Replaying a drained queue must not re-journal its dequeues: the
+        bytes stay as written, so a second resume sees the same history."""
+        slo = SLOPolicy(slowdown_target=1.0, queue_capacity=3)
+        path = tmp_path / "slo.journal"
+        live = _session(n=8, slo=slo, journal_path=path)
+        self._storm(live)
+        want = (live.status(), live.admission_queue(), live.snapshot())
+        live.close()
+        written = path.read_bytes()
+
+        first = _session(n=8, slo=slo, journal_path=path)
+        first.close()
+        assert path.read_bytes() == written
+
+        second = _session(n=8, slo=slo, journal_path=path)
+        assert (
+            second.status(), second.admission_queue(), second.snapshot()
+        ) == want
+        second.close()
+        assert path.read_bytes() == written
 
     def test_resume_continues_identically_to_uninterrupted(self, tmp_path):
         slo = SLOPolicy(slowdown_target=1.0, queue_capacity=3)
