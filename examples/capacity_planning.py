@@ -102,7 +102,7 @@ def main() -> None:
             f"d = {best['d']} "
             f"({best.value['typical'].metrics.realloc.num_reallocations} repacks)"
         )
-        _times, loads = best.value["typical"].metrics.series.as_arrays()
+        _times, loads = best.value["typical"].series.as_arrays()
         print("its max-load profile over events:")
         print(sparkline(loads.tolist()[:120]))
         if best.value["typical"].metrics.peak_snapshot is not None:

@@ -451,7 +451,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"peak degraded L*   : {fstats.peak_degraded_lstar}")
         print(f"overshoot vs L*deg : {fstats.load_overshoot_vs_degraded}")
     if args.plot:
-        times, loads = result.metrics.series.as_arrays()
+        times, loads = result.series.as_arrays()
         print("\nmax load over events:")
         print(sparkline(loads.tolist()))
         print()
@@ -679,9 +679,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             print(f"{label}: {len(positions)} "
                   f"(first {positions[0]}, last {positions[-1]})")
     _positions("state digests      ", _riders("state_sha256"))
-    legacy = _riders("snapshot")
-    if legacy:  # embedded by older builds; still verified on resume
-        _positions("legacy snapshots   ", legacy)
     _positions("delta riders       ", _riders("delta"))
     if args.head:
         print(f"--- first {min(args.head, len(pairs))} record(s) ---")

@@ -44,7 +44,6 @@ from repro.machines.degraded import DegradedView
 from repro.sim.engine import RunResult, Simulator
 from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.sequence import TaskSequence
-from repro.types import TaskId
 
 __all__ = ["FaultAwareSimulator", "run_traced_with_faults"]
 
@@ -98,23 +97,13 @@ class FaultAwareSimulator(Simulator):
             repack_on_repair=self._pending_repack_on_repair,
         )
 
-    @property
-    def _killed(self) -> set[TaskId]:
-        return self.kernel._killed
-
     # -- Public API ---------------------------------------------------------
 
     def run(self, sequence: TaskSequence) -> RunResult:
         """Drive the merged task + fault event stream to completion."""
         for event in merge_events(sequence, self.plan):
             self.step(event)
-        return RunResult(
-            algorithm_name=self.algorithm.name,
-            machine_description=self.machine.describe(),
-            metrics=self.metrics,
-            optimal_load=sequence.optimal_load(self.machine.num_pes),
-            final_placements=dict(self._placements),
-        )
+        return self._result(sequence)
 
 
 def run_traced_with_faults(

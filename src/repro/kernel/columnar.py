@@ -13,7 +13,7 @@ computation, and syncs the authoritative :class:`LoadTracker` state once
 per batch with :meth:`LoadTracker.apply_spans`.
 
 The contract is strict bit-identity with the per-event path — same
-:class:`Decision` stream, same metrics series, same peak snapshot, same
+:class:`Decision` stream, same metrics, same peak snapshot, same
 error text and prefix semantics on a mid-batch failure — so the per-event
 :meth:`~repro.kernel.core.AllocationKernel.apply` remains the
 differential oracle (``repro.verify`` checks chunked ``apply_batch``
@@ -39,8 +39,8 @@ Why it is fast
   argmin rounds, and the prefix property (the first ``p`` picks of the
   sorted slots equal the ``p``-pick process) keeps mid-batch failure
   semantics exact.
-* **Deferred everything else.**  The metrics series is extended once;
-  the peak leaf snapshot is materialised once at the end by un-applying
+* **Deferred everything else.**  The metrics are folded in once; the
+  peak leaf snapshot is materialised once at the end by un-applying
   the span updates that followed the last strict peak increase;
   :class:`Decision` objects are assembled in bulk from a compact args
   list.
@@ -249,15 +249,12 @@ class ColumnarEngine:
         num_pes = machine.num_pes
         node_base = self._node_base
         tasks = k._tasks
-        plog = k._placement_log
-        dep_times = k._departure_times
         killed = k._killed
         active = k._active_size
         peak = k._peak_active_size
         arrived = k._arrived_since_realloc
         collect = k.collect_leaf_snapshots
-        snap = metrics.peak_snapshot
-        snap_peak = int(snap.max()) if snap is not None else None
+        snap_peak = metrics.max_load if metrics.peak_snapshot is not None else None
         snap_idx = -1
         pick = _waterfill_pick
 
@@ -267,8 +264,6 @@ class ColumnarEngine:
         L = tracker.leaf_loads(copy=True)
         ml = tracker.max_load
 
-        times: list[Any] = []
-        max_loads: list[int] = []
         #: Positional Decision() args per applied event (bulk-built later).
         d_args: list[tuple[Any, ...]] = []
         #: Per-event leaf-span ops, for the deferred peak-snapshot replay.
@@ -305,7 +300,6 @@ class ColumnarEngine:
                             placements[tid] = node
                             tasks[tid] = task
                             t = e2.time
-                            plog[tid] = [(float(t), node)]
                             active += size
                             if active > peak:
                                 peak = active
@@ -322,11 +316,9 @@ class ColumnarEngine:
                                 lo = col * size
                                 ops.append((lo, lo + size, 1))
                                 if snap_peak is None or ml > snap_peak:
-                                    snap_idx = len(times)
+                                    snap_idx = len(d_args)
                                     snap_peak = ml
                             opt = -(-peak // num_pes)
-                            times.append(t)
-                            max_loads.append(ml)
                             d_args.append(
                                 ("arrival", float(t), ml, active, opt,
                                  int(tid), int(node))
@@ -363,7 +355,6 @@ class ColumnarEngine:
                     alg_placement[tid] = node
                     tasks[tid] = task
                     t = e.time
-                    plog[tid] = [(float(t), node)]
                     active += size
                     if active > peak:
                         peak = active
@@ -376,11 +367,9 @@ class ColumnarEngine:
                     if collect:
                         ops.append((lo, hi, 1))
                         if snap_peak is None or ml > snap_peak:
-                            snap_idx = len(times)
+                            snap_idx = len(d_args)
                             snap_peak = ml
                     opt = -(-peak // num_pes)
-                    times.append(t)
-                    max_loads.append(ml)
                     d_args.append(
                         ("arrival", float(t), ml, active, opt,
                          int(tid), int(node))
@@ -397,11 +386,9 @@ class ColumnarEngine:
                     if collect:
                         ops.append((0, 0, 0))
                         if snap_peak is None or ml > snap_peak:
-                            snap_idx = len(times)
+                            snap_idx = len(d_args)
                             snap_peak = ml
                     opt = -(-peak // num_pes)
-                    times.append(t)
-                    max_loads.append(ml)
                     d_args.append(
                         ("departure", float(t), ml, active, opt,
                          int(tid), None, False, 0, False, True)
@@ -424,7 +411,6 @@ class ColumnarEngine:
                 if sm >= ml:
                     # The departed span attained the max; it may drop.
                     ml = int(L.max())
-                dep_times[tid] = float(t)
                 active -= size
                 sd = deltas.get(node)
                 if sd is None:
@@ -434,11 +420,9 @@ class ColumnarEngine:
                 if collect:
                     ops.append((lo, hi, -1))
                     if snap_peak is None or ml > snap_peak:
-                        snap_idx = len(times)
+                        snap_idx = len(d_args)
                         snap_peak = ml
                 opt = -(-peak // num_pes)
-                times.append(t)
-                max_loads.append(ml)
                 d_args.append(
                     ("departure", float(t), ml, active, opt, int(tid))
                 )
@@ -448,10 +432,9 @@ class ColumnarEngine:
         finally:
             # Mirror the per-event path's ``finally``: whatever prefix was
             # applied is fully committed — scalars written back, both heap
-            # trackers synced in one bulk call, the metrics series
-            # extended once, and the peak snapshot materialised by
-            # un-applying the span ops that followed the last strict peak
-            # increase.
+            # trackers synced in one bulk call, the metrics folded in
+            # once, and the peak snapshot materialised by un-applying the
+            # span ops that followed the last strict peak increase.
             k._active_size = active
             k._peak_active_size = peak
             k._arrived_since_realloc = arrived
@@ -461,16 +444,17 @@ class ColumnarEngine:
             if items:
                 k._loads.apply_spans(items)
                 tracker.apply_spans(items)
-            metrics.events_processed += len(times)
-            metrics.series.record_many(times, max_loads)
+            arr = None
             if snap_idx >= 0:
                 arr = L.copy()
                 for j2 in range(len(ops) - 1, snap_idx, -1):
                     lo, hi, d = ops[j2]
                     if d:
                         arr[lo:hi] -= d
-                metrics.peak_snapshot = arr
-                metrics.peak_snapshot_time = times[snap_idx]
+            metrics.observe_batch(
+                len(d_args), max((a[2] for a in d_args), default=0), arr,
+                d_args[snap_idx][1] if arr is not None else None,
+            )
         decisions = [Decision(*a) for a in d_args]
         if err is not None:
             raise BatchError(

@@ -4,8 +4,8 @@
 batch :class:`~repro.sim.engine.Simulator`, the fault-aware simulator, the
 work-driven simulators and the streaming service layer all used to
 duplicate: placement validation, the d-budget reallocation gate, the
-:class:`~repro.machines.loads.LoadTracker`, incremental metrics deltas and
-the full placement history.  Drivers feed events in with :meth:`apply` (or
+:class:`~repro.machines.loads.LoadTracker` and incremental metrics deltas.
+Drivers feed events in with :meth:`apply` (or
 :meth:`apply_placed` when the placement was decided externally) and get a
 :class:`~repro.kernel.decision.Decision` back; they never touch the load
 state directly, so the validation discipline of the original simulator —
@@ -14,12 +14,14 @@ error — holds identically for every operating mode.
 
 The kernel is pure with respect to the outside world: it performs no I/O,
 holds no clock, and spawns no callbacks.  Its complete state round-trips
-through :meth:`snapshot` / :meth:`restore` as a versioned JSON-safe dict.
-That dict is O(history), not O(active tasks): ``placement_log`` and
-``departure_times`` keep every task ever seen, departed ones included,
-and every migration appends to ``placement_log``.  So journals never
-store it; a streaming session checkpoints the sha256 of its canonical
-encoding instead (``docs/ARCHITECTURE.md``, "Checkpoint digests").
+through :meth:`snapshot` / :meth:`restore` as a versioned JSON-safe dict
+of live state only — active tasks and placements, the killed and failed
+sets, counters, scalar metrics and the O(N) peak leaf vector — so its
+size follows the active set, not the uptime.  History is the drivers':
+each :class:`Decision` carries the moves it made, and
+:class:`~repro.sim.history.RunHistory` folds decisions into residence
+segments and the max-load series.  A streaming session checkpoints the
+snapshot's sha256 (``docs/ARCHITECTURE.md``, "Checkpoint digests").
 
 Fault events (failures, repairs, kills) are dispatched by their ``kind``
 string rather than by class, so the kernel never imports
@@ -66,14 +68,16 @@ from repro.types import NodeId, TaskId, Time
 
 __all__ = ["AllocationKernel", "KERNEL_STATE_KIND", "KERNEL_STATE_VERSION"]
 
+#: ``(task_id, new_node)`` pairs: the re-placements one event made.
+_Moves = tuple[tuple[TaskId, NodeId], ...]
+
 #: Identity of the snapshot format; :meth:`AllocationKernel.restore`
 #: refuses anything else rather than guessing.
 KERNEL_STATE_KIND = "repro-kernel-state"
-#: Version 2 adds online-resize provenance (``num_resizes`` and the
-#: ``initial_machine`` the kernel was constructed on); version-1 snapshots
-#: are still restorable (they simply predate resizes).
-KERNEL_STATE_VERSION = 2
-_RESTORABLE_VERSIONS = (1, 2)
+#: Version 3 is live state only (version 2 also kept the placement log,
+#: departure times and max-load series).  Only v3 restores; session
+#: journals pin it in their fingerprint, since their digests hash it.
+KERNEL_STATE_VERSION = 3
 
 
 class _SalvageCapable(Protocol):
@@ -151,10 +155,6 @@ class AllocationKernel:
         self._tasks: dict[TaskId, Task] = {}
         self._arrived_since_realloc = 0
         self.metrics = MetricsCollector()
-        # Full placement history: every (start_time, node) a task ever held,
-        # in order — fuels the exact slowdown integration.
-        self._placement_log: dict[TaskId, list[tuple[float, NodeId]]] = {}
-        self._departure_times: dict[TaskId, float] = {}
         self._killed: set[TaskId] = set()
         # Online L* tracking: the peak active volume seen so far gives
         # ceil(peak/N) — readable at any instant by streaming clients.
@@ -212,9 +212,9 @@ class AllocationKernel:
 
         Bit-identical to calling :meth:`apply` once per event — same
         decisions, same metrics, same snapshots — but the per-event
-        metering is batched: the max-load series is buffered and appended
-        once, and the O(N) peak-snapshot scan runs only at events that
-        strictly raise the peak (the per-event path pays it every event).
+        metering is batched: the running peak and event count are folded
+        into the metrics once, and the O(N) peak snapshot is copied only
+        at events that strictly raise the peak.
         Event *semantics* are untouched; each event still runs the full
         dispatch, validation, and d-budget discipline.
 
@@ -240,15 +240,12 @@ class AllocationKernel:
     def _apply_batch_loop(self, events: Sequence[Any]) -> BatchDecision:
         """The per-event batch loop: :meth:`apply` semantics, batched metering."""
         decisions: list[Decision] = []
-        times: list[Time] = []
-        max_loads: list[int] = []
         collect = self.collect_leaf_snapshots
         view = self.view
-        snap = self.metrics.peak_snapshot
-        # The captured snapshot's max equals the max load at capture time
-        # (the peak snapshot *is* the leaf-load vector), so a scalar
-        # suffices to decide "strictly above every peak so far".
-        snap_peak = int(snap.max()) if snap is not None else None
+        peak = self.metrics.max_load
+        # The captured snapshot's max equals the running peak (the peak
+        # snapshot *is* the leaf-load vector at the peak).
+        snap_peak = peak if self.metrics.peak_snapshot is not None else None
         new_snap: Optional[np.ndarray] = None
         new_snap_time: Optional[Time] = None
         try:
@@ -258,8 +255,8 @@ class AllocationKernel:
                 # replaces ``self._loads`` with a resized instance.
                 tracker = self._loads
                 max_load = tracker.max_load
-                times.append(event.time)
-                max_loads.append(max_load)
+                if max_load > peak:
+                    peak = max_load
                 if collect and (snap_peak is None or max_load > snap_peak):
                     new_snap = tracker.leaf_loads()  # already a fresh copy
                     new_snap_time = event.time
@@ -276,12 +273,9 @@ class AllocationKernel:
         finally:
             # Flush the applied prefix so kernel state always equals the
             # per-event path, success or failure.
-            m = self.metrics
-            m.events_processed += len(times)
-            m.series.record_many(times, max_loads)
-            if new_snap is not None:
-                m.peak_snapshot = new_snap
-                m.peak_snapshot_time = new_snap_time
+            self.metrics.observe_batch(
+                len(decisions), peak, new_snap, new_snap_time
+            )
         return BatchDecision.summarize(
             tuple(decisions),
             max_load=self._loads.max_load,
@@ -299,7 +293,7 @@ class AllocationKernel:
         if task.task_id in self._placements:
             raise SimulationError(f"duplicate arrival of task {task.task_id}")
         self._validate_node_for(task, node)
-        self._admit(time, task, node)
+        self._admit(task, node)
         self._observe(time)
         if self.view is not None:
             self._update_degradation_gauges()
@@ -328,11 +322,10 @@ class AllocationKernel:
 
     # -- Arrival / departure -------------------------------------------------
 
-    def _admit(self, time: Time, task: Task, node: NodeId) -> None:
+    def _admit(self, task: Task, node: NodeId) -> None:
         self._loads.place(node, task.size)
         self._placements[task.task_id] = node
         self._tasks[task.task_id] = task
-        self._placement_log[task.task_id] = [(float(time), node)]
         self._active_size += task.size
         if self._active_size > self._peak_active_size:
             self._peak_active_size = self._active_size
@@ -354,15 +347,15 @@ class AllocationKernel:
                 f"with a placement for {placement.task_id}"
             )
         self._validate_node_for(task, placement.node)
-        self._admit(event.time, task, placement.node)
-        reallocated, moved = self._offer_reallocation(event.time)
+        self._admit(task, placement.node)
+        reallocated, moves = self._offer_reallocation()
         return self._decision(
             "arrival",
             event.time,
             task_id=int(task.task_id),
             node=int(self._placements[task.task_id]),
             reallocated=reallocated,
-            migrations=moved,
+            moves=moves,
         )
 
     def _apply_departure(self, event: Any) -> Decision:
@@ -381,17 +374,16 @@ class AllocationKernel:
         if self.algorithm is not None:
             self.algorithm.on_departure(task)
         self._loads.remove(node, task.size)
-        self._departure_times[event.task_id] = float(event.time)
         self._active_size -= task.size
         return self._decision("departure", event.time, task_id=int(event.task_id))
 
     # -- Reallocation --------------------------------------------------------
 
-    def _offer_reallocation(self, now: float) -> tuple[bool, int]:
+    def _offer_reallocation(self) -> tuple[bool, _Moves]:
         assert self.algorithm is not None
         realloc = self.algorithm.maybe_reallocate(self._arrived_since_realloc)
         if realloc is None:
-            return False, 0
+            return False, ()
         d = self.algorithm.reallocation_parameter
         if self.view is None:
             budget = d * self.machine.num_pes
@@ -411,19 +403,24 @@ class AllocationKernel:
                     f"{self._arrived_since_realloc} PE-arrivals; its degraded "
                     f"budget is d*N_surviving = {budget}"
                 )
-        moved = self._apply_reallocation(realloc, now)
+        moves = self._apply_reallocation(realloc)
         self._arrived_since_realloc = 0
-        return True, moved
+        return True, moves
 
-    def _apply_reallocation(self, realloc: Reallocation, now: float) -> int:
-        mapping = dict(realloc.mapping)
+    def _check_remap(
+        self, mapping: Mapping[TaskId, NodeId], error: type[ReproError], what: str
+    ) -> None:
         if set(mapping) != set(self._placements):
             missing = set(self._placements) - set(mapping)
             extra = set(mapping) - set(self._placements)
-            raise ReallocationError(
-                f"reallocation must remap exactly the active tasks; "
+            raise error(
+                f"{what} must remap exactly the active tasks; "
                 f"missing={sorted(missing)!r} extra={sorted(extra)!r}"
             )
+
+    def _apply_reallocation(self, realloc: Reallocation) -> _Moves:
+        mapping = dict(realloc.mapping)
+        self._check_remap(mapping, ReallocationError, "reallocation")
         stats = self.metrics.realloc
         stats.record_reallocation()
         # Bulk form of the per-task validate/charge loop: gather the remap
@@ -452,14 +449,10 @@ class AllocationKernel:
         stats.record_moves(
             moved_sizes, distances, self.cost_model.bytes_moved(moved_sizes, distances)
         )
-        log = self._placement_log
-        for i in moved.tolist():
-            tid = tids[i]
-            node = mapping[tid]
-            placements[tid] = node
-            log[tid].append((now, node))
+        moves = tuple((tids[i], mapping[tids[i]]) for i in moved.tolist())
+        placements.update(moves)
         self._commit_moves(list(zip(src.tolist(), dst.tolist(), moved_sizes.tolist())))
-        return len(moved)
+        return moves
 
     # -- Fault events --------------------------------------------------------
 
@@ -482,26 +475,26 @@ class AllocationKernel:
             stats.record_failure(
                 len(orphans), sum(self._tasks[t].size for t in orphans)
             )
-            salvaged, moved = self._salvage_after_fault(event.time, orphans)
+            salvaged, moves = self._salvage_after_fault(orphans)
             return self._decision(
                 "failure",
                 event.time,
                 node=int(event.node),
                 salvaged=salvaged,
-                migrations=moved,
+                moves=moves,
             )
         if kind == "repair":
             view.repair(event.node)
             stats.num_repairs += 1
-            salvaged, moved = False, 0
+            salvaged, moves = False, ()
             if self.repack_on_repair:
-                salvaged, moved = self._salvage_after_fault(event.time, set())
+                salvaged, moves = self._salvage_after_fault(set())
             return self._decision(
                 "repair",
                 event.time,
                 node=int(event.node),
                 salvaged=salvaged,
-                migrations=moved,
+                moves=moves,
             )
         return self._apply_kill(event)
 
@@ -515,38 +508,30 @@ class AllocationKernel:
             )
         cast(_SalvageCapable, self.algorithm).kill(task)
         self._loads.remove(node, task.size)
-        self._departure_times[event.task_id] = float(event.time)
         self._active_size -= task.size
         self._killed.add(event.task_id)
         self.metrics.faults.num_kills += 1
         return self._decision("kill", event.time, task_id=int(event.task_id))
 
-    def _salvage_after_fault(
-        self, now: float, orphans: set[TaskId]
-    ) -> tuple[bool, int]:
+    def _salvage_after_fault(self, orphans: set[TaskId]) -> tuple[bool, _Moves]:
         realloc = cast(_SalvageCapable, self.algorithm).on_fault()
-        moved = 0
+        moves: _Moves = ()
         if realloc is not None:
-            moved = self._apply_salvage(dict(realloc.mapping), now, orphans)
+            moves = self._apply_salvage(dict(realloc.mapping), orphans)
         # A salvage leaves the machine optimally repacked, so the planned
         # d-budget clock restarts — the fault paid for the repack, the
         # algorithm's budget did not.
         self._arrived_since_realloc = 0
-        return realloc is not None, moved
+        return realloc is not None, moves
 
     def _apply_salvage(
-        self, mapping: dict[TaskId, NodeId], now: float, orphans: set[TaskId]
-    ) -> int:
-        if set(mapping) != set(self._placements):
-            missing = set(self._placements) - set(mapping)
-            extra = set(mapping) - set(self._placements)
-            raise SalvageError(
-                f"salvage must remap exactly the active tasks; "
-                f"missing={sorted(missing)!r} extra={sorted(extra)!r}"
-            )
+        self, mapping: dict[TaskId, NodeId], orphans: set[TaskId]
+    ) -> _Moves:
+        self._check_remap(mapping, SalvageError, "salvage")
         stats = self.metrics.faults
         stats.num_salvage_repacks += 1
-        moves: list[tuple[NodeId, NodeId, int]] = []
+        spans: list[tuple[NodeId, NodeId, int]] = []
+        moves: list[tuple[TaskId, NodeId]] = []
         for tid, new_node in mapping.items():
             task = self._tasks[tid]
             self._validate_node_for(task, new_node)
@@ -559,11 +544,11 @@ class AllocationKernel:
             stats.record_salvage_move(
                 task.size, charge.distance, charge.seconds, orphan=tid in orphans
             )
-            moves.append((old_node, new_node, task.size))
+            spans.append((old_node, new_node, task.size))
+            moves.append((tid, new_node))
             self._placements[tid] = new_node
-            self._placement_log[tid].append((now, new_node))
-        self._commit_moves(moves)
-        return len(moves)
+        self._commit_moves(spans)
+        return tuple(moves)
 
     # -- Online resize -------------------------------------------------------
 
@@ -580,10 +565,10 @@ class AllocationKernel:
         degraded (repair first) or while any active task exceeds the new
         machine.  Repack migrations are metered as salvage traffic — like
         a fault, the resize paid for the repack, so the d-budget clock
-        restarts.  Residence segments never straddle a resize: every
-        active task gets a placement-log entry at the resize instant,
-        which is what lets the verify referees audit each constant-N
-        epoch independently.
+        restarts.  Residence segments never straddle a resize: the
+        decision's ``moves`` re-place every active task at the resize
+        instant, which is what lets the verify referees audit each
+        constant-N epoch independently.
         """
         view = self.view
         assert view is not None
@@ -624,7 +609,6 @@ class AllocationKernel:
                     f"cannot shrink to {new_n} PEs: active task(s) "
                     f"{oversized} exceed the new machine"
                 )
-        now = float(event.time)
         new_machine = old_machine.resized(new_n)
         new_view = view.resized(new_machine, factor=factor, grow=grow)
         if grow:
@@ -653,13 +637,7 @@ class AllocationKernel:
         mapping = (
             dict(self._placements) if realloc is None else dict(realloc.mapping)
         )
-        if set(mapping) != set(self._placements):
-            missing = set(self._placements) - set(mapping)
-            extra = set(mapping) - set(self._placements)
-            raise SalvageError(
-                f"resize repack must remap exactly the active tasks; "
-                f"missing={sorted(missing)!r} extra={sorted(extra)!r}"
-            )
+        self._check_remap(mapping, SalvageError, "resize repack")
         stats = self.metrics.faults
         moved = 0
         old_h = old_machine.hierarchy
@@ -693,7 +671,6 @@ class AllocationKernel:
                     )
                     moved += 1
             self._placements[tid] = new_node
-            self._placement_log[tid].append((now, new_node))
         if realloc is not None:
             stats.num_salvage_repacks += 1
         if grow:
@@ -715,6 +692,7 @@ class AllocationKernel:
             event.time,
             salvaged=realloc is not None,
             migrations=moved,
+            moves=tuple(mapping.items()),
         )
 
     def _commit_moves(self, moves: list[tuple[NodeId, NodeId, int]]) -> None:
@@ -771,10 +749,13 @@ class AllocationKernel:
         task_id: Optional[int] = None,
         node: Optional[int] = None,
         reallocated: bool = False,
-        migrations: int = 0,
+        migrations: Optional[int] = None,
         salvaged: bool = False,
         noop: bool = False,
+        moves: _Moves = (),
     ) -> Decision:
+        """``migrations`` defaults to ``len(moves)``; a resize, whose
+        ``moves`` re-place every active task, counts only real moves."""
         return Decision(
             kind=kind,
             time=float(time),
@@ -784,9 +765,10 @@ class AllocationKernel:
             task_id=task_id,
             node=node,
             reallocated=reallocated,
-            migrations=migrations,
+            migrations=len(moves) if migrations is None else migrations,
             salvaged=salvaged,
             noop=noop,
+            moves=moves,
         )
 
     # -- State inspection ----------------------------------------------------
@@ -852,25 +834,6 @@ class AllocationKernel:
         """Count of currently-placed tasks (O(1); journal delta riders)."""
         return len(self._placements)
 
-    def placement_intervals(self) -> dict[TaskId, list[tuple[float, float, NodeId]]]:
-        """Exact (start, end, node) residence segments for every task seen.
-
-        ``end`` is the task's departure time (``inf`` if it never departed)
-        or the instant a reallocation moved it.  This is the input the
-        slowdown model integrates over — it reflects what actually ran,
-        including mid-life migrations.
-        """
-        intervals: dict[TaskId, list[tuple[float, float, NodeId]]] = {}
-        for tid, changes in self._placement_log.items():
-            end_of_life = self._departure_times.get(tid, float("inf"))
-            segments = []
-            for i, (start, node) in enumerate(changes):
-                end = changes[i + 1][0] if i + 1 < len(changes) else end_of_life
-                if end > start:
-                    segments.append((start, end, node))
-            intervals[tid] = segments
-        return intervals
-
     def check_consistency(self) -> None:
         """Cross-check tracker vs. placements (test helper)."""
         self._loads.check_invariants()
@@ -887,10 +850,11 @@ class AllocationKernel:
     def snapshot(self) -> dict[str, Any]:
         """Versioned, JSON-serialisable image of the complete kernel state.
 
-        Everything the kernel is authoritative for is included; algorithm
-        internals are not (see the module docstring for the replay-based
-        resume contract).  ``restore`` on a kernel built for the same
-        machine reproduces this state bit-identically.
+        Everything the kernel is authoritative for is included, and all of
+        it is live state: O(active tasks + N), whatever the uptime.
+        Algorithm internals are not (see the module docstring for the
+        replay-based resume contract).  ``restore`` on a kernel built for
+        the same machine reproduces this state bit-identically.
         """
         return {
             "kind": KERNEL_STATE_KIND,
@@ -917,14 +881,6 @@ class AllocationKernel:
                 str(int(tid)): int(node)
                 for tid, node in sorted(self._placements.items(), key=lambda kv: int(kv[0]))
             },
-            "placement_log": {
-                str(int(tid)): [[float(t), int(n)] for t, n in log]
-                for tid, log in sorted(self._placement_log.items(), key=lambda kv: int(kv[0]))
-            },
-            "departure_times": {
-                str(int(tid)): float(t)
-                for tid, t in sorted(self._departure_times.items(), key=lambda kv: int(kv[0]))
-            },
             "killed": sorted(int(t) for t in self._killed),
             "failed_nodes": (
                 None
@@ -948,12 +904,11 @@ class AllocationKernel:
         construction machine matches the snapshot's *initial* machine may
         restore a post-resize snapshot — the kernel adopts the snapshot's
         current machine, exactly as replaying the resize events would.
-        Version-1 snapshots (pre-resize builds) restore unchanged.
+        Snapshots of other versions are refused.
         """
-        version = state.get("version")
         if (
             state.get("kind") != KERNEL_STATE_KIND
-            or version not in _RESTORABLE_VERSIONS
+            or state.get("version") != KERNEL_STATE_VERSION
         ):
             raise CheckpointError(
                 f"not a kernel snapshot: kind={state.get('kind')!r} "
@@ -963,7 +918,7 @@ class AllocationKernel:
         here = machine_descriptor(self.machine)
         snap_machine = dict(state.get("machine", {}))
         num_resizes = int(state.get("num_resizes", 0))
-        initial_machine = dict(state.get("initial_machine") or snap_machine)
+        initial_machine = dict(state.get("initial_machine", {}))
         adopt_machine = False
         if snap_machine != here:
             if (
@@ -991,14 +946,6 @@ class AllocationKernel:
             placements = {
                 TaskId(int(tid)): NodeId(int(node))
                 for tid, node in state["placements"].items()
-            }
-            placement_log = {
-                TaskId(int(tid)): [(float(t), NodeId(int(n))) for t, n in log]
-                for tid, log in state["placement_log"].items()
-            }
-            departure_times = {
-                TaskId(int(tid)): float(t)
-                for tid, t in state["departure_times"].items()
             }
             killed = {TaskId(int(t)) for t in state.get("killed", [])}
             if not set(placements) <= set(tasks):
@@ -1040,8 +987,6 @@ class AllocationKernel:
         self._loads.rebuild_from(
             (node, tasks[tid].size) for tid, node in placements.items()
         )
-        self._placement_log = placement_log
-        self._departure_times = departure_times
         self._killed = killed
         self._arrived_since_realloc = arrived
         self._active_size = active

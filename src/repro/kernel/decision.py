@@ -7,6 +7,10 @@ running optimal load ``L*`` and hence the instantaneous competitive
 ratio).  The streaming service layer serialises these to JSONL, one line
 per event, so an online client can watch the paper's quantities evolve in
 real time.
+
+A decision is also the unit of history: the kernel keeps only live
+state, and a driver that wants residence segments or the max-load series
+folds them from the decision stream (:mod:`repro.sim.history`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ __all__ = ["Decision", "BatchDecision"]
 class Decision:
     """The kernel's answer to one event (post-event state included)."""
 
-    #: ``"arrival" | "departure" | "failure" | "repair" | "kill"``.
+    #: ``"arrival" | "departure" | "failure" | "repair" | "kill" | "resize"``.
     kind: str
     time: float
     #: Max PE load immediately after the event — the running ``L_A``.
@@ -44,6 +48,10 @@ class Decision:
     #: True for metered no-ops (e.g. the scheduled departure of a task
     #: that was already killed).
     noop: bool = False
+    #: ``(task_id, new_node)`` for every task the event re-placed: those a
+    #: reallocation or salvage moved, every active task at a resize.  Not
+    #: in :meth:`to_dict`: history folds read it, wire replies omit it.
+    moves: tuple[tuple[int, int], ...] = ()
 
     @property
     def competitive_ratio(self) -> float:

@@ -34,7 +34,8 @@ from repro.machines.hierarchy import Hierarchy
 from repro.machines.tree import TreeMachine
 from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.elastic import MachineResize, Scenario
-from repro.sim.metrics import MetricsCollector
+from repro.sim.history import RunHistory
+from repro.sim.metrics import LoadTimeSeries, MetricsCollector
 from repro.sim.parallel import parallel_map
 from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.events import Arrival, Departure
@@ -143,6 +144,8 @@ class ScenarioRunResult:
     num_resizes: int
     final_placements: Dict[TaskId, NodeId]
     intervals: Dict[TaskId, List[Tuple[float, float, NodeId]]]
+    #: Max load after every event.
+    series: LoadTimeSeries
 
     @property
     def max_load(self) -> int:
@@ -161,10 +164,10 @@ class ScenarioRunResult:
 
 
 def steady_state_metrics(
-    scenario: Scenario, metrics: MetricsCollector
+    scenario: Scenario, metrics: MetricsCollector, series: LoadTimeSeries
 ) -> SteadyStateMetrics:
     """Derive the steady-state summary from a finished run's metrics."""
-    time_avg_load = metrics.series.time_average()
+    time_avg_load = series.time_average()
     lstar_series = [
         (t, float(v)) for t, v in degraded_lstar_series(scenario)
     ]
@@ -217,18 +220,20 @@ def run_scenario(
         collect_leaf_snapshots=collect_leaf_snapshots,
         view=view,
     )
+    history = RunHistory()
     for event in scenario.merged_events():
-        kernel.apply(event)
+        history.record(kernel.apply(event))
     kernel.check_consistency()
     return ScenarioRunResult(
         algorithm_name=wrapper.name,
         scenario=scenario,
         metrics=kernel.metrics,
-        steady=steady_state_metrics(scenario, kernel.metrics),
+        steady=steady_state_metrics(scenario, kernel.metrics, history.series),
         final_num_pes=kernel.machine.num_pes,
         num_resizes=kernel.num_resizes,
         final_placements=kernel.placements,
-        intervals=kernel.placement_intervals(),
+        intervals=history.placement_intervals(),
+        series=history.series,
     )
 
 

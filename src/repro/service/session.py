@@ -13,9 +13,8 @@ same kernel.
 Durability: give the session a journal path and every absorbed event is
 appended — fsync'd — to a :class:`~repro.sim.checkpoint.CheckpointJournal`
 before the decision is returned.  At each full checkpoint the journal
-gets a 64-character ``state_sha256``: the sha256 of the complete kernel
-snapshot (history included), never the snapshot itself, whose size grows
-with every placement and migration ever made.  If the process dies,
+gets a 64-character ``state_sha256``: the sha256 of the kernel snapshot,
+which holds live state only (O(active tasks + N)).  If the process dies,
 constructing a session with the same configuration and journal path
 *resumes* it: the journaled events are replayed through a fresh kernel
 and algorithm (the :class:`~repro.core.base.AllocationAlgorithm`
@@ -23,10 +22,15 @@ contract guarantees algorithms are deterministic functions of the event
 history), and the replayed kernel state is digested and compared at
 every checkpoint — a mismatch (different code, different config,
 corrupted journal) is a hard :class:`~repro.errors.CheckpointError`,
-never a silently different run.  Journals from older builds, which
-embed the full snapshot instead, are checked by digesting both sides.
-The resumed session then continues to the same final metrics the
-uninterrupted run would have produced.
+never a silently different run.  The journal fingerprint pins the
+kernel-state version the digests hash, so a journal from a build with a
+different snapshot format is refused on open, untouched.  The resumed
+session then continues to the same final metrics the uninterrupted run
+would have produced.
+
+History: a session keeps no placement history or load series, only the
+event log (:attr:`AllocationSession.events`), which
+:meth:`AllocationSession.save_run` replays to archive.
 
 Ingest: every record — pushed alone or in a batch, drained from the
 admission queue, or replayed from the journal — takes one path.
@@ -56,6 +60,7 @@ into ``"overloaded"`` wire records and a read stall.  See ``docs/SLO.md``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -64,7 +69,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.core.base import AllocationAlgorithm
 from repro.errors import BatchError, CheckpointError, ReproError, SimulationError
-from repro.kernel import AllocationKernel, BatchDecision, Decision
+from repro.kernel import KERNEL_STATE_VERSION, AllocationKernel, BatchDecision, Decision
 from repro.machines.base import PartitionableMachine
 from repro.machines.factory import machine_descriptor
 from repro.service.slo import (
@@ -77,7 +82,7 @@ from repro.service.slo import (
     SLOPolicy,
 )
 from repro.sim.checkpoint import CheckpointJournal
-from repro.sim.engine import RunResult
+from repro.sim.engine import RunResult, Simulator
 from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.events import Arrival, Departure
 from repro.tasks.sequence import TaskSequence
@@ -160,8 +165,7 @@ def _state_digest(state: Mapping[str, Any]) -> str:
 
     :meth:`~repro.kernel.AllocationKernel.snapshot` emits every dict in a
     fixed order, so the encoding is canonical without ``sort_keys``.  A
-    snapshot is a tree, so the encoder's cycle check is skipped (~20% of
-    its time on history-heavy states).
+    snapshot is a tree, so the encoder's cycle check is skipped.
     """
     return hashlib.sha256(
         json.dumps(state, separators=(",", ":"), check_circular=False).encode()
@@ -236,6 +240,9 @@ class AllocationSession:
         else:
             self.algorithm = algorithm
             view = None
+        # The algorithm as constructed, before any event or resume replay:
+        # save_run() replays the event log through a copy of it.
+        self._pristine = copy.deepcopy(self.algorithm)
         self.kernel = AllocationKernel(
             machine,
             self.algorithm,
@@ -277,6 +284,8 @@ class AllocationSession:
             "algorithm": self.algorithm.name,
             "d": repr(self.algorithm.reallocation_parameter),
             "fault_tolerant": self._fault_tolerant,
+            # The checkpoint digests hash this snapshot format.
+            "kernel_state": KERNEL_STATE_VERSION,
         }
         if self._slo is not None:
             # Only the fields that shape admission decisions pin the
@@ -609,11 +618,8 @@ class AllocationSession:
         }
 
     def _checkpoint_rider(self) -> dict[str, Any]:
-        """The full checkpoint: a digest of the complete kernel state.
-
-        The snapshot covers every task's placement history, so it grows
-        with every migration; its 64-character digest does not.
-        """
+        """The full checkpoint: a digest of the complete kernel state
+        (live state only, so it costs O(active tasks + N))."""
         return {"state_sha256": _state_digest(self.kernel.snapshot())}
 
     def _batch_rider(self, base: int, count: int) -> Optional[dict[str, Any]]:
@@ -820,10 +826,6 @@ class AllocationSession:
             payload = completed[index]
             self.push_replay(self._payload_record(payload, index))
             expected = payload.get("state_sha256")
-            legacy = payload.get("snapshot")
-            if expected is None and legacy is not None:
-                # Older builds embedded the snapshot itself.
-                expected = _state_digest(legacy)
             if (
                 expected is not None
                 and _state_digest(self.kernel.snapshot()) != expected
@@ -1009,12 +1011,7 @@ class AllocationSession:
             "max_load": self.max_load,
             "current_max_load": self.current_max_load,
             "optimal_load": self.optimal_load,
-            "competitive_ratio": (
-                float("inf")
-                if self.optimal_load == 0 and self.max_load > 0
-                else (0.0 if self.optimal_load == 0
-                      else self.max_load / self.optimal_load)
-            ),
+            "competitive_ratio": self.competitive_ratio,
             "reallocations": self.kernel.metrics.realloc.num_reallocations,
             "migrations": self.kernel.metrics.realloc.num_migrations,
             "journal_pending": (
@@ -1112,16 +1109,33 @@ class AllocationSession:
 
     def save_run(self, path: Union[str, Path], *, metadata: Optional[Mapping] = None) -> None:
         """Archive the session for independent re-audit (see
-        :mod:`repro.sim.archive`), with the raw event log embedded."""
+        :mod:`repro.sim.archive`), with the raw event log embedded.  The
+        segments come from replaying the log through a copy of the
+        algorithm as constructed, as journal resume replays it."""
         from repro.service.stream import records_from_events
         from repro.sim.archive import save_run
 
+        algorithm = copy.deepcopy(self._pristine)
+        if self._fault_tolerant:
+            from repro.faults.injector import FaultAwareSimulator
+            from repro.faults.plan import FaultPlan
+
+            replay: Simulator = FaultAwareSimulator(
+                algorithm.machine, algorithm, FaultPlan(), self.kernel.cost_model,
+                collect_leaf_snapshots=False, repack_on_repair=self.kernel.repack_on_repair,
+            )
+        else:
+            replay = Simulator(
+                algorithm.machine, algorithm, self.kernel.cost_model, collect_leaf_snapshots=False
+            )
+        for event in self._events:
+            replay.step(event)
         plan = self.fault_plan()
         save_run(
             path,
             self.machine,
             self.sequence(),
-            self.kernel,
+            replay,
             metadata=dict(metadata or {}),
             result=self.result(),
             events=records_from_events(self._events),

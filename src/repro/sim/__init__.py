@@ -2,8 +2,9 @@
 
 * :class:`~repro.sim.engine.Simulator` — validated event-by-event driver.
 * :class:`~repro.sim.engine.RunResult` — per-run outcome bundle.
-* :class:`~repro.sim.metrics.MetricsCollector` — load series, fairness,
+* :class:`~repro.sim.metrics.MetricsCollector` — running peak, fairness,
   reallocation accounting.
+* :class:`~repro.sim.history.RunHistory` — history folded from decisions.
 * :class:`~repro.sim.realloc_cost.MigrationCostModel` — checkpoint-and-move
   pricing of reallocations.
 * :func:`~repro.sim.slowdown.measure_slowdowns` — round-robin time-sharing
@@ -20,6 +21,7 @@ from repro.sim.closedloop import (
     simulate_shared_closed_loop,
 )
 from repro.sim.engine import RunResult, Simulator
+from repro.sim.history import RunHistory
 from repro.sim.queueing import simulate_exclusive_queueing
 from repro.sim.metrics import (
     LoadTimeSeries,
@@ -55,6 +57,7 @@ __all__ = [
     "load_run",
     "machine_from_descriptor",
     "RunResult",
+    "RunHistory",
     "MetricsCollector",
     "LoadTimeSeries",
     "ReallocationStats",

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
 
 from repro.errors import TraceFormatError
-from repro.kernel import AllocationKernel
 from repro.machines.base import PartitionableMachine
 from repro.machines.factory import machine_descriptor, machine_from_descriptor
 from repro.sim.engine import RunResult, Simulator
@@ -37,11 +36,6 @@ from repro.types import NodeId, TaskId
 __all__ = ["save_run", "load_run", "load_run_events", "machine_from_descriptor"]
 
 _FORMAT_VERSION = 1
-
-# Descriptor round-trip now lives in repro.machines.factory (the kernel and
-# service layers need it without importing sim); the old private name is
-# kept for in-repo callers.
-_machine_descriptor = machine_descriptor
 
 
 def _encode_number(x: float):
@@ -56,7 +50,7 @@ def save_run(
     path: Union[str, Path],
     machine: PartitionableMachine,
     sequence: TaskSequence,
-    simulator: Union[Simulator, AllocationKernel],
+    simulator: Simulator,
     *,
     metadata: Mapping | None = None,
     result: RunResult | None = None,
@@ -65,9 +59,9 @@ def save_run(
 ) -> None:
     """Archive one completed run (machine + sequence + placement history).
 
-    ``simulator`` may be a driver or a bare
-    :class:`~repro.kernel.AllocationKernel` (an online session archives its
-    kernel directly).  Pass the :class:`RunResult` to embed its compact
+    ``simulator`` is the driver that ran it: its history supplies the
+    placement segments (a session replays its event log through a fresh
+    simulator to archive).  Pass the :class:`RunResult` to embed its compact
     summary (no load series — ``to_dict()`` default) under
     ``"result_summary"``; the full series can always be recomputed from the
     archived segments.  ``events`` embeds the raw wire-format event log of
@@ -80,7 +74,7 @@ def save_run(
     intervals = simulator.placement_intervals()
     payload = {
         "format_version": _FORMAT_VERSION,
-        "machine": _machine_descriptor(machine),
+        "machine": machine_descriptor(machine),
         "algorithm": simulator.algorithm.name,
         "metadata": dict(metadata or {}),
         "tasks": [

@@ -236,6 +236,16 @@ class CheckpointJournal:
                 f"{_HEADER_KIND!r} v{JOURNAL_VERSION}"
             )
         if header.get("fingerprint") != self._digest:
+            # Session journals pin the kernel-state version their digests hash.
+            want = self._fingerprint.get("kernel_state")
+            workload = header.get("workload")
+            got = workload.get("kernel_state") if isinstance(workload, dict) else None
+            if want is not None and got != want:
+                raise CheckpointError(
+                    f"checkpoint {self.path} holds digests of kernel-state "
+                    f"{'v2 or older' if got is None else f'v{got}'} snapshots; this "
+                    f"build checkpoints v{want} and cannot verify them (file left as is)"
+                )
             raise CheckpointError(
                 f"checkpoint {self.path} was written for a different workload "
                 f"(fingerprint {header.get('fingerprint')!r} != {self._digest!r}); "

@@ -4,10 +4,10 @@ The :class:`Simulator` drives one algorithm over one
 :class:`~repro.tasks.sequence.TaskSequence` (already ordered, with
 same-time departures before arrivals).  All allocation state — placement
 validation, the d-budget gate, the
-:class:`~repro.machines.loads.LoadTracker`, metrics, and the placement
-history — lives in the shared
-:class:`~repro.kernel.AllocationKernel`; the simulator contributes only
-the batch loop, the observer hooks, and the :class:`RunResult` bundle.
+:class:`~repro.machines.loads.LoadTracker` and metrics — lives in the
+shared :class:`~repro.kernel.AllocationKernel`; the simulator adds the
+batch loop, the observer hooks, the :class:`RunResult` bundle and the
+run's :class:`~repro.sim.history.RunHistory`, folded from decisions.
 Streaming sessions (:mod:`repro.service`) and the fault injector drive the
 very same kernel, so every operating mode enforces the same validation
 discipline:
@@ -36,7 +36,8 @@ import numpy as np
 from repro.core.base import AllocationAlgorithm
 from repro.kernel import AllocationKernel
 from repro.machines.base import PartitionableMachine
-from repro.sim.metrics import MetricsCollector
+from repro.sim.history import RunHistory
+from repro.sim.metrics import LoadTimeSeries, MetricsCollector
 from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.sequence import TaskSequence
 from repro.tasks.task import Task
@@ -55,6 +56,8 @@ class RunResult:
     optimal_load: int
     #: Final task -> node placements (empty if all tasks departed).
     final_placements: dict[TaskId, NodeId] = field(default_factory=dict)
+    #: Max load after every event (empty for a session, which keeps none).
+    series: LoadTimeSeries = field(default_factory=LoadTimeSeries)
 
     @property
     def max_load(self) -> int:
@@ -91,7 +94,7 @@ class RunResult:
         if self.metrics.faults.any_faults:
             payload["faults"] = self.metrics.faults.to_dict()
         if include_series:
-            times, loads = self.metrics.series.as_arrays()
+            times, loads = self.series.as_arrays()
             payload["load_series"] = {
                 "times": [float(t) for t in times],
                 "max_loads": [int(v) for v in loads],
@@ -113,6 +116,7 @@ class Simulator:
         self.kernel = self._build_kernel(
             machine, algorithm, cost_model, collect_leaf_snapshots
         )
+        self.history = RunHistory()
         self._observers: list = []
 
     def _build_kernel(
@@ -155,28 +159,8 @@ class Simulator:
         return self.kernel.metrics
 
     @property
-    def _loads(self):
-        return self.kernel._loads
-
-    @property
     def _placements(self) -> dict[TaskId, NodeId]:
         return self.kernel._placements
-
-    @property
-    def _tasks(self) -> dict[TaskId, Task]:
-        return self.kernel._tasks
-
-    @property
-    def _arrived_since_realloc(self) -> int:
-        return self.kernel._arrived_since_realloc
-
-    @property
-    def _placement_log(self) -> dict[TaskId, list[tuple[float, NodeId]]]:
-        return self.kernel._placement_log
-
-    @property
-    def _departure_times(self) -> dict[TaskId, float]:
-        return self.kernel._departure_times
 
     # -- Public API ------------------------------------------------------------
 
@@ -190,8 +174,8 @@ class Simulator:
         self._observers.append(callback)
 
     def step(self, event) -> None:
-        """Process one event and record metrics."""
-        self.kernel.apply(event)
+        """Process one event and record metrics and history."""
+        self.history.record(self.kernel.apply(event))
         for callback in self._observers:
             callback(self, event)
 
@@ -217,7 +201,8 @@ class Simulator:
             )
         events = list(sequence)
         for start in range(0, len(events), batch_size):
-            self.kernel.apply_batch(events[start : start + batch_size])
+            batch = self.kernel.apply_batch(events[start : start + batch_size])
+            self.history.extend(batch.decisions)
         return self._result(sequence)
 
     def _result(self, sequence: TaskSequence) -> RunResult:
@@ -227,6 +212,7 @@ class Simulator:
             metrics=self.metrics,
             optimal_load=sequence.optimal_load(self.machine.num_pes),
             final_placements=dict(self._placements),
+            series=self.history.series,
         )
 
     # -- State inspection (used by the adversary and by tests) ---------------------
@@ -260,7 +246,7 @@ class Simulator:
         slowdown model integrates over — it reflects what actually ran,
         including mid-life migrations.
         """
-        return self.kernel.placement_intervals()
+        return self.history.placement_intervals()
 
     def check_consistency(self) -> None:
         """Cross-check tracker vs. placements (test helper)."""

@@ -1,10 +1,11 @@
 """Metric collection for simulation runs.
 
 The paper's figure of merit is ``L_A(sigma) = max over time of max PE
-load``; the collector tracks that exactly (it is updated after *every*
-event, so no peak between samples can be missed), plus the richer
-diagnostics the benches report: the full max-load time series, per-PE load
-snapshots, load-balance indices, and reallocation/migration counters.
+load``; the collector keeps it exactly as a running maximum (updated
+after *every* event), plus the per-PE load snapshot at the peak and
+reallocation/fault counters — O(N) at most, never O(events).  The
+max-load time series is history: drivers fold a :class:`LoadTimeSeries`
+from the decision stream (:class:`~repro.sim.history.RunHistory`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class LoadTimeSeries:
         self.times.append(time)
         self.max_loads.append(max_load)
 
-    def record_many(self, times: list[Time], max_loads: list[int]) -> None:
-        """Bulk append — one list-extend per batch instead of one method
-        call per event; identical series to repeated :meth:`record`."""
-        self.times.extend(times)
-        self.max_loads.extend(max_loads)
-
     @property
     def peak(self) -> int:
         """``L_A(sigma)``: maximum over the whole run (0 if no events)."""
@@ -61,20 +56,6 @@ class LoadTimeSeries:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.times), np.asarray(self.max_loads, dtype=np.int64)
-
-    def to_state(self) -> dict:
-        """JSON-safe snapshot of the series (kernel snapshot format)."""
-        return {
-            "times": [float(t) for t in self.times],
-            "max_loads": [int(v) for v in self.max_loads],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LoadTimeSeries":
-        return cls(
-            times=[float(t) for t in state["times"]],
-            max_loads=[int(v) for v in state["max_loads"]],
-        )
 
     def time_average(self) -> float:
         """Time-weighted average of the max load (piecewise constant)."""
@@ -243,9 +224,10 @@ class FaultStats:
 class MetricsCollector:
     """Everything measured during one run of one algorithm on one sequence."""
 
-    series: LoadTimeSeries = field(default_factory=LoadTimeSeries)
     realloc: ReallocationStats = field(default_factory=ReallocationStats)
     faults: FaultStats = field(default_factory=FaultStats)
+    #: ``L_A`` so far: the running maximum of the post-event max load.
+    max_load: int = 0
     #: Per-PE loads at the instant the max load peaked (for balance plots).
     peak_snapshot: Optional[np.ndarray] = None
     peak_snapshot_time: Optional[Time] = None
@@ -259,22 +241,29 @@ class MetricsCollector:
     ) -> None:
         """Record the post-event state; keep the snapshot at the peak.
 
-        ``leaf_loads`` may be omitted (lightweight mode): the max-load
-        series and peak stay exact — only the per-PE snapshot (an O(N)
-        copy per event) is skipped, which is what makes million-event or
-        N = 2^16 runs affordable.
+        ``leaf_loads`` may be omitted (lightweight mode): the peak stays
+        exact — only the per-PE snapshot (an O(N) copy at each new peak)
+        is skipped, which is what makes N = 2^16 runs affordable.
         """
         self.events_processed += 1
-        self.series.record(time, max_load)
-        if leaf_loads is None:
-            return
-        if self.peak_snapshot is None or max_load > int(self.peak_snapshot.max()):
+        if leaf_loads is not None and (
+            self.peak_snapshot is None or max_load > self.max_load
+        ):
             self.peak_snapshot = leaf_loads.copy()
             self.peak_snapshot_time = time
+        self.max_load = max(self.max_load, max_load)
 
-    @property
-    def max_load(self) -> int:
-        return self.series.peak
+    def observe_batch(
+        self, count: int, peak: int, snapshot: Optional[np.ndarray], snapshot_time: Optional[Time]
+    ) -> None:
+        """``count`` calls of :meth:`observe`, metered by a batch path:
+        ``peak`` is their highest max load, ``snapshot`` the leaf loads
+        at the last strict peak increase (``None`` if there was none)."""
+        self.events_processed += count
+        self.max_load = max(self.max_load, peak)
+        if snapshot is not None:
+            self.peak_snapshot = snapshot
+            self.peak_snapshot_time = snapshot_time
 
     def fairness_at_peak(self) -> float:
         if self.peak_snapshot is None:
@@ -285,9 +274,9 @@ class MetricsCollector:
         """Full JSON-safe snapshot — the exact collector state, so a
         restored kernel continues metering bit-identically."""
         return {
-            "series": self.series.to_state(),
             "realloc": self.realloc.to_state(),
             "faults": self.faults.to_state(),
+            "max_load": self.max_load,
             "peak_snapshot": (
                 None
                 if self.peak_snapshot is None
@@ -305,9 +294,9 @@ class MetricsCollector:
     def from_state(cls, state: dict) -> "MetricsCollector":
         snap = state.get("peak_snapshot")
         return cls(
-            series=LoadTimeSeries.from_state(state["series"]),
             realloc=ReallocationStats.from_state(state["realloc"]),
             faults=FaultStats.from_state(state["faults"]),
+            max_load=int(state["max_load"]),
             peak_snapshot=(
                 None if snap is None else np.asarray(snap, dtype=np.int64)
             ),

@@ -12,8 +12,8 @@ agree exactly:
 
 * the full :class:`~repro.kernel.decision.Decision` stream (placements,
   per-event max loads, active sizes, L*);
-* the kernel state snapshot digest (placements, tracker, history);
-* the metered max-load time series;
+* the kernel state snapshot digest (placements, tracker, metrics);
+* the max-load time series folded from each decision stream;
 * the peak leaf snapshot (array and capture time);
 * error behaviour — if one run raises, both must raise the same error
   text after the same number of applied events.
@@ -37,6 +37,7 @@ from repro.core.registry import make_algorithm
 from repro.errors import BatchError, ReproError
 from repro.kernel.core import AllocationKernel
 from repro.machines.tree import TreeMachine
+from repro.sim.history import RunHistory
 from repro.tasks.sequence import TaskSequence
 
 __all__ = ["check_backend_parity", "check_churn_backend_parity"]
@@ -57,7 +58,7 @@ class _Run:
     label: str
     decisions: tuple
     digest: str
-    series: dict
+    series: tuple
     peak_snapshot: Optional[np.ndarray]
     peak_time: Optional[float]
     error: Optional[str]
@@ -108,11 +109,13 @@ def _run(
     except ReproError as exc:
         error = _error_text(exc)
     m = kernel.metrics
+    history = RunHistory()
+    history.extend(decisions)
     return _Run(
         label="apply" if chunk is None else f"apply_batch({chunk})",
         decisions=tuple(decisions),
         digest=_state_digest(kernel),
-        series=m.series.to_state(),
+        series=(history.series.times, history.series.max_loads),
         peak_snapshot=m.peak_snapshot,
         peak_time=m.peak_snapshot_time,
         error=error,
@@ -155,7 +158,7 @@ def check_churn_backend_parity(
     the scenario's merged alphabet — arrivals, departures, failures,
     repairs, kills, and resizes — fed through ``apply_batch`` in chunks
     that deliberately straddle fault and resize boundaries.  The batch
-    loop's amortised metering (buffered series, peak snapshots, degraded
+    loop's amortised metering (running peak, peak snapshots, degraded
     gauges) must match per-event metering bit for bit.
     """
     events = list(scenario.merged_events())

@@ -32,7 +32,7 @@ from repro.machines.fattree import FatTree
 from repro.machines.hypercube import Hypercube
 from repro.machines.mesh import Mesh2D
 from repro.machines.tree import TreeMachine
-from repro.sim.metrics import LoadTimeSeries
+from repro.sim.metrics import MetricsCollector
 from repro.tasks.events import Arrival, Departure
 from repro.tasks.sequence import TaskSequence
 from repro.tasks.task import Task
@@ -93,8 +93,9 @@ def _fixed_splits(num_events: int, length: int) -> list[slice]:
 
 def _assert_same_state(batched: AllocationKernel, oracle: AllocationKernel):
     assert _digest(batched.snapshot()) == _digest(oracle.snapshot())
-    assert batched.metrics.series.times == oracle.metrics.series.times
-    assert batched.metrics.series.max_loads == oracle.metrics.series.max_loads
+    # The max-load series is the decisions' (compared by every caller);
+    # the kernel keeps only its running peak.
+    assert batched.metrics.max_load == oracle.metrics.max_load
     assert batched.metrics.events_processed == oracle.metrics.events_processed
     a, b = batched.metrics.peak_snapshot, oracle.metrics.peak_snapshot
     assert (a is None) == (b is None)
@@ -356,6 +357,7 @@ class TestColumnarParity:
             assert b.value.applied == a.value.applied == len(batch) - 1
             assert isinstance(a.value.__cause__, exc_type)
             assert type(b.value.__cause__) is type(a.value.__cause__)
+            assert list(b.value.decisions) == list(a.value.decisions)
             _assert_same_state(engine, loop)
 
     def test_corpus_replay(self, corpus_dir):
@@ -410,11 +412,11 @@ class TestHarnessAxis:
             pe_mttf=10.0, mttr=2.5, kill_rate=0.1,
         ).build()
         assert check_churn_backend_parity("greedy", 2.0, 0, scenario) == []
-        real = LoadTimeSeries.record_many
+        real = MetricsCollector.observe_batch
 
-        def lossy(self, times, max_loads):
-            real(self, times[:-1], max_loads[:-1])
+        def lossy(self, count, *args):
+            real(self, count - 1, *args)
 
-        monkeypatch.setattr(LoadTimeSeries, "record_many", lossy)
+        monkeypatch.setattr(MetricsCollector, "observe_batch", lossy)
         violations = check_churn_backend_parity("greedy", 2.0, 0, scenario)
-        assert any("series differ" in v for v in violations)
+        assert any("digests differ" in v for v in violations)

@@ -1,10 +1,11 @@
 """Unit tests for the shared AllocationKernel.
 
 The kernel is the single owner of allocation state; these tests pin its
-two load-bearing contracts: (1) ``snapshot()``/``restore()`` round-trips
+load-bearing contracts: (1) ``snapshot()``/``restore()`` round-trips
 exactly, on every topology, including mid-run under an active fault plan;
 (2) the state machine rejects malformed snapshots loudly instead of
-restoring garbage.
+restoring garbage; (3) that state is live state only, and the running
+peak it keeps is the peak of its decisions on every path.
 """
 
 import hashlib
@@ -139,10 +140,11 @@ class TestRestoreRejections:
         bad["kind"] = "something-else"
         with pytest.raises(CheckpointError):
             kernel.restore(bad)
-        bad = dict(self._snap())
-        bad["version"] = 99
-        with pytest.raises(CheckpointError):
-            kernel.restore(bad)
+        for version in (99, KERNEL_STATE_VERSION - 1):
+            bad = dict(self._snap())
+            bad["version"] = version
+            with pytest.raises(CheckpointError):
+                kernel.restore(bad)
 
     def test_wrong_machine(self):
         kernel = AllocationKernel(TreeMachine(16))
@@ -190,3 +192,95 @@ class TestKernelStateMachine:
         kernel.apply(Arrival(0.0, Task(TaskId(0), 1, 0.0)))
         with pytest.raises(SimulationError, match="duplicate arrival of task 0"):
             kernel.apply(Arrival(1.0, Task(TaskId(0), 1, 1.0)))
+
+
+def _window_stream(count, live=64, n=4096):
+    """``count`` events of churn that never holds more than ``live`` tasks:
+    arrival ``i`` at ``2i``, departure of task ``i - live`` at ``2i + 1``."""
+    events = []
+    i = 0
+    while len(events) < count:
+        events.append(Arrival(2.0 * i, Task(TaskId(i), 1 << (i % 5), 2.0 * i)))
+        if i >= live and len(events) < count:
+            events.append(Departure(2.0 * i + 1, TaskId(i - live)))
+        i += 1
+    return events
+
+
+class TestLiveState:
+    def test_snapshot_size_follows_the_active_set_not_uptime(self):
+        """Greedy at N=4096 with <= 64 live tasks: the snapshot (tasks,
+        placements, scalars and the 4096-entry peak vector) stays under
+        32 KB however many events went by."""
+        machine = TreeMachine(4096)
+        kernel = AllocationKernel(machine, make_algorithm("greedy", machine))
+        events = _window_stream(20_000)
+        sizes = {}
+        for start in range(0, len(events), 250):
+            kernel.apply_batch(events[start : start + 250])
+            if kernel.metrics.events_processed in (2_000, 20_000):
+                sizes[kernel.metrics.events_processed] = len(
+                    json.dumps(kernel.snapshot())
+                )
+        assert kernel.num_active() <= 64
+        assert set(sizes) == {2_000, 20_000}
+        assert all(size < 32 * 1024 for size in sizes.values()), sizes
+
+
+class TestRunningPeak:
+    """``metrics.max_load`` is a running scalar, not a scan of history."""
+
+    @staticmethod
+    def _events():
+        return list(poisson_sequence(64, 150, np.random.default_rng(4)))
+
+    @pytest.mark.parametrize("path", ["apply", "loop", "columnar"])
+    def test_peak_is_the_max_decision_load(self, path):
+        events = self._events()
+        machine = TreeMachine(64)
+        reference = AllocationKernel(machine, make_algorithm("greedy", machine))
+        expected = [reference.apply(e) for e in events]
+        machine = TreeMachine(64)
+        kernel = AllocationKernel(machine, make_algorithm("greedy", machine))
+        decisions = []
+        for start in range(0, len(events), 16):
+            part = events[start : start + 16]
+            if path == "apply":
+                decisions.extend(kernel.apply(e) for e in part)
+            elif path == "loop":
+                decisions.extend(kernel._apply_batch_loop(part).decisions)
+            else:
+                batch = kernel._columnar.try_apply_batch(part)
+                assert batch is not None
+                decisions.extend(batch.decisions)
+        assert decisions == expected
+        assert kernel.metrics.max_load == max(d.max_load for d in decisions)
+        assert np.array_equal(
+            kernel.metrics.peak_snapshot, reference.metrics.peak_snapshot
+        )
+        assert kernel.metrics.peak_snapshot_time == reference.metrics.peak_snapshot_time
+
+    def test_peak_survives_a_journal_resume(self, tmp_path):
+        from repro.service import AllocationSession, sequence_records
+
+        records = list(sequence_records(poisson_sequence(
+            64, 150, np.random.default_rng(4)
+        )))
+
+        def session(journal):
+            machine = TreeMachine(64)
+            return AllocationSession(
+                machine, make_algorithm("greedy", machine),
+                journal_path=journal, snapshot_interval=8,
+                full_snapshot_interval=32,
+            )
+
+        live = session(tmp_path / "s.journal")
+        decisions = [live.push(r) for r in records]
+        live.close()
+        resumed = session(tmp_path / "s.journal")
+        assert resumed.num_events == len(records)
+        metrics = resumed.kernel.metrics
+        assert metrics.max_load == max(d.max_load for d in decisions)
+        assert np.array_equal(metrics.peak_snapshot, live.kernel.metrics.peak_snapshot)
+        assert metrics.peak_snapshot_time == live.kernel.metrics.peak_snapshot_time

@@ -81,7 +81,7 @@ def test_stats_bit_identical_to_per_task_charges(desc, bytes_per_pe):
     expected = ReallocationStats()
     bulk = kernel._apply_reallocation
 
-    def per_task_oracle(realloc, now):
+    def per_task_oracle(realloc):
         expected.record_reallocation()
         for tid, new in realloc.mapping.items():
             old, size = kernel._placements[tid], kernel._tasks[tid].size
@@ -90,7 +90,7 @@ def test_stats_bit_identical_to_per_task_charges(desc, bytes_per_pe):
                 continue
             charge = model.charge(machine, size, old, new)
             expected.record_move(size, charge.distance, charge.bytes_moved)
-        return bulk(realloc, now)
+        return bulk(realloc)
 
     kernel._apply_reallocation = per_task_oracle
     for event in _churn(1500, seed=5):

@@ -3,13 +3,12 @@
 The binary journal's contracts, attacked one at a time: a torn tail or
 flipped CRC byte must surrender exactly the intact prefix with a
 warning; a v1 JSONL journal of an older build must be refused and left
-byte-for-byte untouched; tampered records must fail the delta check, a
-rewritten state digest must fail the digest check, and a divergence in
-history alone must still be caught; journals that embed full snapshots
-(older builds) must keep resuming; and a SIGKILL landing *inside a delta
-window* (after a delta rider, before the next state digest) must resume
-to the same final state as an uninterrupted run under every fsync
-policy.
+byte-for-byte untouched, and so must a session journal whose digests
+hash an older kernel-state version; tampered records must fail the delta
+check and a rewritten state digest must fail the digest check; and a
+SIGKILL landing *inside a delta window* (after a delta rider, before the
+next state digest) must resume to the same final state as an
+uninterrupted run under every fsync policy.
 """
 
 import hashlib
@@ -29,12 +28,14 @@ import pytest
 from repro.cli import main
 from repro.core.registry import make_algorithm
 from repro.errors import CheckpointError
+from repro.kernel import KERNEL_STATE_VERSION
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
 from repro.service.session import _state_digest
 from repro.sim.checkpoint import CheckpointJournal
 from repro.sim.frames import (
     JOURNAL_MAGIC,
+    decode_journal,
     frame_bytes,
     iter_journal_payloads,
     scan_frames,
@@ -42,14 +43,18 @@ from repro.sim.frames import (
 from repro.workloads.generators import poisson_sequence
 
 SNAP, FULL = 4, 16
-GOLDEN_DIGEST = "8ac8ceff5511b49d6e4fbb0701ffec66154b0274cb72fdf5836ac22a1f4f6761"
+GOLDEN_DIGEST = "585ac1f50c49ab5dca26c4d485aec71874622c33e054676e8fbbb4d35c0776fd"
 #: sha256 of the journal that ``push_batch`` writes for ``_golden_stream``.
 GOLDEN_JOURNAL_SHA256 = (
+    "2eccde33dcef8e8a49e6d679b571a70ebd456c4d03a747b0b4aabdf6e2093cec"
+)
+#: That journal as an earlier build wrote it: same records and delta
+#: riders, but its state digest hashes a kernel-state v2 snapshot (which
+#: kept the full placement history), so this build must refuse it.
+EARLIER_JOURNAL = Path(__file__).parent / "data" / "golden_push_batch.journal"
+EARLIER_JOURNAL_SHA256 = (
     "6fa74c364a90864850d7d5a06d104a769bcbd6acf7bd857baf6f037fa2482552"
 )
-#: That journal as an earlier build wrote it (the build whose batch path
-#: had its own column encoder); a later build must resume it verified.
-GOLDEN_JOURNAL = Path(__file__).parent / "data" / "golden_push_batch.journal"
 
 
 def _digest(state) -> str:
@@ -250,44 +255,6 @@ class TestTamperDetection:
         ):
             _session(journal_path=journal)
 
-    def test_history_only_divergence_fails_the_digest(
-        self, tmp_path, monkeypatch
-    ):
-        """The digest still covers history: a departed task's placement
-        log, which no delta rider and no later decision can see, is
-        rewritten during replay and the next digest must refuse it."""
-        journal = tmp_path / "s.journal"
-        records = _records(tasks=40, seed=1)
-        _fill(journal, records)
-        payloads = dict(iter_journal_payloads(journal))
-        digests = sorted(i for i, p in payloads.items() if "state_sha256" in p)
-        target = digests[-1]
-        departed = [
-            (i, r["record"]["id"])
-            for i, r in payloads.items()
-            if i < target and r["record"]["kind"] == "departure"
-        ]
-        # Tamper after a departure that precedes the last digest but
-        # follows the digest before it, so that digest is the one to fail.
-        after = digests[-2] if len(digests) > 1 else -1
-        at, victim = next((i, t) for i, t in departed if i > after)
-
-        original = AllocationSession.push_replay
-
-        def replay(self, record):
-            decision = original(self, record)
-            if self.num_events == at + 1:
-                log = self.kernel._placement_log[victim]
-                t, node = log[0]
-                log[0] = (t, node + 1)
-            return decision
-
-        monkeypatch.setattr(AllocationSession, "push_replay", replay)
-        with pytest.raises(
-            CheckpointError, match=f"digest embedded at event {target} "
-        ):
-            _session(journal_path=journal)
-
 
 class TestDigestEncoding:
     def test_golden_digest_of_a_small_kernel(self):
@@ -355,86 +322,48 @@ class TestGoldenBatchJournal:
         assert [i for i, p in payloads.items() if "state_sha256" in p] == [511]
         assert _sha256(journal) == GOLDEN_JOURNAL_SHA256
 
-    def test_earlier_build_journal_resumes_with_every_rider_verified(
-        self, tmp_path, monkeypatch
-    ):
+    def test_matches_the_earlier_build_record_for_record(self, tmp_path):
+        """Only the kernel-state version moved: every record and delta
+        rider is the one the earlier build journaled, and the state
+        digest at 511 and the header fingerprint are all that differ."""
         journal = tmp_path / "golden.journal"
-        journal.write_bytes(GOLDEN_JOURNAL.read_bytes())
-        assert _sha256(journal) == GOLDEN_JOURNAL_SHA256
-        digests, deltas = [], []
-        real_delta = AllocationSession._delta_state
-        monkeypatch.setattr(
-            "repro.service.session._state_digest",
-            lambda state: digests.append(1) or _state_digest(state),
+        session = _golden_session(journal, fsync_policy="batch")
+        records = _golden_stream()
+        for i in range(0, len(records), 256):
+            session.push_batch(records[i : i + 256])
+        session.close()
+        new = dict(iter_journal_payloads(journal))
+        old = dict(iter_journal_payloads(EARLIER_JOURNAL))
+        assert new.keys() == old.keys()
+        assert [i for i in new if new[i] != old[i]] == [511]
+        assert len(new[511]["state_sha256"]) == 64
+        assert new[511]["state_sha256"] != old[511]["state_sha256"]
+        assert new[511]["record"] == old[511]["record"]
+        header = decode_journal(journal.read_bytes())[0]
+        old_header = decode_journal(EARLIER_JOURNAL.read_bytes())[0]
+        assert header["workload"] == dict(
+            old_header["workload"], kernel_state=KERNEL_STATE_VERSION
         )
-        monkeypatch.setattr(
-            AllocationSession, "_delta_state",
-            lambda self: deltas.append(1) or real_delta(self),
-        )
-        resumed = _golden_session(journal)
-        assert (len(digests), len(deltas)) == (1, 2)
+        assert header["fingerprint"] != old_header["fingerprint"]
 
-        reference = _golden_session(None)
-        for record in _golden_stream():
-            reference.push(record)
-        assert resumed.num_events == reference.num_events == 600
-        assert resumed.snapshot() == reference.snapshot()
-        assert resumed.status() == reference.status()
-        resumed.close()
-
-
-class TestLegacySnapshotRiders:
-    """Journals written by builds that embedded the full snapshot."""
-
-    @staticmethod
-    def _write(journal, records, rider):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(AllocationSession, "_checkpoint_rider", rider)
-            _fill(journal, records)
-
-    def test_full_snapshot_riders_still_resume(self, tmp_path):
-        records = _records(tasks=40, seed=8)
-        cut = 2 * len(records) // 3
-        journal = tmp_path / "legacy.journal"
-        self._write(
-            journal, records[:cut],
-            lambda self: {"snapshot": self.kernel.snapshot()},
-        )
-        payloads = dict(iter_journal_payloads(journal))
-        assert any("snapshot" in p for p in payloads.values())
-        reference = _session()
-        for rec in records:
-            reference.push(rec)
-
-        resumed = _session(journal_path=journal)
-        assert resumed.num_events == cut
-        for rec in records[cut:]:
-            resumed.push(rec)
-        resumed.close()
-        assert _digest(resumed.snapshot()) == _digest(reference.snapshot())
-        assert (
-            resumed.kernel.metrics.to_state() == reference.kernel.metrics.to_state()
-        )
-
-    def test_tampered_legacy_snapshot_is_refused(self, tmp_path):
-        def rider(self):
-            snap = self.kernel.snapshot()
-            snap["active_size"] += 1  # not the state replay reaches
-            return {"snapshot": snap}
-
-        journal = tmp_path / "legacy.journal"
-        self._write(journal, _records(tasks=40, seed=8), rider)
-        with pytest.raises(CheckpointError, match="diverges from the snapshot"):
-            _session(journal_path=journal)
+    def test_earlier_build_journal_is_refused(self, tmp_path):
+        """Its state digest hashes a snapshot this build no longer
+        builds, so the fingerprint check refuses it on open — before the
+        torn tail appended here could be truncated away."""
+        journal = tmp_path / "golden.journal"
+        data = EARLIER_JOURNAL.read_bytes() + b"\x07torn"
+        journal.write_bytes(data)
+        assert _sha256(EARLIER_JOURNAL) == EARLIER_JOURNAL_SHA256
+        with pytest.raises(CheckpointError, match="kernel-state v2 or older"):
+            _golden_session(journal)
+        assert journal.read_bytes() == data
 
 
 class TestJournalSize:
     def test_bytes_per_record_stay_flat_under_heavy_migration(self, tmp_path):
-        """A_M with d=1/16 repacks often and migrates most tasks, and the
-        kernel snapshot keeps every placement and load sample ever made,
-        so it grows with history.  Digest checkpoints keep the journal
-        near the size of its records (~36 B here); embedding the
-        snapshot at the same 62 checkpoints cost ~1.35 KB per record."""
+        """A_M with d=1/16 repacks often and migrates most tasks.  Digest
+        checkpoints keep the journal near the size of its records (~36 B
+        here), however large the digested state."""
         n = 256
         machine = TreeMachine(n)
         journal = tmp_path / "s.journal"

@@ -105,9 +105,9 @@ class TestMachineDescriptors:
         ],
     )
     def test_descriptor_roundtrip(self, machine, tmp_path):
-        from repro.sim.archive import _machine_descriptor
+        from repro.machines.factory import machine_descriptor
 
-        rebuilt = machine_from_descriptor(_machine_descriptor(machine))
+        rebuilt = machine_from_descriptor(machine_descriptor(machine))
         assert rebuilt.topology_name == machine.topology_name
         assert rebuilt.num_pes == machine.num_pes
         if isinstance(machine, FatTree):

@@ -113,6 +113,6 @@ class TestLightweightMode:
         for ev in figure1_sequence():
             light.step(ev)
         assert light.metrics.max_load == full.metrics.max_load == 2
-        assert light.metrics.series.max_loads == full.metrics.series.max_loads
+        assert light.history.series.max_loads == full.history.series.max_loads
         assert light.metrics.peak_snapshot is None
         assert full.metrics.peak_snapshot is not None

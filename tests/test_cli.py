@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -618,7 +619,6 @@ class TestJournalDump:
         assert main(["journal", "dump", str(journal), "--stats"]) == 0
         fields = self._fields(capsys.readouterr().out)
         assert fields["state digests"] == "at [15, 31, 47, 63, 79]"
-        assert "legacy snapshots" not in fields
         assert fields["delta riders"].startswith("15 (first 3, last 75)")
         per_kind = dict(
             item.split("=") for item in fields["bytes per kind"].split()
@@ -629,17 +629,14 @@ class TestJournalDump:
         assert total + 5 == int(fields["file bytes"])
         assert float(fields["bytes per record"]) < 150
 
-    def test_legacy_snapshots_are_listed(self, capsys, monkeypatch, tmp_path):
-        from repro.service import AllocationSession
-
-        monkeypatch.setattr(
-            AllocationSession, "_checkpoint_rider",
-            lambda self: {"snapshot": self.kernel.snapshot()},
+    def test_earlier_build_journal_still_dumps(self, capsys):
+        """A session journal of an earlier kernel-state version is refused
+        on resume, but stays readable for inspection."""
+        journal = (
+            Path(__file__).parent / "service" / "data" / "golden_push_batch.journal"
         )
-        journal = tmp_path / "old.journal"
-        self._journal(journal, events=16)
-        assert main(["journal", "dump", str(journal)]) == 0
+        assert main(["journal", "dump", str(journal), "--stats"]) == 0
         fields = self._fields(capsys.readouterr().out)
-        assert fields["state digests"] == "none"
-        assert fields["legacy snapshots"] == "at [15, 31]"
-        assert fields["delta riders"] == "at [3, 7, 11, 19, 23, 27]"
+        assert fields["records"] == "600 logical record(s), indices 0..599"
+        assert fields["state digests"] == "at [511]"
+        assert fields["delta riders"] == "at [255, 599]"

@@ -102,7 +102,7 @@ class TestDeterminism:
         for _ in range(2):
             m = TreeMachine(16)
             result = run(m, PeriodicReallocationAlgorithm(m, 1), seq)
-            loads.append(result.metrics.series.max_loads)
+            loads.append(result.series.max_loads)
         assert loads[0] == loads[1]
 
 
@@ -142,4 +142,4 @@ class TestPrefixConsistency:
         full = run(m1, GreedyAlgorithm(m1), seq)
         part = run(m2, GreedyAlgorithm(m2), prefix)
         k = len(prefix)
-        assert full.metrics.series.max_loads[:k] == part.metrics.series.max_loads
+        assert full.series.max_loads[:k] == part.series.max_loads
