@@ -16,9 +16,11 @@ the way they are:
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, Placement
+from repro.core.base import AllocationAlgorithm, Placement, id_order, reorder, tracker_for
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
@@ -54,6 +56,18 @@ class _TrackedBaseline(AllocationAlgorithm):
         self._loads = self.machine.new_load_tracker()
         self._placement.clear()
 
+    def state(self) -> dict[str, Any]:
+        return {"placement": id_order(self._placement)}
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._placement = reorder(state["placement"], placements)
+        self._loads = tracker_for(self.machine, self._placement, tasks)
+
     def _check_new(self, task: Task) -> None:
         self.machine.validate_task_size(task.size)
         if task.task_id in self._placement:
@@ -83,6 +97,18 @@ class RoundRobinAlgorithm(_TrackedBaseline):
     def reset(self) -> None:
         super().reset()
         self._cursor.clear()
+
+    def state(self) -> dict[str, Any]:
+        return dict(super().state(), cursor=[[s, c] for s, c in self._cursor.items()])
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        super().load_state(state, tasks, placements)
+        self._cursor = {int(size): int(c) for size, c in state["cursor"]}
 
 
 class WorstFitAlgorithm(_TrackedBaseline):

@@ -17,7 +17,9 @@ post-repack copy state.
 
 from __future__ import annotations
 
-from repro.core.base import AllocationAlgorithm, Placement
+from typing import Any, Mapping
+
+from repro.core.base import AllocationAlgorithm, Placement, reorder
 from repro.core.repack import RepackResult
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
@@ -57,6 +59,27 @@ class BasicAlgorithm(AllocationAlgorithm):
     def reset(self) -> None:
         self._copies = CopySet(self.machine.hierarchy)
         self._slot.clear()
+
+    def state(self) -> dict[str, Any]:
+        """The copy count and each task's copy, in slot order; the nodes
+        are the placements."""
+        return {
+            "copies": self._copies.num_copies,
+            "slot": [[int(tid), int(cid)] for tid, (cid, _node) in self._slot.items()],
+        }
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        copy_of = {int(tid): int(cid) for tid, cid in state["slot"]}
+        nodes = reorder(list(copy_of), placements)
+        self._slot = {tid: (CopyId(copy_of[tid]), node) for tid, node in nodes.items()}
+        self._copies = CopySet.from_slots(
+            self.machine.hierarchy, int(state["copies"]), self._slot.values()
+        )
 
     # -- Integration with A_M -------------------------------------------------
 

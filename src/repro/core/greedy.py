@@ -15,7 +15,9 @@ vectorized in O(number of submachines of that size).
 
 from __future__ import annotations
 
-from repro.core.base import AllocationAlgorithm, Placement
+from typing import Any, Mapping
+
+from repro.core.base import AllocationAlgorithm, Placement, id_order, reorder, tracker_for
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
@@ -54,6 +56,18 @@ class GreedyAlgorithm(AllocationAlgorithm):
     def reset(self) -> None:
         self._loads = self.machine.new_load_tracker()
         self._placement.clear()
+
+    def state(self) -> dict[str, Any]:
+        return {"placement": id_order(self._placement)}
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._placement = reorder(state["placement"], placements)
+        self._loads = tracker_for(self.machine, self._placement, tasks)
 
     # -- Introspection used by tests ------------------------------------------
 

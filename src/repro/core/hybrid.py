@@ -21,11 +21,11 @@ never-reallocating randomized algorithm at equal d.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, Placement, Reallocation
+from repro.core.base import AllocationAlgorithm, Placement, Reallocation, id_order, reorder
 from repro.core.repack import repack
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
@@ -90,3 +90,20 @@ class RandomizedPeriodicAlgorithm(AllocationAlgorithm):
     def reset(self) -> None:
         self._active.clear()
         self._placement.clear()
+
+    def state(self) -> dict[str, Any]:
+        return {
+            "active": id_order(self._active),
+            "placement": id_order(self._placement),
+            "rng": self._rng.bit_generator.state,
+        }
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._active = reorder(state["active"], tasks)
+        self._placement = reorder(state["placement"], placements)
+        self._rng.bit_generator.state = state["rng"]

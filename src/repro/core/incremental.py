@@ -23,9 +23,16 @@ first few moves capture.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Mapping, Optional
 
-from repro.core.base import AllocationAlgorithm, Placement, Reallocation
+from repro.core.base import (
+    AllocationAlgorithm,
+    Placement,
+    Reallocation,
+    id_order,
+    reorder,
+    tracker_for,
+)
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.machines.loads import LoadTracker
@@ -141,3 +148,16 @@ class IncrementalReallocationAlgorithm(AllocationAlgorithm):
         self._loads = self.machine.new_load_tracker()
         self._active.clear()
         self._placement.clear()
+
+    def state(self) -> dict[str, Any]:
+        return {"active": id_order(self._active), "placement": id_order(self._placement)}
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._active = reorder(state["active"], tasks)
+        self._placement = reorder(state["placement"], placements)
+        self._loads = tracker_for(self.machine, self._placement, tasks)

@@ -13,9 +13,9 @@ migration-cost accounting makes that price explicit.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Mapping, Optional
 
-from repro.core.base import AllocationAlgorithm, Placement, Reallocation
+from repro.core.base import AllocationAlgorithm, Placement, Reallocation, id_order, reorder
 from repro.core.repack import repack
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
@@ -72,4 +72,18 @@ class OptimalReallocatingAlgorithm(AllocationAlgorithm):
     def reset(self) -> None:
         self._active.clear()
         self._placement.clear()
+        self._pending_repack = None
+
+    def state(self) -> dict[str, Any]:
+        # Between events no repack is pending: maybe_reallocate consumed it.
+        return {"active": id_order(self._active), "placement": id_order(self._placement)}
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._active = reorder(state["active"], tasks)
+        self._placement = reorder(state["placement"], placements)
         self._pending_repack = None

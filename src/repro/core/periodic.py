@@ -35,9 +35,16 @@ when to actually do so is a policy choice:
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Mapping, Optional
 
-from repro.core.base import AllocationAlgorithm, Placement, Reallocation
+from repro.core.base import (
+    AllocationAlgorithm,
+    Placement,
+    Reallocation,
+    id_order,
+    reorder,
+    tracker_for,
+)
 from repro.core.basic import BasicAlgorithm
 from repro.core.bounds import greedy_upper_bound_factor
 from repro.core.greedy import GreedyAlgorithm
@@ -45,7 +52,7 @@ from repro.core.repack import repack
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
-from repro.types import TaskId, ceil_div
+from repro.types import NodeId, TaskId, ceil_div
 
 __all__ = ["PeriodicReallocationAlgorithm"]
 
@@ -136,3 +143,22 @@ class PeriodicReallocationAlgorithm(AllocationAlgorithm):
         if self._tracker is not None:
             self._tracker = self.machine.new_load_tracker()
         self._nodes.clear()
+
+    def state(self) -> dict[str, Any]:
+        return {
+            "inner": self._inner.state(),
+            "active": id_order(self._active),
+            "nodes": id_order(self._nodes),
+        }
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._inner.load_state(state["inner"], tasks, placements)
+        self._active = reorder(state["active"], tasks)
+        if self._tracker is not None:
+            self._nodes = reorder(state["nodes"], placements)
+            self._tracker = tracker_for(self.machine, self._nodes, tasks)

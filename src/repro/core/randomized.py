@@ -16,9 +16,11 @@ this distribution.
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, Placement
+from repro.core.base import AllocationAlgorithm, Placement, id_order, reorder
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
@@ -62,3 +64,15 @@ class ObliviousRandomAlgorithm(AllocationAlgorithm):
         # Note: does NOT reset the RNG; independent repetitions across
         # resets are exactly what expected-load estimation needs.
         self._placement.clear()
+
+    def state(self) -> dict[str, Any]:
+        return {"placement": id_order(self._placement), "rng": self._rng.bit_generator.state}
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._placement = reorder(state["placement"], placements)
+        self._rng.bit_generator.state = state["rng"]

@@ -24,11 +24,11 @@ and the session's ``slo_violations`` counter meters the overshoot.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, Placement
+from repro.core.base import AllocationAlgorithm, Placement, id_order, reorder, tracker_for
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
@@ -123,3 +123,16 @@ class TwoChoiceAlgorithm(AllocationAlgorithm):
     def reset(self) -> None:
         self._loads = self.machine.new_load_tracker()
         self._placement.clear()
+
+    def state(self) -> dict[str, Any]:
+        return {"placement": id_order(self._placement), "rng": self._rng.bit_generator.state}
+
+    def load_state(
+        self,
+        state: Mapping[str, Any],
+        tasks: Mapping[TaskId, Task],
+        placements: Mapping[TaskId, NodeId],
+    ) -> None:
+        self._placement = reorder(state["placement"], placements)
+        self._loads = tracker_for(self.machine, self._placement, tasks)
+        self._rng.bit_generator.state = state["rng"]

@@ -29,12 +29,12 @@ string rather than by class, so the kernel never imports
 kernel.
 
 Restoring a snapshot rebuilds *kernel* state only.  Algorithm objects keep
-private incremental state (load trackers, copy sets); per the
-:class:`~repro.core.base.AllocationAlgorithm` contract they are
-deterministic functions of the event history, so a resuming driver
-replays the journaled events through a fresh algorithm and verifies the
-kernel snapshot digest at each checkpoint (see
-:mod:`repro.service.session`).
+private incremental state (load trackers, copy sets, RNG position) that
+round-trips separately through
+:meth:`~repro.core.base.AllocationAlgorithm.state` /
+:meth:`~repro.core.base.AllocationAlgorithm.load_state`; a resuming
+session restores both from its state sidecar and replays only the
+journal tail (see :mod:`repro.service.session`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Any, Mapping, Optional, Protocol, Sequence, Union, cast
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, Reallocation
+from repro.core.base import AllocationAlgorithm, Reallocation, reorder
 from repro.errors import (
     BatchError,
     CheckpointError,
@@ -834,6 +834,12 @@ class AllocationKernel:
         """Count of currently-placed tasks (O(1); journal delta riders)."""
         return len(self._placements)
 
+    def task_order(self) -> list[int]:
+        """Active task ids in insertion order.  The snapshot lists tasks
+        sorted; :meth:`restore` takes this back as ``order`` so the
+        restored dicts iterate exactly as the live ones did."""
+        return [int(tid) for tid in self._placements]
+
     def check_consistency(self) -> None:
         """Cross-check tracker vs. placements (test helper)."""
         self._loads.check_invariants()
@@ -893,18 +899,22 @@ class AllocationKernel:
             "metrics": self.metrics.to_state(),
         }
 
-    def restore(self, state: Mapping[str, Any]) -> None:
+    def restore(
+        self, state: Mapping[str, Any], *, order: Optional[Sequence[int]] = None
+    ) -> None:
         """Load a :meth:`snapshot` into this kernel, replacing its state.
 
         The kernel must have been constructed for the same machine (and
         with a degraded view iff the snapshot recorded failed nodes);
         anything else is a :class:`~repro.errors.CheckpointError` — a
         snapshot restored onto the wrong machine would corrupt silently.
-        One exception: an external-placement kernel (no algorithm) whose
-        construction machine matches the snapshot's *initial* machine may
-        restore a post-resize snapshot — the kernel adopts the snapshot's
-        current machine, exactly as replaying the resize events would.
-        Snapshots of other versions are refused.
+        One exception: a kernel whose construction machine matches the
+        snapshot's *initial* machine may restore a post-resize snapshot —
+        the kernel adopts the snapshot's current machine (and a fresh
+        view of it), exactly as replaying the resize events would; an
+        algorithm driving the kernel must then be restored onto
+        ``kernel.machine`` as well.  ``order`` is a :meth:`task_order`
+        saved with the snapshot.  Snapshots of other versions are refused.
         """
         if (
             state.get("kind") != KERNEL_STATE_KIND
@@ -921,11 +931,7 @@ class AllocationKernel:
         initial_machine = dict(state.get("initial_machine", {}))
         adopt_machine = False
         if snap_machine != here:
-            if (
-                self.algorithm is None
-                and num_resizes > 0
-                and initial_machine == self._initial_machine
-            ):
+            if num_resizes > 0 and initial_machine == self._initial_machine:
                 adopt_machine = True
             else:
                 raise CheckpointError(
@@ -953,6 +959,9 @@ class AllocationKernel:
                     "kernel snapshot places tasks it does not list: "
                     f"{sorted(int(t) for t in set(placements) - set(tasks))!r}"
                 )
+            if order is not None:
+                placements = reorder(order, placements)
+                tasks = {tid: tasks[tid] for tid in placements} | tasks
             failed_nodes = state.get("failed_nodes")
             metrics = MetricsCollector.from_state(state["metrics"])
             arrived = int(state["arrived_since_realloc"])

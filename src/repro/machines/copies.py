@@ -22,7 +22,7 @@ append a fresh copy if none can.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -309,6 +309,32 @@ class CopySet:
             for c in range(num_copies)
         ]
         return copy_set
+
+    @classmethod
+    def from_slots(
+        cls,
+        hierarchy: Hierarchy,
+        num_copies: int,
+        slots: Iterable[tuple[CopyId, NodeId]],
+    ) -> "CopySet":
+        """``num_copies`` copies holding one task at each ``(copy, node)``
+        slot — how a restored first-fit allocator gets its copies back.
+
+        The copies answer every later :meth:`first_fit` and :meth:`free`
+        as the ones the slots were read from, since the vacancy trees are
+        a function of the assignments (:meth:`from_packing`).
+        """
+        pairs = list(slots)
+        copy_ids = np.fromiter((c for c, _ in pairs), dtype=np.int64, count=len(pairs))
+        nodes = np.fromiter((v for _, v in pairs), dtype=np.int64, count=len(pairs))
+        n = hierarchy.num_leaves
+        if len(set(pairs)) != len(pairs) or not (
+            ((copy_ids >= 0) & (copy_ids < num_copies) & (nodes >= 1) & (nodes < 2 * n)).all()
+        ):
+            raise AllocationError(
+                f"slots do not fit {num_copies} copies of an {n}-PE machine"
+            )
+        return cls.from_packing(hierarchy, copy_ids, nodes, num_copies)
 
     def _new_copy(self) -> BuddyCopy:
         """Construct a fresh copy; subclasses pre-shape it (degraded copies)."""

@@ -57,6 +57,12 @@ _METRICS: dict[str, tuple[str, str]] = {
     "repro_slo_violations_total": ("counter", "Placements past the load target"),
     "repro_overloaded": ("gauge", "Backpressure engaged (bool)"),
     "repro_events_per_second": ("gauge", "Event rate since the last scrape"),
+    "repro_resume_restored_events": (
+        "gauge", "Events the last resume restored from the state sidecar"
+    ),
+    "repro_resume_replayed_events": (
+        "gauge", "Events the last resume replayed from the journal"
+    ),
 }
 
 #: status() key -> metric name.
@@ -74,15 +80,17 @@ _STATUS_KEYS: tuple[tuple[str, str], ...] = (
     ("rejected_total", "repro_rejected_total"),
     ("slo_violations", "repro_slo_violations_total"),
     ("events_per_second", "repro_events_per_second"),
+    ("resume_restored_events", "repro_resume_restored_events"),
+    ("resume_replayed_events", "repro_resume_replayed_events"),
 )
 
 
 def service_samples(status: Mapping[str, Any]) -> list[Sample]:
     """Samples for one :meth:`AllocationSession.status` dict.
 
-    Keys the status does not carry (``events_per_second`` outside a
-    scrape) are simply absent from the output — scrapers treat missing
-    series as "not exported".
+    Keys the status does not carry (``events_per_second`` and the
+    ``resume_*`` counts outside a scrape) are simply absent from the
+    output — scrapers treat missing series as "not exported".
     """
     samples: list[Sample] = []
     for key, name in _STATUS_KEYS:

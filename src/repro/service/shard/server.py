@@ -88,6 +88,8 @@ class ServiceServer:
         status["events_per_second"] = (
             (offers - mark_offers) / elapsed if elapsed > 0 else 0.0
         )
+        status["resume_restored_events"] = self.backend.restored_events
+        status["resume_replayed_events"] = self.backend.replayed_events
         return render_exposition(service_samples(status))
 
     # -- Lifecycle -----------------------------------------------------------
@@ -181,7 +183,11 @@ class ServiceServer:
     def _serve_line(self, text: str, lineno: int) -> list[str]:
         """Reply lines for one client line.  No lock is needed: every
         backend touch is synchronous, so the event loop serialises the
-        per-line critical sections across connections by construction."""
+        per-line critical sections across connections by construction.
+
+        A line with a ``"kind"`` is an event record, whatever else it
+        carries (a resize names its ``"op"``); only a line without one is
+        a control op."""
         try:
             obj = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an over-long int
@@ -192,7 +198,7 @@ class ServiceServer:
         kind = obj.get("kind") if isinstance(obj, dict) else None
         out: list[str] = []
         try:
-            if op is not None:
+            if kind is None and op is not None:
                 # Control reads are commit points: flush first, so what
                 # the client sees is never ahead of the journal.
                 self.backend.flush()
@@ -201,7 +207,7 @@ class ServiceServer:
                 out.extend(self._apply(parse_event_record(obj)))
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             return [json.dumps(
-                {"error": str(exc), "op": op if op is not None else kind,
+                {"error": str(exc), "op": kind if kind is not None else op,
                  "line": lineno}
             )]
         if self.backend.overloaded:  # only ever true in SLO mode

@@ -275,6 +275,25 @@ class AdmissionController:
         """The queued arrival records, FIFO order (copies)."""
         return tuple(dict(r) for r in self._queue)
 
+    def state(self) -> dict[str, Any]:
+        """JSON-safe image of the queue, the dropped ids and the counters
+        (the pending ids are the queued ones)."""
+        return {
+            "queue": [dict(r) for r in self._queue],
+            "dropped": sorted(self._dropped_ids),
+            **self.counters(),
+        }
+
+    def load_state(self, state: Mapping[str, Any]) -> None:
+        """Adopt a :meth:`state` image (same policy assumed)."""
+        counters = {key: int(state[key]) for key in self.counters()}
+        queue = deque(dict(r) for r in state["queue"])
+        pending = {int(r["id"]) for r in queue}
+        dropped = {int(t) for t in state["dropped"]}
+        self._queue, self._pending_ids, self._dropped_ids = queue, pending, dropped
+        for key, value in counters.items():
+            setattr(self, key, value)
+
     def counters(self) -> dict[str, int]:
         return {
             "admitted_total": self.admitted_total,

@@ -407,3 +407,99 @@ class TestConcurrentClients:
             return during
 
         assert asyncio.run(scenario()) == 1
+
+
+def _fault_backend(journal=None):
+    machine = TreeMachine(N)
+    return AllocationSession(
+        machine, make_algorithm("greedy", machine), fault_tolerant=True,
+        journal_path=journal,
+    )
+
+
+#: A grow and a shrink: event records that also carry an ``"op"`` key.
+_RESIZES = [
+    {"kind": "arrival", "time": 0.0, "id": 0, "size": 4},
+    {"kind": "resize", "time": 1.0, "op": "grow", "factor": 2},
+    {"kind": "resize", "time": 2.0, "op": "shrink", "factor": 2},
+    {"op": "status"},
+]
+
+
+def _journaled_kinds(journal):
+    resumed = _fault_backend(journal)
+    kinds = [getattr(e, "kind", None) for e in resumed.events]
+    sizes = resumed.kernel.machine.num_pes, resumed.kernel.num_resizes
+    resumed.close()
+    return [getattr(k, "value", k) for k in kinds], sizes
+
+
+class TestResizeRecords:
+    """A record with a ``"kind"`` is an event even when it names an
+    ``"op"`` — a resize is absorbed and journaled, not refused as an
+    unknown control op."""
+
+    def _check(self, replies, journal):
+        grow, shrink, status = replies[1:]
+        assert "error" not in grow and grow["kind"] == "resize"
+        assert "error" not in shrink and shrink["kind"] == "resize"
+        assert (status["grows"], status["shrinks"], status["num_pes"]) == (1, 1, N)
+        kinds, sizes = _journaled_kinds(journal)
+        assert kinds == ["arrival", "resize", "resize"]
+        assert sizes == (N, 2)
+
+    def test_socket_absorbs_grow_and_shrink(self, tmp_path):
+        journal = tmp_path / "socket.journal"
+        replies = _serve(
+            _fault_backend(journal), [json.dumps(r) for r in _RESIZES]
+        )
+        self._check(replies, journal)
+
+    def test_stdin_absorbs_grow_and_shrink(self, tmp_path):
+        journal = tmp_path / "stdin.journal"
+        backend = _fault_backend(journal)
+        replies = [
+            json.loads(out)
+            for out in StdioServer(backend).serve_lines(
+                [json.dumps(r) + "\n" for r in _RESIZES]
+            )
+        ]
+        backend.close()
+        self._check(replies, journal)
+
+    def test_resize_error_names_the_kind(self):
+        replies = _serve(
+            _session_backend(),
+            [json.dumps({"kind": "resize", "op": "grow", "factor": 2})],
+        )
+        assert replies[0]["op"] == "resize"
+        assert "fault-tolerant" in replies[0]["error"]
+
+
+class TestResumeGauges:
+    def _gauges(self, backend):
+        replies = list(StdioServer(backend).serve_lines([json.dumps({"op": "metrics"})]))
+        by_name = {s.name: s.value for s in parse_exposition(json.loads(replies[0])["metrics"])}
+        return (
+            by_name["repro_resume_restored_events"],
+            by_name["repro_resume_replayed_events"],
+        )
+
+    def test_zero_on_a_fresh_journal_then_restored_and_replayed(self, tmp_path):
+        journal = tmp_path / "g.journal"
+
+        def open_backend():
+            machine = TreeMachine(N)
+            return AllocationSession(
+                machine, make_algorithm("greedy", machine), journal_path=journal,
+                snapshot_interval=2, full_snapshot_interval=8,
+            )
+
+        backend = open_backend()
+        assert self._gauges(backend) == (0, 0)
+        for i in range(11):
+            backend.submit(1, task_id=i, time=float(i))
+        backend.close()
+        resumed = open_backend()
+        assert self._gauges(resumed) == (8, 3)
+        resumed.close()

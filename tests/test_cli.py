@@ -402,6 +402,33 @@ class TestStreaming:
         status = json.loads(captured.out.strip().splitlines()[0])
         assert status["events"] == 1 and status["active_tasks"] == 1
 
+    def test_serve_resume_restores_then_replays_the_tail(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """Past a full checkpoint (1,024 events) a restart restores the
+        state sidecar and replays only the tail; without the sidecar it
+        replays everything, to the same status."""
+        import json
+
+        journal = tmp_path / "serve.journal"
+        self._stdin(monkeypatch, "".join(
+            f'{{"kind":"arrival","size":1,"id":{i}}}\n'
+            f'{{"kind":"departure","id":{i}}}\n'
+            for i in range(550)
+        ))
+        assert main(["serve", "--n", "8", "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        runs = []
+        for _ in range(2):
+            self._stdin(monkeypatch, '{"op":"status"}\n')
+            assert main(["serve", "--n", "8", "--journal", str(journal)]) == 0
+            runs.append(capsys.readouterr())
+            (tmp_path / "serve.journal.state").unlink(missing_ok=True)
+        assert "resumed 1100 event(s) (restored at event 1024, replayed 76)" in runs[0].err
+        assert "resumed 1100 event(s) (restored at event 0, replayed 1100)" in runs[1].err
+        assert runs[0].out == runs[1].out
+        assert json.loads(runs[0].out.splitlines()[0])["events"] == 1100
+
     def test_serve_error_records_carry_line_numbers(self, capsys, monkeypatch):
         """Satellite contract: every error record names the offending
         stream line, and the session keeps serving afterwards."""
@@ -628,6 +655,15 @@ class TestJournalDump:
         total = sum(int(v) for v in per_kind.values())
         assert total + 5 == int(fields["file bytes"])
         assert float(fields["bytes per record"]) < 150
+        sidecar = journal.with_name("s.journal.state")
+        assert fields["state sidecar"] == (
+            f"s.journal.state, {sidecar.stat().st_size} bytes, index 80, "
+            "verifies against the journal"
+        )
+        sidecar.write_bytes(sidecar.read_bytes()[:-9])
+        assert main(["journal", "dump", str(journal), "--stats"]) == 0
+        fields = self._fields(capsys.readouterr().out)
+        assert "does not verify" in fields["state sidecar"]
 
     def test_earlier_build_journal_still_dumps(self, capsys):
         """A session journal of an earlier kernel-state version is refused
@@ -640,3 +676,4 @@ class TestJournalDump:
         assert fields["records"] == "600 logical record(s), indices 0..599"
         assert fields["state digests"] == "at [511]"
         assert fields["delta riders"] == "at [255, 599]"
+        assert fields["state sidecar"] == "none"
