@@ -7,15 +7,16 @@ a session's ``status()`` dict into the `text exposition format
 scraper speaks, and parses it back, so the format itself is testable by
 round trip (no Prometheus client library is needed or used).
 
-Conventions: every metric is prefixed ``repro_``; counters end in
-``_total``; booleans are 0/1
-gauges.  ``NaN``/``+Inf`` render in Prometheus spelling (a fresh
+Conventions: every metric is prefixed ``repro_`` but the standard
+``process_resident_memory_bytes``; counters end in ``_total``; booleans
+are 0/1 gauges.  ``NaN``/``+Inf`` render in Prometheus spelling (a fresh
 session's competitive ratio is genuinely undefined or unbounded).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -24,6 +25,7 @@ from repro.errors import TraceFormatError
 __all__ = [
     "Sample",
     "parse_exposition",
+    "process_memory",
     "render_exposition",
     "service_samples",
 ]
@@ -63,6 +65,10 @@ _METRICS: dict[str, tuple[str, str]] = {
     "repro_resume_replayed_events": (
         "gauge", "Events the last resume replayed from the journal"
     ),
+    "process_resident_memory_bytes": ("gauge", "Resident memory size in bytes"),
+    "repro_process_peak_resident_memory_bytes": (
+        "gauge", "Peak resident memory size in bytes"
+    ),
 }
 
 #: status() key -> metric name.
@@ -82,15 +88,46 @@ _STATUS_KEYS: tuple[tuple[str, str], ...] = (
     ("events_per_second", "repro_events_per_second"),
     ("resume_restored_events", "repro_resume_restored_events"),
     ("resume_replayed_events", "repro_resume_replayed_events"),
+    ("resident_memory_bytes", "process_resident_memory_bytes"),
+    ("peak_resident_memory_bytes", "repro_process_peak_resident_memory_bytes"),
 )
+
+
+def process_memory(status_path: str = "/proc/self/status") -> dict[str, int]:
+    """This process's resident memory in bytes, as status keys:
+    ``resident_memory_bytes`` (``VmRSS``) and ``peak_resident_memory_bytes``
+    (``VmHWM``) from ``status_path``.  Where that file does not exist, the
+    peak comes from :func:`resource.getrusage` and the current size is
+    left out."""
+    try:
+        with open(status_path) as fh:
+            fields = dict(line.split(":", 1) for line in fh if ":" in line)
+    except OSError:
+        try:
+            import resource
+        except ImportError:  # no getrusage on this platform
+            return {}
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # ru_maxrss is in bytes on macOS, in KiB elsewhere.
+        return {
+            "peak_resident_memory_bytes": peak if sys.platform == "darwin" else peak * 1024
+        }
+    out: dict[str, int] = {}
+    for field, key in (
+        ("VmRSS", "resident_memory_bytes"), ("VmHWM", "peak_resident_memory_bytes")
+    ):
+        if field in fields:
+            out[key] = int(fields[field].split()[0]) * 1024  # "123 kB"
+    return out
 
 
 def service_samples(status: Mapping[str, Any]) -> list[Sample]:
     """Samples for one :meth:`AllocationSession.status` dict.
 
-    Keys the status does not carry (``events_per_second`` and the
-    ``resume_*`` counts outside a scrape) are simply absent from the
-    output — scrapers treat missing series as "not exported".
+    Keys the status does not carry (``events_per_second``, the
+    ``resume_*`` counts and the :func:`process_memory` sizes outside a
+    scrape) are simply absent from the output — scrapers treat missing
+    series as "not exported".
     """
     samples: list[Sample] = []
     for key, name in _STATUS_KEYS:

@@ -6,7 +6,9 @@ sha256 the journal rider at that point carries, the algorithm's
 :meth:`~repro.core.base.AllocationAlgorithm.state`, the SLO controller's
 state, the session cursor and the journal index it covers.  On resume the
 session restores that state and replays only the journal records after
-the index, instead of the whole journal.  It also pins the journal bytes
+the index, instead of the whole journal — in one streaming pass that
+decodes the records before the index without applying them and hashes
+the journal bytes as they go by.  It also pins the journal bytes
 up to that index by length and sha256, so a sidecar binds to one journal
 file, not merely to one configuration.
 
@@ -44,8 +46,10 @@ __all__ = [
     "SidecarWarning",
     "encode_sidecar",
     "inspect_sidecar",
+    "past_the_journal",
     "read_sidecar",
     "rider_digest",
+    "sidecar_index",
     "sidecar_path",
     "state_json",
     "write_sidecar",
@@ -119,37 +123,47 @@ def read_sidecar(path: Path) -> dict[str, Any]:
     return image
 
 
-def rider_digest(
-    image: Mapping[str, Any],
-    fingerprint: str,
-    completed: Mapping[int, Any],
-    prefix_digest: Callable[[int], Optional[str]],
-) -> str:
-    """The journal's ``state_sha256`` rider at the sidecar's index.
-
-    Checks the journal-side half of the trust rule: the sidecar names this
-    journal's fingerprint, its index lies within the surviving records,
-    the journal's first ``journal_bytes`` bytes hash (``prefix_digest``)
-    to the sidecar's ``journal_sha256``, and the record at the index
-    carries a state digest.  The caller compares that digest with the
-    state it restores.
-    """
+def sidecar_index(image: Mapping[str, Any], fingerprint: str) -> int:
+    """The journal index a sidecar covers, once it names the journal's
+    ``fingerprint`` digest: the count of records it restores."""
     if image.get("fingerprint") != fingerprint:
         raise CheckpointError("written for a different journal fingerprint")
     index = image.get("index")
-    if type(index) is not int or not 0 < index <= len(completed):
-        raise CheckpointError(
-            f"index {index!r} is past the journal's {len(completed)} record(s)"
-        )
+    if type(index) is not int or index <= 0:
+        raise CheckpointError(f"index {index!r} is not a journal position")
+    return index
+
+
+def past_the_journal(index: int, records: int) -> CheckpointError:
+    return CheckpointError(
+        f"index {index} is past the journal's {records} record(s)"
+    )
+
+
+def rider_digest(
+    image: Mapping[str, Any],
+    prefix_digest: Callable[[int], Optional[str]],
+    payload: Any,
+) -> str:
+    """The journal's ``state_sha256`` rider at the sidecar's index.
+
+    Checks the journal-side half of the trust rule for a sidecar whose
+    index (:func:`sidecar_index`) lies within the journal: the journal's
+    first ``journal_bytes`` bytes hash (``prefix_digest``) to the
+    sidecar's ``journal_sha256``, and ``payload``, the record at the
+    index, carries a state digest.  The caller compares that digest with
+    the state it restores.
+    """
     length = image.get("journal_bytes")
     if type(length) is not int or length < 0 or (
         prefix_digest(length) != image.get("journal_sha256")
     ):
         raise CheckpointError("written beside different journal bytes")
-    payload = completed.get(index - 1)
     digest = payload.get("state_sha256") if isinstance(payload, dict) else None
     if not isinstance(digest, str):
-        raise CheckpointError(f"journal record {index - 1} carries no state digest")
+        raise CheckpointError(
+            f"journal record {image['index'] - 1} carries no state digest"
+        )
     return digest
 
 
@@ -186,7 +200,10 @@ def inspect_sidecar(
         image = read_sidecar(path)
         raw = image.get("index")
         index = raw if type(raw) is int else None
-        rider = rider_digest(image, fingerprint, completed, prefix_digest)
+        covered = sidecar_index(image, fingerprint)
+        if covered > len(completed):
+            raise past_the_journal(covered, len(completed))
+        rider = rider_digest(image, prefix_digest, completed.get(covered - 1))
         if rider != hashlib.sha256(state_json(image["kernel"])).hexdigest():
             raise CheckpointError("kernel state does not match the journal's digest")
         reason = None

@@ -14,8 +14,9 @@ history — clients interleave at line granularity.  Without ``--listen``
 
 A second, optional listener (``--metrics-port``) answers any HTTP GET
 with the Prometheus text exposition from :mod:`repro.service.metrics`:
-live ``L_A`` / ``L*`` / ratio / event-rate / journal-lag gauges,
-scrapable while the event stream is live.
+live ``L_A`` / ``L*`` / ratio / event-rate / journal-lag gauges and the
+process's current and peak resident memory, scrapable while the event
+stream is live.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time as _time
 from typing import Any, Iterable, Optional
 
 from repro.errors import ReproError
-from repro.service.metrics import render_exposition, service_samples
+from repro.service.metrics import process_memory, render_exposition, service_samples
 from repro.service.session import AllocationSession
 from repro.service.stream import admission_lines, decision_line, parse_event_record
 
@@ -90,6 +91,7 @@ class ServiceServer:
         )
         status["resume_restored_events"] = self.backend.restored_events
         status["resume_replayed_events"] = self.backend.replayed_events
+        status.update(process_memory())
         return render_exposition(service_samples(status))
 
     # -- Lifecycle -----------------------------------------------------------

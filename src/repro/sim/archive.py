@@ -60,8 +60,8 @@ def save_run(
     """Archive one completed run (machine + sequence + placement history).
 
     ``simulator`` is the driver that ran it: its history supplies the
-    placement segments (a session replays its event log through a fresh
-    simulator to archive).  Pass the :class:`RunResult` to embed its compact
+    placement segments (a session replays the events it reads back from
+    its journal through a fresh simulator to archive).  Pass the :class:`RunResult` to embed its compact
     summary (no load series — ``to_dict()`` default) under
     ``"result_summary"``; the full series can always be recomputed from the
     archived segments.  ``events`` embeds the raw wire-format event log of

@@ -91,3 +91,34 @@ class TestServiceSamples:
         off = service_samples({"slo": {"overloaded": False}})
         assert (on[0].name, on[0].value) == ("repro_overloaded", 1.0)
         assert (off[0].name, off[0].value) == ("repro_overloaded", 0.0)
+
+
+class TestProcessMemory:
+    def test_scrape_exports_current_and_peak_resident_memory(self):
+        import json
+
+        from repro.service.shard.server import StdioServer
+
+        machine = TreeMachine(16)
+        session = AllocationSession(machine, make_algorithm("greedy", machine))
+        reply = list(StdioServer(session).serve_lines([json.dumps({"op": "metrics"})]))
+        session.close()
+        page = json.loads(reply[0])["metrics"]
+        by_name = {s.name: s.value for s in parse_exposition(page)}
+        current = by_name["process_resident_memory_bytes"]
+        peak = by_name["repro_process_peak_resident_memory_bytes"]
+        assert current > 0 and peak > 0
+        assert peak >= current
+        for name in ("process_resident_memory_bytes",
+                     "repro_process_peak_resident_memory_bytes"):
+            assert f"# HELP {name} " in page
+            assert f"# TYPE {name} gauge" in page
+
+    def test_without_proc_status_only_the_peak_is_exported(self, tmp_path):
+        from repro.service.metrics import process_memory
+
+        sizes = process_memory(str(tmp_path / "absent"))
+        assert set(sizes) == {"peak_resident_memory_bytes"}
+        assert sizes["peak_resident_memory_bytes"] > 0
+        names = {s.name for s in service_samples(sizes)}
+        assert names == {"repro_process_peak_resident_memory_bytes"}

@@ -52,7 +52,8 @@ def test_serve_save_op_archive_is_unchanged(capsys, monkeypatch, tmp_path):
     path = tmp_path / "stream-save.json"
     save = json.dumps({"op": "save", "path": str(path)})
     _feed(monkeypatch, _ci_stream(capsys) + save + "\n")
-    assert main(["serve", *ALGORITHM]) == 0
+    journal = str(tmp_path / "serve.journal")
+    assert main(["serve", *ALGORITHM, "--journal", journal]) == 0
     replies = capsys.readouterr().out.splitlines()
     assert json.loads(replies[-1]) == {"saved": str(path)}
     assert path.read_bytes() == _expected("stream_save.json.gz")

@@ -18,9 +18,11 @@ from repro.service.shard.server import ServiceServer, StdioServer
 N = 64
 
 
-def _session_backend():
+def _session_backend(journal=None):
     machine = TreeMachine(N)
-    return AllocationSession(machine, make_algorithm("greedy", machine, d=2.0))
+    return AllocationSession(
+        machine, make_algorithm("greedy", machine, d=2.0), journal_path=journal
+    )
 
 
 async def _roundtrip(server, lines):
@@ -191,7 +193,7 @@ class TestStdio:
 
     def test_save_archives_the_session(self, tmp_path):
         target = tmp_path / "run.json"
-        session = _session_backend()
+        session = _session_backend(tmp_path / "s.journal")
         replies = list(StdioServer(session).serve_lines([
             json.dumps({"kind": "arrival", "time": 0.0, "id": 0, "size": 2}),
             json.dumps({"op": "save", "path": str(target)}),
@@ -346,9 +348,9 @@ class TestMetrics:
 
 
 class TestConcurrentClients:
-    def test_interleaved_clients_share_one_history(self):
+    def test_interleaved_clients_share_one_history(self, tmp_path):
         async def scenario():
-            backend = _session_backend()
+            backend = _session_backend(tmp_path / "s.journal")
             server = ServiceServer(backend)
             host, port = await server.start()
 

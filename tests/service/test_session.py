@@ -90,13 +90,13 @@ class TestLiveSession:
 
 
 class TestBatchAgreement:
-    def test_streamed_run_equals_batch_run(self):
+    def test_streamed_run_equals_batch_run(self, tmp_path):
         """The same events through the session and the batch simulator
         produce identical metrics — one kernel, two drivers."""
         from repro.sim.engine import Simulator
 
         n, records = 8, _records(tasks=40, seed=2)
-        session = _session(n)
+        session = _session(n, journal_path=tmp_path / "s.journal")
         for rec in records:
             session.push(rec)
 
@@ -111,7 +111,7 @@ class TestBatchAgreement:
         from repro.sim.archive import load_run, load_run_events
         from repro.sim.audit import audit_run
 
-        session = _session()
+        session = _session(journal_path=tmp_path / "s.journal")
         records = _records(tasks=25, seed=4)
         for rec in records:
             session.push(rec)
