@@ -123,7 +123,7 @@ class TestCrashRecovery:
         path.write_bytes(raw[:-10])  # crash mid-write of the last record
         with pytest.warns(UserWarning, match="corrupt tail"):
             journal = CheckpointJournal(path, fingerprint=FP)
-        assert journal.completed() == {0: "a"}
+            assert journal.completed() == {0: "a"}
         journal.record(1, "b2")  # journal is writable again after recovery
         journal.close()
         with CheckpointJournal(path, fingerprint=FP) as journal:
@@ -141,7 +141,7 @@ class TestCrashRecovery:
             fh.write(header + payload)
         with pytest.warns(UserWarning, match="torn payload"):
             journal = CheckpointJournal(path, fingerprint=FP)
-        assert journal.completed() == {0: "a", 1: "b"}
+            assert journal.completed() == {0: "a", 1: "b"}
         journal.close()
 
     def test_garbage_record_line_truncates_from_there(self, tmp_path):
@@ -155,7 +155,7 @@ class TestCrashRecovery:
             fh.write(frame_bytes(FRAME_PICKLE, pickle.dumps((3, "d"))))
         with pytest.warns(UserWarning, match="corrupt tail"):
             journal = CheckpointJournal(path, fingerprint=FP)
-        assert journal.completed() == {0: "a", 1: "b"}
+            assert journal.completed() == {0: "a", 1: "b"}
         journal.close()
         assert path.stat().st_size == good
 
@@ -204,7 +204,8 @@ class TestCrashConsistencySyncs:
         fsyncs.clear()
         with pytest.warns(UserWarning, match="corrupt tail"):
             journal = CheckpointJournal(path, fingerprint=FP)
-        # Synced before the constructor returns, at the truncated size.
+            journal.completed()
+        # Synced by the opening pass, at the truncated size.
         assert (False, path.stat().st_ino, good) in fsyncs
         journal.close()
         assert path.stat().st_size == good

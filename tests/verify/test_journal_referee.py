@@ -3,8 +3,8 @@
 One committed corpus entry and one fuzzed stream per journal mode
 (plain, fault-tolerant, SLO) at N=64: every sampled truncation must
 resume to exactly its surviving prefix and then catch up, at least one
-kill must land inside a delta window, and a planted replay defect must
-be reported rather than pass.
+kill must land inside a delta window, and planted replay and
+history-read defects must be reported rather than pass.
 """
 
 from pathlib import Path
@@ -66,3 +66,19 @@ def test_replay_that_drops_the_last_record_is_reported(monkeypatch):
     assert any("reopen" in d or "cut@" in d for d in outcome.divergences)
     with pytest.raises(SimulationError, match="journal resume broken"):
         fuzz_journal(num_pes=64, sequences=1, algorithms=["greedy"])
+
+
+def test_history_that_loses_an_event_is_reported(monkeypatch):
+    original = AllocationSession._history
+
+    def lossy(self):
+        # Read the journal back without its final event.
+        return iter(list(original(self))[:-1])
+
+    monkeypatch.setattr(AllocationSession, "_history", lossy)
+    outcome = _check(_corpus_entry())
+    assert not outcome.ok
+    # The live writer's history is checked against events the oracle
+    # absorbed, not only against other reads of the same journal.
+    assert "live history != oracle" in outcome.divergences
+    assert "reopened history != oracle" in outcome.divergences
