@@ -3,9 +3,11 @@
 Not a paper artifact — this suite tracks the binary (framed) journal.
 Three layers are metered:
 
-* codec microbenches: columnar encode/decode of wire-record batches,
+* codec microbenches: encode/decode of wire-record batches as tagged
+  fixed-width records (the bench names keep the word "columnar" of the
+  layout they replaced, so snapshots stay comparable),
 * replay: reopening a journaled session (the resume path), which
-  decodes batch frames columnar-wise,
+  decodes the batch frames,
 * journaled ingest: ``push_batch`` end-to-end per fsync policy (the
   ``batch`` policy is the headline configuration: batch frames, the
   columnar kernel engine and group commit at batch 256).
@@ -28,11 +30,7 @@ import pytest
 from repro.core.registry import make_algorithm
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
-from repro.sim.frames import (
-    decode_record_batch,
-    encode_wire_records,
-    iter_journal_payloads,
-)
+from repro.sim.frames import iter_journal_payloads, pack_record, unpack_records
 from repro.workloads.generators import churn_sequence
 
 N_LARGE = int(os.environ.get("REPRO_BENCH_N", "4096"))
@@ -50,7 +48,7 @@ def records():
 @pytest.fixture(scope="module")
 def wire_records(records):
     """Records normalised to the strict hot-path schema (explicit work),
-    the way the session fills defaults before columnar encoding."""
+    the way the session fills defaults before it journals them."""
     return [
         dict(rec, work=float(rec.get("work", 1.0)))
         if rec["kind"] == "arrival"
@@ -88,27 +86,32 @@ def _note_rate(benchmark, num_events):
 # ---------------------------------------------------------------------------
 
 
+def _batch(records) -> bytes:
+    """The record bytes of one batch frame."""
+    return b"".join([pack_record(r) for r in records])
+
+
 def test_perf_journal_encode_columnar(benchmark, wire_records):
-    """Columnar-encode the whole stream in 256-record slices."""
+    """Encode the whole stream as batch records in 256-record slices."""
 
     def encode():
         for i in range(0, len(wire_records), 256):
-            assert encode_wire_records(wire_records[i : i + 256]) is not None
+            _batch(wire_records[i : i + 256])
 
+    assert all(pack_record(r) is not None for r in wire_records)
     benchmark(encode)
     _note_rate(benchmark, len(wire_records))
 
 
 def test_perf_journal_decode_columnar(benchmark, wire_records):
     blobs = [
-        encode_wire_records(wire_records[i : i + 256])
+        _batch(wire_records[i : i + 256])
         for i in range(0, len(wire_records), 256)
     ]
-    assert all(blobs)
 
     def decode():
         for blob in blobs:
-            decode_record_batch(blob)
+            unpack_records(blob)
 
     benchmark(decode)
     _note_rate(benchmark, len(wire_records))
@@ -158,13 +161,13 @@ def test_perf_ingest_journal_policy(benchmark, records, tmp_path, fsync_policy):
 # ---------------------------------------------------------------------------
 
 #: Bytes per journaled record the batch frames must stay under.  The v1
-#: JSONL journal this format replaced wrote ~94 B per record on this
-#: stream; the old "at most half of v1" rule is this absolute bound.
-MAX_BYTES_PER_RECORD = 47
+#: JSONL journal wrote ~94 B per record on this stream and the pickled
+#: columnar batches of v2 34.5 B; fixed-width v3 records take ~26.5 B.
+MAX_BYTES_PER_RECORD = 30
 
 
 def test_journal_v2_size_floor(records, wire_records, tmp_path):
-    """Batch frames take <= 47 B per record on the churn stream — and the
+    """Batch frames take <= 30 B per record on the churn stream — and the
     journal replays exactly the records that went in."""
     session = _fresh_session(tmp_path, "batch")
     path = session._journal.path

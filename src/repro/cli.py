@@ -641,16 +641,15 @@ def _cmd_verify_journal(args: argparse.Namespace) -> int:
 
 
 def _cmd_journal(args: argparse.Namespace) -> int:
-    """``repro journal dump PATH``: inspect a journal."""
+    """``repro journal dump PATH``: inspect a journal.  Nothing is
+    unpickled: a journal of an older format is refused, and a cell-bag
+    journal's pickled results are counted, not decoded."""
     from repro.errors import CheckpointError
     from repro.service.resume import inspect_sidecar
-    from repro.sim.checkpoint import v1_refusal
+    from repro.sim.checkpoint import CellJournal, legacy_refusal
     from repro.sim.frames import (
-        FRAME_ATTACH,
-        FRAME_BATCH,
-        FRAME_HEADER,
+        FRAME_NAMES,
         FRAME_OVERHEAD,
-        FRAME_PICKLE,
         JOURNAL_MAGIC,
         decode_journal,
         scan_frames,
@@ -661,24 +660,25 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         print(f"error: {path} does not exist", file=sys.stderr)
         return 2
     data = path.read_bytes()
-    if data.startswith(b"{"):
-        raise CheckpointError(v1_refusal(path))
+    refusal = legacy_refusal(path, data[: len(JOURNAL_MAGIC)])
+    if refusal is not None:
+        raise CheckpointError(refusal)
     if not data.startswith(JOURNAL_MAGIC):
         print(f"error: {path} is not a journal (no frame magic)",
               file=sys.stderr)
         return 2
-    header, payloads, _end, _reason = decode_journal(data)
-    pairs = list(payloads.items())
-    kind_names = {
-        FRAME_HEADER: "header", FRAME_PICKLE: "pickle",
-        FRAME_BATCH: "batch", FRAME_ATTACH: "attach",
-    }
-    frames, good_end, bad_reason = scan_frames(data, len(JOURNAL_MAGIC))
+    header, payloads, good_end, bad_reason = decode_journal(data)
+    frames, scan_end, scan_reason = scan_frames(data, len(JOURNAL_MAGIC))
+    cells = isinstance(header, dict) and header.get("kind") == CellJournal.header_kind
+    if cells:
+        # Only the run that wrote a cell bag decodes its frames, so its
+        # tail is judged by frame structure and CRC alone.
+        good_end, bad_reason = scan_end, scan_reason
     print(f"file bytes         : {len(data)}")
     counts: dict[str, int] = {}
     sizes: dict[str, int] = {}
     for kind, payload, _pos in frames:
-        name = kind_names.get(kind, f"kind{kind}")
+        name = FRAME_NAMES.get(kind, f"kind{kind}")
         counts[name] = counts.get(name, 0) + 1
         sizes[name] = sizes.get(name, 0) + FRAME_OVERHEAD + len(payload)
     print("frames             : " + " ".join(
@@ -690,6 +690,12 @@ def _cmd_journal(args: argparse.Namespace) -> int:
               f"{good_end}, {len(data) - good_end} byte(s) dropped")
     else:
         print("tail               : clean")
+    if cells:
+        print(f"records            : {counts.get('cell', 0)} cell result(s), "
+              "not decoded (a cell-bag journal holds pickles; only the run "
+              "that wrote it reads them)")
+        return 0
+    pairs = list(payloads.items())
     indices = [index for index, _ in pairs]
     holes = []
     if indices:

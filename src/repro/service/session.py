@@ -543,7 +543,7 @@ class AllocationSession:
         kernel meters the batch in one pass
         (:meth:`AllocationKernel.apply_batch`) and the journal absorbs it
         as one group commit (:meth:`CheckpointJournal.record_many`: one
-        write, one ``fsync``, the records as one columnar frame).  A crash
+        write, one ``fsync``, the records as one batch frame).  A crash
         mid-call therefore loses at most this one batch; once
         ``push_batch`` returns under the ``always`` or ``batch`` policy
         the batch is durable.

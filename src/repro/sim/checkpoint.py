@@ -1,29 +1,45 @@
-"""Journaled checkpoint/resume for long-running cell bags.
+"""Journaled checkpoint/resume: append-only journals of indexed payloads.
 
-A :class:`CheckpointJournal` is an append-only file that records the
-result of every completed cell of a sweep (or any other bag of independent
-work items).  When the coordinating process dies — SIGKILL, OOM, a pulled
-plug — the journal survives, and the next run replays completed cells from
-it instead of recomputing them.  Because the executors in
-:mod:`repro.sim.parallel` spawn every cell's RNG stream *before* dispatch,
-a resumed run produces **bit-identical** final results to an uninterrupted
-one: the journal only short-circuits work, never changes it.
+A :class:`CheckpointJournal` is an append-only file of ``(index,
+payload)`` records: the events of a journaled
+:class:`~repro.service.session.AllocationSession`, whose payloads are
+plain JSON-shaped dicts.  A :class:`CellJournal` records the result of
+every completed cell of a sweep (or any other bag of independent work
+items), whatever Python object it is.  When the coordinating process dies
+— SIGKILL, OOM, a pulled plug — the journal survives, and the next run
+replays completed cells from it instead of recomputing them.  Because
+the executors in :mod:`repro.sim.parallel` spawn every cell's RNG stream
+*before* dispatch, a resumed run produces **bit-identical** final
+results to an uninterrupted one: the journal only short-circuits work,
+never changes it.
 
 On disk the journal is a magic prefix and CRC-checked binary frames
 (:mod:`repro.sim.frames`)::
 
-    b"RJF2\\x00"
-    [u32 len | u8 kind | u32 crc32] header-JSON       (FRAME_HEADER)
-    [u32 len | u8 kind | u32 crc32] i64 first + cols  (FRAME_BATCH)
-    [u32 len | u8 kind | u32 crc32] pickle(idx, val)  (FRAME_PICKLE)
+    b"RJF3\\x00"
+    [u32 len | u8 kind | u32 crc32] header-JSON           (FRAME_HEADER)
+    [u32 len | u8 kind | u32 crc32] i64 index + record    (FRAME_RECORD)
+    [u32 len | u8 kind | u32 crc32] i64 first + records   (FRAME_BATCH)
+    [u32 len | u8 kind | u32 crc32] i64 index + JSON      (FRAME_JSON)
+    [u32 len | u8 kind | u32 crc32] i64 index + riders    (FRAME_ATTACH)
     ...
 
 A torn tail is detected *structurally* — a frame whose length prefix
-runs past EOF or whose payload fails its CRC — and whole batches are
-group-committed as single columnar frames.  This is the only format: a
-v1 JSONL journal written by an older build (its first byte is ``{``) is
-refused with a :class:`~repro.errors.CheckpointError` and left
-untouched.
+runs past EOF or whose payload fails its CRC — and a group commit of
+session records is a single batch frame of fixed-width records.  This is
+the only format: a v1 JSONL journal (its first byte is ``{``) or a v2
+journal (magic ``RJF2``) written by an older build is refused with a
+:class:`~repro.errors.CheckpointError` and left untouched.
+
+Nothing a :class:`CheckpointJournal` reads is unpickled, so a hostile
+journal file cannot run code in a session, ``repro journal dump`` or
+``repro verify --journal``.  The one exception is local: a
+:class:`CellJournal` pickles each cell's result into a ``FRAME_CELL``,
+under its own header kind.  Only a :class:`CellJournal` — which the
+caller of a ``--resume``/``checkpoint=`` run constructs for the file it
+named — unpickles those frames; the header never selects the codec, a
+session refuses a cell-bag header, and every other reader cuts a cell
+frame as a corrupt tail.
 
 * The **header** pins a fingerprint of the workload (callable identity,
   cell parameters, seed streams).  Resuming against a different workload
@@ -53,7 +69,6 @@ import hashlib
 import json
 import os
 import pickle
-import struct
 import time
 import warnings
 from pathlib import Path
@@ -62,13 +77,10 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 from repro.errors import CheckpointError
 from repro.sim import frames as _frames
 
-__all__ = ["CheckpointJournal", "workload_fingerprint"]
+__all__ = ["CellJournal", "CheckpointJournal", "workload_fingerprint"]
 
 #: Header version of the framed journal; bump on an incompatible change.
-JOURNAL_VERSION = 2
-
-_HEADER_KIND = "repro-checkpoint"
-_I64 = struct.Struct("<q")
+JOURNAL_VERSION = 3
 #: Read buffer of a pass over the journal file.
 _READ_BUFFER = 1 << 16
 
@@ -137,12 +149,21 @@ def workload_fingerprint(
     }
 
 
-def v1_refusal(path: Any) -> str:
-    """The error text for a v1 JSONL journal, which this build refuses."""
+def legacy_refusal(path: Any, head: bytes) -> Optional[str]:
+    """The error text for a journal of an older format, which this build
+    refuses without decoding it — judged by the file's first bytes
+    ``head`` — or None for any other file."""
+    if head.startswith(b"{"):
+        name = "a v1 JSONL journal"
+    elif head.startswith(_frames.JOURNAL_MAGIC_V2):
+        name = "a v2 (RJF2, pickle-framed) journal"
+    else:
+        return None
     return (
-        f"{path} is a v1 JSONL journal from an older build; this build "
-        "reads only framed (v2) journals. Delete it and run again "
-        "(--resume journals are caches: their cells are recomputed)"
+        f"{path} is {name} from an older build; this build reads only "
+        f"v{JOURNAL_VERSION} (RJF3) journals, which hold no pickles. Delete "
+        "it and run again (--resume journals are caches: their cells are "
+        "recomputed)"
     )
 
 
@@ -153,7 +174,7 @@ def _fingerprint_digest(fingerprint: Mapping[str, Any]) -> str:
 
 
 class CheckpointJournal:
-    """Append-only journal of ``(cell index, result)`` records.
+    """Append-only journal of ``(index, payload)`` records.
 
     ``fsync_policy`` governs the durability/throughput trade (module
     docstring): ``always`` syncs per record, ``batch`` syncs on
@@ -167,7 +188,18 @@ class CheckpointJournal:
     :meth:`completed`, :meth:`records` pass or write is its *opening
     pass*, which ends by truncating a corrupt tail and opening the file
     for appending (a session resume consumes it as it replays).
+
+    Payloads must survive JSON exactly (dicts with string keys, lists,
+    strings, numbers, booleans, None); :meth:`record` raises
+    :class:`TypeError` for any other, before writing.  ``{"record":
+    ...}`` payloads of the session schema take fixed-width frames
+    (:mod:`repro.sim.frames`).
     """
+
+    #: The header ``kind`` this opener writes and accepts.
+    header_kind = "repro-checkpoint"
+    #: The ``FRAME_CELL`` decoder its reads pass; only cell bags have one.
+    _cells: Optional[Callable[[bytes], tuple[int, Any]]] = None
 
     def __init__(
         self,
@@ -199,7 +231,7 @@ class CheckpointJournal:
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             header = {
-                "kind": _HEADER_KIND,
+                "kind": self.header_kind,
                 "version": JOURNAL_VERSION,
                 "fingerprint": self._digest,
                 "workload": self._fingerprint,
@@ -222,8 +254,9 @@ class CheckpointJournal:
 
     def _read_header(self) -> dict:
         with open(self.path, "rb") as fh:
-            if fh.read(1) == b"{":
-                raise CheckpointError(v1_refusal(self.path))
+            refusal = legacy_refusal(self.path, fh.read(len(_frames.JOURNAL_MAGIC)))
+            if refusal is not None:
+                raise CheckpointError(refusal)
             fh.seek(0)
             header = _frames.JournalReader(fh, os.fstat(fh.fileno()).st_size).read_header()
         if header is None:
@@ -240,7 +273,7 @@ class CheckpointJournal:
         self._content = hashlib.sha256()
         with open(self.path, "rb", buffering=_READ_BUFFER) as fh:
             reader = _frames.JournalReader(
-                fh, os.fstat(fh.fileno()).st_size, self._content
+                fh, os.fstat(fh.fileno()).st_size, self._content, self._cells
             )
             self._scan = reader
             try:
@@ -266,7 +299,9 @@ class CheckpointJournal:
         them when None)."""
         with open(self.path, "rb", buffering=_READ_BUFFER) as fh:
             size = os.fstat(fh.fileno()).st_size
-            reader = _frames.JournalReader(fh, size if end is None else min(end, size))
+            reader = _frames.JournalReader(
+                fh, size if end is None else min(end, size), cells=self._cells
+            )
             reader.read_header()
             yield from reader
 
@@ -288,13 +323,13 @@ class CheckpointJournal:
 
     def _check_header(self, header: dict) -> None:
         if (
-            header.get("kind") != _HEADER_KIND
+            header.get("kind") != self.header_kind
             or header.get("version") != JOURNAL_VERSION
         ):
             raise CheckpointError(
                 f"checkpoint {self.path} has kind={header.get('kind')!r} "
-                f"version={header.get('version')!r}; this build expects "
-                f"{_HEADER_KIND!r} v{JOURNAL_VERSION}"
+                f"version={header.get('version')!r}; this opener expects "
+                f"{self.header_kind!r} v{JOURNAL_VERSION}"
             )
         if header.get("fingerprint") != self._digest:
             # Session journals pin the kernel-state version their digests hash.
@@ -383,16 +418,13 @@ class CheckpointJournal:
             self._sync()
 
     def record(self, index: int, value: Any) -> None:
-        """Journal one completed cell.
+        """Journal one record (a session event, or a completed cell).
 
         Durable before return under the ``always`` policy; under ``batch``
         the record stays in the user-space buffer until :meth:`commit`,
         and under ``interval:<ms>`` until the interval elapses.
         """
-        blob = _frames.frame_bytes(
-            _frames.FRAME_PICKLE,
-            pickle.dumps((int(index), value), protocol=pickle.HIGHEST_PROTOCOL),
-        )
+        blob = self._encode_one(index, value)
         self._write(blob)
         self._pending += 1
         self._pending_bytes += len(blob)
@@ -401,52 +433,9 @@ class CheckpointJournal:
         elif self._policy == "interval":
             self._maybe_interval_sync()
 
-    def _encode_many(self, items: list[tuple[int, Any]]) -> bytes:
-        """Frame a batch: each contiguous run of ``{"record": ...}``
-        payloads whose records fit the columnar schema becomes one
-        ``FRAME_BATCH`` (extras such as checkpoint riders follow as
-        ``FRAME_ATTACH``); everything else gets a pickle frame per item."""
-        out = bytearray()
-        i, n = 0, len(items)
-        while i < n:
-            # The longest run of consecutive indices with record payloads.
-            first = items[i][0]
-            j = i
-            for index, payload in items[i:]:
-                if (
-                    index != first + j - i
-                    or type(payload) is not dict
-                    or "record" not in payload
-                ):
-                    break
-                j += 1
-            run = items[i:j]
-            blob = (
-                _frames.encode_wire_records([p["record"] for _, p in run])
-                if run else None
-            )
-            if blob is None:
-                index, payload = items[i]
-                out += _frames.frame_bytes(
-                    _frames.FRAME_PICKLE,
-                    pickle.dumps(
-                        (int(index), payload), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
-                i += 1
-                continue
-            out += _frames.frame_bytes(_frames.FRAME_BATCH, _I64.pack(first) + blob)
-            for index, payload in run:
-                if len(payload) > 1:
-                    extra = {k: v for k, v in payload.items() if k != "record"}
-                    out += _frames.frame_bytes(
-                        _frames.FRAME_ATTACH,
-                        pickle.dumps(
-                            (index, extra), protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                    )
-            i = j
-        return bytes(out)
+    # The frames of one payload and of a group commit.
+    _encode_one = staticmethod(_frames.encode_payload)
+    _encode_many = staticmethod(_frames.encode_payloads)
 
     def record_many(self, items: Iterable[tuple[int, Any]]) -> None:
         """Group-commit a batch of cells: one write, one flush, one fsync.
@@ -495,3 +484,35 @@ class CheckpointJournal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _load_cell(payload: bytes) -> tuple[int, Any]:
+    index, value = pickle.loads(payload)
+    return int(index), value
+
+
+class CellJournal(CheckpointJournal):
+    """A :class:`CheckpointJournal` of cell-bag results: any picklable
+    value, one ``FRAME_CELL`` (a pickle of ``(index, value)``) per cell,
+    under the header kind ``repro-cells``.
+
+    This is the one journal that unpickles, so it stays local: the runs
+    that resume from it (:mod:`repro.sim.parallel`, the
+    :mod:`repro.verify.harness` fuzzers) construct it for the checkpoint
+    file they were given, and its frames are read only through it.  It
+    refuses a session journal's header, as a session refuses its header.
+    """
+
+    header_kind = "repro-cells"
+    _cells = staticmethod(_load_cell)
+
+    @staticmethod
+    def _encode_one(index: int, value: Any) -> bytes:
+        return _frames.frame_bytes(
+            _frames.FRAME_CELL,
+            pickle.dumps((int(index), value), protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+    @classmethod
+    def _encode_many(cls, items: list[tuple[int, Any]]) -> bytes:
+        return b"".join(cls._encode_one(index, value) for index, value in items)

@@ -1,15 +1,15 @@
-"""Length-prefixed binary frames: the journal format (header version 2).
+"""Length-prefixed binary frames: the journal format (header version 3).
 
 Every durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal`,
 session and cell-bag alike) is a magic prefix followed by CRC-checked
 frames, and :class:`JournalReader` is its one decoder: a streaming pass
 that holds one frame in memory at a time (:func:`decode_journal` runs it
-over bytes).  The v1 JSONL layout of older builds is not read at all:
-the journal refuses such a file on open.
+over bytes).  Journals of older builds are not read at all: the journal
+refuses a v1 JSONL file or a v2 (``RJF2``) file on open.
 
 Frame layout (all integers little-endian)::
 
-    magic   := b"RJF2\\x00"          (journal files only, once, at offset 0)
+    magic   := b"RJF3\\x00"          (journal files only, once, at offset 0)
     frame   := header payload
     header  := u32 payload_length | u8 kind | u32 crc32(payload)
 
@@ -22,69 +22,96 @@ way: it and everything after it are the corrupt tail.
 
 Frame kinds:
 
-====================  ====  =====================================================
-kind                  id    payload
-====================  ====  =====================================================
-``FRAME_HEADER``      1     JSON header dict (kind/version/fingerprint/workload)
-(retired)             2     never written; reserved so the id is not reused
-``FRAME_PICKLE``      3     pickle ``(index, payload)``
-``FRAME_BATCH``       4     i64 first_index + columnar record batch (below)
-``FRAME_ATTACH``      5     pickle ``(index, extra)`` — merged into the payload
-                            journaled at ``index`` (digest/delta riders)
-====================  ====  =====================================================
+================  ====  =========================================================
+kind              id    payload
+================  ====  =========================================================
+``FRAME_HEADER``  1     JSON header dict (kind/version/fingerprint/workload)
+(reserved)        2     never written
+``FRAME_JSON``    3     i64 index + compact JSON of the whole payload
+``FRAME_BATCH``   4     i64 first index + tagged records back to back
+``FRAME_ATTACH``  5     i64 index + JSON dict merged into the payload journaled
+                        at ``index`` (``delta``/``state_sha256`` riders)
+``FRAME_RECORD``  6     i64 index + one tagged record
+``FRAME_CELL``    7     a cell-bag result; decoded only by the cell-bag journal
+================  ====  =========================================================
 
-Columnar record batches are the structure-of-arrays encoding of the hot
-arrival/departure record schema: a session's group commit
-(:meth:`~repro.sim.checkpoint.CheckpointJournal.record_many`) writes each
-contiguous run of records as one frame instead of one pickle per event.
-Each column is a packed :mod:`array`-module byte string (u8 kinds, f64
-times/works, i64 ids/sizes); the envelope is a pickled tuple of those byte
-strings.  Only records matching the exact hot schema are eligible —
-:func:`encode_wire_records` returns ``None`` for anything else and the
-caller falls back to per-record frames, so the columnar path never has to
-approximate a record it cannot represent exactly.
+A *tagged record* is the fixed-width encoding of the hot session
+record, ``{"kind", "time", "id"[, "size", "work"][, "slo"]}``: a ``u8``
+tag (kind in the low nibble, SLO mark in the high one), ``f64 time`` and
+``i64 id``, and for arrivals ``i64 size`` and ``f64 work`` — 33 bytes for
+an arrival, 17 for a departure or kill.  A ``{"record": ...}`` payload
+whose record fits takes a ``FRAME_RECORD`` (or a place in a
+``FRAME_BATCH``), its other keys following as a ``FRAME_ATTACH``; every
+other payload is a ``FRAME_JSON``.  Both codecs are exact: decoding
+rebuilds each dict key for key, in the order written, with the same
+value types, and :func:`encode_payloads` refuses a payload neither can
+hold (a tuple, a non-string key, a numpy scalar) instead of approximating
+it.
+
+Nothing here unpickles.  ``FRAME_CELL`` frames hold pickled results of
+local cell bags (:class:`~repro.sim.checkpoint.CellJournal`); a reader
+decodes them only through the ``cells`` decoder its caller passes, so a
+session journal, :func:`decode_journal` and :func:`iter_journal_payloads`
+treat one as the start of a corrupt tail.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import pickle
 import struct
 import zlib
-from array import array
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 __all__ = [
     "FRAME_HEADER",
-    "FRAME_PICKLE",
+    "FRAME_JSON",
     "FRAME_BATCH",
     "FRAME_ATTACH",
+    "FRAME_RECORD",
+    "FRAME_CELL",
+    "FRAME_NAMES",
     "FRAME_OVERHEAD",
     "JOURNAL_MAGIC",
+    "JOURNAL_MAGIC_V2",
     "FrameError",
     "JournalReader",
     "frame_bytes",
     "read_frame",
     "scan_frames",
-    "encode_wire_records",
-    "decode_record_batch",
+    "pack_record",
+    "unpack_records",
+    "encode_payload",
+    "encode_payloads",
     "decode_journal",
     "iter_journal_payloads",
 ]
 
-JOURNAL_MAGIC = b"RJF2\x00"
+JOURNAL_MAGIC = b"RJF3\x00"
+#: The magic of the pickle-based v2 format, recognised only to refuse it.
+JOURNAL_MAGIC_V2 = b"RJF2\x00"
 
 FRAME_HEADER = 1
-FRAME_PICKLE = 3
+FRAME_JSON = 3
 FRAME_BATCH = 4
 FRAME_ATTACH = 5
+FRAME_RECORD = 6
+FRAME_CELL = 7
+
+#: Frame kind -> the name ``repro journal dump --stats`` prints.
+FRAME_NAMES = {
+    FRAME_HEADER: "header",
+    FRAME_JSON: "json",
+    FRAME_BATCH: "batch",
+    FRAME_ATTACH: "attach",
+    FRAME_RECORD: "record",
+    FRAME_CELL: "cell",
+}
 
 _HDR = struct.Struct("<IBI")
 #: Bytes a frame adds in front of its payload (the header).
 FRAME_OVERHEAD = _HDR.size
 _I64 = struct.Struct("<q")
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
 
 class FrameError(Exception):
@@ -167,99 +194,192 @@ def scan_frames(
     return frames, pos, None
 
 
-# -- Columnar record batches -------------------------------------------------
+# -- Tagged records ------------------------------------------------------------
 #
-# Layout "W" (normalised session records):
-#   arrival   {kind, time, id, size, work}
-#   departure {kind, time, id}
-#
-# kind codes within a batch: 0 = arrival, 1 = departure.
+# tag = kind | mark << 4
+#   kind: 0 arrival, 1 departure, 2 kill
+#   mark: 0 none, 1 queue, 2 reject, 3 cancel, 4 dequeue
+# arrival            <B d q q d>  tag, time, id, size, work   (33 B)
+# departure / kill   <B d q>      tag, time, id               (17 B)
+
+_ARRIVAL = struct.Struct("<Bdqqd")
+_SHORT = struct.Struct("<Bdq")
+_KINDS = ("arrival", "departure", "kill")
+_MARKS = (None, "queue", "reject", "cancel", "dequeue")
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_MARK_CODES = {mark: code for code, mark in enumerate(_MARKS) if mark}
+#: The key orders a tagged record rebuilds: keys -> (arrival?, marked?).
+_SHAPES = {
+    ("kind", "time", "id", "size", "work"): (True, False),
+    ("kind", "time", "id", "size", "work", "slo"): (True, True),
+    ("kind", "time", "id"): (False, False),
+    ("kind", "time", "id", "slo"): (False, True),
+}
+#: tag -> (kind, mark, layout) for every tag an encoder writes.
+_TAGS = {
+    k | m << 4: (kind, mark, _ARRIVAL if k == 0 else _SHORT)
+    for k, kind in enumerate(_KINDS)
+    for m, mark in enumerate(_MARKS)
+}
 
 
-def encode_wire_records(
-    records: Sequence[Mapping[str, Any]]
-) -> Optional[bytes]:
-    """Columnar-encode normalised arrival/departure records (layout W).
-
-    ``None`` when any record deviates from the exact hot schema (extra
-    keys, missing fields, non-scalar types, an id or size outside int64)
-    — the caller must fall back to per-record encoding.
-    """
-    kinds = bytearray()
-    times: list[float] = []
-    ids: list[int] = []
-    sizes: list[int] = []
-    works: list[float] = []
-    for r in records:
-        kind = r.get("kind")
-        t = r.get("time")
-        i = r.get("id")
-        if type(t) is not float or type(i) is not int:
-            return None
-        if kind == "arrival":
-            s = r.get("size")
-            w = r.get("work")
-            if len(r) != 5 or type(s) is not int or type(w) is not float:
-                return None
-            kinds.append(0)
-            sizes.append(s)
-            works.append(w)
-        elif kind == "departure":
-            if len(r) != 3:
-                return None
-            kinds.append(1)
-            sizes.append(0)
-            works.append(0.0)
-        else:
-            return None
-        times.append(t)
-        ids.append(i)
-    try:
-        cols = (
-            bytes(kinds),
-            array("d", times).tobytes(),
-            array("q", ids).tobytes(),
-            array("q", sizes).tobytes(),
-            array("d", works).tobytes(),
-        )
-    except OverflowError:
+def pack_record(record: Mapping[str, Any]) -> Optional[bytes]:
+    """The tagged encoding of one session record, or ``None`` when it
+    cannot hold the record exactly: another key or key order, a time or
+    work that is not a ``float``, an id or size that is not an ``int``
+    within int64, an unknown kind or SLO mark."""
+    shape = _SHAPES.get(tuple(record))
+    if shape is None:
         return None
-    return pickle.dumps((b"W", len(kinds), cols), protocol=_PICKLE_PROTO)
+    arrival, marked = shape
+    kind, t, tid = record["kind"], record["time"], record["id"]
+    if type(kind) is not str or type(t) is not float or type(tid) is not int:
+        return None
+    tag = _KIND_CODES.get(kind)
+    if tag is None or (tag == 0) is not arrival:
+        return None
+    if marked:
+        mark = record["slo"]
+        code = _MARK_CODES.get(mark) if type(mark) is str else None
+        if code is None:
+            return None
+        tag |= code << 4
+    try:
+        if arrival:
+            size, work = record["size"], record["work"]
+            if type(size) is not int or type(work) is not float:
+                return None
+            return _ARRIVAL.pack(tag, t, tid, size, work)
+        return _SHORT.pack(tag, t, tid)
+    except struct.error:  # an id or size outside int64
+        return None
 
 
-def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
-    """Materialize a columnar batch back into per-record dicts.
+def unpack_records(data: bytes, pos: int = 0) -> list[dict[str, Any]]:
+    """Every tagged record in ``data[pos:]``, rebuilt key for key.
 
-    The dicts are key-for-key identical to the records that were encoded
-    — so a resumed session replays exactly what it journaled.
+    Raises :class:`FrameError` on an unknown tag and :class:`struct.error`
+    when the data ends inside a record.
     """
-    layout, count, cols = pickle.loads(blob)
-    if layout != b"W":
-        raise FrameError(f"unknown batch layout {layout!r}")
-    kinds_b, times_b, ids_b, sizes_b, works_b = cols
-    times = array("d")
-    times.frombytes(times_b)
-    ids = array("q")
-    ids.frombytes(ids_b)
-    sizes = array("q")
-    sizes.frombytes(sizes_b)
-    works = array("d")
-    works.frombytes(works_b)
     out: list[dict[str, Any]] = []
-    for i in range(count):
-        if kinds_b[i] == 0:
+    end = len(data)
+    arrival, short = _ARRIVAL.unpack_from, _SHORT.unpack_from
+    while pos < end:
+        tag = data[pos]
+        if tag == 0:  # the two hot tags first: an unmarked arrival...
+            _tag, t, tid, size, work = arrival(data, pos)
             out.append(
-                {
-                    "kind": "arrival",
-                    "time": times[i],
-                    "id": ids[i],
-                    "size": sizes[i],
-                    "work": works[i],
-                }
+                {"kind": "arrival", "time": t, "id": tid, "size": size, "work": work}
             )
+            pos += 33
+            continue
+        if tag == 1:  # ... and an unmarked departure
+            _tag, t, tid = short(data, pos)
+            out.append({"kind": "departure", "time": t, "id": tid})
+            pos += 17
+            continue
+        spec = _TAGS.get(tag)
+        if spec is None:
+            raise FrameError(f"unknown record tag {tag}")
+        kind, mark, layout = spec
+        if layout is _ARRIVAL:
+            _tag, t, tid, size, work = arrival(data, pos)
+            record = {"kind": kind, "time": t, "id": tid, "size": size, "work": work}
         else:
-            out.append({"kind": "departure", "time": times[i], "id": ids[i]})
+            _tag, t, tid = short(data, pos)
+            record = {"kind": kind, "time": t, "id": tid}
+        if mark is not None:
+            record["slo"] = mark
+        out.append(record)
+        pos += layout.size
     return out
+
+
+# -- Payload encoding ----------------------------------------------------------
+
+
+def _json_exact(value: Any) -> bool:
+    """Whether JSON gives ``value`` back with the same types throughout."""
+    t = type(value)
+    if t is dict:
+        return all(
+            type(k) is str and _json_exact(v) for k, v in value.items()
+        )
+    if t is list:
+        return all(_json_exact(v) for v in value)
+    return t in (str, int, float, bool) or value is None
+
+
+def _json(index: int, value: Any) -> bytes:
+    if not _json_exact(value):
+        raise TypeError(
+            f"journal payload {index} does not round-trip through JSON "
+            f"exactly: {value!r:.200}"
+        )
+    return _I64.pack(index) + json.dumps(value, separators=(",", ":")).encode()
+
+
+def _tagged(value: Any) -> Optional[bytes]:
+    """The tagged record of a ``{"record": ..., riders...}`` payload whose
+    record comes first and fits; None for any other payload."""
+    if type(value) is dict:
+        record = value.get("record")
+        if type(record) is dict and (len(value) == 1 or next(iter(value)) == "record"):
+            return pack_record(record)
+    return None
+
+
+def _run_frames(first: int, blobs: list[bytes], ridden: list[tuple[int, dict]]) -> bytes:
+    """A run of tagged records at consecutive indices from ``first``: one
+    ``FRAME_RECORD`` or ``FRAME_BATCH``, then a ``FRAME_ATTACH`` for each
+    of the ``ridden`` payloads (those with keys besides ``"record"``)."""
+    kind = FRAME_RECORD if len(blobs) == 1 else FRAME_BATCH
+    out = frame_bytes(kind, _I64.pack(first) + b"".join(blobs))
+    for index, value in ridden:
+        extra = {k: v for k, v in value.items() if k != "record"}
+        out += frame_bytes(FRAME_ATTACH, _json(index, extra))
+    return out
+
+
+def encode_payload(index: int, value: Any) -> bytes:
+    """The frames of one ``(index, payload)``: a ``FRAME_RECORD`` (plus
+    its ``FRAME_ATTACH``) when the payload is tagged, else a
+    ``FRAME_JSON``.  Raises :class:`TypeError` for a payload JSON cannot
+    hold exactly."""
+    blob = _tagged(value)
+    if blob is None:
+        return frame_bytes(FRAME_JSON, _json(index, value))
+    if len(value) == 1:
+        return frame_bytes(FRAME_RECORD, _I64.pack(index) + blob)
+    return _run_frames(index, [blob], [(index, value)])
+
+
+def encode_payloads(items: Iterable[tuple[int, Any]]) -> bytes:
+    """The frames of ``(index, payload)`` pairs, in order: each run of
+    tagged payloads with consecutive indices is one ``FRAME_BATCH`` (a
+    run of one a ``FRAME_RECORD``), their riders following as
+    ``FRAME_ATTACH`` frames; every other payload is a ``FRAME_JSON``."""
+    out = bytearray()
+    blobs: list[bytes] = []
+    ridden: list[tuple[int, dict]] = []
+    first = following = 0
+    for index, value in items:
+        blob = _tagged(value)
+        if blob is None or index != following or not blobs:
+            if blobs:
+                out += _run_frames(first, blobs, ridden)
+                blobs, ridden = [], []
+            if blob is None:
+                out += frame_bytes(FRAME_JSON, _json(index, value))
+                continue
+            first = following = index
+        blobs.append(blob)
+        if len(value) > 1:
+            ridden.append((index, value))
+        following += 1
+    if blobs:
+        out += _run_frames(first, blobs, ridden)
+    return bytes(out)
 
 
 # -- Journal decoding ----------------------------------------------------------
@@ -269,8 +389,14 @@ class _Corrupt(Exception):
     """A CRC-valid frame that cannot be part of the journal."""
 
 
+def _index(payload: bytes) -> int:
+    if len(payload) < _I64.size:
+        raise _Corrupt("frame shorter than its index")
+    return _I64.unpack_from(payload)[0]
+
+
 class JournalReader:
-    """One streaming pass over a v2 journal, one frame in memory at a time.
+    """One streaming pass over a v3 journal, one frame in memory at a time.
 
     :meth:`read_header` reads the magic and the header frame; iterating
     then yields ``(index, payload)`` for every record in file order (a
@@ -282,6 +408,10 @@ class JournalReader:
     (a :mod:`hashlib` object, optional) has absorbed exactly the bytes
     before it.  :attr:`records` counts the records yielded.
 
+    ``cells`` decodes a ``FRAME_CELL`` payload into ``(index, value)``;
+    only a cell-bag journal passes one.  Without it a cell frame is
+    corrupt like any unknown kind.
+
     Reading stops at the first frame that is torn (past ``size``), fails
     its CRC, will not decode, has an unknown kind, or attaches to a record
     outside the frame before it: :attr:`end` is then where that frame
@@ -289,10 +419,17 @@ class JournalReader:
     a frame boundary).
     """
 
-    def __init__(self, stream: Any, size: int, digest: Any = None) -> None:
+    def __init__(
+        self,
+        stream: Any,
+        size: int,
+        digest: Any = None,
+        cells: Optional[Callable[[bytes], tuple[int, Any]]] = None,
+    ) -> None:
         self._stream = stream
         self._size = size
         self._digest = digest
+        self._cells = cells
         self.end = 0
         self.records = 0
         self.reason: Optional[str] = None
@@ -326,6 +463,27 @@ class JournalReader:
         self.end = pos + len(head) + len(payload)
         return header if isinstance(header, dict) else None
 
+    def _decode(self, kind: int, payload: bytes) -> tuple[int, list]:
+        """``(first index, payloads)`` of a record-bearing frame."""
+        if kind == FRAME_RECORD:
+            records = unpack_records(payload, _I64.size)
+            if len(records) != 1:
+                raise _Corrupt("record frame without exactly one record")
+            return _I64.unpack_from(payload)[0], [{"record": records[0]}]
+        if kind == FRAME_BATCH:
+            records = unpack_records(payload, _I64.size)
+            return _index(payload), [{"record": record} for record in records]
+        if kind == FRAME_JSON:
+            return _index(payload), [json.loads(payload[_I64.size:])]
+        if kind == FRAME_CELL and self._cells is not None:
+            index, value = self._cells(payload)
+            return int(index), [value]
+        if kind == FRAME_CELL:
+            raise _Corrupt("cell-bag frame outside a cell-bag journal")
+        if kind == FRAME_HEADER:
+            return 0, []
+        raise _Corrupt(f"unknown frame kind {kind}")
+
     def __iter__(self) -> Iterator[tuple[int, Any]]:
         stream, size, feed = self._stream, self._size, self._digest
         first, items = 0, []  # the last record frame's payloads
@@ -338,22 +496,16 @@ class JournalReader:
                 kind, head, payload = got
                 after: Optional[tuple[int, list]] = None
                 if kind == FRAME_ATTACH:
-                    index, extra = pickle.loads(payload)
-                    k = int(index) - first
+                    # The target is checked before the extras decode.
+                    k = _index(payload) - first
                     if not (0 <= k < len(items) and isinstance(items[k], dict)):
                         raise _Corrupt("attach without its record")
+                    extra = json.loads(payload[_I64.size:])
+                    if type(extra) is not dict:
+                        raise _Corrupt("attach without a dict")
                     items[k].update(extra)
-                elif kind == FRAME_PICKLE:
-                    index, value = pickle.loads(payload)
-                    after = int(index), [value]
-                elif kind == FRAME_BATCH:
-                    (index,) = _I64.unpack_from(payload)
-                    records = decode_record_batch(payload[_I64.size:])
-                    after = index, [{"record": rec} for rec in records]
-                elif kind == FRAME_HEADER:
-                    after = 0, []
                 else:
-                    raise _Corrupt(f"unknown frame kind {kind}")
+                    after = self._decode(kind, payload)
             except FrameError as exc:
                 self.reason = exc.reason
                 break
@@ -384,8 +536,8 @@ class JournalReader:
 def decode_journal(
     data: bytes,
 ) -> tuple[Optional[dict], dict[int, Any], int, Optional[str]]:
-    """Decode a whole v2 journal (magic included): :class:`JournalReader`
-    over an in-memory buffer.
+    """Decode a whole v3 journal (magic included): :class:`JournalReader`
+    over an in-memory buffer, without a cell decoder.
 
     Returns ``(header, payloads, good_end, bad_reason)``.  ``header`` is
     the first frame's JSON dict, or ``None`` when the file does not open
@@ -406,13 +558,14 @@ def decode_journal(
 
 
 def iter_journal_payloads(path: Any) -> list[tuple[int, Any]]:
-    """``(index, payload)`` pairs of a v2 journal, corrupt-tail tolerant.
+    """``(index, payload)`` pairs of a v3 journal, corrupt-tail tolerant.
 
     Decoding stops silently at the first bad frame (see
-    :func:`decode_journal`); an unreadable file, or one that is not a v2
-    journal (a v1 JSONL journal included), yields ``[]``.  Duplicate
-    indices keep the last occurrence (the journals' last-wins contract);
-    pairs come back in first-seen index order.
+    :func:`decode_journal`), a cell-bag frame included; an unreadable
+    file, or one that is not a v3 journal (v1 and v2 journals included),
+    yields ``[]``.  Duplicate indices keep the last occurrence (the
+    journals' last-wins contract); pairs come back in first-seen index
+    order.
     """
     try:
         with open(path, "rb") as fh:

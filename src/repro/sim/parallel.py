@@ -24,7 +24,7 @@ guarantees:
    still unfinished after the last round raise
    :class:`~repro.errors.CellExecutionError` (listing exactly which).
    Any other exception is a genuine bug in the cell and propagates
-   immediately.  An optional :class:`~repro.sim.checkpoint.CheckpointJournal`
+   immediately.  An optional :class:`~repro.sim.checkpoint.CellJournal`
    makes completed cells durable, so even a dead *coordinator* resumes
    without recomputation — and still bit-identically, because the journal
    can only replay results the serial path would have produced.
@@ -266,14 +266,14 @@ def parallel_map(
         import hashlib
         import pickle
 
-        from repro.sim.checkpoint import CheckpointJournal
+        from repro.sim.checkpoint import CellJournal
 
         # Digest the pickled argument tuples (repr would embed object
         # addresses and break resume across processes).
         digest = hashlib.sha256()
         for args in argument_sets:
             digest.update(pickle.dumps(tuple(args)))
-        journal = CheckpointJournal(
+        journal = CellJournal(
             checkpoint,
             fingerprint={
                 "kind": "parallel-map",
@@ -339,9 +339,9 @@ def run_seeded_cells(
     payloads = [(fn, dict(params), stream) for params, stream in zip(cells, streams)]
     journal = None
     if checkpoint is not None:
-        from repro.sim.checkpoint import CheckpointJournal, workload_fingerprint
+        from repro.sim.checkpoint import CellJournal, workload_fingerprint
 
-        journal = CheckpointJournal(
+        journal = CellJournal(
             checkpoint, fingerprint=workload_fingerprint(fn, cells, streams)
         )
     try:

@@ -473,9 +473,9 @@ class DifferentialHarness:
         )
         journal = None
         if checkpoint is not None:
-            from repro.sim.checkpoint import CheckpointJournal
+            from repro.sim.checkpoint import CellJournal
 
-            journal = CheckpointJournal(
+            journal = CellJournal(
                 checkpoint,
                 fingerprint={
                     "kind": "verify-fuzz",
@@ -561,9 +561,9 @@ class DifferentialHarness:
         )
         journal = None
         if checkpoint is not None:
-            from repro.sim.checkpoint import CheckpointJournal
+            from repro.sim.checkpoint import CellJournal
 
-            journal = CheckpointJournal(
+            journal = CellJournal(
                 checkpoint,
                 fingerprint={
                     "kind": "verify-fuzz-churn",
@@ -672,9 +672,9 @@ class DifferentialHarness:
         )
         journal = None
         if checkpoint is not None:
-            from repro.sim.checkpoint import CheckpointJournal
+            from repro.sim.checkpoint import CellJournal
 
-            journal = CheckpointJournal(
+            journal = CellJournal(
                 checkpoint,
                 fingerprint={
                     "kind": "verify-fuzz-slo",

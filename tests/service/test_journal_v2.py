@@ -1,20 +1,21 @@
-"""Framed (v2) journal torture tests: frames, digests, refusal, kills.
+"""Framed journal torture tests: frames, digests, refusal, kills.
 
-The binary journal's contracts, attacked one at a time: a torn tail or
+(The module name predates format v3; hostile journals and the exact
+codec round trips are in ``test_journal_v3.py``.)  The binary journal's
+contracts, attacked one at a time: a torn tail or
 flipped CRC byte must surrender exactly the intact prefix with a
 warning; a v1 JSONL journal of an older build must be refused and left
-byte-for-byte untouched, and so must a session journal whose digests
-hash an older kernel-state version; tampered records must fail the delta
+byte-for-byte untouched, and so must a v2 journal; tampered records must fail the delta
 check and a rewritten state digest must fail the digest check; and a
 SIGKILL landing *inside a delta window* (after a delta rider, before the
 next state digest) must resume to the same final state as an
 uninterrupted run under every fsync policy.
 """
 
+import gzip
 import hashlib
 import json
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -34,11 +35,16 @@ from repro.service import AllocationSession, sequence_records
 from repro.service.session import _state_digest
 from repro.sim.checkpoint import CheckpointJournal
 from repro.sim.frames import (
+    FRAME_ATTACH,
+    FRAME_BATCH,
+    FRAME_RECORD,
     JOURNAL_MAGIC,
     decode_journal,
     frame_bytes,
     iter_journal_payloads,
+    pack_record,
     scan_frames,
+    unpack_records,
 )
 from repro.workloads.generators import poisson_sequence
 
@@ -46,11 +52,13 @@ SNAP, FULL = 4, 16
 GOLDEN_DIGEST = "585ac1f50c49ab5dca26c4d485aec71874622c33e054676e8fbbb4d35c0776fd"
 #: sha256 of the journal that ``push_batch`` writes for ``_golden_stream``.
 GOLDEN_JOURNAL_SHA256 = (
-    "2eccde33dcef8e8a49e6d679b571a70ebd456c4d03a747b0b4aabdf6e2093cec"
+    "3d581036ea46d11cf854d7cdcd153a47415f439220211a9187e0091ac5bebce9"
 )
-#: That journal as an earlier build wrote it: same records and delta
-#: riders, but its state digest hashes a kernel-state v2 snapshot (which
-#: kept the full placement history), so this build must refuse it.
+#: The ``(index, payload)`` pairs and header the v2 (pickle-framed) build
+#: journaled for the same stream, decoded by that build and saved as JSON.
+EARLIER_PAYLOADS = Path(__file__).parent / "data" / "golden_push_batch.v2.json.gz"
+#: A journal of a still earlier build, in format v2 (``RJF2``), whose state
+#: digest hashes a kernel-state v2 snapshot: this build refuses it unread.
 EARLIER_JOURNAL = Path(__file__).parent / "data" / "golden_push_batch.journal"
 EARLIER_JOURNAL_SHA256 = (
     "6fa74c364a90864850d7d5a06d104a769bcbd6acf7bd857baf6f037fa2482552"
@@ -159,7 +167,7 @@ class TestCorruptTails:
     @staticmethod
     def _last_batch_frame(data):
         frames, _end, _r = scan_frames(data, len(JOURNAL_MAGIC))
-        batches = [f for f in frames if f[0] == 4]  # FRAME_BATCH
+        batches = [f for f in frames if f[0] == FRAME_BATCH]
         return batches[-1]
 
     def _recovers(self, journal, records, reference, match):
@@ -215,12 +223,11 @@ class TestTamperDetection:
         out = bytearray(JOURNAL_MAGIC)
         tampered = False
         for kind, payload, _pos in frames:
-            if kind == 3 and not tampered:  # FRAME_PICKLE
-                index, value = pickle.loads(payload)
-                rec = value.get("record", {}) if isinstance(value, dict) else {}
-                if rec.get("kind") == "arrival":
+            if kind == FRAME_RECORD and not tampered:
+                (rec,) = unpack_records(payload, 8)
+                if rec["kind"] == "arrival":
                     rec["size"] = max(1, rec["size"] // 2)
-                    payload = pickle.dumps((index, value))
+                    payload = payload[:8] + pack_record(rec)
                     tampered = True
             out += frame_bytes(kind, payload)
         assert tampered
@@ -241,12 +248,12 @@ class TestTamperDetection:
         out = bytearray(JOURNAL_MAGIC)
         rewritten = None
         for kind, payload, _pos in frames:
-            if kind == 5 and rewritten is None:  # FRAME_ATTACH
-                index, extra = pickle.loads(payload)
+            if kind == FRAME_ATTACH and rewritten is None:
+                extra = json.loads(payload[8:])
                 if "state_sha256" in extra:
                     extra["state_sha256"] = "0" * 64
-                    payload = pickle.dumps((index, extra))
-                    rewritten = index
+                    payload = payload[:8] + json.dumps(extra).encode()
+                    rewritten = int.from_bytes(payload[:8], "little")
             out += frame_bytes(kind, payload)
         assert rewritten is not None
         journal.write_bytes(bytes(out))
@@ -323,40 +330,44 @@ class TestGoldenBatchJournal:
         assert _sha256(journal) == GOLDEN_JOURNAL_SHA256
 
     def test_matches_the_earlier_build_record_for_record(self, tmp_path):
-        """Only the kernel-state version moved: every record and delta
-        rider is the one the earlier build journaled, and the state
-        digest at 511 and the header fingerprint are all that differ."""
+        """Only the format moved: every record and rider is the one the
+        v2 build journaled — same keys in the same order, same value
+        types — and so is the header but for its version."""
         journal = tmp_path / "golden.journal"
         session = _golden_session(journal, fsync_policy="batch")
         records = _golden_stream()
         for i in range(0, len(records), 256):
             session.push_batch(records[i : i + 256])
         session.close()
-        new = dict(iter_journal_payloads(journal))
-        old = dict(iter_journal_payloads(EARLIER_JOURNAL))
-        assert new.keys() == old.keys()
-        assert [i for i in new if new[i] != old[i]] == [511]
-        assert len(new[511]["state_sha256"]) == 64
-        assert new[511]["state_sha256"] != old[511]["state_sha256"]
-        assert new[511]["record"] == old[511]["record"]
+        earlier = json.loads(gzip.decompress(EARLIER_PAYLOADS.read_bytes()))
+        new = iter_journal_payloads(journal)
+        old = [tuple(pair) for pair in earlier["payloads"]]
+        assert new == old
+        assert _typed(new) == _typed(old)
         header = decode_journal(journal.read_bytes())[0]
-        old_header = decode_journal(EARLIER_JOURNAL.read_bytes())[0]
-        assert header["workload"] == dict(
-            old_header["workload"], kernel_state=KERNEL_STATE_VERSION
-        )
-        assert header["fingerprint"] != old_header["fingerprint"]
+        assert header == dict(earlier["header"], version=3)
+        assert header["workload"]["kernel_state"] == KERNEL_STATE_VERSION
 
     def test_earlier_build_journal_is_refused(self, tmp_path):
-        """Its state digest hashes a snapshot this build no longer
-        builds, so the fingerprint check refuses it on open — before the
-        torn tail appended here could be truncated away."""
+        """A v2 journal is refused on open, unread — before the torn
+        tail appended here could be truncated away."""
         journal = tmp_path / "golden.journal"
         data = EARLIER_JOURNAL.read_bytes() + b"\x07torn"
         journal.write_bytes(data)
         assert _sha256(EARLIER_JOURNAL) == EARLIER_JOURNAL_SHA256
-        with pytest.raises(CheckpointError, match="kernel-state v2 or older"):
+        with pytest.raises(CheckpointError, match=r"v2 \(RJF2"):
             _golden_session(journal)
         assert journal.read_bytes() == data
+
+
+def _typed(value):
+    """``value`` with every dict's key order and every leaf's type spelled
+    out, so that ``1 == 1.0`` or a reordered dict cannot compare equal."""
+    if isinstance(value, dict):
+        return [(k, _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_typed(v) for v in value]
+    return (type(value).__name__, repr(value))
 
 
 class TestJournalSize:

@@ -8,7 +8,6 @@ through the batch simulator agrees bit-for-bit.
 
 import hashlib
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +16,14 @@ from repro.core.registry import make_algorithm
 from repro.errors import CheckpointError, SimulationError
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
-from repro.sim.frames import FRAME_PICKLE, JOURNAL_MAGIC, frame_bytes, scan_frames
+from repro.sim.frames import (
+    FRAME_RECORD,
+    JOURNAL_MAGIC,
+    frame_bytes,
+    pack_record,
+    scan_frames,
+    unpack_records,
+)
 from repro.workloads.generators import poisson_sequence
 
 
@@ -199,11 +205,10 @@ class TestResume:
         frames, _end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
         out = bytearray(JOURNAL_MAGIC)
         for kind, payload, _pos in frames:
-            if kind == FRAME_PICKLE:
-                index, value = pickle.loads(payload)
-                if index == 0:  # first event record
-                    value["record"]["size"] = 1  # not what the digest saw
-                    payload = pickle.dumps((index, value))
+            if kind == FRAME_RECORD and payload[:8] == bytes(8):  # event 0
+                (record,) = unpack_records(payload, 8)
+                record["size"] = 1  # not what the digest saw
+                payload = payload[:8] + pack_record(record)
             out += frame_bytes(kind, payload)
         journal.write_bytes(bytes(out))
 

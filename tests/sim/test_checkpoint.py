@@ -2,7 +2,6 @@
 
 import json
 import os
-import pickle
 import stat
 
 import numpy as np
@@ -11,12 +10,13 @@ import pytest
 from repro.errors import CheckpointError
 from repro.sim.checkpoint import (
     JOURNAL_VERSION,
+    CellJournal,
     CheckpointJournal,
     workload_fingerprint,
 )
 from repro.sim.frames import (
     FRAME_HEADER,
-    FRAME_PICKLE,
+    FRAME_JSON,
     JOURNAL_MAGIC,
     decode_journal,
     frame_bytes,
@@ -29,15 +29,54 @@ def _square(rng, x):
     return x * x
 
 
+def _json_frame(index: int, text: bytes) -> bytes:
+    return frame_bytes(FRAME_JSON, index.to_bytes(8, "little") + text)
+
+
 class TestRecordAndResume:
     def test_roundtrip(self, tmp_path):
+        """Cell results are any picklable value (a cell-bag journal)."""
         path = tmp_path / "j.ckpt"
-        with CheckpointJournal(path, fingerprint=FP) as journal:
+        with CellJournal(path, fingerprint=FP) as journal:
             journal.record(0, {"load": 3})
             journal.record(5, (1, 2.5, "x"))
-        with CheckpointJournal(path, fingerprint=FP) as journal:
+        with CellJournal(path, fingerprint=FP) as journal:
             done = journal.completed()
         assert done == {0: {"load": 3}, 5: (1, 2.5, "x")}
+
+    def test_json_payloads_roundtrip_exactly(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        value = {"load": 3, "x": [1, 2.5, "x", None, True], "-0": -0.0}
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            journal.record(0, value)
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            (done,) = journal.completed().values()
+        assert done == value and list(done) == list(value)
+        assert [type(v) for v in done["x"]] == [int, float, str, type(None), bool]
+        assert str(done["-0"]) == "-0.0"
+
+    @pytest.mark.parametrize(
+        "value", [(1, 2.5), {1: "int key"}, {"x": np.int64(3)}, {"x": {1.5}}],
+        ids=["tuple", "int-key", "numpy-scalar", "set"],
+    )
+    def test_payload_json_cannot_hold_is_refused_unwritten(self, tmp_path, value):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            size = path.stat().st_size
+            with pytest.raises(TypeError, match="round-trip through JSON"):
+                journal.record(0, value)
+            with pytest.raises(TypeError, match="round-trip through JSON"):
+                journal.record_many([(0, {"record": 1}), (1, value)])
+        assert path.stat().st_size == size
+
+    def test_cell_and_session_openers_refuse_each_other(self, tmp_path):
+        cells, session = tmp_path / "cells.ckpt", tmp_path / "session.ckpt"
+        CellJournal(cells, fingerprint=FP).close()
+        CheckpointJournal(session, fingerprint=FP).close()
+        with pytest.raises(CheckpointError, match="kind='repro-cells'"):
+            CheckpointJournal(cells, fingerprint=FP)
+        with pytest.raises(CheckpointError, match="kind='repro-checkpoint'"):
+            CellJournal(session, fingerprint=FP)
 
     def test_resume_appends(self, tmp_path):
         path = tmp_path / "j.ckpt"
@@ -132,13 +171,12 @@ class TestCrashRecovery:
     def test_unterminated_but_parseable_final_line_is_still_dropped(self, tmp_path):
         path = tmp_path / "j.ckpt"
         self._journal_with_two_records(path)
-        # A final record whose payload is a complete, loadable pickle but
+        # A final record whose payload is complete, loadable JSON but
         # whose frame is one byte short (its length prefix runs past EOF)
         # is still the partial write of a crash.
-        payload = pickle.dumps((2, "c"))
-        header = frame_bytes(FRAME_PICKLE, payload + b"\x00")[:9]
+        frame = _json_frame(2, b'"c" ')
         with open(path, "ab") as fh:
-            fh.write(header + payload)
+            fh.write(frame[:-1])
         with pytest.warns(UserWarning, match="torn payload"):
             journal = CheckpointJournal(path, fingerprint=FP)
             assert journal.completed() == {0: "a", 1: "b"}
@@ -149,10 +187,10 @@ class TestCrashRecovery:
         self._journal_with_two_records(path)
         good = path.stat().st_size
         with open(path, "ab") as fh:
-            # CRC-valid frames whose payload is not a pickle: the CRC
-            # cannot vouch for them, so the tail is cut at the first one.
-            fh.write(frame_bytes(FRAME_PICKLE, b"not-a-pickle!!"))
-            fh.write(frame_bytes(FRAME_PICKLE, pickle.dumps((3, "d"))))
+            # CRC-valid frames whose payload is not JSON: the CRC cannot
+            # vouch for them, so the tail is cut at the first one.
+            fh.write(_json_frame(2, b"not-json!!"))
+            fh.write(_json_frame(3, b'"d"'))
         with pytest.warns(UserWarning, match="corrupt tail"):
             journal = CheckpointJournal(path, fingerprint=FP)
             assert journal.completed() == {0: "a", 1: "b"}

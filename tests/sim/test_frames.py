@@ -1,6 +1,6 @@
 """Frame codec torture tests: every way a journal can break.
 
-The v2 journal's failure modes are the service's failure modes: a
+The journal's failure modes are the service's failure modes: a
 SIGKILL tears the tail mid-frame, a bad disk flips a CRC byte, a crash cuts the length prefix
 short.  Each case must be *detected* (never silently mis-parsed) and,
 for the scanning entry points, must surrender exactly the intact prefix.
@@ -8,23 +8,27 @@ for the scanning entry points, must surrender exactly the intact prefix.
 
 import io
 import pickle
+import struct
 
 import pytest
 
 from repro.sim.frames import (
     FRAME_ATTACH,
     FRAME_BATCH,
+    FRAME_CELL,
     FRAME_HEADER,
-    FRAME_PICKLE,
+    FRAME_JSON,
+    FRAME_RECORD,
     JOURNAL_MAGIC,
+    JOURNAL_MAGIC_V2,
     FrameError,
     decode_journal,
-    decode_record_batch,
-    encode_wire_records,
     frame_bytes,
     iter_journal_payloads,
+    pack_record,
     read_frame,
     scan_frames,
+    unpack_records,
 )
 
 
@@ -102,47 +106,68 @@ WIRE_RECORDS = [
     {"kind": "arrival", "time": 3.5, "id": 1, "size": 1, "work": 1.0},
 ]
 
+
+def _i64(index: int) -> bytes:
+    return index.to_bytes(8, "little", signed=True)
+
+
+def _json_frame(index: int, text: bytes) -> bytes:
+    return frame_bytes(FRAME_JSON, _i64(index) + text)
+
+
+def _packed(records) -> bytes:
+    return b"".join(pack_record(r) for r in records)
+
+
 class TestColumnarRoundTrips:
+    """The batch record codec (tagged fixed-width records, which replaced
+    the columnar layout of the v2 format)."""
+
     def test_wire_records_roundtrip_key_for_key(self):
-        blob = encode_wire_records(WIRE_RECORDS)
-        assert blob is not None
-        assert decode_record_batch(blob) == WIRE_RECORDS
+        blob = _packed(WIRE_RECORDS)
+        assert len(blob) == 33 + 17 + 33
+        decoded = unpack_records(blob)
+        assert decoded == WIRE_RECORDS
+        assert [list(r) for r in decoded] == [list(r) for r in WIRE_RECORDS]
 
     def test_wire_rejects_off_schema_records(self):
-        assert encode_wire_records(
-            [{"kind": "arrival", "time": 1.0, "id": 0, "size": 4,
-              "work": 1.0, "extra": 1}]
+        assert pack_record(
+            {"kind": "arrival", "time": 1.0, "id": 0, "size": 4,
+             "work": 1.0, "extra": 1}
         ) is None
-        assert encode_wire_records([{"kind": "failure", "node": 4}]) is None
+        assert pack_record({"kind": "failure", "node": 4}) is None
         # int time is valid input but off the strict hot-path schema.
-        assert encode_wire_records(
-            [{"kind": "departure", "time": 2, "id": 0}]
+        assert pack_record({"kind": "departure", "time": 2, "id": 0}) is None
+        # Keys out of the order a decode rebuilds.
+        assert pack_record({"time": 2.0, "kind": "departure", "id": 0}) is None
+        assert pack_record({"kind": "departure", "time": 2.0, "id": 1 << 63}) is None
+        assert pack_record(
+            {"kind": "departure", "time": 2.0, "id": 0, "slo": "held"}
         ) is None
 
     def test_decode_rejects_garbage(self):
-        with pytest.raises(Exception):
-            decode_record_batch(b"not a pickle")
-        # Only layout W exists; any other layout tag is refused.
-        blob = pickle.dumps((b"R", 0, ()))
-        with pytest.raises(FrameError, match="unknown batch layout"):
-            decode_record_batch(blob)
+        with pytest.raises(FrameError, match="unknown record tag 255"):
+            unpack_records(b"\xff" + bytes(16))
+        # A record cut short.
+        with pytest.raises(struct.error):
+            unpack_records(_packed(WIRE_RECORDS)[:-1])
 
 
 class TestIterJournalPayloads:
     def test_v2_attach_merges_and_last_wins(self, tmp_path):
-        path = tmp_path / "j.v2"
+        path = tmp_path / "j.v3"
         path.write_bytes(
             JOURNAL_MAGIC
             + frame_bytes(1, b'{"kind": "h"}')
-            + frame_bytes(FRAME_PICKLE, pickle.dumps((0, {"record": 1})))
-            + frame_bytes(FRAME_ATTACH, pickle.dumps((0, {"snapshot": "s"})))
-            + frame_bytes(FRAME_PICKLE, pickle.dumps((0, {"record": 2})))
+            + _json_frame(0, b'{"record": 1}')
+            + frame_bytes(FRAME_ATTACH, _i64(0) + b'{"snapshot": "s"}')
+            + _json_frame(0, b'{"record": 2}')
         )
         assert iter_journal_payloads(path) == [(0, {"record": 2})]
 
     def test_v2_corrupt_tail_is_ignored(self, tmp_path):
-        path = tmp_path / "j.v2"
-        good = frame_bytes(FRAME_PICKLE, __import__("pickle").dumps((3, "x")))
+        path = tmp_path / "j.v3"
+        good = _json_frame(3, b'"x"')
         path.write_bytes(
             JOURNAL_MAGIC + frame_bytes(1, b"{}") + good + b"\x07\x00\x00"
         )
@@ -156,6 +181,15 @@ class TestIterJournalPayloads:
             '{"kind": "h"}\n'
             '{"cell": 0, "json": {"record": "a"}}\n'
             '{"cell": 1, "json": {"record": '
+        )
+        assert iter_journal_payloads(path) == []
+
+    def test_v2_journal_is_not_read(self, tmp_path):
+        path = tmp_path / "j.v2"
+        path.write_bytes(
+            JOURNAL_MAGIC_V2
+            + frame_bytes(1, b'{"kind": "h"}')
+            + frame_bytes(3, pickle.dumps((0, "a")))
         )
         assert iter_journal_payloads(path) == []
 
@@ -176,11 +210,11 @@ class TestDecodeJournal:
     """The one decoder behind both the journal's open and the iterator."""
 
     def test_clean_journal_decodes_every_kind(self):
-        batch = encode_wire_records(WIRE_RECORDS)
         data = _journal(
-            frame_bytes(FRAME_PICKLE, pickle.dumps((0, "cell"))),
-            frame_bytes(FRAME_BATCH, (1).to_bytes(8, "little") + batch),
-            frame_bytes(FRAME_ATTACH, pickle.dumps((2, {"delta": 1}))),
+            _json_frame(0, b'"cell"'),
+            frame_bytes(FRAME_BATCH, _i64(1) + _packed(WIRE_RECORDS)),
+            frame_bytes(FRAME_ATTACH, _i64(2) + b'{"delta": 1}'),
+            frame_bytes(FRAME_RECORD, _i64(4) + _packed(WIRE_RECORDS[:1])),
         )
         header, payloads, good_end, reason = decode_journal(data)
         assert header == {"kind": "h"}
@@ -190,27 +224,57 @@ class TestDecodeJournal:
             WIRE_RECORDS
         )
         assert payloads[2]["delta"] == 1
+        assert payloads[4] == {"record": WIRE_RECORDS[0]}
 
     @pytest.mark.parametrize(
         "bad, reason",
         [
-            # Kind 2 was reserved for JSON records and never written.
+            # Kind 2 is reserved and never written.
             (frame_bytes(2, b'[1, "x"]'), "unknown frame kind 2"),
+            # A v2 pickle attach: its "index" is pickle bytes, so the
+            # target check refuses it before anything is decoded.
             (frame_bytes(FRAME_ATTACH, pickle.dumps((9, {"x": 1}))),
              "attach without its record"),
-            (frame_bytes(FRAME_PICKLE, b"not a pickle"), "frame payload"),
+            (frame_bytes(FRAME_JSON, b"not a pickle"), "frame payload"),
         ],
     )
     def test_bad_frame_is_the_corrupt_tail(self, bad, reason):
-        good = _journal(frame_bytes(FRAME_PICKLE, pickle.dumps((0, "a"))))
-        after = frame_bytes(FRAME_PICKLE, pickle.dumps((1, "b")))
+        good = _journal(_json_frame(0, b'"a"'))
+        after = _json_frame(1, b'"b"')
         header, payloads, good_end, why = decode_journal(good + bad + after)
         assert header == {"kind": "h"}
         assert payloads == {0: "a"}  # nothing past the bad frame survives
         assert good_end == len(good)
         assert reason in why
 
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (frame_bytes(FRAME_CELL, pickle.dumps((1, "b"))),
+             "cell-bag frame outside a cell-bag journal"),
+            (frame_bytes(FRAME_BATCH, _i64(1) + b"\x09" + bytes(16)),
+             "unknown record tag 9"),
+            (frame_bytes(FRAME_RECORD, _i64(1) + _packed(WIRE_RECORDS[:2])),
+             "exactly one record"),
+            (frame_bytes(FRAME_RECORD, _i64(1) + _packed(WIRE_RECORDS[:1])[:-2]),
+             "frame payload"),
+            (frame_bytes(FRAME_JSON, b"\x01"), "shorter than its index"),
+            (frame_bytes(FRAME_ATTACH, _i64(0) + b"[1]"), "attach without a dict"),
+        ],
+        ids=["cell", "tag", "record-of-two", "short-record", "short-json",
+             "attach-list"],
+    )
+    def test_v3_frame_that_will_not_decode_is_the_corrupt_tail(self, bad, reason):
+        good = _journal(_json_frame(0, b'{"a": 1}'))
+        header, payloads, good_end, why = decode_journal(
+            good + bad + _json_frame(2, b'"c"')
+        )
+        assert payloads == {0: {"a": 1}} and good_end == len(good)
+        assert reason in why
+
     def test_missing_header_or_magic(self):
-        record = frame_bytes(FRAME_PICKLE, pickle.dumps((0, "a")))
+        record = _json_frame(0, b'"a"')
         assert decode_journal(JOURNAL_MAGIC + record)[0] is None
         assert decode_journal(b'{"kind": "repro-checkpoint"}\n')[0] is None
+        v2 = JOURNAL_MAGIC_V2 + frame_bytes(FRAME_HEADER, b'{"kind": "h"}')
+        assert decode_journal(v2)[0] is None

@@ -1,6 +1,7 @@
 """Fault containment in the parallel executor: timeouts, crashes, resume."""
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -12,10 +13,17 @@ import numpy as np
 import pytest
 
 from repro.errors import CellExecutionError
-from repro.sim.frames import JOURNAL_MAGIC, iter_journal_payloads, scan_frames
+from repro.sim.frames import FRAME_CELL, JOURNAL_MAGIC, scan_frames
 from repro.sim.parallel import parallel_map, run_seeded_cells
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _cells(path) -> list:
+    """The ``(index, result)`` pairs of a cell-bag journal this test
+    wrote, in file order (no session reader decodes its pickled frames)."""
+    frames, _end, _reason = scan_frames(path.read_bytes(), len(JOURNAL_MAGIC))
+    return [pickle.loads(p) for kind, p, _start in frames if kind == FRAME_CELL]
 
 
 def _ident(x):
@@ -158,7 +166,7 @@ class TestCheckpointedExecution:
             )
         assert resumed == serial
         # The torn cell and the one after it were recomputed and journaled.
-        assert dict(iter_journal_payloads(ckpt)) == dict(enumerate(serial))
+        assert dict(_cells(ckpt)) == dict(enumerate(serial))
 
     def test_dead_coordinator_resumes_bit_identically(self, tmp_path):
         """SIGKILL-equivalent coordinator death mid-sweep, then resume.
@@ -199,7 +207,7 @@ class TestCheckpointedExecution:
         )
         assert proc.returncode == 9, proc.stderr
         # Cells 0..2: the journal survived the coordinator.
-        assert [i for i, _ in iter_journal_payloads(ckpt)] == [0, 1, 2]
+        assert [i for i, _ in _cells(ckpt)] == [0, 1, 2]
 
         sys.path.insert(0, str(tmp_path))
         try:

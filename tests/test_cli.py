@@ -650,7 +650,7 @@ class TestJournalDump:
         per_kind = dict(
             item.split("=") for item in fields["bytes per kind"].split()
         )
-        assert set(per_kind) == {"header", "pickle"}
+        assert set(per_kind) == {"header", "record", "attach"}
         # Every frame byte is accounted for; only the magic is not a frame.
         total = sum(int(v) for v in per_kind.values())
         assert total + 5 == int(fields["file bytes"])
@@ -665,15 +665,37 @@ class TestJournalDump:
         fields = self._fields(capsys.readouterr().out)
         assert "does not verify" in fields["state sidecar"]
 
-    def test_earlier_build_journal_still_dumps(self, capsys):
-        """A session journal of an earlier kernel-state version is refused
-        on resume, but stays readable for inspection."""
+    def test_earlier_build_journal_is_refused(self, capsys, monkeypatch):
+        """A v2 journal holds pickles: dump refuses it with one line naming
+        the format, and never decodes it."""
+        import repro.sim.frames as frames
+
+        def never(*_args, **_kw):
+            raise AssertionError("a v2 journal was decoded")
+
+        monkeypatch.setattr(frames, "decode_journal", never)
+        monkeypatch.setattr(frames, "scan_frames", never)
         journal = (
             Path(__file__).parent / "service" / "data" / "golden_push_batch.journal"
         )
-        assert main(["journal", "dump", str(journal), "--stats"]) == 0
+        before = journal.read_bytes()
+        assert main(["journal", "dump", str(journal), "--stats"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {journal} is a v2 (RJF2, pickle-framed)")
+        assert "Delete it" in line
+        assert journal.read_bytes() == before
+
+    def test_cell_bag_journal_counts_cells_without_decoding(self, capsys, tmp_path):
+        from repro.sim.checkpoint import CellJournal
+
+        path = tmp_path / "cells.ckpt"
+        with CellJournal(path, fingerprint={"kind": "t"}) as journal:
+            journal.record(0, (1, 2))
+            journal.record(1, {"x": frozenset()})
+        assert main(["journal", "dump", str(path), "--stats"]) == 0
         fields = self._fields(capsys.readouterr().out)
-        assert fields["records"] == "600 logical record(s), indices 0..599"
-        assert fields["state digests"] == "at [511]"
-        assert fields["delta riders"] == "at [255, 599]"
-        assert fields["state sidecar"] == "none"
+        assert fields["frames"] == "cell=2 header=1"
+        assert fields["tail"] == "clean"
+        assert fields["records"].startswith("2 cell result(s), not decoded")
