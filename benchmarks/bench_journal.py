@@ -14,9 +14,9 @@ Three layers are metered:
 
 Journal benches are fsync/I-O bound; the snapshot gate holds them to a
 looser events/sec-only tolerance (see ``scripts/bench_snapshot.py``).
-The ``*_floor`` test at the bottom is an acceptance assertion on the
+The ``*_floor`` tests at the bottom are acceptance assertions on the
 journal's size, hardware-independent; CI's ``journal-smoke`` job runs
-it at N=256.
+them at N=256.
 
 ``REPRO_BENCH_N`` overrides the machine size (default 4096).
 """
@@ -156,22 +156,20 @@ def test_perf_ingest_journal_policy(benchmark, records, tmp_path, fsync_policy):
 
 
 # ---------------------------------------------------------------------------
-# Acceptance floor: the size claim the binary journal was built for.  CI's
-# journal-smoke job runs it at N=256.
+# Acceptance floors: the size claims the binary journal was built for.  CI's
+# journal-smoke job runs them at N=256.
 # ---------------------------------------------------------------------------
 
 #: Bytes per journaled record the batch frames must stay under.  The v1
 #: JSONL journal wrote ~94 B per record on this stream and the pickled
-#: columnar batches of v2 34.5 B; fixed-width v3 records take ~26.5 B.
+#: columnar batches of v2 34.5 B; fixed-width v3 records take ~26.5 B in
+#: ``push_batch`` group commits and ~28 B pushed one by one under
+#: ``fsync=batch`` (the journal groups them between syncs; one frame
+#: per record took ~44.9 B).
 MAX_BYTES_PER_RECORD = 30
 
 
-def test_journal_v2_size_floor(records, wire_records, tmp_path):
-    """Batch frames take <= 30 B per record on the churn stream — and the
-    journal replays exactly the records that went in."""
-    session = _fresh_session(tmp_path, "batch")
-    path = session._journal.path
-    _ingest(session, records)
+def _assert_size_floor(path, records, wire_records):
     per_record = path.stat().st_size / len(records)
     assert per_record <= MAX_BYTES_PER_RECORD, (
         f"journal takes {per_record:.1f} B per record "
@@ -179,3 +177,23 @@ def test_journal_v2_size_floor(records, wire_records, tmp_path):
     )
     journaled = [p["record"] for _i, p in iter_journal_payloads(path)]
     assert journaled == wire_records
+
+
+def test_journal_size_floor(records, wire_records, tmp_path):
+    """``push_batch`` frames take <= 30 B per record on the churn stream
+    — and the journal replays exactly the records that went in."""
+    session = _fresh_session(tmp_path, "batch")
+    path = session._journal.path
+    _ingest(session, records)
+    _assert_size_floor(path, records, wire_records)
+
+
+def test_journal_push_size_floor(records, wire_records, tmp_path):
+    """Records pushed one by one under ``fsync=batch`` share batch frames
+    between syncs: <= 30 B per record on the same stream."""
+    session = _fresh_session(tmp_path, "batch")
+    path = session._journal.path
+    for record in records:
+        session.push(record)
+    session.close()
+    _assert_size_floor(path, records, wire_records)

@@ -52,8 +52,9 @@ becomes a kernel event, and where hostile numbers are refused), SLO
 sessions admit it, and :meth:`AllocationSession._absorb` applies it,
 moves the session cursor (clock, offer count, next implicit task id) and
 journals it.  A lone event is journaled with ``CheckpointJournal.record``,
-which buffers under ``fsync=batch``; a batch is one ``record_many`` group
-commit, durable on return.
+which under ``fsync=batch`` and ``interval:<ms>`` holds it in the
+journal's group, so the events between two syncs share one batch frame;
+a batch is one ``record_many`` group commit, durable on return.
 
 SLO mode (``slo=SLOPolicy(...)``): every wire record goes through
 :meth:`AllocationSession.offer`, which gates arrivals against the
@@ -608,8 +609,8 @@ class AllocationSession:
         is one event — a push, a queue drain, a replayed record: the
         kernel :meth:`~repro.kernel.AllocationKernel.apply`-s it,
         :meth:`~repro.sim.checkpoint.CheckpointJournal.record` journals it
-        (buffered under ``fsync=batch`` until the next commit point), and
-        its :class:`~repro.kernel.Decision` comes back.
+        (held in its group under ``fsync=batch`` until the next commit
+        point), and its :class:`~repro.kernel.Decision` comes back.
 
         Only applied events advance the session: when the kernel rejects
         a batch part-way, the applied prefix is committed and journaled
@@ -712,13 +713,13 @@ class AllocationSession:
     def _save_state(self, kernel_json: bytes) -> None:
         """Write the state sidecar for the journal index just committed.
 
-        The journal's buffered records go to the OS first, so the sidecar
+        The journal hands its held records to the OS before it digests
+        them (:meth:`CheckpointJournal.content_digest`), so the sidecar
         never pins bytes that a kill of this process could still lose.
         Best effort: the sidecar only saves resume time, so a failed
         write warns and leaves the previous sidecar in place.
         """
         assert self._journal is not None and self._sidecar is not None
-        self._journal.flush()
         length, content = self._journal.content_digest()
         fields = {
             "fingerprint": self._journal.fingerprint_digest,
@@ -1207,6 +1208,14 @@ class AllocationSession:
     def journal_pending(self) -> int:
         """Journal records written but not yet fsync'd (0 without one)."""
         return 0 if self._journal is None else self._journal.pending
+
+    @property
+    def journal_sync_due(self) -> Optional[float]:
+        """Seconds until the ``interval:<ms>`` fsync policy owes the
+        pending journal records a sync (:meth:`CheckpointJournal.sync_due`);
+        None without a journal, under another policy or with nothing
+        pending.  A server that goes quiet calls :meth:`flush` then."""
+        return None if self._journal is None else self._journal.sync_due()
 
     @property
     def overloaded(self) -> bool:

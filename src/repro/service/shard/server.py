@@ -11,6 +11,10 @@ synchronously on the event loop, so the global event order (and
 therefore every decision, ``L_A``, ``L*``) is a single serializable
 history — clients interleave at line granularity.  Without ``--listen``
 :class:`StdioServer` serves stdin/stdout through the same line handler.
+Under ``--fsync interval:<ms>`` the socket server also keeps one timer
+that syncs records left pending once the interval is up, so a client
+that goes quiet after a burst does not leave them in user space; the
+stdin server has no event loop and syncs at the next record instead.
 
 A second, optional listener (``--metrics-port``) answers any HTTP GET
 with the Prometheus text exposition from :mod:`repro.service.metrics`:
@@ -56,6 +60,8 @@ class ServiceServer:
         self._rate_mark: tuple[float, int] = (_time.monotonic(), 0)
         self._server: Optional[asyncio.base_events.Server] = None
         self._metrics_server: Optional[asyncio.base_events.Server] = None
+        # The one timer that syncs what an interval policy left pending.
+        self._sync_timer: Optional[asyncio.TimerHandle] = None
         self.connections = 0
 
     @property
@@ -122,6 +128,9 @@ class ServiceServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        if self._sync_timer is not None:
+            self._sync_timer.cancel()
+            self._sync_timer = None
         for server in (self._server, self._metrics_server):
             if server is not None:
                 server.close()
@@ -150,6 +159,8 @@ class ServiceServer:
                     continue
                 for out in self._serve_line(text, lineno):
                     writer.write(out.encode("utf-8") + b"\n")
+                if self._sync_timer is None:
+                    self._sync_when_due()
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -163,6 +174,23 @@ class ServiceServer:
             except (asyncio.CancelledError, ConnectionResetError,
                     BrokenPipeError, OSError):
                 pass
+
+    def _sync_when_due(self) -> None:
+        """Sync the records an ``interval:<ms>`` policy left pending once
+        the interval since the last sync has passed, or arm the one timer
+        that comes back then.  The journal syncs only when a record
+        arrives, so without this a server gone quiet after a burst would
+        keep its last records in user space until the next event."""
+        self._sync_timer = None
+        due = self.backend.journal_sync_due
+        if due is None:
+            return
+        if due <= 0:
+            self.backend.flush()
+        else:
+            self._sync_timer = asyncio.get_running_loop().call_later(
+                due, self._sync_when_due
+            )
 
     @staticmethod
     async def _refuse_long_line(

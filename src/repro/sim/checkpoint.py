@@ -46,14 +46,29 @@ frame as a corrupt tail.
   is a hard :class:`~repro.errors.CheckpointError` — silently mixing
   results from two different sweeps would be far worse than recomputing.
 * Each **record** is one completed cell.  Durability is governed by the
-  **fsync policy**: ``always`` (the default) writes every record with
-  ``flush`` + ``fsync``, so a crash loses at most the record being
-  written; ``batch`` buffers records in user space until an explicit
-  :meth:`~CheckpointJournal.commit` (or a :meth:`record_many` group
-  commit, or close), trading a bounded loss window — everything since
-  the last commit — for one ``fsync`` per batch instead of per record;
-  ``interval:<ms>`` buffers and syncs whenever at least that much wall
-  time has passed since the last sync.
+  **fsync policy**: ``always`` (the default) writes and ``fsync``-s
+  every record before :meth:`~CheckpointJournal.record` returns, so a
+  crash loses at most the record being written; ``batch`` holds records
+  in user space until an explicit :meth:`~CheckpointJournal.commit` (or
+  a :meth:`~CheckpointJournal.record_many` group commit, or close),
+  trading a bounded loss window — everything since the last commit — for
+  one ``fsync`` per batch instead of per record; ``interval:<ms>`` holds
+  them and syncs whenever at least that much wall time has passed since
+  the last sync.
+* **Group commit inside the journal.**  Under ``batch`` and
+  ``interval:<ms>`` the records held between two syncs are one *group*:
+  packed as they are recorded, and written as one ``FRAME_BATCH`` (a
+  group of one stays a ``FRAME_RECORD``) followed by the
+  ``FRAME_ATTACH`` riders of its records.  The group is written out at
+  every sync, :meth:`~CheckpointJournal.flush` and
+  :meth:`~CheckpointJournal.content_digest`, at a payload that takes a
+  frame of its own (a JSON payload, a cell), at
+  :meth:`~CheckpointJournal.record_many` (which takes the group as the
+  head of its batch), and once it holds :data:`GROUP_LIMIT` (8 KiB) —
+  where the buffered writer it replaced spilled to the OS.  The group is
+  the only user-space buffer: the file handle is unbuffered.  A kill of
+  the process loses at most the group (under 8 KiB of records); a power
+  loss, everything since the last ``fsync``.
 * A **corrupt tail** (whatever partial write a crash leaves behind) is
   detected by the opening pass over the file, reported with a warning,
   and truncated away; every record before it is kept.
@@ -66,6 +81,7 @@ exactly, instead of misreading it.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -83,6 +99,9 @@ __all__ = ["CellJournal", "CheckpointJournal", "workload_fingerprint"]
 JOURNAL_VERSION = 3
 #: Read buffer of a pass over the journal file.
 _READ_BUFFER = 1 << 16
+#: Bytes of held records at which the group is written out without a
+#: sync: where the buffered writer the group replaced spilled to the OS.
+GROUP_LIMIT = io.DEFAULT_BUFFER_SIZE
 
 
 def _parse_fsync_policy(spec: str) -> tuple[str, float]:
@@ -179,8 +198,9 @@ class CheckpointJournal:
     ``fsync_policy`` governs the durability/throughput trade (module
     docstring): ``always`` syncs per record, ``batch`` syncs on
     :meth:`commit` / :meth:`record_many` / :meth:`close`, and
-    ``interval:<ms>`` syncs whenever that much wall time has elapsed
-    since the last sync.
+    ``interval:<ms>`` syncs at a record once that much wall time has
+    elapsed since the last sync.  Under both of the latter the records
+    between two syncs are held as one group (module docstring).
 
     The journal keeps no decoded record: :meth:`completed` and
     :meth:`records` read the file, one frame in memory at a time.  The
@@ -200,6 +220,8 @@ class CheckpointJournal:
     header_kind = "repro-checkpoint"
     #: The ``FRAME_CELL`` decoder its reads pass; only cell bags have one.
     _cells: Optional[Callable[[bytes], tuple[int, Any]]] = None
+    #: The encoder of the group of held records.
+    _encoder: Callable[[], _frames.PayloadEncoder] = _frames.PayloadEncoder
 
     def __init__(
         self,
@@ -218,6 +240,8 @@ class CheckpointJournal:
         self._fingerprint = dict(fingerprint)
         self._fh = None
         self._closed = False
+        # The records held in user space, as the frames they will take.
+        self._group = self._encoder()
         # sha256 of every byte of the file this handle has read or written.
         self._content = hashlib.sha256()
         self._size = 0
@@ -236,7 +260,7 @@ class CheckpointJournal:
                 "fingerprint": self._digest,
                 "workload": self._fingerprint,
             }
-            self._fh = open(self.path, "ab")
+            self._fh = open(self.path, "ab", buffering=0)
             self._write(
                 _frames.JOURNAL_MAGIC
                 + _frames.frame_bytes(
@@ -292,7 +316,7 @@ class CheckpointJournal:
                 fh.truncate(reader.end)
                 os.fsync(fh.fileno())
         self._size = self._opened = reader.end
-        self._fh = open(self.path, "ab")
+        self._fh = open(self.path, "ab", buffering=0)
 
     def _read_records(self, end: Optional[int]) -> Iterator[tuple[int, Any]]:
         """Stream the records of the file's first ``end`` bytes (all of
@@ -361,29 +385,40 @@ class CheckpointJournal:
         return self._fh
 
     def _write(self, blob: bytes) -> None:
-        self._appender().write(blob)
+        fh = self._appender()
+        view = memoryview(blob)
+        while view:  # an unbuffered write may take only part of it
+            view = view[fh.write(view):]
         self._content.update(blob)
         self._size += len(blob)
 
+    def _hand_on(self) -> None:
+        """Write the group out: the one point records reach the OS."""
+        if self._group.count:
+            blob = self._group.take()
+            self._write(blob)
+            self._pending_bytes += len(blob)
+
     def content_digest(self) -> tuple[int, str]:
-        """``(length, sha256)`` of the file's content so far, flushed or
-        not — what a state sidecar pins its journal prefix with.  During
-        the opening pass: of the bytes read so far (up to the end of the
+        """``(length, sha256)`` of the file's content so far — what a
+        state sidecar pins its journal prefix with.  The group is handed
+        to the OS first, so the bytes pinned are in the file.  During the
+        opening pass: of the bytes read so far (up to the end of the
         record just yielded)."""
         if self._scan is not None:
             return self._scan.end, self._content.hexdigest()
+        self.flush()
         return self._size, self._content.hexdigest()
 
     def flush(self) -> None:
-        """Hand every buffered record to the OS, without an fsync: from
-        here they survive a kill of this process (not a power loss)."""
+        """Hand every held record to the OS, without an fsync: from here
+        they survive a kill of this process (not a power loss)."""
         if self._fh is not None:
-            self._fh.flush()
+            self._hand_on()
 
     def _sync(self) -> None:
-        assert self._fh is not None
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._hand_on()
+        os.fsync(self._appender().fileno())
         self._pending = 0
         self._pending_bytes = 0
         self._last_sync = time.monotonic()
@@ -399,61 +434,77 @@ class CheckpointJournal:
 
     @property
     def pending(self) -> int:
-        """Records written but not yet flushed + fsynced (the loss window)."""
+        """Records journaled but not yet fsynced (the loss window), held
+        in the group or handed to the OS."""
         return self._pending
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes written but not yet flushed + fsynced.
+        """The bytes on disk of the :attr:`pending` records.
 
         The byte-denominated loss window — the backpressure watermarks in
         :class:`repro.service.slo.SLOPolicy` trip on either this or
         :attr:`pending`, whichever crosses first.
         """
-        return self._pending_bytes
+        return self._pending_bytes + self._group.size
+
+    def sync_due(self) -> Optional[float]:
+        """Seconds until the ``interval:<ms>`` policy owes the pending
+        records a sync (at most 0 once it is overdue); None under the
+        other policies or with nothing pending.  :meth:`record` syncs
+        only when it is called, so a quiet writer syncs at this time
+        through :meth:`commit`."""
+        if self._policy != "interval" or not self._pending:
+            return None
+        return self._last_sync + self._interval_s - time.monotonic()
 
     def commit(self) -> None:
-        """Make every buffered record durable now (no-op when none pending)."""
+        """Make every pending record durable now (no-op when none pending)."""
         if self._fh is not None and self._pending:
             self._sync()
 
     def record(self, index: int, value: Any) -> None:
         """Journal one record (a session event, or a completed cell).
 
-        Durable before return under the ``always`` policy; under ``batch``
-        the record stays in the user-space buffer until :meth:`commit`,
-        and under ``interval:<ms>`` until the interval elapses.
+        Durable before return under the ``always`` policy.  Under
+        ``batch`` and ``interval:<ms>`` the record joins the group, which
+        reaches the OS at the next sync, :meth:`flush`, :meth:`commit`,
+        :meth:`content_digest` or :meth:`record_many`, at a payload that
+        cannot join it, or once it holds :data:`GROUP_LIMIT` bytes.  A
+        payload the journal cannot hold raises :class:`TypeError` with
+        the group and the file unchanged.
         """
-        blob = self._encode_one(index, value)
-        self._write(blob)
+        self._appender()
+        grouped = self._group.add(index, value)
         self._pending += 1
-        self._pending_bytes += len(blob)
         if self._policy == "always":
             self._sync()
-        elif self._policy == "interval":
+            return
+        if not grouped or self._group.size >= GROUP_LIMIT:
+            self._hand_on()
+        if self._policy == "interval":
             self._maybe_interval_sync()
 
-    # The frames of one payload and of a group commit.
-    _encode_one = staticmethod(_frames.encode_payload)
-    _encode_many = staticmethod(_frames.encode_payloads)
-
     def record_many(self, items: Iterable[tuple[int, Any]]) -> None:
-        """Group-commit a batch of cells: one write, one flush, one fsync.
+        """Group-commit a batch of records: one write, one fsync.
 
-        Under ``always`` and ``batch`` the whole batch (plus anything
-        already pending) is durable before return — this is *the*
-        group-commit primitive, amortising the per-record ``fsync`` that
-        dominates journaled stream ingest.  Under ``interval:<ms>`` the
-        batch is buffered and synced only when the interval has elapsed.
+        The batch joins the group held so far (a run of consecutive
+        tagged records is one batch frame) and the whole group is written
+        at once.  Under ``always`` and ``batch`` it is durable before
+        return — this is *the* group-commit primitive, amortising the
+        per-record ``fsync`` that dominates journaled stream ingest.
+        Under ``interval:<ms>`` it is synced only when the interval has
+        elapsed.  A payload the journal cannot hold raises
+        :class:`TypeError` before any record of the batch is held.
         """
         items = list(items)
         if not items:
             return
-        blob = self._encode_many(items)
-        self._write(blob)
+        self._appender()
+        self._group.add_many(items)
         self._pending += len(items)
-        self._pending_bytes += len(blob)
         if self._policy == "interval":
+            self._hand_on()
             self._maybe_interval_sync()
         else:
             self._sync()
@@ -491,6 +542,16 @@ def _load_cell(payload: bytes) -> tuple[int, Any]:
     return int(index), value
 
 
+class _CellEncoder(_frames.PayloadEncoder):
+    """Frames every result alone, as a ``FRAME_CELL``."""
+
+    def _parts(self, index: int, value: Any) -> tuple[None, bytes]:
+        return None, _frames.frame_bytes(
+            _frames.FRAME_CELL,
+            pickle.dumps((int(index), value), protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+
 class CellJournal(CheckpointJournal):
     """A :class:`CheckpointJournal` of cell-bag results: any picklable
     value, one ``FRAME_CELL`` (a pickle of ``(index, value)``) per cell,
@@ -505,14 +566,4 @@ class CellJournal(CheckpointJournal):
 
     header_kind = "repro-cells"
     _cells = staticmethod(_load_cell)
-
-    @staticmethod
-    def _encode_one(index: int, value: Any) -> bytes:
-        return _frames.frame_bytes(
-            _frames.FRAME_CELL,
-            pickle.dumps((int(index), value), protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    @classmethod
-    def _encode_many(cls, items: list[tuple[int, Any]]) -> bytes:
-        return b"".join(cls._encode_one(index, value) for index, value in items)
+    _encoder = _CellEncoder

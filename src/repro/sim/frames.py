@@ -42,11 +42,13 @@ tag (kind in the low nibble, SLO mark in the high one), ``f64 time`` and
 an arrival, 17 for a departure or kill.  A ``{"record": ...}`` payload
 whose record fits takes a ``FRAME_RECORD`` (or a place in a
 ``FRAME_BATCH``), its other keys following as a ``FRAME_ATTACH``; every
-other payload is a ``FRAME_JSON``.  Both codecs are exact: decoding
+other payload is a ``FRAME_JSON``.  :class:`PayloadEncoder` lays out the
+frames of one payload or many, incrementally: a journal holds the
+records it has not yet handed to the OS in one, so the records between
+two syncs share one ``FRAME_BATCH``.  Both codecs are exact: decoding
 rebuilds each dict key for key, in the order written, with the same
-value types, and :func:`encode_payloads` refuses a payload neither can
-hold (a tuple, a non-string key, a numpy scalar) instead of approximating
-it.
+value types, and the encoder refuses a payload neither can hold (a
+tuple, a non-string key, a numpy scalar) instead of approximating it.
 
 Nothing here unpickles.  ``FRAME_CELL`` frames hold pickled results of
 local cell bags (:class:`~repro.sim.checkpoint.CellJournal`); a reader
@@ -81,7 +83,7 @@ __all__ = [
     "scan_frames",
     "pack_record",
     "unpack_records",
-    "encode_payload",
+    "PayloadEncoder",
     "encode_payloads",
     "decode_journal",
     "iter_journal_payloads",
@@ -329,57 +331,96 @@ def _tagged(value: Any) -> Optional[bytes]:
     return None
 
 
-def _run_frames(first: int, blobs: list[bytes], ridden: list[tuple[int, dict]]) -> bytes:
-    """A run of tagged records at consecutive indices from ``first``: one
-    ``FRAME_RECORD`` or ``FRAME_BATCH``, then a ``FRAME_ATTACH`` for each
-    of the ``ridden`` payloads (those with keys besides ``"record"``)."""
-    kind = FRAME_RECORD if len(blobs) == 1 else FRAME_BATCH
-    out = frame_bytes(kind, _I64.pack(first) + b"".join(blobs))
-    for index, value in ridden:
+#: Bytes a run of tagged records takes besides its records: the frame
+#: header and the i64 first index.
+_RUN_OVERHEAD = FRAME_OVERHEAD + _I64.size
+
+
+class PayloadEncoder:
+    """The frames of ``(index, payload)`` pairs, built one pair at a time
+    and held until :meth:`take` hands them on.
+
+    Each run of tagged payloads with consecutive indices becomes one
+    ``FRAME_BATCH`` (a run of one a ``FRAME_RECORD``), the riders of its
+    payloads following as ``FRAME_ATTACH`` frames; every other payload is
+    a ``FRAME_JSON``, which ends the run before it.  :attr:`size` is the
+    byte length :meth:`take` will return and :attr:`count` the payloads
+    held.  A payload JSON cannot hold exactly raises :class:`TypeError`
+    before anything is held.
+    """
+
+    def __init__(self) -> None:
+        self._done = bytearray()  # the frames before the open run
+        self._blobs: list[bytes] = []  # the open run's tagged records
+        self._riders = bytearray()  # its FRAME_ATTACH frames
+        self._first = self._following = 0
+        self.size = 0
+        self.count = 0
+
+    def _parts(self, index: int, value: Any) -> tuple[Optional[bytes], bytes]:
+        """``(tagged record, rider frame)`` of a payload that joins a run,
+        or ``(None, frame)`` of one framed alone."""
+        blob = _tagged(value)
+        if blob is None:
+            return None, frame_bytes(FRAME_JSON, _json(index, value))
+        if len(value) == 1:
+            return blob, b""
         extra = {k: v for k, v in value.items() if k != "record"}
-        out += frame_bytes(FRAME_ATTACH, _json(index, extra))
-    return out
+        return blob, frame_bytes(FRAME_ATTACH, _json(index, extra))
 
+    def _hold(self, index: int, blob: Optional[bytes], frame: bytes) -> bool:
+        self.count += 1
+        self.size += len(frame)
+        if blob is None:
+            self._end_run()
+            self._done += frame
+            return False
+        if not self._blobs or index != self._following:
+            self._end_run()
+            self._first = index
+            self.size += _RUN_OVERHEAD
+        self._following = index + 1
+        self._blobs.append(blob)
+        self._riders += frame
+        self.size += len(blob)
+        return True
 
-def encode_payload(index: int, value: Any) -> bytes:
-    """The frames of one ``(index, payload)``: a ``FRAME_RECORD`` (plus
-    its ``FRAME_ATTACH``) when the payload is tagged, else a
-    ``FRAME_JSON``.  Raises :class:`TypeError` for a payload JSON cannot
-    hold exactly."""
-    blob = _tagged(value)
-    if blob is None:
-        return frame_bytes(FRAME_JSON, _json(index, value))
-    if len(value) == 1:
-        return frame_bytes(FRAME_RECORD, _I64.pack(index) + blob)
-    return _run_frames(index, [blob], [(index, value)])
+    def _end_run(self) -> None:
+        blobs = self._blobs
+        if blobs:
+            kind = FRAME_RECORD if len(blobs) == 1 else FRAME_BATCH
+            run = _I64.pack(self._first) + b"".join(blobs)
+            self._done += frame_bytes(kind, run)
+            self._done += self._riders
+            self._blobs, self._riders = [], bytearray()
+
+    def add(self, index: int, value: Any) -> bool:
+        """Hold the frames of one payload.  True when it joined a run of
+        tagged records (which stays open for the next index), False when
+        it was framed alone."""
+        return self._hold(index, *self._parts(index, value))
+
+    def add_many(self, items: Iterable[tuple[int, Any]]) -> None:
+        """:meth:`add` every pair, or none of them if one raises."""
+        parts = [(index, *self._parts(index, value)) for index, value in items]
+        for part in parts:
+            self._hold(*part)
+
+    def take(self) -> bytes:
+        """Every frame held, the open run ended; the encoder is empty after."""
+        self._end_run()
+        out = bytes(self._done)
+        self._done = bytearray()
+        self.size = self.count = 0
+        return out
 
 
 def encode_payloads(items: Iterable[tuple[int, Any]]) -> bytes:
-    """The frames of ``(index, payload)`` pairs, in order: each run of
-    tagged payloads with consecutive indices is one ``FRAME_BATCH`` (a
-    run of one a ``FRAME_RECORD``), their riders following as
-    ``FRAME_ATTACH`` frames; every other payload is a ``FRAME_JSON``."""
-    out = bytearray()
-    blobs: list[bytes] = []
-    ridden: list[tuple[int, dict]] = []
-    first = following = 0
-    for index, value in items:
-        blob = _tagged(value)
-        if blob is None or index != following or not blobs:
-            if blobs:
-                out += _run_frames(first, blobs, ridden)
-                blobs, ridden = [], []
-            if blob is None:
-                out += frame_bytes(FRAME_JSON, _json(index, value))
-                continue
-            first = following = index
-        blobs.append(blob)
-        if len(value) > 1:
-            ridden.append((index, value))
-        following += 1
-    if blobs:
-        out += _run_frames(first, blobs, ridden)
-    return bytes(out)
+    """The frames of ``(index, payload)`` pairs, in order, as one
+    :class:`PayloadEncoder` lays them out."""
+    encoder = PayloadEncoder()
+    encoder.add_many(items)
+    return encoder.take()
 
 
 # -- Journal decoding ----------------------------------------------------------

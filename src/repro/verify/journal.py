@@ -2,14 +2,14 @@
 
 The journal buys its throughput with liberties — fixed-width tagged
 records with a JSON fallback, O(1) delta riders instead of full-state
-digests between full-checkpoint crossings, and batch frames that pack a
-whole group commit into one frame.  None of them may be observable: a journaled session
-must resume to *bit-identical* state, and a journal killed mid-delta-
-window (after a delta rider, before the next state digest) must recover
-exactly the surviving hole-free prefix and then catch up to the
-uninterrupted run.  This referee enforces that the way the rest of
-:mod:`repro.verify` does — same input, journaled and not, diff
-everything:
+digests between full-checkpoint crossings, and batch frames that pack
+every record between two syncs into one frame.  None of them may be
+observable: a journaled session must resume to *bit-identical* state,
+and a journal killed mid-delta-window (after a delta rider, before the
+next state digest) must recover exactly the surviving hole-free prefix
+and then catch up to the uninterrupted run.  This referee enforces that
+the way the rest of :mod:`repro.verify` does — same input, journaled and
+not, diff everything:
 
 * **final state**: kernel ``snapshot()``, ``status()``, and metrics of
   the journaled session must equal an unjournaled oracle's, both live
@@ -220,6 +220,7 @@ def check_journal_resume(
     fsync_policy: str = "batch",
     fault_tolerant: bool = False,
     slo: Optional[SLOPolicy] = None,
+    per_record: bool = False,
     kill_points: int = 4,
     max_divergences: int = 10,
 ) -> JournalOutcome:
@@ -233,6 +234,12 @@ def check_journal_resume(
     oracle fed the surviving records, then give the same reply to every
     later record.  Kills between a sidecar's write and its rename leave
     the previous sidecar in place, beside the temp file.
+
+    Without an SLO the writer commits every ``batch`` records: as one
+    :meth:`~AllocationSession.push_batch`, or with ``per_record`` as
+    ``batch`` :meth:`~AllocationSession.push` calls, whose records the
+    journal groups into shared batch frames between its syncs — so the
+    sampled kills and the torn cut land inside those groups.
     """
     outcome = JournalOutcome(
         algorithm=algorithm, num_pes=num_pes, events=len(records)
@@ -292,7 +299,11 @@ def check_journal_resume(
                     chunk = records[start : start + batch]
                     for rec in chunk:
                         oracle.push(dict(rec))
-                    writer.push_batch([dict(r) for r in chunk])
+                    if per_record:
+                        for rec in chunk:
+                            writer.push(dict(rec))
+                    else:
+                        writer.push_batch([dict(r) for r in chunk])
                     note_commit()
             expected = _fingerprint(oracle)
             if _fingerprint(writer) != expected:
@@ -484,7 +495,8 @@ def fuzz_journal(
 ) -> list[JournalOutcome]:
     """Crash-resume sweep: ``sequences`` fresh streams per algorithm and
     mode of :data:`JOURNAL_MODES` (:func:`mode_stream`), every journal
-    kill-sampled.
+    kill-sampled.  The ``plain`` streams are journaled record by record
+    (``per_record``), the ``faults`` ones a batch at a time.
 
     Raises :class:`~repro.errors.SimulationError` listing the first
     divergences if any stream fails to resume, so CI fails loudly.
@@ -503,6 +515,7 @@ def fuzz_journal(
                     num_pes=num_pes,
                     seed=seed + index,
                     batch=int(rng.integers(1, 65)),
+                    per_record=mode == "plain",
                     kill_points=kill_points,
                     **options,
                 )

@@ -35,7 +35,7 @@ from repro.sim.frames import (
     JOURNAL_MAGIC,
     JOURNAL_MAGIC_V2,
     decode_journal,
-    encode_payload,
+    PayloadEncoder,
     encode_payloads,
     frame_bytes,
     iter_journal_payloads,
@@ -256,7 +256,7 @@ class TestExactRoundTrip:
         str(r.get(k)) for k in ("kind", "slo", "op")))
     def test_every_session_shape(self, record, rider):
         payload = {"record": record, **rider}
-        _assert_exact(_decoded(encode_payload(5, payload)), [(5, payload)])
+        _assert_exact(_decoded(encode_payloads([(5, payload)])), [(5, payload)])
         mixed = [(4, {"record": _hot("arrival", 1.0, 1)}), (5, payload),
                  (6, {"record": _hot("departure", 2.0, 1)})]
         _assert_exact(_decoded(encode_payloads(mixed)), mixed)
@@ -264,8 +264,8 @@ class TestExactRoundTrip:
     def test_hot_records_take_fixed_width_frames(self):
         arrival = {"record": _hot("arrival", 0.0, 0, 2, 1.0)}
         departure = {"record": _hot("departure", 1.0, 0)}
-        assert len(encode_payload(0, arrival)) == 9 + 8 + 33  # 50 B
-        assert len(encode_payload(1, departure)) == 9 + 8 + 17
+        assert len(encode_payloads([(0, arrival)])) == 9 + 8 + 33  # 50 B
+        assert len(encode_payloads([(1, departure)])) == 9 + 8 + 17
         batch = encode_payloads([(0, arrival), (1, departure)])
         assert len(batch) == 9 + 8 + 33 + 17
 
@@ -273,7 +273,7 @@ class TestExactRoundTrip:
     @pytest.mark.parametrize("size", EDGE_INTS[:4] + EDGE_INTS[-2:])
     def test_int64_edges_and_beyond(self, tid, size):
         payload = {"record": _hot("arrival", 1.0, tid, size, 1.0)}
-        frames = encode_payload(0, payload)
+        frames = encode_payloads([(0, payload)])
         inside = all(INT64[0] <= v <= INT64[1] for v in (tid, size))
         kind = frames[4]
         assert kind == (FRAME_RECORD if inside else FRAME_JSON)
@@ -282,7 +282,7 @@ class TestExactRoundTrip:
     @pytest.mark.parametrize("value", EDGE_FLOATS)
     def test_float_edges(self, value):
         payload = {"record": _hot("arrival", value, 1, 2, value, "queue")}
-        got = _decoded(encode_payload(0, payload))
+        got = _decoded(encode_payloads([(0, payload)]))
         _assert_exact(got, [(0, payload)])
         record = got[0][1]["record"]
         assert str(record["time"]) == str(value) == str(record["work"])
@@ -340,8 +340,12 @@ class TestExactRoundTripProperties:
     @settings(max_examples=300, deadline=None)
     @given(payload=_payloads, index=st.integers(0, 1 << 40))
     def test_one_record_frame(self, payload, index):
-        frames = encode_payload(index, payload)
+        encoder = PayloadEncoder()
+        encoder.add(index, payload)
+        size = encoder.size
+        frames = encoder.take()
         _assert_exact(_decoded(frames), [(index, payload)])
+        assert len(frames) == size and encoder.take() == b""
         assert encode_payloads([(index, payload)]) == frames
 
     @settings(max_examples=150, deadline=None)

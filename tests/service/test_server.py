@@ -14,6 +14,7 @@ from repro.core.registry import make_algorithm
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, parse_exposition
 from repro.service.shard.server import ServiceServer, StdioServer
+from repro.sim.frames import decode_journal
 
 N = 64
 
@@ -282,6 +283,50 @@ class TestHostileNumbers:
         assert resumed.snapshot() == reference.snapshot()
         assert resumed.status() == reference.status()
         resumed.close()
+
+
+class TestQuietIntervalSync:
+    def test_quiet_server_syncs_its_last_records(self, tmp_path):
+        """Under ``interval:50`` the last records of a burst reach the
+        file within the interval, though no later event arrives to sync
+        them: a SIGKILL 200 ms after the burst loses none."""
+        path = tmp_path / "s.journal"
+        machine = TreeMachine(N)
+        session = AllocationSession(
+            machine, make_algorithm("greedy", machine, d=2.0),
+            journal_path=path, fsync_policy="interval:50",
+        )
+        records = [
+            {"kind": "arrival", "time": float(i), "id": i, "size": 2}
+            for i in range(3)
+        ]
+
+        async def scenario():
+            server = ServiceServer(session)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for record in records:
+                    writer.write(json.dumps(record).encode() + b"\n")
+                await writer.drain()
+                for _record in records:
+                    await asyncio.wait_for(reader.readline(), timeout=10)
+                await asyncio.sleep(0.2)
+                # The file as a kill of the server would leave it.
+                return path.read_bytes(), session.journal_pending
+            finally:
+                writer.close()
+                await server.close()
+
+        try:
+            data, pending = asyncio.run(scenario())
+        finally:
+            session.close()
+        journaled = [p["record"] for p in decode_journal(data)[1].values()]
+        assert [(r["kind"], r["id"]) for r in journaled] == [
+            ("arrival", 0), ("arrival", 1), ("arrival", 2)
+        ]
+        assert pending == 0
 
 
 class TestMetrics:

@@ -1,5 +1,6 @@
-"""CheckpointJournal: durability, recovery, and workload pinning."""
+"""CheckpointJournal: durability, recovery, group commit, and workload pinning."""
 
+import hashlib
 import json
 import os
 import stat
@@ -9,17 +10,23 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.sim.checkpoint import (
+    GROUP_LIMIT,
     JOURNAL_VERSION,
     CellJournal,
     CheckpointJournal,
     workload_fingerprint,
 )
 from repro.sim.frames import (
+    FRAME_ATTACH,
+    FRAME_BATCH,
     FRAME_HEADER,
     FRAME_JSON,
+    FRAME_RECORD,
     JOURNAL_MAGIC,
     decode_journal,
+    encode_payloads,
     frame_bytes,
+    scan_frames,
 )
 
 FP = {"kind": "test", "what": "checkpoint-unit"}
@@ -310,3 +317,136 @@ class TestFsyncPolicies:
             journal.record(2, "c")
         with CheckpointJournal(path, fingerprint=FP, fsync_policy="always") as journal:
             assert journal.completed() == {0: "a", 1: "b", 2: "c"}
+
+
+def _arrival(i: int) -> dict:
+    return {"record": {"kind": "arrival", "time": float(i), "id": i, "size": 1, "work": 1.0}}
+
+
+def _frame_kinds(path) -> list[int]:
+    frames, _end, reason = scan_frames(path.read_bytes(), len(JOURNAL_MAGIC))
+    assert reason is None
+    return [kind for kind, _payload, _start in frames]
+
+
+class TestGroupCommit:
+    """Under ``batch`` and ``interval:<ms>`` the records between two syncs
+    are one group: held packed in user space, written as one frame."""
+
+    @pytest.mark.parametrize("policy", ["batch", "interval:3600000"])
+    def test_records_between_syncs_share_one_batch_frame(self, tmp_path, policy):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP, fsync_policy=policy) as journal:
+            size = path.stat().st_size
+            for i in range(5):
+                journal.record(i, _arrival(i))
+            journal.record(5, dict(_arrival(5), delta={"events": 6}))
+            assert path.stat().st_size == size  # all held
+            journal.commit()
+            journal.record(6, _arrival(6))
+        assert _frame_kinds(path) == [
+            FRAME_HEADER, FRAME_BATCH, FRAME_ATTACH, FRAME_RECORD
+        ]
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            done = journal.completed()
+        assert done == {i: _arrival(i) for i in range(7)} | {
+            5: dict(_arrival(5), delta={"events": 6})
+        }
+
+    def test_always_writes_each_record_as_its_own_frame(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        items = [(0, _arrival(0)), (1, dict(_arrival(1), delta={"x": 1})), (2, "json")]
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            size = path.stat().st_size
+            for index, value in items:
+                journal.record(index, value)
+        assert path.read_bytes()[size:] == b"".join(
+            encode_payloads([item]) for item in items
+        )
+
+    def test_payload_json_cannot_hold_leaves_group_and_file_unchanged(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
+            journal.record(0, _arrival(0))
+            size = path.stat().st_size
+            held = journal.pending, journal.pending_bytes
+            with pytest.raises(TypeError, match="round-trip through JSON"):
+                journal.record(1, dict(_arrival(1), delta=(1, 2)))
+            with pytest.raises(TypeError, match="round-trip through JSON"):
+                journal.record_many([(1, _arrival(1)), (2, {1: "int key"})])
+            assert (journal.pending, journal.pending_bytes) == held
+            assert path.stat().st_size == size
+            journal.record(1, _arrival(1))
+        assert _frame_kinds(path) == [FRAME_HEADER, FRAME_BATCH]
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            assert journal.completed() == {0: _arrival(0), 1: _arrival(1)}
+
+    def test_pending_counts_held_records_and_their_bytes_on_disk(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
+            size = path.stat().st_size
+            journal.record(0, _arrival(0))
+            assert (journal.pending, journal.pending_bytes) == (1, 9 + 8 + 33)
+            journal.record(1, dict(_arrival(1), delta={"events": 2}))
+            journal.record(2, "json")  # writes the group out, then itself
+            assert journal.pending == 3
+            assert journal.pending_bytes == path.stat().st_size - size
+            journal.record(3, _arrival(3))
+            pending_bytes = journal.pending_bytes
+            written = path.stat().st_size
+            journal.commit()
+            assert path.stat().st_size - written == 9 + 8 + 33
+            assert pending_bytes == path.stat().st_size - size
+            assert (journal.pending, journal.pending_bytes) == (0, 0)
+
+    def test_group_spills_at_the_group_limit(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
+            size = path.stat().st_size
+            index = 0
+            while journal.pending_bytes + 33 < GROUP_LIMIT:
+                journal.record(index, _arrival(index))
+                index += 1
+            assert path.stat().st_size == size  # still held
+            journal.record(index, _arrival(index))
+            assert path.stat().st_size - size == 9 + 8 + 33 * (index + 1)
+            assert path.stat().st_size - size >= GROUP_LIMIT
+            assert journal.pending == index + 1  # written, not yet fsynced
+        assert _frame_kinds(path) == [FRAME_HEADER, FRAME_BATCH]
+
+    def test_content_digest_covers_held_records(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
+            for i in range(3):
+                journal.record(i, _arrival(i))
+            length, digest = journal.content_digest()
+            data = path.read_bytes()
+            assert length == len(data)
+            assert digest == hashlib.sha256(data).hexdigest()
+            assert journal.pending == 3  # handed to the OS, not synced
+
+    def test_record_many_takes_the_group_as_its_head(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
+            journal.record(0, _arrival(0))
+            journal.record(1, _arrival(1))
+            journal.record_many([(2, _arrival(2)), (3, _arrival(3))])
+            assert journal.pending == 0
+            data = path.read_bytes()
+        assert _frame_kinds(path) == [FRAME_HEADER, FRAME_BATCH]
+        assert data.endswith(encode_payloads([(i, _arrival(i)) for i in range(4)]))
+
+    def test_sync_due_only_under_interval_with_records_pending(self, tmp_path):
+        with CheckpointJournal(
+            tmp_path / "i.ckpt", fingerprint=FP, fsync_policy="interval:3600000"
+        ) as journal:
+            assert journal.sync_due() is None
+            journal.record(0, _arrival(0))
+            assert 0 < journal.sync_due() <= 3600
+            journal.commit()
+            assert journal.sync_due() is None
+        with CheckpointJournal(
+            tmp_path / "b.ckpt", fingerprint=FP, fsync_policy="batch"
+        ) as journal:
+            journal.record(0, _arrival(0))
+            assert journal.sync_due() is None

@@ -119,7 +119,7 @@ def _packed(records) -> bytes:
     return b"".join(pack_record(r) for r in records)
 
 
-class TestColumnarRoundTrips:
+class TestBatchRoundTrips:
     """The batch record codec (tagged fixed-width records, which replaced
     the columnar layout of the v2 format)."""
 

@@ -650,7 +650,8 @@ class TestJournalDump:
         per_kind = dict(
             item.split("=") for item in fields["bytes per kind"].split()
         )
-        assert set(per_kind) == {"header", "record", "attach"}
+        # Records pushed between two syncs share one batch frame.
+        assert set(per_kind) == {"header", "batch", "attach"}
         # Every frame byte is accounted for; only the magic is not a frame.
         total = sum(int(v) for v in per_kind.values())
         assert total + 5 == int(fields["file bytes"])

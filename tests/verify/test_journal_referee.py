@@ -9,12 +9,14 @@ history-read defects must be reported rather than pass.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.service import AllocationSession, sequence_records
+from repro.sim.checkpoint import CheckpointJournal
 from repro.verify.corpus import load_corpus
-from repro.verify.journal import check_journal_resume, fuzz_journal
+from repro.verify.journal import check_journal_resume, fuzz_journal, mode_stream
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -82,3 +84,23 @@ def test_history_that_loses_an_event_is_reported(monkeypatch):
     # absorbed, not only against other reads of the same journal.
     assert "live history != oracle" in outcome.divergences
     assert "reopened history != oracle" in outcome.divergences
+
+
+def test_sidecar_that_pins_short_of_the_group_is_reported(monkeypatch):
+    """A content digest taken without writing the held group out pins a
+    sidecar short of its own state-digest rider, so no resume can
+    restore it.  Only the record-by-record writer reaches that path: a
+    ``push_batch`` writer has written its group before every digest."""
+
+    original = CheckpointJournal.content_digest
+
+    def short_digest(self):
+        if self._scan is not None:  # a resume reading the journal
+            return original(self)
+        return self._size, self._content.hexdigest()
+
+    monkeypatch.setattr(CheckpointJournal, "content_digest", short_digest)
+    records, _options = mode_stream("plain", 64, 120, np.random.default_rng(0), 0)
+    assert check_journal_resume(records, num_pes=64).ok
+    outcome = check_journal_resume(records, num_pes=64, per_record=True)
+    assert "reopen did not restore the last sidecar" in outcome.divergences
