@@ -4,7 +4,7 @@ Not a paper artifact — this suite tracks the binary (framed) journal.
 Three layers are metered:
 
 * codec microbenches: encode/decode of wire-record batches as tagged
-  fixed-width records (the bench names keep the word "columnar" of the
+  records (the bench names keep the word "columnar" of the
   layout they replaced, so snapshots stay comparable),
 * replay: reopening a journaled session (the resume path), which
   decodes the batch frames,
@@ -162,11 +162,12 @@ def test_perf_ingest_journal_policy(benchmark, records, tmp_path, fsync_policy):
 
 #: Bytes per journaled record the batch frames must stay under.  The v1
 #: JSONL journal wrote ~94 B per record on this stream and the pickled
-#: columnar batches of v2 34.5 B; fixed-width v3 records take ~26.5 B in
-#: ``push_batch`` group commits and ~28 B pushed one by one under
-#: ``fsync=batch`` (the journal groups them between syncs; one frame
-#: per record took ~44.9 B).
-MAX_BYTES_PER_RECORD = 30
+#: columnar batches of v2 34.5 B; wide v3 records took ~26.5 B in
+#: ``push_batch`` group commits and ~28 B pushed one by one.  Narrow v4
+#: records take 10.8 B in ``push_batch`` group commits and 12.3 B pushed
+#: one by one under ``fsync=batch`` (the journal groups them between
+#: syncs), at N=256 and N=4096 alike.
+MAX_BYTES_PER_RECORD = 14
 
 
 def _assert_size_floor(path, records, wire_records):
@@ -180,7 +181,7 @@ def _assert_size_floor(path, records, wire_records):
 
 
 def test_journal_size_floor(records, wire_records, tmp_path):
-    """``push_batch`` frames take <= 30 B per record on the churn stream
+    """``push_batch`` frames take <= 14 B per record on the churn stream
     — and the journal replays exactly the records that went in."""
     session = _fresh_session(tmp_path, "batch")
     path = session._journal.path
@@ -190,7 +191,7 @@ def test_journal_size_floor(records, wire_records, tmp_path):
 
 def test_journal_push_size_floor(records, wire_records, tmp_path):
     """Records pushed one by one under ``fsync=batch`` share batch frames
-    between syncs: <= 30 B per record on the same stream."""
+    between syncs: <= 14 B per record on the same stream."""
     session = _fresh_session(tmp_path, "batch")
     path = session._journal.path
     for record in records:

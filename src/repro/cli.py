@@ -263,9 +263,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server emits an ``{"overloaded": true, ...}`` record and *stalls* —
     it commits the journal before reading on.  Signals keep their
     contract through the stall: SIGINT exits 130 and a closed reader
-    exits 141 (the session closes and commits in both cases).
+    exits 141 (the session closes and commits in both cases).  SIGTERM
+    stops the server once the line in hand is answered (at once while
+    it waits for input) and exits 0 through the same close and commit.
     """
     import asyncio
+    import signal
 
     from repro.service.shard.server import ServiceServer, StdioServer
 
@@ -283,6 +286,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
 
             async def _run() -> None:
+                asyncio.get_running_loop().add_signal_handler(
+                    signal.SIGTERM, asyncio.current_task().cancel
+                )
                 bound = await server.start()
                 print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr)
                 if server.metrics_address:
@@ -303,8 +309,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             # KeyboardInterrupt / BrokenPipeError propagate to main() for
             # the usual 130 / 141 exits; the finally below still commits.
-            for out in StdioServer(session).serve_lines(sys.stdin):
-                print(out, flush=True)
+            stdio = StdioServer(session)
+            before = signal.signal(signal.SIGTERM, lambda *_: stdio.stop())
+            try:
+                for out in stdio.serve_lines(sys.stdin):
+                    print(out, flush=True)
+            finally:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL if before is None else before)
     finally:
         # close() must run even if status() raises — it is the commit
         # point that makes a Ctrl-C / broken-pipe exit durable.
@@ -652,6 +663,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         FRAME_OVERHEAD,
         JOURNAL_MAGIC,
         decode_journal,
+        record_layouts,
         scan_frames,
     )
 
@@ -685,6 +697,16 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         f"{name}={counts[name]}" for name in sorted(counts)))
     print("bytes per kind     : " + " ".join(
         f"{name}={sizes[name]}" for name in sorted(sizes)))
+    if not cells:
+        # Records that fell back to the wide layout, per kind.
+        layouts = record_layouts(
+            (kind, payload) for kind, payload, start in frames if start < good_end
+        )
+        for label, narrow in (("narrow records     : ", True),
+                              ("wide records       : ", False)):
+            print(label + " ".join(
+                f"{kind}={layouts.get((kind, narrow), 0)}"
+                for kind in sorted({kind for kind, _narrow in layouts})))
     if bad_reason is not None and good_end < len(data):
         print(f"tail               : torn ({bad_reason}) at byte "
               f"{good_end}, {len(data) - good_end} byte(s) dropped")

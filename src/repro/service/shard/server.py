@@ -14,7 +14,8 @@ history — clients interleave at line granularity.  Without ``--listen``
 Under ``--fsync interval:<ms>`` the socket server also keeps one timer
 that syncs records left pending once the interval is up, so a client
 that goes quiet after a burst does not leave them in user space; the
-stdin server has no event loop and syncs at the next record instead.
+stdin server waits for input no longer than that and syncs when the
+wait runs out, on the same thread.
 
 A second, optional listener (``--metrics-port``) answers any HTTP GET
 with the Prometheus text exposition from :mod:`repro.service.metrics`:
@@ -27,8 +28,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import select
 import time as _time
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import ReproError
 from repro.service.metrics import process_memory, render_exposition, service_samples
@@ -293,6 +296,10 @@ async def _discard(reader: asyncio.StreamReader) -> None:
         pass
 
 
+class _Stopped(Exception):
+    """:meth:`StdioServer.stop` while the server waits for input."""
+
+
 class StdioServer(ServiceServer):
     """The same protocol over a line stream (stdin/stdout).
 
@@ -301,15 +308,72 @@ class StdioServer(ServiceServer):
     files on the server's host.
     """
 
+    def __init__(self, backend: AllocationSession, **kwargs: Any) -> None:
+        super().__init__(backend, **kwargs)
+        self._stopping = False
+        self._waiting = False  # blocked on input, between lines
+
     def _control(self, op: str, obj: dict[str, Any]) -> Any:
         if op == "save":
             self.backend.save_run(obj["path"])
             return {"saved": str(obj["path"])}
         return super()._control(op, obj)
 
+    def stop(self) -> None:
+        """End :meth:`serve_lines`: at once while it waits for input,
+        otherwise once the line being served is answered, so no session
+        update is cut short.  Safe to call from a signal handler."""
+        self._stopping = True
+        if self._waiting:
+            raise _Stopped
+
     def serve_lines(self, lines: Iterable[str]) -> Iterable[str]:
-        """Reply lines for a stream of client lines, in order."""
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip()
-            if text and not text.startswith("#"):
-                yield from self._serve_line(text, lineno)
+        """Reply lines for a stream of client lines, in order, until the
+        stream ends or :meth:`stop` is called.  A stream with a file
+        descriptor (stdin) is read through :meth:`_read_lines`."""
+        try:
+            fd = lines.fileno()  # type: ignore[attr-defined]
+        except (AttributeError, OSError, ValueError):
+            source = iter(lines)
+        else:
+            source = self._read_lines(fd)
+        try:
+            for lineno, line in enumerate(source, start=1):
+                if self._stopping:
+                    return
+                text = line.strip()
+                if text and not text.startswith("#"):
+                    yield from self._serve_line(text, lineno)
+        except _Stopped:
+            return
+
+    def _read_lines(self, fd: int) -> Iterator[str]:
+        """The lines read from ``fd``.  While an ``interval:<ms>`` policy
+        owes pending records a sync, input is awaited only until the sync
+        is due, and the journal is flushed when that wait runs out — on
+        this thread, so the journal has one user."""
+        pending = bytearray()  # input after the last complete line
+        while not self._stopping:
+            self._waiting = True
+            try:
+                due = self.backend.journal_sync_due
+                if due is not None and not select.select([fd], [], [], max(due, 0.0))[0]:
+                    chunk = None
+                else:
+                    chunk = os.read(fd, _LINE_LIMIT)
+            finally:
+                self._waiting = False
+            if chunk is None:
+                self.backend.flush()
+                continue
+            if not chunk:
+                break
+            pending += chunk
+            end = pending.rfind(b"\n", len(pending) - len(chunk))
+            if end >= 0:
+                lines = pending[:end].split(b"\n")
+                del pending[: end + 1]
+                for line in lines:
+                    yield line.decode("utf-8", errors="replace")
+        if pending:
+            yield pending.decode("utf-8", errors="replace")

@@ -16,9 +16,9 @@ never changes it.
 On disk the journal is a magic prefix and CRC-checked binary frames
 (:mod:`repro.sim.frames`)::
 
-    b"RJF3\\x00"
+    b"RJF4\\x00"
     [u32 len | u8 kind | u32 crc32] header-JSON           (FRAME_HEADER)
-    [u32 len | u8 kind | u32 crc32] i64 index + record    (FRAME_RECORD)
+    [u32 len | u8 kind | u32 crc32] record [+ i64 index]  (FRAME_RECORD)
     [u32 len | u8 kind | u32 crc32] i64 first + records   (FRAME_BATCH)
     [u32 len | u8 kind | u32 crc32] i64 index + JSON      (FRAME_JSON)
     [u32 len | u8 kind | u32 crc32] i64 index + riders    (FRAME_ATTACH)
@@ -26,10 +26,16 @@ On disk the journal is a magic prefix and CRC-checked binary frames
 
 A torn tail is detected *structurally* — a frame whose length prefix
 runs past EOF or whose payload fails its CRC — and a group commit of
-session records is a single batch frame of fixed-width records.  This is
-the only format: a v1 JSONL journal (its first byte is ``{``) or a v2
-journal (magic ``RJF2``) written by an older build is refused with a
-:class:`~repro.errors.CheckpointError` and left untouched.
+session records is a single batch frame of tagged records.  A session
+record with a whole time, a 32-bit id, a power-of-two size and unit work
+takes the narrow layout (10 bytes for an arrival, 9 for a departure),
+and a lone record frame names no index when it holds the record after
+the previous one: the journal's encoder starts a new file at index -1
+and, after the opening pass, at the last index the pass read.  This is
+the only format: a v1 JSONL journal (its first byte is ``{``), a v2
+journal (magic ``RJF2``) or a v3 journal (magic ``RJF3``) written by an
+older build is refused with a :class:`~repro.errors.CheckpointError`
+and left untouched.
 
 Nothing a :class:`CheckpointJournal` reads is unpickled, so a hostile
 journal file cannot run code in a session, ``repro journal dump`` or
@@ -96,7 +102,7 @@ from repro.sim import frames as _frames
 __all__ = ["CellJournal", "CheckpointJournal", "workload_fingerprint"]
 
 #: Header version of the framed journal; bump on an incompatible change.
-JOURNAL_VERSION = 3
+JOURNAL_VERSION = 4
 #: Read buffer of a pass over the journal file.
 _READ_BUFFER = 1 << 16
 #: Bytes of held records at which the group is written out without a
@@ -176,11 +182,13 @@ def legacy_refusal(path: Any, head: bytes) -> Optional[str]:
         name = "a v1 JSONL journal"
     elif head.startswith(_frames.JOURNAL_MAGIC_V2):
         name = "a v2 (RJF2, pickle-framed) journal"
+    elif head.startswith(_frames.JOURNAL_MAGIC_V3):
+        name = "a v3 (RJF3, wide-record) journal"
     else:
         return None
     return (
         f"{path} is {name} from an older build; this build reads only "
-        f"v{JOURNAL_VERSION} (RJF3) journals, which hold no pickles. Delete "
+        f"v{JOURNAL_VERSION} (RJF4) journals, which hold no pickles. Delete "
         "it and run again (--resume journals are caches: their cells are "
         "recomputed)"
     )
@@ -212,7 +220,7 @@ class CheckpointJournal:
     Payloads must survive JSON exactly (dicts with string keys, lists,
     strings, numbers, booleans, None); :meth:`record` raises
     :class:`TypeError` for any other, before writing.  ``{"record":
-    ...}`` payloads of the session schema take fixed-width frames
+    ...}`` payloads of the session schema take tagged-record frames
     (:mod:`repro.sim.frames`).
     """
 
@@ -270,6 +278,7 @@ class CheckpointJournal:
             )
             self._sync()
             self._opened = self._size
+            self._group.last = -1  # what a reader infers before record 0
             # The header is durable; make the new directory entry durable
             # too, or a power loss could drop the whole file.
             _fsync_dir(self.path.parent)
@@ -316,6 +325,7 @@ class CheckpointJournal:
                 fh.truncate(reader.end)
                 os.fsync(fh.fileno())
         self._size = self._opened = reader.end
+        self._group.last = reader.last
         self._fh = open(self.path, "ab", buffering=0)
 
     def _read_records(self, end: Optional[int]) -> Iterator[tuple[int, Any]]:

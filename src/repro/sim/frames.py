@@ -1,15 +1,16 @@
-"""Length-prefixed binary frames: the journal format (header version 3).
+"""Length-prefixed binary frames: the journal format (header version 4).
 
 Every durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal`,
 session and cell-bag alike) is a magic prefix followed by CRC-checked
 frames, and :class:`JournalReader` is its one decoder: a streaming pass
 that holds one frame in memory at a time (:func:`decode_journal` runs it
 over bytes).  Journals of older builds are not read at all: the journal
-refuses a v1 JSONL file or a v2 (``RJF2``) file on open.
+refuses a v1 JSONL file, a v2 (``RJF2``) file or a v3 (``RJF3``) file
+on open.
 
 Frame layout (all integers little-endian)::
 
-    magic   := b"RJF3\\x00"          (journal files only, once, at offset 0)
+    magic   := b"RJF4\\x00"          (journal files only, once, at offset 0)
     frame   := header payload
     header  := u32 payload_length | u8 kind | u32 crc32(payload)
 
@@ -31,24 +32,36 @@ kind              id    payload
 ``FRAME_BATCH``   4     i64 first index + tagged records back to back
 ``FRAME_ATTACH``  5     i64 index + JSON dict merged into the payload journaled
                         at ``index`` (``delta``/``state_sha256`` riders)
-``FRAME_RECORD``  6     i64 index + one tagged record
+``FRAME_RECORD``  6     one tagged record [+ i64 index]: without the index it
+                        is the record after the previous one
 ``FRAME_CELL``    7     a cell-bag result; decoded only by the cell-bag journal
 ================  ====  =========================================================
 
-A *tagged record* is the fixed-width encoding of the hot session
-record, ``{"kind", "time", "id"[, "size", "work"][, "slo"]}``: a ``u8``
-tag (kind in the low nibble, SLO mark in the high one), ``f64 time`` and
-``i64 id``, and for arrivals ``i64 size`` and ``f64 work`` — 33 bytes for
-an arrival, 17 for a departure or kill.  A ``{"record": ...}`` payload
-whose record fits takes a ``FRAME_RECORD`` (or a place in a
-``FRAME_BATCH``), its other keys following as a ``FRAME_ATTACH``; every
-other payload is a ``FRAME_JSON``.  :class:`PayloadEncoder` lays out the
-frames of one payload or many, incrementally: a journal holds the
-records it has not yet handed to the OS in one, so the records between
-two syncs share one ``FRAME_BATCH``.  Both codecs are exact: decoding
-rebuilds each dict key for key, in the order written, with the same
-value types, and the encoder refuses a payload neither can hold (a
-tuple, a non-string key, a numpy scalar) instead of approximating it.
+A *tagged record* encodes the hot session record, ``{"kind", "time",
+"id"[, "size", "work"][, "slo"]}``, behind a ``u8`` tag: the kind in
+bits 0-1, :data:`NARROW` (bit 3) for the narrow layout, the SLO mark in
+the high nibble.  The narrow layout is ``u32 time``, ``u32 id`` and, for
+arrivals, ``u8 log2(size)`` with no work field — 10 bytes for an
+arrival, 9 for a departure or kill — and holds a record whose time is a
+whole float in ``[0, 2**32)`` (not ``-0.0``), whose id is in ``[0,
+2**32)``, and, for an arrival, whose size is a power of two within int64
+and whose work is ``1.0``.  Every other record takes the wide layout,
+``f64 time`` and ``i64 id`` and for arrivals ``i64 size`` and ``f64
+work`` — 33 bytes for an arrival, 17 for a departure or kill.
+
+A ``{"record": ...}`` payload whose record fits takes a ``FRAME_RECORD``
+(or a place in a ``FRAME_BATCH``), its other keys following as a
+``FRAME_ATTACH``; every other payload is a ``FRAME_JSON``.  A
+``FRAME_RECORD`` names its index after the record only when the index
+is not the one after the previous record-bearing frame's last (the
+first record of a journal follows index -1); :class:`JournalReader`
+infers the rest.  :class:`PayloadEncoder` lays out the frames of one
+payload or many, incrementally: a journal holds the records it has not
+yet handed to the OS in one, so the records between two syncs share one
+``FRAME_BATCH``.  Both codecs are exact: decoding rebuilds each dict key
+for key, in the order written, with the same value types, and the
+encoder refuses a payload neither can hold (a tuple, a non-string key,
+a numpy scalar) instead of approximating it.
 
 Nothing here unpickles.  ``FRAME_CELL`` frames hold pickled results of
 local cell bags (:class:`~repro.sim.checkpoint.CellJournal`); a reader
@@ -61,6 +74,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import zlib
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
@@ -76,12 +90,16 @@ __all__ = [
     "FRAME_OVERHEAD",
     "JOURNAL_MAGIC",
     "JOURNAL_MAGIC_V2",
+    "JOURNAL_MAGIC_V3",
+    "NARROW",
     "FrameError",
     "JournalReader",
     "frame_bytes",
     "read_frame",
     "scan_frames",
     "pack_record",
+    "record_layouts",
+    "record_length",
     "unpack_records",
     "PayloadEncoder",
     "encode_payloads",
@@ -89,9 +107,11 @@ __all__ = [
     "iter_journal_payloads",
 ]
 
-JOURNAL_MAGIC = b"RJF3\x00"
+JOURNAL_MAGIC = b"RJF4\x00"
 #: The magic of the pickle-based v2 format, recognised only to refuse it.
 JOURNAL_MAGIC_V2 = b"RJF2\x00"
+#: The magic of the wide-record v3 format, recognised only to refuse it.
+JOURNAL_MAGIC_V3 = b"RJF3\x00"
 
 FRAME_HEADER = 1
 FRAME_JSON = 3
@@ -198,14 +218,26 @@ def scan_frames(
 
 # -- Tagged records ------------------------------------------------------------
 #
-# tag = kind | mark << 4
+# tag = kind | NARROW? | mark << 4
 #   kind: 0 arrival, 1 departure, 2 kill
 #   mark: 0 none, 1 queue, 2 reject, 3 cancel, 4 dequeue
-# arrival            <B d q q d>  tag, time, id, size, work   (33 B)
-# departure / kill   <B d q>      tag, time, id               (17 B)
+# narrow arrival     <B I I B>    tag, time, id, log2(size)   (10 B; work 1.0)
+# narrow dep. / kill <B I I>      tag, time, id               (9 B)
+# wide arrival       <B d q q d>  tag, time, id, size, work   (33 B)
+# wide dep. / kill   <B d q>      tag, time, id               (17 B)
 
+#: The tag bit of the narrow layout.
+NARROW = 0x08
 _ARRIVAL = struct.Struct("<Bdqqd")
 _SHORT = struct.Struct("<Bdq")
+_NARROW_ARRIVAL = struct.Struct("<BIIB")
+_NARROW_SHORT = struct.Struct("<BII")
+#: 2**e for every size exponent a narrow arrival may carry: sizes stay
+#: within int64, and a larger exponent is corrupt, never a huge int.
+_POW2 = tuple(1 << e for e in range(63))
+_EXPONENTS = {size: e for e, size in enumerate(_POW2)}
+_trunc = math.trunc
+_copysign = math.copysign
 _KINDS = ("arrival", "departure", "kill")
 _MARKS = (None, "queue", "reject", "cancel", "dequeue")
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
@@ -219,14 +251,22 @@ _SHAPES = {
 }
 #: tag -> (kind, mark, layout) for every tag an encoder writes.
 _TAGS = {
-    k | m << 4: (kind, mark, _ARRIVAL if k == 0 else _SHORT)
+    k | narrow | m << 4: (
+        kind,
+        mark,
+        (_NARROW_ARRIVAL if narrow else _ARRIVAL)
+        if k == 0
+        else (_NARROW_SHORT if narrow else _SHORT),
+    )
     for k, kind in enumerate(_KINDS)
     for m, mark in enumerate(_MARKS)
+    for narrow in (0, NARROW)
 }
 
 
 def pack_record(record: Mapping[str, Any]) -> Optional[bytes]:
-    """The tagged encoding of one session record, or ``None`` when it
+    """The tagged encoding of one session record — narrow when every
+    field fits the narrow layout, wide otherwise — or ``None`` when it
     cannot hold the record exactly: another key or key order, a time or
     work that is not a ``float``, an id or size that is not an ``int``
     within int64, an unknown kind or SLO mark."""
@@ -246,54 +286,112 @@ def pack_record(record: Mapping[str, Any]) -> Optional[bytes]:
         if code is None:
             return None
         tag |= code << 4
+    if arrival:
+        size, work = record["size"], record["work"]
+        if type(size) is not int or type(work) is not float:
+            return None
+    # Narrow when the time is whole and not -0.0, the size a power of two
+    # within int64 and the work 1.0; struct refuses a time or id outside
+    # u32, and the record is then wide.
+    if t.is_integer() and (t or _copysign(1.0, t) > 0):
+        try:
+            if not arrival:
+                return _NARROW_SHORT.pack(tag | NARROW, _trunc(t), tid)
+            exponent = _EXPONENTS.get(size) if work == 1.0 else None
+            if exponent is not None:
+                return _NARROW_ARRIVAL.pack(tag | NARROW, _trunc(t), tid, exponent)
+        except struct.error:
+            pass
     try:
         if arrival:
-            size, work = record["size"], record["work"]
-            if type(size) is not int or type(work) is not float:
-                return None
             return _ARRIVAL.pack(tag, t, tid, size, work)
         return _SHORT.pack(tag, t, tid)
     except struct.error:  # an id or size outside int64
         return None
 
 
+def record_length(data: bytes, pos: int = 0) -> int:
+    """The byte length of the tagged record at ``data[pos]``, read from
+    its tag.  Raises :class:`FrameError` on an unknown tag."""
+    spec = _TAGS.get(data[pos])
+    if spec is None:
+        raise FrameError(f"unknown record tag {data[pos]}")
+    return spec[2].size
+
+
+def record_layouts(
+    frames: Iterable[tuple[int, bytes]],
+) -> dict[tuple[str, bool], int]:
+    """``(record kind, narrow?) -> count`` over the tagged records of the
+    ``(frame kind, payload)`` pairs given, read from the tags alone (other
+    frames are skipped).  Raises :class:`FrameError` on an unknown tag."""
+    counts: dict[tuple[str, bool], int] = {}
+    for kind, payload in frames:
+        if kind == FRAME_RECORD:
+            pos, end = 0, record_length(payload)
+        elif kind == FRAME_BATCH:
+            pos, end = _I64.size, len(payload)
+        else:
+            continue
+        while pos < end:
+            length = record_length(payload, pos)
+            tag = payload[pos]
+            key = (_TAGS[tag][0], bool(tag & NARROW))
+            counts[key] = counts.get(key, 0) + 1
+            pos += length
+    return counts
+
+
 def unpack_records(data: bytes, pos: int = 0) -> list[dict[str, Any]]:
     """Every tagged record in ``data[pos:]``, rebuilt key for key.
 
-    Raises :class:`FrameError` on an unknown tag and :class:`struct.error`
-    when the data ends inside a record.
+    Raises :class:`FrameError` on an unknown tag or a size exponent
+    beyond int64, and :class:`struct.error` when the data ends inside a
+    record.
     """
     out: list[dict[str, Any]] = []
     end = len(data)
-    arrival, short = _ARRIVAL.unpack_from, _SHORT.unpack_from
-    while pos < end:
-        tag = data[pos]
-        if tag == 0:  # the two hot tags first: an unmarked arrival...
-            _tag, t, tid, size, work = arrival(data, pos)
-            out.append(
-                {"kind": "arrival", "time": t, "id": tid, "size": size, "work": work}
-            )
-            pos += 33
-            continue
-        if tag == 1:  # ... and an unmarked departure
-            _tag, t, tid = short(data, pos)
-            out.append({"kind": "departure", "time": t, "id": tid})
-            pos += 17
-            continue
-        spec = _TAGS.get(tag)
-        if spec is None:
-            raise FrameError(f"unknown record tag {tag}")
-        kind, mark, layout = spec
-        if layout is _ARRIVAL:
-            _tag, t, tid, size, work = arrival(data, pos)
-            record = {"kind": kind, "time": t, "id": tid, "size": size, "work": work}
-        else:
-            _tag, t, tid = short(data, pos)
-            record = {"kind": kind, "time": t, "id": tid}
-        if mark is not None:
-            record["slo"] = mark
-        out.append(record)
-        pos += layout.size
+    narrow, narrow_short = _NARROW_ARRIVAL.unpack_from, _NARROW_SHORT.unpack_from
+    pow2 = _POW2
+    exponent = 0
+    try:
+        while pos < end:
+            tag = data[pos]
+            # The two hot tags first: an unmarked narrow arrival...
+            if tag == NARROW:
+                _tag, t, tid, exponent = narrow(data, pos)
+                out.append({"kind": "arrival", "time": float(t), "id": tid,
+                            "size": pow2[exponent], "work": 1.0})
+                pos += 10
+                continue
+            if tag == NARROW | 1:  # ... and an unmarked narrow departure
+                _tag, t, tid = narrow_short(data, pos)
+                out.append({"kind": "departure", "time": float(t), "id": tid})
+                pos += 9
+                continue
+            spec = _TAGS.get(tag)
+            if spec is None:
+                raise FrameError(f"unknown record tag {tag}")
+            kind, mark, layout = spec
+            if layout is _NARROW_ARRIVAL:
+                _tag, t, tid, exponent = narrow(data, pos)
+                record = {"kind": kind, "time": float(t), "id": tid,
+                          "size": pow2[exponent], "work": 1.0}
+            elif layout is _NARROW_SHORT:
+                _tag, t, tid = narrow_short(data, pos)
+                record = {"kind": kind, "time": float(t), "id": tid}
+            elif layout is _ARRIVAL:
+                _tag, t, tid, size, work = layout.unpack_from(data, pos)
+                record = {"kind": kind, "time": t, "id": tid, "size": size, "work": work}
+            else:
+                _tag, t, tid = layout.unpack_from(data, pos)
+                record = {"kind": kind, "time": t, "id": tid}
+            if mark is not None:
+                record["slo"] = mark
+            out.append(record)
+            pos += layout.size
+    except IndexError:  # only an exponent indexes out of range
+        raise FrameError(f"size exponent {exponent} beyond int64") from None
     return out
 
 
@@ -331,11 +429,6 @@ def _tagged(value: Any) -> Optional[bytes]:
     return None
 
 
-#: Bytes a run of tagged records takes besides its records: the frame
-#: header and the i64 first index.
-_RUN_OVERHEAD = FRAME_OVERHEAD + _I64.size
-
-
 class PayloadEncoder:
     """The frames of ``(index, payload)`` pairs, built one pair at a time
     and held until :meth:`take` hands them on.
@@ -343,17 +436,24 @@ class PayloadEncoder:
     Each run of tagged payloads with consecutive indices becomes one
     ``FRAME_BATCH`` (a run of one a ``FRAME_RECORD``), the riders of its
     payloads following as ``FRAME_ATTACH`` frames; every other payload is
-    a ``FRAME_JSON``, which ends the run before it.  :attr:`size` is the
-    byte length :meth:`take` will return and :attr:`count` the payloads
-    held.  A payload JSON cannot hold exactly raises :class:`TypeError`
-    before anything is held.
+    a ``FRAME_JSON``, which ends the run before it.  A ``FRAME_RECORD``
+    leaves its index out when it is ``last + 1``.  :attr:`last` is the
+    index of the last payload framed, kept across :meth:`take` calls, and
+    must match what a reader of every frame before them infers: -1 before
+    a journal's first record, None when unknown (the next record frame
+    then names its index).  :attr:`size` is the byte length :meth:`take`
+    will return and :attr:`count` the payloads held.  A payload JSON
+    cannot hold exactly raises :class:`TypeError` before anything is
+    held.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, last: Optional[int] = None) -> None:
         self._done = bytearray()  # the frames before the open run
         self._blobs: list[bytes] = []  # the open run's tagged records
         self._riders = bytearray()  # its FRAME_ATTACH frames
         self._first = self._following = 0
+        self._implicit = False  # may the open run, as a record, omit its index?
+        self.last = last
         self.size = 0
         self.count = 0
 
@@ -374,11 +474,15 @@ class PayloadEncoder:
         if blob is None:
             self._end_run()
             self._done += frame
+            self.last = index
             return False
         if not self._blobs or index != self._following:
             self._end_run()
             self._first = index
-            self.size += _RUN_OVERHEAD
+            self._implicit = self.last is not None and index == self.last + 1
+            self.size += FRAME_OVERHEAD + (0 if self._implicit else _I64.size)
+        elif len(self._blobs) == 1 and self._implicit:
+            self.size += _I64.size  # a batch names its first index
         self._following = index + 1
         self._blobs.append(blob)
         self._riders += frame
@@ -388,11 +492,16 @@ class PayloadEncoder:
     def _end_run(self) -> None:
         blobs = self._blobs
         if blobs:
-            kind = FRAME_RECORD if len(blobs) == 1 else FRAME_BATCH
-            run = _I64.pack(self._first) + b"".join(blobs)
-            self._done += frame_bytes(kind, run)
+            if len(blobs) > 1:
+                run = frame_bytes(FRAME_BATCH, _I64.pack(self._first) + b"".join(blobs))
+            elif self._implicit:
+                run = frame_bytes(FRAME_RECORD, blobs[0])
+            else:
+                run = frame_bytes(FRAME_RECORD, blobs[0] + _I64.pack(self._first))
+            self._done += run
             self._done += self._riders
             self._blobs, self._riders = [], bytearray()
+            self.last = self._following - 1
 
     def add(self, index: int, value: Any) -> bool:
         """Hold the frames of one payload.  True when it joined a run of
@@ -417,7 +526,8 @@ class PayloadEncoder:
 
 def encode_payloads(items: Iterable[tuple[int, Any]]) -> bytes:
     """The frames of ``(index, payload)`` pairs, in order, as one
-    :class:`PayloadEncoder` lays them out."""
+    :class:`PayloadEncoder` lays them out after frames it knows nothing
+    of (so every record frame names its index)."""
     encoder = PayloadEncoder()
     encoder.add_many(items)
     return encoder.take()
@@ -437,7 +547,7 @@ def _index(payload: bytes) -> int:
 
 
 class JournalReader:
-    """One streaming pass over a v3 journal, one frame in memory at a time.
+    """One streaming pass over a v4 journal, one frame in memory at a time.
 
     :meth:`read_header` reads the magic and the header frame; iterating
     then yields ``(index, payload)`` for every record in file order (a
@@ -447,7 +557,9 @@ class JournalReader:
     frame shows no more attachments can follow, so at each yield
     :attr:`end` is the offset just past that frame's group and ``digest``
     (a :mod:`hashlib` object, optional) has absorbed exactly the bytes
-    before it.  :attr:`records` counts the records yielded.
+    before it.  :attr:`records` counts the records yielded, and
+    :attr:`last` is the index of the last record decoded (-1 before the
+    first), which an index-free ``FRAME_RECORD`` follows.
 
     ``cells`` decodes a ``FRAME_CELL`` payload into ``(index, value)``;
     only a cell-bag journal passes one.  Without it a cell frame is
@@ -473,6 +585,7 @@ class JournalReader:
         self._cells = cells
         self.end = 0
         self.records = 0
+        self.last = -1
         self.reason: Optional[str] = None
 
     def read_header(self) -> Optional[dict]:
@@ -505,25 +618,40 @@ class JournalReader:
         return header if isinstance(header, dict) else None
 
     def _decode(self, kind: int, payload: bytes) -> tuple[int, list]:
-        """``(first index, payloads)`` of a record-bearing frame."""
+        """``(first index, payloads)`` of a record-bearing frame; moves
+        :attr:`last` past them."""
         if kind == FRAME_RECORD:
-            records = unpack_records(payload, _I64.size)
-            if len(records) != 1:
+            length = record_length(payload)
+            (record,) = unpack_records(payload[:length])
+            extra = len(payload) - length
+            if extra == 0:
+                index = self.last + 1
+            elif extra == _I64.size:
+                index = _I64.unpack_from(payload, length)[0]
+            else:
                 raise _Corrupt("record frame without exactly one record")
-            return _I64.unpack_from(payload)[0], [{"record": records[0]}]
+            self.last = index
+            return index, [{"record": record}]
         if kind == FRAME_BATCH:
-            records = unpack_records(payload, _I64.size)
-            return _index(payload), [{"record": record} for record in records]
+            first = _index(payload)
+            items = [{"record": record} for record in unpack_records(payload, _I64.size)]
+            if items:
+                self.last = first + len(items) - 1
+            return first, items
         if kind == FRAME_JSON:
-            return _index(payload), [json.loads(payload[_I64.size:])]
-        if kind == FRAME_CELL and self._cells is not None:
+            index = _index(payload)
+            value = json.loads(payload[_I64.size:])
+        elif kind == FRAME_CELL and self._cells is not None:
             index, value = self._cells(payload)
-            return int(index), [value]
-        if kind == FRAME_CELL:
+            index = int(index)
+        elif kind == FRAME_CELL:
             raise _Corrupt("cell-bag frame outside a cell-bag journal")
-        if kind == FRAME_HEADER:
+        elif kind == FRAME_HEADER:
             return 0, []
-        raise _Corrupt(f"unknown frame kind {kind}")
+        else:
+            raise _Corrupt(f"unknown frame kind {kind}")
+        self.last = index
+        return index, [value]
 
     def __iter__(self) -> Iterator[tuple[int, Any]]:
         stream, size, feed = self._stream, self._size, self._digest
@@ -577,7 +705,7 @@ class JournalReader:
 def decode_journal(
     data: bytes,
 ) -> tuple[Optional[dict], dict[int, Any], int, Optional[str]]:
-    """Decode a whole v3 journal (magic included): :class:`JournalReader`
+    """Decode a whole v4 journal (magic included): :class:`JournalReader`
     over an in-memory buffer, without a cell decoder.
 
     Returns ``(header, payloads, good_end, bad_reason)``.  ``header`` is
@@ -599,11 +727,11 @@ def decode_journal(
 
 
 def iter_journal_payloads(path: Any) -> list[tuple[int, Any]]:
-    """``(index, payload)`` pairs of a v3 journal, corrupt-tail tolerant.
+    """``(index, payload)`` pairs of a v4 journal, corrupt-tail tolerant.
 
     Decoding stops silently at the first bad frame (see
     :func:`decode_journal`), a cell-bag frame included; an unreadable
-    file, or one that is not a v3 journal (v1 and v2 journals included),
+    file, or one that is not a v4 journal (v1 to v3 journals included),
     yields ``[]``.  Duplicate indices keep the last occurrence (the
     journals' last-wins contract); pairs come back in first-seen index
     order.

@@ -1,9 +1,10 @@
 """The crash-resume referee: a killed journal resumes to its surviving prefix.
 
-The journal buys its throughput with liberties — fixed-width tagged
-records with a JSON fallback, O(1) delta riders instead of full-state
-digests between full-checkpoint crossings, and batch frames that pack
-every record between two syncs into one frame.  None of them may be
+The journal buys its throughput with liberties — narrow or wide tagged
+records with a JSON fallback, record frames whose index is implied by
+the frame before, O(1) delta riders instead of full-state digests
+between full-checkpoint crossings, and batch frames that pack every
+record between two syncs into one frame.  None of them may be
 observable: a journaled session must resume to *bit-identical* state,
 and a journal killed mid-delta-window (after a delta rider, before the
 next state digest) must recover exactly the surviving hole-free prefix

@@ -103,16 +103,16 @@ def test_torn_coalesced_batch_loses_exactly_its_group(tmp_path, policy):
     history = records_from_events(whole.events)
     whole.close()
     groups = [
-        (start, int.from_bytes(payload[:8], "little", signed=True))
+        (start, len(payload), int.from_bytes(payload[:8], "little", signed=True))
         for kind, payload, start in _frames(data)
         if kind == FRAME_BATCH
     ]
     assert len(groups) >= 4
-    start, first = groups[len(groups) // 2]
+    start, length, first = groups[len(groups) // 2]
     assert first > 0
 
     killed = tmp_path / "killed.journal"
-    killed.write_bytes(data[: start + 40])  # inside the batch frame
+    killed.write_bytes(data[: start + 9 + length // 2])  # inside the batch frame
     with pytest.warns(UserWarning, match="corrupt tail"):
         resumed = _session(killed, policy)
     try:

@@ -33,7 +33,7 @@ from repro.kernel import KERNEL_STATE_VERSION
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
 from repro.service.session import _state_digest
-from repro.sim.checkpoint import CheckpointJournal
+from repro.sim.checkpoint import JOURNAL_VERSION, CheckpointJournal
 from repro.sim.frames import (
     FRAME_ATTACH,
     FRAME_BATCH,
@@ -43,6 +43,7 @@ from repro.sim.frames import (
     frame_bytes,
     iter_journal_payloads,
     pack_record,
+    record_length,
     scan_frames,
     unpack_records,
 )
@@ -50,9 +51,10 @@ from repro.workloads.generators import poisson_sequence
 
 SNAP, FULL = 4, 16
 GOLDEN_DIGEST = "585ac1f50c49ab5dca26c4d485aec71874622c33e054676e8fbbb4d35c0776fd"
-#: sha256 of the journal that ``push_batch`` writes for ``_golden_stream``.
+#: sha256 of the journal that ``push_batch`` writes for ``_golden_stream``
+#: (format v4; the v3 build's journal was 3d581036...5bebce9).
 GOLDEN_JOURNAL_SHA256 = (
-    "3d581036ea46d11cf854d7cdcd153a47415f439220211a9187e0091ac5bebce9"
+    "11aea5abe5c6b2e7f0052dcd5b0487f432e90519afbd2c5b7d4d511b124e9f54"
 )
 #: The ``(index, payload)`` pairs and header the v2 (pickle-framed) build
 #: journaled for the same stream, decoded by that build and saved as JSON.
@@ -224,10 +226,11 @@ class TestTamperDetection:
         tampered = False
         for kind, payload, _pos in frames:
             if kind == FRAME_RECORD and not tampered:
-                (rec,) = unpack_records(payload, 8)
+                length = record_length(payload)
+                (rec,) = unpack_records(payload[:length])
                 if rec["kind"] == "arrival":
                     rec["size"] = max(1, rec["size"] // 2)
-                    payload = payload[:8] + pack_record(rec)
+                    payload = pack_record(rec) + payload[length:]
                     tampered = True
             out += frame_bytes(kind, payload)
         assert tampered
@@ -345,7 +348,7 @@ class TestGoldenBatchJournal:
         assert new == old
         assert _typed(new) == _typed(old)
         header = decode_journal(journal.read_bytes())[0]
-        assert header == dict(earlier["header"], version=3)
+        assert header == dict(earlier["header"], version=JOURNAL_VERSION)
         assert header["workload"]["kernel_state"] == KERNEL_STATE_VERSION
 
     def test_earlier_build_journal_is_refused(self, tmp_path):

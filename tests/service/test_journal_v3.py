@@ -1,4 +1,4 @@
-"""Journal format v3: hostile journals never run code, and the codec is exact.
+"""Journal formats v3 and v4: hostile journals never run code, and the codec is exact.
 
 No reader of a session journal unpickles.  Each hostile journal below
 carries a pickle whose ``__reduce__`` would create a marker file; a
@@ -84,7 +84,7 @@ def _v2_with_pickle(tmp_path, marker):
 
 
 def _v3_with_cell_frame(tmp_path, marker):
-    """A real ``RJF3`` session journal with a cell frame after its third
+    """A real session journal with a cell frame after its third
     record frame, and real frames after that."""
     path = tmp_path / "hostile.journal"
     _real_journal(path)
@@ -264,10 +264,15 @@ class TestExactRoundTrip:
     def test_hot_records_take_fixed_width_frames(self):
         arrival = {"record": _hot("arrival", 0.0, 0, 2, 1.0)}
         departure = {"record": _hot("departure", 1.0, 0)}
-        assert len(encode_payloads([(0, arrival)])) == 9 + 8 + 33  # 50 B
-        assert len(encode_payloads([(1, departure)])) == 9 + 8 + 17
+        # Narrow records: 10 B per arrival, 9 B per departure.
+        assert len(encode_payloads([(0, arrival)])) == 9 + 8 + 10
+        assert len(encode_payloads([(1, departure)])) == 9 + 8 + 9
         batch = encode_payloads([(0, arrival), (1, departure)])
-        assert len(batch) == 9 + 8 + 33 + 17
+        assert len(batch) == 9 + 8 + 10 + 9
+        # A record frame after the record before it infers its index.
+        encoder = PayloadEncoder(last=-1)
+        encoder.add(0, arrival)
+        assert len(encoder.take()) == 9 + 10
 
     @pytest.mark.parametrize("tid", EDGE_INTS)
     @pytest.mark.parametrize("size", EDGE_INTS[:4] + EDGE_INTS[-2:])

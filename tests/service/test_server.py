@@ -9,6 +9,14 @@ wire a ``repro serve --listen`` client sees.
 
 import asyncio
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from repro.core.registry import make_algorithm
 from repro.machines.tree import TreeMachine
@@ -550,3 +558,110 @@ class TestResumeGauges:
         resumed = open_backend()
         assert self._gauges(resumed) == (8, 3)
         resumed.close()
+
+
+# -- The ``repro serve`` process: quiet stdin syncs, SIGTERM commits ---------------
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _serve_process(journal, *args):
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--journal", str(journal), *args],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+def _churn_lines(count):
+    """``count`` records at N=256: each task arrives, then departs."""
+    lines = []
+    for i in range(count // 2):
+        lines.append(json.dumps(
+            {"kind": "arrival", "time": float(2 * i), "id": i, "size": 1 << (i % 4)}
+        ))
+        lines.append(json.dumps({"kind": "departure", "time": float(2 * i + 1), "id": i}))
+    return lines
+
+
+def _resumed_events(journal):
+    """Events a restart on ``journal`` resumes, as stderr and status report them."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--n", "256", "--journal", str(journal)],
+        input=b'{"op":"status"}\n', capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    match = re.search(rb"resumed (\d+) event\(s\)", proc.stderr)
+    status = json.loads(proc.stdout.splitlines()[0])
+    assert match and int(match.group(1)) == status["events"], proc.stderr
+    return status["events"]
+
+
+class TestStdinQuietIntervalSync:
+    def test_quiet_stdin_server_syncs_its_last_records(self, tmp_path):
+        """The stdin server waits for input no longer than the sync it
+        owes: 3 arrivals under ``interval:50`` and 300 ms of quiet leave
+        all 3 in the file while the server still runs."""
+        journal = tmp_path / "s.journal"
+        proc = _serve_process(journal, "--n", "64", "--fsync", "interval:50")
+        try:
+            for i in range(3):
+                proc.stdin.write(json.dumps(
+                    {"kind": "arrival", "time": float(i), "id": i, "size": 2}
+                ).encode() + b"\n")
+                proc.stdin.flush()
+                assert json.loads(proc.stdout.readline())["task_id"] == i
+            time.sleep(0.3)
+            journaled = decode_journal(journal.read_bytes())[1]
+            assert [p["record"]["id"] for p in journaled.values()] == [0, 1, 2]
+        finally:
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+
+
+class TestSigterm:
+    """SIGTERM stops ``repro serve`` through the close that commits the
+    journal: under ``--fsync batch`` no answered record is lost."""
+
+    COUNT = 1600
+
+    def test_socket_server(self, tmp_path):
+        journal = tmp_path / "s.journal"
+        proc = _serve_process(
+            journal, "--n", "256", "--fsync", "batch", "--listen", "127.0.0.1:0"
+        )
+        try:
+            line = proc.stderr.readline().decode()
+            host, port = re.search(r"listening on (\S+):(\d+)", line).groups()
+            lines = _churn_lines(self.COUNT)
+            with socket.create_connection((host, int(port)), timeout=60) as conn:
+                replies = conn.makefile("rb")
+                for start in range(0, len(lines), 100):
+                    chunk = lines[start : start + 100]
+                    conn.sendall("".join(line + "\n" for line in chunk).encode())
+                    for _line in chunk:
+                        assert "error" not in json.loads(replies.readline())
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+        assert _resumed_events(journal) == self.COUNT
+
+    def test_stdin_server(self, tmp_path):
+        journal = tmp_path / "s.journal"
+        proc = _serve_process(journal, "--n", "256", "--fsync", "batch")
+        try:
+            for line in _churn_lines(self.COUNT):
+                proc.stdin.write(line.encode() + b"\n")
+                proc.stdin.flush()
+                assert "error" not in json.loads(proc.stdout.readline())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+        assert _resumed_events(journal) == self.COUNT

@@ -21,6 +21,7 @@ from repro.sim.frames import (
     JOURNAL_MAGIC,
     frame_bytes,
     pack_record,
+    record_length,
     scan_frames,
     unpack_records,
 )
@@ -204,11 +205,14 @@ class TestResume:
         data = journal.read_bytes()
         frames, _end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
         out = bytearray(JOURNAL_MAGIC)
+        tampered = False
         for kind, payload, _pos in frames:
-            if kind == FRAME_RECORD and payload[:8] == bytes(8):  # event 0
-                (record,) = unpack_records(payload, 8)
+            if kind == FRAME_RECORD and not tampered:  # event 0
+                length = record_length(payload)
+                (record,) = unpack_records(payload[:length])
                 record["size"] = 1  # not what the digest saw
-                payload = payload[:8] + pack_record(record)
+                payload = pack_record(record) + payload[length:]
+                tampered = True
             out += frame_bytes(kind, payload)
         journal.write_bytes(bytes(out))
 

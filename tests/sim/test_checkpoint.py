@@ -23,6 +23,7 @@ from repro.sim.frames import (
     FRAME_JSON,
     FRAME_RECORD,
     JOURNAL_MAGIC,
+    PayloadEncoder,
     decode_journal,
     encode_payloads,
     frame_bytes,
@@ -360,9 +361,13 @@ class TestGroupCommit:
             size = path.stat().st_size
             for index, value in items:
                 journal.record(index, value)
-        assert path.read_bytes()[size:] == b"".join(
-            encode_payloads([item]) for item in items
-        )
+        # Each record follows the one before it, so no frame names its index.
+        encoder = PayloadEncoder(last=-1)
+        expected = b""
+        for item in items:
+            encoder.add(*item)
+            expected += encoder.take()
+        assert path.read_bytes()[size:] == expected
 
     def test_payload_json_cannot_hold_leaves_group_and_file_unchanged(self, tmp_path):
         path = tmp_path / "j.ckpt"
@@ -386,7 +391,8 @@ class TestGroupCommit:
         with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
             size = path.stat().st_size
             journal.record(0, _arrival(0))
-            assert (journal.pending, journal.pending_bytes) == (1, 9 + 8 + 33)
+            # A narrow arrival in a record frame that infers its index.
+            assert (journal.pending, journal.pending_bytes) == (1, 9 + 10)
             journal.record(1, dict(_arrival(1), delta={"events": 2}))
             journal.record(2, "json")  # writes the group out, then itself
             assert journal.pending == 3
@@ -395,7 +401,7 @@ class TestGroupCommit:
             pending_bytes = journal.pending_bytes
             written = path.stat().st_size
             journal.commit()
-            assert path.stat().st_size - written == 9 + 8 + 33
+            assert path.stat().st_size - written == 9 + 10
             assert pending_bytes == path.stat().st_size - size
             assert (journal.pending, journal.pending_bytes) == (0, 0)
 
@@ -404,12 +410,12 @@ class TestGroupCommit:
         with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
             size = path.stat().st_size
             index = 0
-            while journal.pending_bytes + 33 < GROUP_LIMIT:
+            while journal.pending_bytes + 10 < GROUP_LIMIT:
                 journal.record(index, _arrival(index))
                 index += 1
             assert path.stat().st_size == size  # still held
             journal.record(index, _arrival(index))
-            assert path.stat().st_size - size == 9 + 8 + 33 * (index + 1)
+            assert path.stat().st_size - size == 9 + 8 + 10 * (index + 1)
             assert path.stat().st_size - size >= GROUP_LIMIT
             assert journal.pending == index + 1  # written, not yet fsynced
         assert _frame_kinds(path) == [FRAME_HEADER, FRAME_BATCH]

@@ -666,6 +666,35 @@ class TestJournalDump:
         fields = self._fields(capsys.readouterr().out)
         assert "does not verify" in fields["state sidecar"]
 
+    def test_stats_count_narrow_and_wide_records(self, capsys, tmp_path):
+        """Records whose fields fit take the narrow layout; the others fall
+        back to the wide one, and the dump counts both per kind."""
+        journal = tmp_path / "s.journal"
+        self._journal(journal)
+        assert main(["journal", "dump", str(journal), "--stats"]) == 0
+        fields = self._fields(capsys.readouterr().out)
+        assert fields["narrow records"] == "arrival=40 departure=40"
+        assert fields["wide records"] == "arrival=0 departure=0"
+
+        from repro.core.registry import make_algorithm
+        from repro.machines.tree import TreeMachine
+        from repro.service import AllocationSession
+
+        mixed = tmp_path / "mixed.journal"
+        machine = TreeMachine(8)
+        session = AllocationSession(
+            machine, make_algorithm("greedy", machine, d=2.0), journal_path=mixed,
+        )
+        session.push({"kind": "arrival", "time": 1.0, "size": 2, "id": 0})
+        session.push({"kind": "arrival", "time": 1.5, "size": 2, "id": 1})
+        session.push({"kind": "arrival", "time": 2.0, "size": 1, "id": 2, "work": 3.0})
+        session.push({"kind": "departure", "time": 2.5, "id": 0})
+        session.close()
+        assert main(["journal", "dump", str(mixed), "--stats"]) == 0
+        fields = self._fields(capsys.readouterr().out)
+        assert fields["narrow records"] == "arrival=1 departure=0"
+        assert fields["wide records"] == "arrival=2 departure=1"
+
     def test_earlier_build_journal_is_refused(self, capsys, monkeypatch):
         """A v2 journal holds pickles: dump refuses it with one line naming
         the format, and never decodes it."""
