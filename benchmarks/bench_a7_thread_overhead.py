@@ -11,8 +11,10 @@ import numpy as np
 from benchmarks.conftest import record_report
 from repro.analysis.experiments import experiment_thread_overhead
 from repro.core.greedy import GreedyAlgorithm
+from repro.kernel import AllocationKernel
 from repro.machines.tree import TreeMachine
 from repro.sched.roundrobin import SchedulerConfig, simulate_round_robin
+from repro.tasks.events import Arrival
 from repro.tasks.task import Task
 from repro.types import TaskId
 
@@ -24,8 +26,10 @@ def test_a7_thread_overhead(benchmark):
         for i in range(64)
     ]
     machine = TreeMachine(64)
-    algo = GreedyAlgorithm(machine)
-    placements = {t.task_id: algo.on_arrival(t).node for t in tasks}
+    kernel = AllocationKernel(machine, GreedyAlgorithm(machine))
+    for t in tasks:
+        kernel.apply(Arrival(t.arrival, t))
+    placements = kernel.placements
     config = SchedulerConfig(quantum=0.5, context_switch=0.05, management_tax=0.04)
 
     report_obj = benchmark(lambda: simulate_round_robin(machine, tasks, placements, config))

@@ -968,7 +968,9 @@ def experiment_thread_overhead(
     sooner and wastes less — load is not just a fairness number.
     """
     from repro.core.repack import repack
+    from repro.kernel.core import AllocationKernel
     from repro.sched.roundrobin import SchedulerConfig, simulate_round_robin
+    from repro.tasks.events import Arrival
     from repro.tasks.task import Task
     from repro.types import TaskId
 
@@ -986,30 +988,32 @@ def experiment_thread_overhead(
         quantum=0.5, context_switch=context_switch, management_tax=management_tax
     )
 
-    def place_with(label: str) -> dict:
-        machine = TreeMachine(num_pes)
+    def place_with(machine: TreeMachine, label: str) -> AllocationKernel:
+        """A kernel holding the whole batch as ``label`` places it."""
         if label == "A_R packed":
-            result = repack(machine.hierarchy, tasks)
-            return dict(result.mapping)
+            kernel = AllocationKernel(machine)
+            mapping = repack(machine.hierarchy, tasks).mapping
+            for t in tasks:
+                kernel.apply_placed(t.arrival, t, mapping[t.task_id])
+            return kernel
         if label == "A_G greedy":
             algo = GreedyAlgorithm(machine)
         else:
             algo = ObliviousRandomAlgorithm(machine, np.random.default_rng(seed + 1))
-        return {t.task_id: algo.on_arrival(t).node for t in tasks}
+        kernel = AllocationKernel(machine, algo)
+        for t in tasks:
+            kernel.apply(Arrival(t.arrival, t))
+        return kernel
 
     rows: list[Sequence[Any]] = []
     for label in ("A_R packed", "A_G greedy", "A_rand"):
         machine = TreeMachine(num_pes)
-        placements = place_with(label)
-        # Max load of the static placement.
-        tracker = machine.new_load_tracker()
-        for t in tasks:
-            tracker.place(placements[t.task_id], t.size)
-        report = simulate_round_robin(machine, tasks, placements, config)
+        kernel = place_with(machine, label)
+        report = simulate_round_robin(machine, tasks, kernel.placements, config)
         rows.append(
             [
                 label,
-                tracker.max_load,
+                kernel.current_max_load,
                 f"{report.makespan:.1f}",
                 f"{report.worst_slowdown:.2f}",
                 f"{report.overhead_fraction:.3f}",

@@ -12,11 +12,18 @@ hooks that mirror the paper's algorithm descriptions verbatim:
   tasks once the cumulative arrival volume since the last remap reaches
   ``d * N`` (the simulator enforces the budget, the algorithm decides).
 
-Algorithms own private bookkeeping but the *authoritative* machine state
-(per-PE loads, placements) is owned by the simulator, which validates every
-placement.  This split keeps algorithms honest: they cannot accidentally
-peek at information the online model hides (departure times, future
-arrivals).
+The *authoritative* machine state (per-PE loads, placements) is owned by
+the :class:`~repro.kernel.core.AllocationKernel` driving the algorithm,
+which validates every placement.  An algorithm that decides from loads
+(A_G and the algorithms built like it) reads them from the kernel's own
+:class:`~repro.machines.loads.LoadTracker`, handed over through
+:meth:`AllocationAlgorithm.bind_loads`: the kernel places every task
+exactly where the algorithm says, so those are the loads its past
+placements induce.  Algorithms only query that tracker; the kernel is its
+only writer.  What an algorithm keeps beyond it is private bookkeeping
+(copy sets, an RNG, a cursor).  The split keeps algorithms honest: they
+cannot accidentally peek at information the online model hides
+(departure times, future arrivals).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, TypeVar
 
-from repro.errors import CheckpointError
+from repro.errors import AllocationError, CheckpointError
 from repro.machines.base import PartitionableMachine
 from repro.machines.loads import LoadTracker
 from repro.tasks.task import Task
@@ -37,7 +44,6 @@ __all__ = [
     "Reallocation",
     "id_order",
     "reorder",
-    "tracker_for",
 ]
 
 _V = TypeVar("_V")
@@ -62,18 +68,6 @@ def reorder(ids: Sequence[int], source: Mapping[TaskId, _V]) -> dict[TaskId, _V]
             f"{len(source)} are active"
         )
     return out
-
-
-def tracker_for(
-    machine: PartitionableMachine,
-    placement: Mapping[TaskId, NodeId],
-    tasks: Mapping[TaskId, Task],
-) -> LoadTracker:
-    """A load tracker holding ``placement`` — how :meth:`load_state`
-    rebuilds an algorithm's private loads from the restored placements."""
-    tracker = machine.new_load_tracker()
-    tracker.rebuild_from((node, tasks[tid].size) for tid, node in placement.items())
-    return tracker
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +97,35 @@ class AllocationAlgorithm(abc.ABC):
     the ``rng`` they were constructed with, for reproducibility).
     """
 
+    #: The driving kernel's load tracker (:meth:`bind_loads`).
+    _loads: Optional[LoadTracker] = None
+
     def __init__(self, machine: PartitionableMachine):
         self.machine = machine
+
+    # -- Loads --------------------------------------------------------------
+
+    def bind_loads(self, loads: LoadTracker) -> None:
+        """Read per-PE loads from ``loads`` from now on.
+
+        The :class:`~repro.kernel.core.AllocationKernel` driving this
+        algorithm calls it at construction and again whenever it replaces
+        its tracker (an online resize, a restore onto an adopted machine).
+        The algorithm only queries the tracker; the kernel writes it, after
+        :meth:`on_arrival` returns and after :meth:`on_departure`.
+        """
+        self._loads = loads
+
+    @property
+    def loads(self) -> LoadTracker:
+        """The bound tracker: the loads this algorithm's placements induce."""
+        loads = self._loads
+        if loads is None:
+            raise AllocationError(
+                f"{self.name} reads its loads from the kernel that drives it; "
+                "run it through an AllocationKernel"
+            )
+        return loads
 
     # -- Identification -----------------------------------------------------
 
@@ -134,9 +155,8 @@ class AllocationAlgorithm(abc.ABC):
         :class:`~repro.errors.PlacementError` otherwise.
         """
 
-    @abc.abstractmethod
     def on_departure(self, task: Task) -> None:
-        """Release internal state for a departing task."""
+        """Release internal state for a departing task (default: none)."""
 
     def maybe_reallocate(self, arrived_since_last: int) -> Optional[Reallocation]:
         """Offer the algorithm a reallocation opportunity.
@@ -176,9 +196,9 @@ class AllocationAlgorithm(abc.ABC):
         """Adopt a :meth:`state` image on a freshly constructed instance.
 
         ``tasks`` and ``placements`` are the restored kernel's active
-        tasks and placements; load trackers are rebuilt from them rather
-        than saved.  Raises :class:`~repro.errors.CheckpointError` (or a
-        ``KeyError`` / ``TypeError`` / ``ValueError``) on an image that
+        tasks and placements; the loads are the kernel's, so no image
+        carries them.  Raises :class:`~repro.errors.CheckpointError` (or
+        a ``KeyError`` / ``TypeError`` / ``ValueError``) on an image that
         does not fit; the caller then falls back to a full replay.
         """
         raise CheckpointError(f"{self.name} has no restorable state")

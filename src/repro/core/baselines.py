@@ -20,8 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, Placement, id_order, reorder, tracker_for
-from repro.errors import AllocationError
+from repro.core.base import AllocationAlgorithm, Placement
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId
@@ -33,31 +32,11 @@ __all__ = [
 ]
 
 
-class _TrackedBaseline(AllocationAlgorithm):
-    """Common bookkeeping: a load tracker plus task -> node placements."""
-
-    def __init__(self, machine: PartitionableMachine):
-        super().__init__(machine)
-        self._loads = machine.new_load_tracker()
-        self._placement: dict[TaskId, NodeId] = {}
-
-    def _commit(self, task: Task, node: NodeId) -> Placement:
-        self._loads.place(node, task.size)
-        self._placement[task.task_id] = node
-        return Placement(task.task_id, node)
-
-    def on_departure(self, task: Task) -> None:
-        node = self._placement.pop(task.task_id, None)
-        if node is None:
-            raise AllocationError(f"departure of unplaced task {task.task_id}")
-        self._loads.remove(node, task.size)
-
-    def reset(self) -> None:
-        self._loads = self.machine.new_load_tracker()
-        self._placement.clear()
+class _Baseline(AllocationAlgorithm):
+    """Common shape: loads are the kernel's, so no state of its own."""
 
     def state(self) -> dict[str, Any]:
-        return {"placement": id_order(self._placement)}
+        return {}
 
     def load_state(
         self,
@@ -65,16 +44,10 @@ class _TrackedBaseline(AllocationAlgorithm):
         tasks: Mapping[TaskId, Task],
         placements: Mapping[TaskId, NodeId],
     ) -> None:
-        self._placement = reorder(state["placement"], placements)
-        self._loads = tracker_for(self.machine, self._placement, tasks)
-
-    def _check_new(self, task: Task) -> None:
-        self.machine.validate_task_size(task.size)
-        if task.task_id in self._placement:
-            raise AllocationError(f"task {task.task_id} already placed")
+        """Nothing to adopt beyond what :meth:`state` saved."""
 
 
-class RoundRobinAlgorithm(_TrackedBaseline):
+class RoundRobinAlgorithm(_Baseline):
     """Cycle through same-size submachines regardless of load."""
 
     def __init__(self, machine: PartitionableMachine):
@@ -86,20 +59,19 @@ class RoundRobinAlgorithm(_TrackedBaseline):
         return "roundrobin"
 
     def on_arrival(self, task: Task) -> Placement:
-        self._check_new(task)
+        self.machine.validate_task_size(task.size)
         h = self.machine.hierarchy
         count = h.num_submachines(task.size)
         cursor = self._cursor.get(task.size, 0)
         node = h.node_for(task.size, cursor % count)
         self._cursor[task.size] = (cursor + 1) % count
-        return self._commit(task, node)
+        return Placement(task.task_id, node)
 
     def reset(self) -> None:
-        super().reset()
         self._cursor.clear()
 
     def state(self) -> dict[str, Any]:
-        return dict(super().state(), cursor=[[s, c] for s, c in self._cursor.items()])
+        return {"cursor": [[s, c] for s, c in self._cursor.items()]}
 
     def load_state(
         self,
@@ -107,11 +79,10 @@ class RoundRobinAlgorithm(_TrackedBaseline):
         tasks: Mapping[TaskId, Task],
         placements: Mapping[TaskId, NodeId],
     ) -> None:
-        super().load_state(state, tasks, placements)
         self._cursor = {int(size): int(c) for size, c in state["cursor"]}
 
 
-class WorstFitAlgorithm(_TrackedBaseline):
+class WorstFitAlgorithm(_Baseline):
     """Choose the submachine with the smallest *total* (hence average) load.
 
     The total load of a ``2^x``-PE submachine is the sum of its PE loads —
@@ -124,16 +95,15 @@ class WorstFitAlgorithm(_TrackedBaseline):
         return "worstfit-avg"
 
     def on_arrival(self, task: Task) -> Placement:
-        self._check_new(task)
+        self.machine.validate_task_size(task.size)
         h = self.machine.hierarchy
-        level = h.level_for_size(task.size)
-        leaf_loads = self._loads.leaf_loads()
+        leaf_loads = self.loads.leaf_loads(copy=False)
         sums = leaf_loads.reshape(h.num_submachines(task.size), task.size).sum(axis=1)
         index = int(np.argmin(sums))
-        return self._commit(task, h.node_for(task.size, index))
+        return Placement(task.task_id, h.node_for(task.size, index))
 
 
-class FirstFitLevelAlgorithm(_TrackedBaseline):
+class FirstFitLevelAlgorithm(_Baseline):
     """Leftmost submachine with load strictly below ``threshold``; else min.
 
     With ``threshold = 1`` this is "leftmost idle submachine if any" — the
@@ -151,12 +121,12 @@ class FirstFitLevelAlgorithm(_TrackedBaseline):
         return f"firstfit(<{self._threshold})"
 
     def on_arrival(self, task: Task) -> Placement:
-        self._check_new(task)
+        self.machine.validate_task_size(task.size)
         h = self.machine.hierarchy
-        loads = self._loads.level_loads(task.size)
+        loads = self.loads.level_loads(task.size)
         below = np.flatnonzero(loads < self._threshold)
         if below.size:
             index = int(below[0])
         else:
             index = int(np.argmin(loads))
-        return self._commit(task, h.node_for(task.size, index))
+        return Placement(task.task_id, h.node_for(task.size, index))

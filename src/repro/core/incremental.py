@@ -31,7 +31,6 @@ from repro.core.base import (
     Reallocation,
     id_order,
     reorder,
-    tracker_for,
 )
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
@@ -70,6 +69,10 @@ class IncrementalReallocationAlgorithm(AllocationAlgorithm):
     @property
     def reallocation_parameter(self) -> float:
         return self._d
+
+    def bind_loads(self, loads: LoadTracker) -> None:
+        """Keep the private tracker: the repack search below moves tasks on
+        it while it looks, which the kernel's tracker must never see."""
 
     # -- Online placement (greedy, as A_G) ------------------------------------
 
@@ -160,4 +163,7 @@ class IncrementalReallocationAlgorithm(AllocationAlgorithm):
     ) -> None:
         self._active = reorder(state["active"], tasks)
         self._placement = reorder(state["placement"], placements)
-        self._loads = tracker_for(self.machine, self._placement, tasks)
+        self._loads = self.machine.new_load_tracker()
+        self._loads.rebuild_from(
+            (node, tasks[tid].size) for tid, node in self._placement.items()
+        )

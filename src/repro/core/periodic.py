@@ -43,14 +43,13 @@ from repro.core.base import (
     Reallocation,
     id_order,
     reorder,
-    tracker_for,
 )
 from repro.core.basic import BasicAlgorithm
 from repro.core.bounds import greedy_upper_bound_factor
 from repro.core.greedy import GreedyAlgorithm
 from repro.core.repack import repack
-from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
+from repro.machines.loads import LoadTracker
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId, ceil_div
 
@@ -72,10 +71,6 @@ class PeriodicReallocationAlgorithm(AllocationAlgorithm):
             GreedyAlgorithm(machine) if self._uses_greedy else BasicAlgorithm(machine)
         )
         self._active: dict[TaskId, Task] = {}
-        # Mirror of current placements for the lazy trigger's load check;
-        # the eager trigger never reads it, so only a lazy A_M keeps one.
-        self._tracker = machine.new_load_tracker() if lazy else None
-        self._nodes: dict[TaskId, int] = {}
 
     @property
     def name(self) -> str:
@@ -97,59 +92,42 @@ class PeriodicReallocationAlgorithm(AllocationAlgorithm):
     def is_lazy(self) -> bool:
         return self._lazy
 
+    def bind_loads(self, loads: LoadTracker) -> None:
+        super().bind_loads(loads)
+        self._inner.bind_loads(loads)
+
     def on_arrival(self, task: Task) -> Placement:
-        if task.task_id in self._active:
-            raise AllocationError(f"task {task.task_id} already placed")
         placement = self._inner.on_arrival(task)
         self._active[task.task_id] = task
-        if self._tracker is not None:
-            self._tracker.place(placement.node, task.size)
-            self._nodes[task.task_id] = placement.node
         return placement
 
     def on_departure(self, task: Task) -> None:
         self._inner.on_departure(task)
         self._active.pop(task.task_id, None)
-        if self._tracker is not None:
-            self._tracker.remove(self._nodes.pop(task.task_id), task.size)
 
     def maybe_reallocate(self, arrived_since_last: int) -> Optional[Reallocation]:
         if self._uses_greedy:
             return None
         if arrived_since_last < self._d * self.machine.num_pes:
             return None
-        if self._tracker is not None:
+        if self._lazy:
+            # The kernel has placed the arrival already: its loads are the
+            # ones a repack now would replace.
             active_volume = sum(t.size for t in self._active.values())
             best_possible = ceil_div(active_volume, self.machine.num_pes)
-            if self._tracker.max_load <= best_possible:
+            if self.loads.max_load <= best_possible:
                 return None  # a repack would not improve anything yet
         result = repack(self.machine.hierarchy, self._active.values())
         assert isinstance(self._inner, BasicAlgorithm)
         self._inner.adopt_repack(result)
-        if self._tracker is not None:
-            # One vectorised O(N) rebuild instead of clear() + per-task
-            # place(): repacks remap every active task, so incremental
-            # updates would walk the whole tree once per task.
-            self._tracker.rebuild_from(
-                (node, self._active[tid].size)
-                for tid, node in result.mapping.items()
-            )
-            self._nodes = dict(result.mapping)
         return Reallocation(dict(result.mapping))
 
     def reset(self) -> None:
         self._inner.reset()
         self._active.clear()
-        if self._tracker is not None:
-            self._tracker = self.machine.new_load_tracker()
-        self._nodes.clear()
 
     def state(self) -> dict[str, Any]:
-        return {
-            "inner": self._inner.state(),
-            "active": id_order(self._active),
-            "nodes": id_order(self._nodes),
-        }
+        return {"inner": self._inner.state(), "active": id_order(self._active)}
 
     def load_state(
         self,
@@ -159,6 +137,3 @@ class PeriodicReallocationAlgorithm(AllocationAlgorithm):
     ) -> None:
         self._inner.load_state(state["inner"], tasks, placements)
         self._active = reorder(state["active"], tasks)
-        if self._tracker is not None:
-            self._nodes = reorder(state["nodes"], placements)
-            self._tracker = tracker_for(self.machine, self._nodes, tasks)

@@ -28,8 +28,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, Placement, id_order, reorder, tracker_for
-from repro.errors import AllocationError
+from repro.core.base import AllocationAlgorithm, Placement
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId
@@ -62,8 +61,6 @@ class TwoChoiceAlgorithm(AllocationAlgorithm):
         self._rng = rng
         self._num_choices = num_choices
         self._load_target = None if load_target is None else int(load_target)
-        self._loads = machine.new_load_tracker()
-        self._placement: dict[TaskId, NodeId] = {}
 
     @property
     def name(self) -> str:
@@ -82,8 +79,7 @@ class TwoChoiceAlgorithm(AllocationAlgorithm):
 
     def on_arrival(self, task: Task) -> Placement:
         self.machine.validate_task_size(task.size)
-        if task.task_id in self._placement:
-            raise AllocationError(f"task {task.task_id} already placed")
+        loads = self.loads
         h = self.machine.hierarchy
         count = h.num_submachines(task.size)
         if self._load_target is None:
@@ -96,7 +92,7 @@ class TwoChoiceAlgorithm(AllocationAlgorithm):
         else:
             # Admissible-only probing: one vectorized level scan, then the
             # same without-replacement draw over the admissible pool.
-            level = self._loads.level_loads(task.size)
+            level = loads.level_loads(task.size)
             pool = np.flatnonzero(level + 1 <= self._load_target)
             if pool.size == 0:
                 pool = np.arange(count)
@@ -106,26 +102,14 @@ class TwoChoiceAlgorithm(AllocationAlgorithm):
         best_key: tuple[int, int] | None = None
         for index in np.sort(indices):
             node = h.node_for(task.size, int(index))
-            key = (self._loads.submachine_load(node), int(index))
+            key = (loads.submachine_load(node), int(index))
             if best_key is None or key < best_key:
                 best_key, best_node = key, node
         assert best_node is not None
-        self._loads.place(best_node, task.size)
-        self._placement[task.task_id] = best_node
         return Placement(task.task_id, best_node)
 
-    def on_departure(self, task: Task) -> None:
-        node = self._placement.pop(task.task_id, None)
-        if node is None:
-            raise AllocationError(f"departure of unplaced task {task.task_id}")
-        self._loads.remove(node, task.size)
-
-    def reset(self) -> None:
-        self._loads = self.machine.new_load_tracker()
-        self._placement.clear()
-
     def state(self) -> dict[str, Any]:
-        return {"placement": id_order(self._placement), "rng": self._rng.bit_generator.state}
+        return {"rng": self._rng.bit_generator.state}
 
     def load_state(
         self,
@@ -133,6 +117,4 @@ class TwoChoiceAlgorithm(AllocationAlgorithm):
         tasks: Mapping[TaskId, Task],
         placements: Mapping[TaskId, NodeId],
     ) -> None:
-        self._placement = reorder(state["placement"], placements)
-        self._loads = tracker_for(self.machine, self._placement, tasks)
         self._rng.bit_generator.state = state["rng"]

@@ -35,6 +35,7 @@ from repro.machines.base import PartitionableMachine
 from repro.machines.copies import BuddyCopy, CopySet
 from repro.machines.degraded import DegradedView
 from repro.machines.hierarchy import Hierarchy
+from repro.machines.loads import LoadTracker
 from repro.tasks.task import Task
 from repro.types import CopyId, NodeId, TaskId
 
@@ -174,6 +175,10 @@ class FaultTolerantAlgorithm(AllocationAlgorithm):
         return dict(self._tasks)
 
     # -- Event hooks --------------------------------------------------------
+
+    def bind_loads(self, loads: LoadTracker) -> None:
+        """Healthy mode decides through ``inner``, on the kernel's loads."""
+        self.inner.bind_loads(loads)
 
     def on_arrival(self, task: Task) -> Placement:
         if not self._degraded:

@@ -9,8 +9,9 @@ fast path the kernel offers every batch of at least
 answers every greedy placement question from vectorized reductions over
 a *private* per-PE load vector,
 vectorises whole runs of same-size arrivals with one waterfill
-computation, and syncs the authoritative :class:`LoadTracker` state once
-per batch with :meth:`LoadTracker.apply_spans`.
+computation, and syncs the kernel's :class:`LoadTracker` — the only one;
+the algorithm reads it too — once per batch with
+:meth:`LoadTracker.apply_spans`.
 
 The contract is strict bit-identity with the per-event path — same
 :class:`Decision` stream, same metrics, same peak snapshot, same
@@ -29,9 +30,9 @@ Why it is fast
   every mutation is a span add, and the running max-load scalar is
   maintained arithmetically (an arrival can only raise the max to its
   own new span load; a departure can only lower it if its span attained
-  it).  The two heap trackers — the kernel's and the algorithm's — see
-  one coalesced :meth:`~repro.machines.loads.LoadTracker.apply_spans`
-  call per batch instead of two O(log N) walks per event.
+  it).  The kernel's heap tracker sees one coalesced
+  :meth:`~repro.machines.loads.LoadTracker.apply_spans` call per batch
+  instead of one O(log N) walk per event.
 * **Run vectorisation.**  Sequential leftmost-min placement of ``m``
   same-size arrivals (no interleaved events) equals taking the ``m``
   lexicographically smallest ``(load, column)`` slots of the level — a
@@ -45,7 +46,7 @@ Why it is fast
   :class:`Decision` objects are assembled in bulk from a compact args
   list.
 
-Fault batches, algorithms without a ``columnar_state`` capability,
+Fault batches, algorithms without the ``columnar_state`` capability flag,
 external-placement kernels and unknown event types all fall back
 transparently to the per-event loop (``try_apply_batch`` returns
 ``None`` before touching any state).
@@ -64,7 +65,6 @@ from repro.tasks.events import Arrival, Departure
 
 if TYPE_CHECKING:
     from repro.kernel.core import AllocationKernel
-    from repro.machines.loads import LoadTracker
 
 __all__ = ["ColumnarEngine"]
 
@@ -169,38 +169,30 @@ class ColumnarEngine:
     def try_apply_batch(self, events: Sequence[Any]) -> Optional[BatchDecision]:
         """Run the batch columnar if eligible; ``None`` means fall back.
 
-        Eligibility (checked before any mutation): an algorithm exposing
-        the ``columnar_state`` capability with the never-reallocating
+        Eligibility (checked before any mutation): an algorithm with the
+        ``columnar_state`` capability flag and the never-reallocating
         default ``maybe_reallocate``, no degraded view (fault batches take
-        the per-event path), consistent kernel/algorithm placement maps,
-        and a batch of plain :class:`Arrival`/:class:`Departure` events.
+        the per-event path), and a batch of plain
+        :class:`Arrival`/:class:`Departure` events.
         """
         k = self.kernel
         alg = k.algorithm
         if alg is None or k.view is not None:
             return None
-        state = getattr(alg, "columnar_state", None)
-        if state is None:
+        if not getattr(alg, "columnar_state", False):
             return None
         if type(alg).maybe_reallocate is not AllocationAlgorithm.maybe_reallocate:
-            return None
-        tracker, alg_placement = state
-        if len(alg_placement) != len(k._placements):
             return None
         evs = list(events)
         for e in evs:
             t = type(e)
             if t is not Arrival and t is not Departure:
                 return None
-        return self._run(evs, tracker, alg_placement)
+        return self._run(evs)
 
-    def _run(
-        self,
-        evs: list[Any],
-        tracker: "LoadTracker",
-        alg_placement: dict[Any, Any],
-    ) -> BatchDecision:
+    def _run(self, evs: list[Any]) -> BatchDecision:
         k = self.kernel
+        tracker = k._loads
         n = len(evs)
         placements = k._placements
         valid_sizes = self._valid_sizes
@@ -238,9 +230,9 @@ class ColumnarEngine:
                 run_len[i] = 1
 
         # The batch answers every query from the private leaf vector, so
-        # the algorithm tracker's min-of-max descent structure would only
-        # add upkeep to the end-of-batch span sync — drop it and let it
-        # rebuild lazily if a per-event descent ever needs it again.
+        # the tracker's min-of-max descent structure would only add upkeep
+        # to the end-of-batch span sync — drop it and let it rebuild
+        # lazily when a per-event descent needs it again.
         if tracker._minagg is not None:
             tracker._minagg = None
 
@@ -260,7 +252,7 @@ class ColumnarEngine:
 
         # The batch's working state: per-PE loads and the running max.
         # Every mutation below is mirrored into ``deltas`` and replayed
-        # onto both heap trackers in one bulk call at the end.
+        # onto the heap tracker in one bulk call at the end.
         L = tracker.leaf_loads(copy=True)
         ml = tracker.max_load
 
@@ -268,7 +260,7 @@ class ColumnarEngine:
         d_args: list[tuple[Any, ...]] = []
         #: Per-event leaf-span ops, for the deferred peak-snapshot replay.
         ops: list[tuple[int, int, int]] = []
-        #: node -> [size, net delta]; synced onto the trackers once.
+        #: node -> [size, net delta]; synced onto the tracker once.
         deltas: dict[int, list[int]] = {}
         err: Optional[ReproError] = None
 
@@ -296,7 +288,6 @@ class ColumnarEngine:
                             tid = task.task_id
                             col = cols_l[k2]
                             node = base + col
-                            alg_placement[tid] = node
                             placements[tid] = node
                             tasks[tid] = task
                             t = e2.time
@@ -352,7 +343,6 @@ class ColumnarEngine:
                     if nv > ml:
                         ml = nv
                     placements[tid] = node
-                    alg_placement[tid] = node
                     tasks[tid] = task
                     t = e.time
                     active += size
@@ -400,7 +390,6 @@ class ColumnarEngine:
                 if node is None or task is None:
                     raise SimulationError(f"departure of unknown task {tid}")
                 size = task.size
-                alg_placement.pop(tid)
                 level = node.bit_length() - 1
                 span = num_pes >> level
                 lo = (node - (1 << level)) * span
@@ -431,8 +420,8 @@ class ColumnarEngine:
             err = exc
         finally:
             # Mirror the per-event path's ``finally``: whatever prefix was
-            # applied is fully committed — scalars written back, both heap
-            # trackers synced in one bulk call, the metrics folded in
+            # applied is fully committed — scalars written back, the heap
+            # tracker synced in one bulk call, the metrics folded in
             # once, and the peak snapshot materialised by un-applying the
             # span ops that followed the last strict peak increase.
             k._active_size = active
@@ -442,7 +431,6 @@ class ColumnarEngine:
                 (node, sd[0], sd[1]) for node, sd in deltas.items() if sd[1]
             ]
             if items:
-                k._loads.apply_spans(items)
                 tracker.apply_spans(items)
             arr = None
             if snap_idx >= 0:

@@ -28,9 +28,15 @@ string rather than by class, so the kernel never imports
 :mod:`repro.faults` — the dependency points one way, drivers down to
 kernel.
 
+The kernel's :class:`~repro.machines.loads.LoadTracker` is the only one
+a session keeps: an algorithm that decides from loads reads this tracker,
+bound through :meth:`~repro.core.base.AllocationAlgorithm.bind_loads` at
+construction and again whenever the kernel replaces it.  The kernel is
+its only writer.
+
 Restoring a snapshot rebuilds *kernel* state only.  Algorithm objects keep
-private incremental state (load trackers, copy sets, RNG position) that
-round-trips separately through
+private incremental state (copy sets, RNG position) that round-trips
+separately through
 :meth:`~repro.core.base.AllocationAlgorithm.state` /
 :meth:`~repro.core.base.AllocationAlgorithm.load_state`; a resuming
 session restores both from its state sidecar and replays only the
@@ -60,6 +66,7 @@ from repro.machines.base import PartitionableMachine
 from repro.machines.degraded import DegradedView
 from repro.machines.factory import machine_descriptor, machine_from_descriptor
 from repro.machines.hierarchy import grown_node
+from repro.machines.loads import LoadTracker
 from repro.sim.metrics import MetricsCollector
 from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.events import EventKind
@@ -150,7 +157,7 @@ class AllocationKernel:
         self.view = view
         self.repack_on_repair = repack_on_repair
         self._columnar = ColumnarEngine(self)
-        self._loads = machine.new_load_tracker()
+        self._bind_loads(machine.new_load_tracker())
         self._placements: dict[TaskId, NodeId] = {}
         self._tasks: dict[TaskId, Task] = {}
         self._arrived_since_realloc = 0
@@ -169,6 +176,13 @@ class AllocationKernel:
         self._num_resizes = 0
         if view is not None:
             self.metrics.faults.min_surviving_pes = machine.num_pes
+
+    def _bind_loads(self, loads: LoadTracker) -> None:
+        """Make ``loads`` the kernel's tracker and the one its algorithm
+        reads (see :meth:`AllocationAlgorithm.bind_loads`)."""
+        self._loads = loads
+        if self.algorithm is not None:
+            self.algorithm.bind_loads(loads)
 
     # -- Event dispatch ------------------------------------------------------
 
@@ -677,13 +691,13 @@ class AllocationKernel:
             stats.num_grows += 1
         else:
             stats.num_shrinks += 1
-        self._loads = self._loads.resized(
+        self._bind_loads(self._loads.resized(
             new_h,
             (
                 (node, self._tasks[tid].size)
                 for tid, node in self._placements.items()
             ),
-        )
+        ))
         # The resize paid for the repack; the d-budget clock restarts.
         self._arrived_since_realloc = 0
         self._num_resizes += 1
@@ -980,7 +994,7 @@ class AllocationKernel:
         if adopt_machine:
             machine = machine_from_descriptor(snap_machine)
             self.machine = machine
-            self._loads = machine.new_load_tracker()
+            self._bind_loads(machine.new_load_tracker())
             if self.view is not None:
                 self.view = DegradedView(machine)
             self._columnar = ColumnarEngine(self)

@@ -49,8 +49,8 @@ descends from the root comparing the two children's ``D_L`` entries
 (going left on ties gives the paper's leftmost tie-break): **O(log N)**.
 
 The structure is built lazily on the first min-load query, so trackers
-that never ask it (e.g. the simulator's authoritative tracker, which only
-validates and meters) pay nothing.  Likewise :meth:`leaf_loads` is served
+that never ask it (e.g. a kernel's, when its algorithm decides without
+loads and the kernel only validates and meters) pay nothing.  Likewise :meth:`leaf_loads` is served
 from an incrementally maintained per-PE cache fed by a bounded journal of
 ``(lo, hi, delta)`` span updates, falling back to one vectorized
 recomputation when the journal overflows between queries.

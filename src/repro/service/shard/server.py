@@ -40,9 +40,16 @@ from repro.service.stream import admission_lines, decision_line, parse_event_rec
 
 __all__ = ["ServiceServer", "StdioServer"]
 
-#: Longest client line the socket reader buffers (asyncio's default).  A
-#: longer line gets an error reply and its connection is closed.
+#: Longest client line either reader buffers (asyncio's default).  A
+#: longer line gets an error reply; the socket then closes its
+#: connection, stdin discards the rest of the line and reads on.
 _LINE_LIMIT = 1 << 16
+
+
+def _long_line_error(lineno: int) -> str:
+    return json.dumps(
+        {"error": f"line longer than {_LINE_LIMIT} bytes", "op": None, "line": lineno}
+    )
 
 
 class ServiceServer:
@@ -199,10 +206,7 @@ class ServiceServer:
     async def _refuse_long_line(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter, lineno: int
     ) -> None:
-        writer.write(json.dumps(
-            {"error": f"line longer than {_LINE_LIMIT} bytes", "op": None,
-             "line": lineno}
-        ).encode("utf-8") + b"\n")
+        writer.write(_long_line_error(lineno).encode("utf-8") + b"\n")
         await writer.drain()
         # Half-close, then discard what the client is still sending (for at
         # most a second): closing with unread input would reset the
@@ -330,7 +334,9 @@ class StdioServer(ServiceServer):
     def serve_lines(self, lines: Iterable[str]) -> Iterable[str]:
         """Reply lines for a stream of client lines, in order, until the
         stream ends or :meth:`stop` is called.  A stream with a file
-        descriptor (stdin) is read through :meth:`_read_lines`."""
+        descriptor (stdin) is read through :meth:`_read_lines`, which
+        holds its lines to the socket's ``_LINE_LIMIT``."""
+        source: Iterator[Optional[str]]
         try:
             fd = lines.fileno()  # type: ignore[attr-defined]
         except (AttributeError, OSError, ValueError):
@@ -341,18 +347,26 @@ class StdioServer(ServiceServer):
             for lineno, line in enumerate(source, start=1):
                 if self._stopping:
                     return
+                if line is None:
+                    yield _long_line_error(lineno)
+                    continue
                 text = line.strip()
                 if text and not text.startswith("#"):
                     yield from self._serve_line(text, lineno)
         except _Stopped:
             return
 
-    def _read_lines(self, fd: int) -> Iterator[str]:
-        """The lines read from ``fd``.  While an ``interval:<ms>`` policy
-        owes pending records a sync, input is awaited only until the sync
-        is due, and the journal is flushed when that wait runs out — on
-        this thread, so the journal has one user."""
+    def _read_lines(self, fd: int) -> Iterator[Optional[str]]:
+        """The lines read from ``fd``, ``None`` standing for a line longer
+        than ``_LINE_LIMIT``: it is reported as soon as the limit is
+        passed, and its bytes are dropped up to the next newline, so a
+        line without end costs no more memory than two reads.  While an
+        ``interval:<ms>`` policy owes pending records a sync, input is
+        awaited only until the sync is due, and the journal is flushed
+        when that wait runs out — on this thread, so the journal has one
+        user."""
         pending = bytearray()  # input after the last complete line
+        skipping = False  # inside a reported over-long line
         while not self._stopping:
             self._waiting = True
             try:
@@ -373,7 +387,18 @@ class StdioServer(ServiceServer):
             if end >= 0:
                 lines = pending[:end].split(b"\n")
                 del pending[: end + 1]
+                if skipping:
+                    del lines[0]  # the end of the over-long line
+                    skipping = False
                 for line in lines:
-                    yield line.decode("utf-8", errors="replace")
+                    if len(line) > _LINE_LIMIT:
+                        yield None
+                    else:
+                        yield line.decode("utf-8", errors="replace")
+            if not skipping and len(pending) > _LINE_LIMIT:
+                yield None
+                skipping = True
+            if skipping:
+                pending.clear()
         if pending:
             yield pending.decode("utf-8", errors="replace")

@@ -201,7 +201,7 @@ def check_algorithm(
     # path) and per-event apply, and must produce bit-identical
     # decisions, metrics, and state (fifth referee).  Gated on the
     # capability so non-columnar algorithms don't pay the extra runs.
-    if getattr(algorithm, "columnar_state", None) is not None:
+    if getattr(algorithm, "columnar_state", False):
         from repro.verify.backends import check_backend_parity
 
         violations.extend(

@@ -17,10 +17,12 @@ from repro.core.optimal import OptimalReallocatingAlgorithm
 from repro.core.periodic import PeriodicReallocationAlgorithm
 from repro.core.randomized import ObliviousRandomAlgorithm
 from repro.core.twochoice import TwoChoiceAlgorithm
-from repro.errors import AllocationError
+from repro.errors import AllocationError, SimulationError
+from repro.kernel import AllocationKernel
 from repro.machines.tree import TreeMachine
 from repro.sim.runner import run
 from repro.tasks.builder import SequenceBuilder, figure1_sequence
+from repro.tasks.events import Arrival, Departure
 from repro.tasks.task import Task
 from repro.types import TaskId
 
@@ -29,67 +31,83 @@ def _task(tid, size, arrival=0.0):
     return Task(TaskId(tid), size, arrival)
 
 
+def _kernel(algo):
+    """A kernel driving ``algo``: algorithms that decide from loads read
+    the kernel's tracker, so they are only ever driven through one."""
+    return AllocationKernel(algo.machine, algo)
+
+
+def _arrive(kernel, tid, size):
+    """Node the kernel placed a fresh size-``size`` task ``tid`` at."""
+    return kernel.apply(Arrival(0.0, _task(tid, size))).node
+
+
 class TestGreedy:
     def test_name(self):
         assert GreedyAlgorithm(TreeMachine(4)).name == "A_G"
 
     def test_leftmost_tie_break(self):
         m = TreeMachine(4)
-        algo = GreedyAlgorithm(m)
-        p1 = algo.on_arrival(_task(0, 1))
-        assert m.hierarchy.leaf_span(p1.node) == (0, 1)
-        p2 = algo.on_arrival(_task(1, 1))
-        assert m.hierarchy.leaf_span(p2.node) == (1, 2)
+        kernel = _kernel(GreedyAlgorithm(m))
+        assert m.hierarchy.leaf_span(_arrive(kernel, 0, 1)) == (0, 1)
+        assert m.hierarchy.leaf_span(_arrive(kernel, 1, 1)) == (1, 2)
 
     def test_picks_least_loaded_submachine(self):
         m = TreeMachine(4)
-        algo = GreedyAlgorithm(m)
-        algo.on_arrival(_task(0, 2))  # left 2-PE submachine now at load 1
-        p = algo.on_arrival(_task(1, 2))
-        assert m.hierarchy.leaf_span(p.node) == (2, 4)  # strictly less loaded
+        kernel = _kernel(GreedyAlgorithm(m))
+        _arrive(kernel, 0, 2)  # left 2-PE submachine now at load 1
+        node = _arrive(kernel, 1, 2)
+        assert m.hierarchy.leaf_span(node) == (2, 4)  # strictly less loaded
 
     def test_submachine_load_is_max_not_sum(self):
         m = TreeMachine(4)
-        algo = GreedyAlgorithm(m)
+        kernel = _kernel(GreedyAlgorithm(m))
         for i in range(3):
-            algo.on_arrival(_task(i, 1))
+            _arrive(kernel, i, 1)
         # Leaves 0,1,2 at load 1; both 2-PE halves have max load 1 -> tie,
         # and the paper's tie-break picks the leftmost.
-        p = algo.on_arrival(_task(3, 2))
-        assert m.hierarchy.leaf_span(p.node) == (0, 2)
+        node = _arrive(kernel, 3, 2)
+        assert m.hierarchy.leaf_span(node) == (0, 2)
 
     def test_departure_frees_load(self):
         m = TreeMachine(4)
-        algo = GreedyAlgorithm(m)
-        t = _task(0, 4)
-        algo.on_arrival(t)
-        assert algo.current_max_load == 1
-        algo.on_departure(t)
-        assert algo.current_max_load == 0
+        kernel = _kernel(GreedyAlgorithm(m))
+        _arrive(kernel, 0, 4)
+        assert kernel.current_max_load == 1
+        kernel.apply(Departure(1.0, TaskId(0)))
+        assert kernel.current_max_load == 0
 
     def test_figure1_load_two(self):
         m = TreeMachine(4)
         assert run(m, GreedyAlgorithm(m), figure1_sequence()).max_load == 2
 
     def test_duplicate_arrival_rejected(self):
+        """The kernel refuses a duplicate before the algorithm sees it."""
         m = TreeMachine(4)
-        algo = GreedyAlgorithm(m)
-        algo.on_arrival(_task(0, 1))
-        with pytest.raises(AllocationError):
-            algo.on_arrival(_task(0, 1))
+        kernel = _kernel(GreedyAlgorithm(m))
+        _arrive(kernel, 0, 1)
+        with pytest.raises(SimulationError, match="duplicate arrival"):
+            _arrive(kernel, 0, 1)
 
     def test_departure_of_unknown_rejected(self):
         m = TreeMachine(4)
-        with pytest.raises(AllocationError):
-            GreedyAlgorithm(m).on_departure(_task(0, 1))
+        kernel = _kernel(GreedyAlgorithm(m))
+        with pytest.raises(SimulationError, match="unknown task"):
+            kernel.apply(Departure(0.0, TaskId(0)))
+
+    def test_unbound_algorithm_says_so(self):
+        with pytest.raises(AllocationError, match="AllocationKernel"):
+            GreedyAlgorithm(TreeMachine(4)).on_arrival(_task(0, 1))
 
     def test_reset(self):
+        """A_G keeps no state: a new kernel rebinds it to empty loads."""
         m = TreeMachine(4)
         algo = GreedyAlgorithm(m)
-        algo.on_arrival(_task(0, 4))
+        _arrive(_kernel(algo), 0, 1)
         algo.reset()
-        assert algo.current_max_load == 0
-        algo.on_arrival(_task(0, 4))  # same id accepted again
+        kernel = _kernel(algo)
+        assert kernel.current_max_load == 0
+        assert m.hierarchy.leaf_span(_arrive(kernel, 0, 1)) == (0, 1)
 
     def test_never_reallocates(self):
         m = TreeMachine(4)
@@ -195,7 +213,7 @@ class TestPeriodic:
     def test_greedy_branch_never_reallocates(self):
         m = TreeMachine(16)
         algo = PeriodicReallocationAlgorithm(m, 99)
-        algo.on_arrival(_task(0, 16))
+        assert not _kernel(algo).apply(Arrival(0.0, _task(0, 16))).reallocated
         assert algo.maybe_reallocate(10**9) is None
 
     def test_basic_branch_reallocates_at_budget(self):
@@ -211,9 +229,11 @@ class TestPeriodic:
     def test_lazy_skips_pointless_repack(self):
         m = TreeMachine(4)
         algo = PeriodicReallocationAlgorithm(m, 1, lazy=True)
-        for i in range(4):
-            algo.on_arrival(_task(i, 1))
-        # Load is already optimal (1 = ceil(4/4)); lazy declines.
+        kernel = _kernel(algo)
+        decisions = [kernel.apply(Arrival(0.0, _task(i, 1))) for i in range(4)]
+        # Load is already optimal (1 = ceil(4/4)); lazy declines at the
+        # budget (the fourth arrival) and after it.
+        assert not any(d.reallocated for d in decisions)
         assert algo.maybe_reallocate(4) is None
 
     def test_lazy_reproduces_figure1(self):
@@ -272,10 +292,10 @@ class TestRandomized:
 class TestTwoChoice:
     def test_prefers_less_loaded(self):
         m = TreeMachine(4)
-        algo = TwoChoiceAlgorithm(m, np.random.default_rng(0))
+        kernel = _kernel(TwoChoiceAlgorithm(m, np.random.default_rng(0)))
         seen = set()
         for i in range(4):
-            seen.add(algo.on_arrival(_task(i, 2)).node)
+            seen.add(_arrive(kernel, i, 2))
         # With 2 submachines and 2 choices it must alternate perfectly.
         assert seen == {2, 3}
 
@@ -285,9 +305,8 @@ class TestTwoChoice:
 
     def test_single_submachine_size(self):
         m = TreeMachine(4)
-        algo = TwoChoiceAlgorithm(m, np.random.default_rng(0))
-        p = algo.on_arrival(_task(0, 4))
-        assert p.node == 1
+        kernel = _kernel(TwoChoiceAlgorithm(m, np.random.default_rng(0)))
+        assert _arrive(kernel, 0, 4) == 1
 
     def test_beats_oblivious_on_average(self):
         n = 64

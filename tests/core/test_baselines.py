@@ -7,14 +7,25 @@ from repro.core.baselines import (
     RoundRobinAlgorithm,
     WorstFitAlgorithm,
 )
-from repro.errors import AllocationError
+from repro.errors import SimulationError
+from repro.kernel import AllocationKernel
 from repro.machines.tree import TreeMachine
+from repro.tasks.events import Arrival, Departure
 from repro.tasks.task import Task
 from repro.types import TaskId
 
 
 def _task(tid, size):
     return Task(TaskId(tid), size, 0.0)
+
+
+def _kernel(algo):
+    """The baselines read the loads of the kernel that drives them."""
+    return AllocationKernel(algo.machine, algo)
+
+
+def _arrive(kernel, tid, size):
+    return kernel.apply(Arrival(0.0, _task(tid, size))).node
 
 
 class TestRoundRobin:
@@ -40,49 +51,48 @@ class TestRoundRobin:
 
     def test_departure(self):
         m = TreeMachine(4)
-        algo = RoundRobinAlgorithm(m)
-        t = _task(0, 2)
-        algo.on_arrival(t)
-        algo.on_departure(t)
-        with pytest.raises(AllocationError):
-            algo.on_departure(t)
+        kernel = _kernel(RoundRobinAlgorithm(m))
+        _arrive(kernel, 0, 2)
+        kernel.apply(Departure(1.0, TaskId(0)))
+        assert kernel.current_max_load == 0
+        with pytest.raises(SimulationError, match="unknown task"):
+            kernel.apply(Departure(2.0, TaskId(0)))
 
 
 class TestWorstFit:
     def test_picks_smallest_total_load(self):
         m = TreeMachine(4)
-        algo = WorstFitAlgorithm(m)
-        algo.on_arrival(_task(0, 2))         # left half total 2
-        p = algo.on_arrival(_task(1, 2))
-        assert p.node == 3                   # right half total 0
+        kernel = _kernel(WorstFitAlgorithm(m))
+        _arrive(kernel, 0, 2)                # left half total 2
+        assert _arrive(kernel, 1, 2) == 3    # right half total 0
 
     def test_average_criterion_can_stack(self):
         # Three unit tasks on the left leaf make its *average* still small
         # relative to a half-filled right side — worst-fit by sum can pick
         # the side with a taller stack, unlike the max-based greedy.
         m = TreeMachine(4)
-        algo = WorstFitAlgorithm(m)
+        kernel = _kernel(WorstFitAlgorithm(m))
         for i in range(2):
-            algo.on_arrival(_task(i, 1))     # PEs 0 and 1 (sum 2 left)
-        algo.on_arrival(_task(2, 2))         # right half (sum 2 right)
-        p = algo.on_arrival(_task(3, 1))     # sums tie; argmin -> leftmost PE
-        assert m.hierarchy.leaf_span(p.node) == (0, 1)
+            _arrive(kernel, i, 1)            # PEs 0 and 1 (sum 2 left)
+        _arrive(kernel, 2, 2)                # right half (sum 2 right)
+        node = _arrive(kernel, 3, 1)         # sums tie; argmin -> leftmost PE
+        assert m.hierarchy.leaf_span(node) == (0, 1)
 
 
 class TestFirstFitLevel:
     def test_takes_first_below_threshold(self):
         m = TreeMachine(4)
-        algo = FirstFitLevelAlgorithm(m, threshold=1)
-        assert algo.on_arrival(_task(0, 1)).node == 4
-        assert algo.on_arrival(_task(1, 1)).node == 5
+        kernel = _kernel(FirstFitLevelAlgorithm(m, threshold=1))
+        assert _arrive(kernel, 0, 1) == 4
+        assert _arrive(kernel, 1, 1) == 5
 
     def test_falls_back_to_minimum(self):
         m = TreeMachine(4)
-        algo = FirstFitLevelAlgorithm(m, threshold=1)
+        kernel = _kernel(FirstFitLevelAlgorithm(m, threshold=1))
         for i in range(4):
-            algo.on_arrival(_task(i, 1))
+            _arrive(kernel, i, 1)
         # Everything at load 1 >= threshold; falls back to global min (leftmost).
-        assert algo.on_arrival(_task(9, 1)).node == 4
+        assert _arrive(kernel, 9, 1) == 4
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

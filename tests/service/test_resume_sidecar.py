@@ -59,11 +59,11 @@ def test_restore_equals_replay_at_every_kill(name, mode):
     assert outcome.restored_kills > 0 and outcome.rename_kills > 0
 
 
-def _session(path=None, name="periodic", n=N, **kw):
+def _session(path=None, name="periodic", n=N, lazy=False, **kw):
     machine = TreeMachine(n)
     options = dict(INTERVALS, **kw)
     return AllocationSession(
-        machine, make_algorithm(name, machine, d=0.5, seed=3),
+        machine, make_algorithm(name, machine, d=0.5, lazy=lazy, seed=3),
         journal_path=path, **options,
     )
 
@@ -95,6 +95,24 @@ class TestRestore:
         # 150 records, digests every 16: restored at 144, 6 replayed.
         assert (resumed.restored_events, resumed.replayed_events) == (144, 6)
         assert resumed.num_events == 150
+        resumed.close()
+
+    def test_lazy_periodic_resumes_like_the_oracle(self, tmp_path):
+        """Lazy A_M's trigger reads the kernel's loads, which a restore
+        rebuilds: the resumed session repacks where one that never
+        stopped does."""
+        records = _churn(tasks=300)
+        path = _journaled(tmp_path, records[:200], lazy=True)
+        resumed = _resume(path, lazy=True)
+        assert (resumed.restored_events, resumed.replayed_events) == (192, 8)
+        oracle = _session(lazy=True)
+        for record in records[:200]:
+            oracle.push(dict(record))
+        assert _fingerprint(resumed) == _fingerprint(oracle)
+        tail = [resumed.push(dict(record)) for record in records[200:]]
+        assert tail == [oracle.push(dict(record)) for record in records[200:]]
+        assert any(decision.reallocated for decision in tail)
+        assert _fingerprint(resumed) == _fingerprint(oracle)
         resumed.close()
 
     def test_history_accessors_match_a_full_replay(self, tmp_path):
@@ -347,5 +365,29 @@ def test_hostile_sidecar_falls_back_to_full_replay(kind, tmp_path):
     assert _fingerprint(resumed) == _fingerprint(oracle)
     for record in records[survived:]:
         assert resumed.push(dict(record)) == oracle.push(dict(record))
+    assert _fingerprint(resumed) == _fingerprint(oracle)
+    resumed.close()
+
+
+def test_mirror_era_greedy_image_is_ignored(tmp_path):
+    """A_G once mirrored the kernel's placements and saved their order
+    (``{"placement": [...]}``); it now keeps nothing and saves ``{}``.
+    A sidecar holding the old image does not round-trip, so it is
+    ignored with a warning and the journal replays in full to the same
+    state."""
+    records = _churn()
+    path = _journaled(tmp_path, records, name="greedy")
+    state = sidecar_path(path)
+    image = read_sidecar(state)
+    assert image["algorithm"] == {}
+    image["algorithm"] = {"placement": list(image["order"])}
+    state.write_bytes(_rehashed(image))
+    with pytest.warns(SidecarWarning, match="ignored"):
+        resumed = _session(path, name="greedy")
+    assert resumed.restored_events == 0
+    assert resumed.num_events == len(records)
+    oracle = _session(name="greedy")
+    for record in records:
+        oracle.push(dict(record))
     assert _fingerprint(resumed) == _fingerprint(oracle)
     resumed.close()

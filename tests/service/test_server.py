@@ -15,13 +15,14 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 from repro.core.registry import make_algorithm
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, parse_exposition
-from repro.service.shard.server import ServiceServer, StdioServer
+from repro.service.shard.server import _LINE_LIMIT, ServiceServer, StdioServer
 from repro.sim.frames import decode_journal
 
 N = 64
@@ -210,6 +211,46 @@ class TestStdio:
         session.close()
         assert json.loads(replies[1]) == {"saved": str(target)}
         assert target.exists()
+
+
+class TestStdinLongLine:
+    def test_overlong_line_is_refused_and_serving_goes_on(self, tmp_path):
+        """Stdin holds lines to the socket's limit: a line four times over
+        gets the socket's error for its line number, its bytes are dropped
+        up to the newline, and the lines after it are served and numbered
+        as usual.  Only the valid event reaches the journal."""
+        long_line = (
+            b'{"kind": "arrival", "time": 0.0, "id": 0, "size": 1, "pad": "'
+            + b"x" * (4 * _LINE_LIMIT) + b'"}'
+        )
+        data = b"\n".join([
+            long_line,
+            json.dumps({"kind": "arrival", "time": 1.0, "id": 1, "size": 1}).encode(),
+            b"{not json",
+        ]) + b"\n"
+        journal = tmp_path / "s.journal"
+        session = _session_backend(journal)
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        with os.fdopen(read_fd, "rb") as stdin:
+            replies = [json.loads(r) for r in StdioServer(session).serve_lines(stdin)]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        session.close()
+        assert replies[0] == {
+            "error": f"line longer than {_LINE_LIMIT} bytes", "op": None, "line": 1
+        }
+        assert replies[1]["task_id"] == 1 and replies[1]["node"] == 64
+        assert replies[2]["line"] == 3 and "invalid JSON" in replies[2]["error"]
+        assert len(replies) == 3
+        journaled = decode_journal(journal.read_bytes())[1]
+        assert [p["record"]["id"] for p in journaled.values()] == [1]
 
 
 def _strict_json(line):

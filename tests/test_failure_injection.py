@@ -101,9 +101,13 @@ class TestReallocationRejections:
             def reallocation_parameter(self):
                 return 5.0  # claims d = 5 ...
 
+            def on_arrival(self, task):
+                self.placed = super().on_arrival(task)
+                return self.placed
+
             def maybe_reallocate(self, arrived_since_last):
                 # ... but tries to repack on the very first arrival.
-                return Reallocation(dict(self._placement))
+                return Reallocation({self.placed.task_id: self.placed.node})
 
         m = TreeMachine(8)
         sim = Simulator(m, Impatient(m))

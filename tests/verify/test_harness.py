@@ -95,10 +95,7 @@ def _left_stacking_arrival(self, task):
     its size, stacking loads the real A_G would spread."""
     self.machine.validate_task_size(task.size)
     level = self.machine.hierarchy.level_for_size(task.size)
-    node = 1 << level
-    self._loads.place(node, task.size)
-    self._placement[task.task_id] = node
-    return Placement(task.task_id, node)
+    return Placement(task.task_id, 1 << level)
 
 
 class TestSeededBugPipeline:
