@@ -17,64 +17,65 @@ the paper.  Quick tour::
     print(result.max_load, result.optimal_load, result.competitive_ratio)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+paper-vs-measured record.  The names below load on first use
+(:mod:`repro._lazy`): ``import repro`` alone loads none of their modules.
 """
 
-from repro.adversary import (
-    AdversaryResult,
-    DeterministicAdversary,
-    sigma_r_sequence,
-)
-from repro.core import (
-    AllocationAlgorithm,
-    BasicAlgorithm,
-    GreedyAlgorithm,
-    IncrementalReallocationAlgorithm,
-    ObliviousRandomAlgorithm,
-    RandomizedPeriodicAlgorithm,
-    OptimalReallocatingAlgorithm,
-    PeriodicReallocationAlgorithm,
-    Placement,
-    Reallocation,
-    RepackResult,
-    TwoChoiceAlgorithm,
-    basic_copy_bound,
-    deterministic_lower_factor,
-    deterministic_upper_factor,
-    greedy_upper_bound_factor,
-    optimal_load,
-    randomized_lower_factor,
-    randomized_upper_factor,
-    repack,
-)
-from repro.errors import ReproError
-from repro.machines import (
-    Butterfly,
-    FatTree,
-    Hierarchy,
-    Hypercube,
-    LoadTracker,
-    Mesh2D,
-    PartitionableMachine,
-    TreeMachine,
-)
-from repro.sim import (
-    MigrationCostModel,
-    RunResult,
-    Simulator,
-    expected_max_load,
-    measure_slowdowns,
-    run,
-    run_many,
-)
-from repro.tasks import (
-    Arrival,
-    Departure,
-    SequenceBuilder,
-    Task,
-    TaskSequence,
-    figure1_sequence,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "adversary": ["AdversaryResult", "DeterministicAdversary", "sigma_r_sequence"],
+    "core": [
+        "AllocationAlgorithm",
+        "BasicAlgorithm",
+        "GreedyAlgorithm",
+        "IncrementalReallocationAlgorithm",
+        "ObliviousRandomAlgorithm",
+        "RandomizedPeriodicAlgorithm",
+        "OptimalReallocatingAlgorithm",
+        "PeriodicReallocationAlgorithm",
+        "Placement",
+        "Reallocation",
+        "RepackResult",
+        "TwoChoiceAlgorithm",
+        "basic_copy_bound",
+        "deterministic_lower_factor",
+        "deterministic_upper_factor",
+        "greedy_upper_bound_factor",
+        "optimal_load",
+        "randomized_lower_factor",
+        "randomized_upper_factor",
+        "repack",
+    ],
+    "errors": ["ReproError"],
+    "machines": [
+        "Butterfly",
+        "FatTree",
+        "Hierarchy",
+        "Hypercube",
+        "LoadTracker",
+        "Mesh2D",
+        "PartitionableMachine",
+        "TreeMachine",
+    ],
+    "sim": [
+        "MigrationCostModel",
+        "RunResult",
+        "Simulator",
+        "expected_max_load",
+        "measure_slowdowns",
+        "run",
+        "run_many",
+    ],
+    "tasks": [
+        "Arrival",
+        "Departure",
+        "SequenceBuilder",
+        "Task",
+        "TaskSequence",
+        "figure1_sequence",
+    ],
+})
 
 __version__ = "1.0.0"
 

@@ -40,25 +40,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.analysis.experiments import EXPERIMENTS
-from repro.analysis.plots import heatmap, histogram, line_plot, sparkline
-from repro.analysis.tables import format_table
-from repro.core.bounds import deterministic_upper_factor
-from repro.core.periodic import PeriodicReallocationAlgorithm
 from repro.core.registry import ALGORITHM_SPECS, algorithm_names, make_algorithm
-from repro.machines.butterfly import Butterfly
-from repro.machines.fattree import FatTree
-from repro.machines.hypercube import Hypercube
-from repro.machines.mesh import Mesh2D
-from repro.machines.tree import TreeMachine
-from repro.sim.runner import run
-from repro.workloads.generators import burst_sequence, churn_sequence, poisson_sequence
-from repro.workloads.scenarios import SCENARIOS
 
 __all__ = ["main"]
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
+    from repro.workloads.scenarios import SCENARIOS
+
     print("experiments:")
     for exp_id, fn in EXPERIMENTS.items():
         doc = (fn.__doc__ or "").strip().splitlines()[0]
@@ -75,6 +65,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
+
     exp_id = args.id.lower()
     if exp_id not in EXPERIMENTS:
         print(f"unknown experiment {exp_id!r}; try `repro list`", file=sys.stderr)
@@ -108,21 +100,47 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``--topology`` name -> (class in :mod:`repro.machines`, extra arguments).
 _TOPOLOGIES = {
-    "tree": TreeMachine,
-    "fattree": lambda n: FatTree(n, fatness=2.0),
-    "hypercube": Hypercube,
-    "hypercube-gray": lambda n: Hypercube(n, layout="gray"),
-    "butterfly": Butterfly,
-    "mesh": Mesh2D,
+    "tree": ("TreeMachine", {}),
+    "fattree": ("FatTree", {"fatness": 2.0}),
+    "hypercube": ("Hypercube", {}),
+    "hypercube-gray": ("Hypercube", {"layout": "gray"}),
+    "butterfly": ("Butterfly", {}),
+    "mesh": ("Mesh2D", {}),
 }
+
+#: ``--workload`` choices: the three generators plus the named scenarios,
+#: kept here so that building the parser imports no workload module
+#: (``tests/test_cli.py`` pins them to ``repro.workloads.SCENARIOS``).
+_WORKLOADS = (
+    "burst",
+    "churn",
+    "fragmentation_storm",
+    "long_tail",
+    "overload",
+    "poisson",
+    "production_1996",
+    "steady_state",
+    "wave_and_drain",
+)
 
 
 def _make_machine(args: argparse.Namespace):
-    return _TOPOLOGIES[getattr(args, "topology", "tree")](args.n)
+    from repro import machines
+
+    name, kwargs = _TOPOLOGIES[getattr(args, "topology", "tree")]
+    return getattr(machines, name)(args.n, **kwargs)
 
 
 def _make_workload(name: str, n: int, args: argparse.Namespace):
+    from repro.workloads.generators import (
+        burst_sequence,
+        churn_sequence,
+        poisson_sequence,
+    )
+    from repro.workloads.scenarios import SCENARIOS
+
     rng = np.random.default_rng(args.seed)
     if name == "poisson":
         return poisson_sequence(n, args.tasks, rng, utilization=args.utilization)
@@ -488,6 +506,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"peak degraded L*   : {fstats.peak_degraded_lstar}")
         print(f"overshoot vs L*deg : {fstats.load_overshoot_vs_degraded}")
     if args.plot:
+        from repro.analysis.plots import heatmap, histogram, line_plot, sparkline
+
         times, loads = result.series.as_arrays()
         print("\nmax load over events:")
         print(sparkline(loads.tolist()))
@@ -586,6 +606,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _sweep_cell(n: int, d: float, lazy: bool, sigma) -> list:
     """One d-sweep row (module-level so --jobs can fan rows out)."""
+    from repro.core.bounds import deterministic_upper_factor
+    from repro.core.periodic import PeriodicReallocationAlgorithm
+    from repro.machines.tree import TreeMachine
+    from repro.sim.runner import run
+
     machine = TreeMachine(n)
     algo = PeriodicReallocationAlgorithm(machine, d, lazy=lazy)
     result = run(machine, algo, sigma)
@@ -870,6 +895,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
     from repro.sim.parallel import parallel_map
 
     n = args.n
@@ -933,11 +959,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p_rep)
     p_rep.set_defaults(func=_cmd_report)
 
-    workload_choices = sorted(["poisson", "burst", "churn", *SCENARIOS])
-
     def add_common(p):
         p.add_argument("--n", type=int, default=64, help="number of PEs (power of 2)")
-        p.add_argument("--workload", choices=workload_choices, default="poisson")
+        p.add_argument("--workload", choices=_WORKLOADS, default="poisson")
         p.add_argument("--tasks", type=int, default=500, help="tasks / events")
         p.add_argument("--utilization", type=float, default=0.8)
         p.add_argument("--scale", type=float, default=1.0, help="scenario size factor")

@@ -10,30 +10,36 @@
 * :class:`~repro.machines.copies.BuddyCopy` /
   :class:`~repro.machines.copies.CopySet` — the "copies of T" device of
   procedures A_R and A_B.
+
+The names load on first use (:mod:`repro._lazy`).
 """
 
-from repro.machines.base import PartitionableMachine
-from repro.machines.butterfly import Butterfly
-from repro.machines.copies import BuddyCopy, CopySet
-from repro.machines.fattree import FatTree
-from repro.machines.fragmentation import (
-    FragmentationProfile,
-    fragmentation_profile,
-    machine_potential,
-    submachine_potential,
-)
-from repro.machines.hierarchy import Hierarchy, grown_node, shrunk_node
-from repro.machines.hypercube import Hypercube, gray_code, inverse_gray_code
-from repro.machines.loads import LoadTracker
-from repro.machines.mesh import Mesh2D, morton_decode, morton_encode
-from repro.machines.subcube import (
-    SubcubeAllocator,
-    SubcubeRegion,
-    is_subcube,
-    recognized_subcubes,
-)
-from repro.machines.tree import TreeMachine
-from repro.machines.visualize import render_allocation, render_tree
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "base": ["PartitionableMachine"],
+    "butterfly": ["Butterfly"],
+    "copies": ["BuddyCopy", "CopySet"],
+    "fattree": ["FatTree"],
+    "fragmentation": [
+        "FragmentationProfile",
+        "fragmentation_profile",
+        "machine_potential",
+        "submachine_potential",
+    ],
+    "hierarchy": ["Hierarchy", "grown_node", "shrunk_node"],
+    "hypercube": ["Hypercube", "gray_code", "inverse_gray_code"],
+    "loads": ["LoadTracker"],
+    "mesh": ["Mesh2D", "morton_decode", "morton_encode"],
+    "subcube": [
+        "SubcubeAllocator",
+        "SubcubeRegion",
+        "is_subcube",
+        "recognized_subcubes",
+    ],
+    "tree": ["TreeMachine"],
+    "visualize": ["render_allocation", "render_tree"],
+})
 
 __all__ = [
     "PartitionableMachine",

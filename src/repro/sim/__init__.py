@@ -11,39 +11,41 @@
   slowdown measurement (the paper's thread-management motivation).
 * :func:`~repro.sim.runner.run` / :func:`~repro.sim.runner.run_many` /
   :func:`~repro.sim.runner.expected_max_load` — one-call helpers.
+
+The names load on first use (:mod:`repro._lazy`).
 """
 
-from repro.sim.archive import load_run, machine_from_descriptor, save_run
-from repro.sim.audit import AuditReport, audit_run
-from repro.sim.closedloop import (
-    ClosedLoopResult,
-    TaskOutcome,
-    simulate_shared_closed_loop,
-)
-from repro.sim.engine import RunResult, Simulator
-from repro.sim.history import RunHistory
-from repro.sim.queueing import simulate_exclusive_queueing
-from repro.sim.metrics import (
-    LoadTimeSeries,
-    MetricsCollector,
-    ReallocationStats,
-    jain_fairness,
-)
-from repro.sim.realloc_cost import MigrationCharge, MigrationCostModel
-from repro.sim.runner import (
-    AlgorithmFactory,
-    SweepPoint,
-    expected_max_load,
-    run,
-    run_many,
-    run_traced,
-)
-from repro.sim.slowdown import (
-    SlowdownReport,
-    TaskSlowdown,
-    measure_slowdowns,
-    measure_slowdowns_dynamic,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "archive": ["load_run", "machine_from_descriptor", "save_run"],
+    "audit": ["AuditReport", "audit_run"],
+    "closedloop": ["ClosedLoopResult", "TaskOutcome", "simulate_shared_closed_loop"],
+    "engine": ["RunResult", "Simulator"],
+    "history": ["RunHistory"],
+    "queueing": ["simulate_exclusive_queueing"],
+    "metrics": [
+        "LoadTimeSeries",
+        "MetricsCollector",
+        "ReallocationStats",
+        "jain_fairness",
+    ],
+    "realloc_cost": ["MigrationCharge", "MigrationCostModel"],
+    "runner": [
+        "AlgorithmFactory",
+        "SweepPoint",
+        "expected_max_load",
+        "run",
+        "run_many",
+        "run_traced",
+    ],
+    "slowdown": [
+        "SlowdownReport",
+        "TaskSlowdown",
+        "measure_slowdowns",
+        "measure_slowdowns_dynamic",
+    ],
+})
 
 __all__ = [
     "Simulator",

@@ -10,20 +10,26 @@ Public surface:
 * :class:`~repro.tasks.builder.SequenceBuilder` — fluent construction;
   :func:`~repro.tasks.builder.figure1_sequence` — the paper's Figure 1
   example.
+
+The names load on first use (:mod:`repro._lazy`).
 """
 
-from repro.tasks.builder import SequenceBuilder, figure1_sequence
-from repro.tasks.events import Arrival, Departure, Event, EventKind, event_sort_key
-from repro.tasks.sequence import TaskSequence
-from repro.tasks.task import Task
-from repro.tasks.transforms import (
-    filter_tasks,
-    scale_sizes,
-    scale_time,
-    subsample,
-    superpose,
-    truncate_tasks,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "builder": ["SequenceBuilder", "figure1_sequence"],
+    "events": ["Arrival", "Departure", "Event", "EventKind", "event_sort_key"],
+    "sequence": ["TaskSequence"],
+    "task": ["Task"],
+    "transforms": [
+        "filter_tasks",
+        "scale_sizes",
+        "scale_time",
+        "subsample",
+        "superpose",
+        "truncate_tasks",
+    ],
+})
 
 __all__ = [
     "Task",

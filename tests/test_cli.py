@@ -19,6 +19,23 @@ class TestParser:
         assert args.algorithm == "greedy"
         assert args.workload == "poisson"
 
+    def test_workload_choices_are_the_generators_and_scenarios(self):
+        """The parser keeps the names itself so that it imports no
+        workload module; they must stay the registry's."""
+        from repro import cli
+        from repro.workloads import SCENARIOS
+
+        assert cli._WORKLOADS == tuple(sorted(["poisson", "burst", "churn", *SCENARIOS]))
+
+    def test_every_topology_choice_builds(self):
+        from argparse import Namespace
+
+        from repro import cli
+
+        for topology in cli._TOPOLOGIES:
+            machine = cli._make_machine(Namespace(topology=topology, n=16))
+            assert machine.num_pes == 16
+
 
 class TestCommands:
     def test_list(self, capsys):
