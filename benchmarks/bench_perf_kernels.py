@@ -7,6 +7,8 @@ every experiment leans on:
 * LoadTracker place/remove (O(log N) path re-aggregation),
 * the O(log N) min-load tree descent (greedy's inner loop) and the
   legacy O(N/size) level scan it replaced, side by side,
+* every submachine load of one size (first-fit's and gated two-choice's
+  per-arrival read),
 * the journal-backed leaf-load snapshot,
 * procedure A_R packing (closed form) plus the vectorised LoadTracker
   adoption (``rebuild_from``), and side by side the per-task first-fit
@@ -81,6 +83,16 @@ def test_perf_min_scan_legacy(benchmark, hierarchy):
     result = benchmark(lambda: tracker.leftmost_min_submachine_scan(16))
     assert hierarchy.subtree_size(result[0]) == 16
     assert result == tracker.leftmost_min_submachine(16)
+
+
+@pytest.mark.parametrize("size", [1, 64])
+def test_perf_level_loads(benchmark, hierarchy, size):
+    # Every submachine load of one size: first-fit and gated two-choice
+    # ask this on every arrival.
+    tracker = _churned_tracker(hierarchy)
+
+    loads = benchmark(lambda: tracker.level_loads(size))
+    assert loads.shape == (N_LARGE // size,)
 
 
 def test_perf_leaf_loads(benchmark, hierarchy):
