@@ -9,7 +9,7 @@ every experiment leans on:
   legacy O(N/size) level scan it replaced, side by side,
 * every submachine load of one size (first-fit's and gated two-choice's
   per-arrival read),
-* the journal-backed leaf-load snapshot,
+* the per-PE leaf-load snapshot (a copy of the tracker's leaf array),
 * procedure A_R packing (closed form) plus the vectorised LoadTracker
   adoption (``rebuild_from``), and side by side the per-task first-fit
   oracle and the legacy clear+place loop they replaced,
@@ -97,7 +97,7 @@ def test_perf_level_loads(benchmark, hierarchy, size):
 
 def test_perf_leaf_loads(benchmark, hierarchy):
     tracker = _churned_tracker(hierarchy)
-    tracker.leaf_loads()  # warm the journal-backed cache
+    tracker.leaf_loads()  # build the leaf array outside the timed region
 
     leaf = hierarchy.node_for(1, 0)
 

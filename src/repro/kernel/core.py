@@ -125,8 +125,12 @@ class AllocationKernel:
     cost_model:
         Prices migrations; defaults to :class:`MigrationCostModel`.
     collect_leaf_snapshots:
-        When False, skip the O(N)-per-event leaf snapshot (max-load
-        accounting stays exact) — essential for very large machines.
+        When False, keep no per-PE snapshot at the peak: skip the O(N)
+        copy of the leaf loads at each new peak, and leave the load
+        tracker's leaf array unbuilt unless something else reads it (the
+        algorithm, or a columnar ``apply_batch``), so events pay no slice
+        add to keep it current.  Max-load accounting stays exact either
+        way.
     view:
         A :class:`~repro.machines.degraded.DegradedView` enables fault
         events; with ``view=None`` a fault event is an unknown-event error,

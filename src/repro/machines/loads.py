@@ -6,7 +6,8 @@ subtree, a task placed at hierarchy node ``v`` adds one to every leaf under
 ``v`` — so the leaf load of PE ``u`` equals the sum, over the root-to-leaf
 path of ``u``, of the number of tasks placed exactly at each path node.
 
-:class:`LoadTracker` exploits this: it stores
+:class:`LoadTracker` exploits this: it stores, as two heap-indexed lists of
+plain ints,
 
 * ``count[v]`` — tasks currently placed exactly at node ``v``;
 * ``M[v]``     — the max, over leaves ``u`` under ``v``, of the path sum
@@ -22,9 +23,10 @@ root-to-leaf path: **O(log N)** per event.
 Three query paths exist for the greedy algorithm's per-arrival question
 ("which 2^x-PE submachine has minimum load?"):
 
-* :meth:`level_loads` — the bulk scan, O(number of submachines) NumPy
-  work via :meth:`Hierarchy.ancestor_sums`; still useful when *all* loads
-  of a level are needed (baselines, plots, brute-force checks).
+* :meth:`level_loads` — every load of one level, read off the per-PE leaf
+  array as ``leaf.reshape(-1, size).max(axis=1)`` (the definition of a
+  submachine's load): O(N) NumPy work, for callers that need *all* loads
+  of a level (first-fit, two-choice, baselines, brute-force checks).
 * :meth:`leftmost_min_submachine_scan` — the scan plus ``argmin``: the
   seed implementation, kept as the reference oracle.
 * :meth:`leftmost_min_submachine` — **O(log N)** tree descent over a
@@ -48,12 +50,16 @@ remainder), i.e. O(log^2 N) integer work per event.  The query itself
 descends from the root comparing the two children's ``D_L`` entries
 (going left on ties gives the paper's leftmost tie-break): **O(log N)**.
 
-The structure is built lazily on the first min-load query, so trackers
-that never ask it (e.g. a kernel's, when its algorithm decides without
-loads and the kernel only validates and meters) pay nothing.  Likewise :meth:`leaf_loads` is served
-from an incrementally maintained per-PE cache fed by a bounded journal of
-``(lo, hi, delta)`` span updates, falling back to one vectorized
-recomputation when the journal overflows between queries.
+The two lists are the only stored source.  The min-of-max vectors and the
+per-PE leaf array are derived from ``count`` and share one lifecycle:
+each is built, vectorised, on its first query; from then on it is kept
+current by every ``place``/``remove`` (the vectors by the path walk, the
+leaf array by one in-place slice add over the node's leaf span); and a
+bulk recompute (:meth:`rebuild_from`, :meth:`resized`, a wide
+:meth:`apply_spans`) rebuilds whichever is built from the NumPy arrays it
+computes anyway.  Trackers that never ask (e.g. a kernel's, when its
+algorithm decides without loads and the kernel only validates and meters)
+pay nothing for either.
 """
 
 from __future__ import annotations
@@ -65,34 +71,9 @@ import numpy as np
 
 from repro.errors import PlacementError
 from repro.machines.hierarchy import Hierarchy
-from repro.types import NodeId, ilog2, is_power_of_two
+from repro.types import NodeId, is_power_of_two
 
 __all__ = ["LoadTracker"]
-
-#: Test override for the leaf-journal capacity.  ``None`` (the default)
-#: makes staleness a function of accumulated *replay width* (see
-#: :meth:`LoadTracker._journal_span`); setting an ``int`` here pins a
-#: plain entry cap instead, for deterministic journal-overflow tests.
-_LEAF_JOURNAL_CAP: int | None = None
-
-
-def _leaf_journal_cap(num_leaves: int) -> int:
-    """Nominal journal entry budget for a machine of ``num_leaves`` PEs.
-
-    Production staleness is decided by accumulated replay *width* (the
-    total number of leaf-element additions a replay would perform), not by
-    this entry count — a flat entry cap misjudges replay cost by up to a
-    factor of N, since a span may touch one leaf or all of them, and a
-    single large batch of narrow spans (the columnar engine journals one
-    span per touched node) used to blow through ``N // 8`` entries and
-    silently force a full O(N) rebuild per batch.  The entry cap remains
-    meaningful in two places: the ``_LEAF_JOURNAL_CAP`` override pins it
-    as the sole staleness criterion for deterministic overflow tests, and
-    its scaled value is kept as the reported journal capacity.
-    """
-    if _LEAF_JOURNAL_CAP is not None:
-        return _LEAF_JOURNAL_CAP
-    return max(16, min(8192, num_leaves // 8))
 
 
 class LoadTracker:
@@ -103,36 +84,24 @@ class LoadTracker:
         "_count",
         "_max_below",
         "_active",
-        "_count_list",
-        "_mb_list",
         "_minagg",
         "_minagg_base",
-        "_leaf_cache",
+        "_leaf",
         "_leaf_view",
-        "_leaf_journal",
-        "_leaf_journal_cap",
-        "_leaf_journal_width",
-        "_leaf_journal_budget",
-        "_leaf_stale",
-        "_path_shifts",
     )
 
     def __init__(self, hierarchy: Hierarchy):
         self.hierarchy = hierarchy
         size = 2 * hierarchy.num_leaves
-        # Heap-indexed; slot 0 unused. int64 because adversarial sequences
-        # can push counts well past int32 in stress tests.
-        self._count = np.zeros(size, dtype=np.int64)
-        self._max_below = np.zeros(size, dtype=np.int64)
+        # Heap-indexed, slot 0 unused.  Plain-int lists: the per-event path
+        # walk is pure Python, and list indexing avoids the ~100ns-per-
+        # element cost of reading NumPy scalars in that loop.
+        self._count = [0] * size
+        self._max_below = [0] * size
         self._active = 0
-        # Plain-int mirrors of count / max_below: the per-event path walk is
-        # pure Python, and list indexing avoids the ~100ns-per-element cost
-        # of reading NumPy scalars in that loop.
-        self._count_list = [0] * size
-        self._mb_list = [0] * size
-        # Min-of-max descent structure (lazy; see module docstring).
-        # _minagg is one flat list; node v at level l with index i within
-        # its level owns the slot range
+        # Min-of-max descent structure (built on first query; see module
+        # docstring).  _minagg is one flat list; node v at level l with
+        # index i within its level owns the slot range
         # [_minagg_base[l] + i*(n-l+1), ... + (n-l+1)), entry j holding
         # D_{l+j}(v).
         self._minagg: list[int] | None = None
@@ -141,25 +110,10 @@ class LoadTracker:
         for level in range(n + 1):
             base[level + 1] = base[level] + (1 << level) * (n - level + 1)
         self._minagg_base = base
-        # Incremental per-PE load cache fed by a bounded span journal, plus
-        # a reusable read-only view for copy-free internal readers.
-        self._leaf_cache = np.zeros(hierarchy.num_leaves, dtype=np.int64)
-        self._leaf_view = self._leaf_cache.view()
-        self._leaf_view.flags.writeable = False
-        self._leaf_journal: list[tuple[int, int, int]] = []
-        self._leaf_journal_cap = _leaf_journal_cap(hierarchy.num_leaves)
-        # Accumulated replay width of the pending journal, against a budget
-        # of ~one rebuild's worth of element additions.  ``None`` budget
-        # means the _LEAF_JOURNAL_CAP override is active and staleness is
-        # entry-counted instead (deterministic overflow tests).
-        self._leaf_journal_width = 0
-        self._leaf_journal_budget: int | None = (
-            None if _LEAF_JOURNAL_CAP is not None else 2 * hierarchy.num_leaves
-        )
-        self._leaf_stale = False
-        # Shift vector for the vectorized root-path gather (satellite:
-        # ancestor_load / leaf_load without a Python generator).
-        self._path_shifts = np.arange(hierarchy.height + 1, dtype=np.int64)
+        # Per-PE loads (built on first query) and a read-only view of them
+        # for copy-free readers.
+        self._leaf: np.ndarray | None = None
+        self._leaf_view: np.ndarray | None = None
 
     # -- Mutation ----------------------------------------------------------
 
@@ -175,18 +129,25 @@ class LoadTracker:
                 f"cannot host a task of size {size}"
             )
 
-    def _reaggregate_up(self, node: NodeId) -> None:
-        """Recompute ``max_below`` (and the min-of-max vectors, if built)
-        along the path from ``node`` to the root — O(log N) path nodes."""
-        count = self._count_list
-        mb = self._mb_list
-        m_np = self._max_below
+    def _update(self, node: NodeId, delta: int) -> None:
+        """Add ``delta`` tasks at ``node`` and recompute ``max_below`` (and
+        the min-of-max vectors, if built) along the path from ``node`` to
+        the root — O(log N) path nodes.  A built leaf array takes one
+        slice add over the node's leaf span."""
+        count = self._count
+        mb = self._max_below
         minagg = self._minagg
         base = self._minagg_base
         n = self.hierarchy.height
         n_leaves = self.hierarchy.num_leaves
+        count[node] += delta
         v = node
         level = v.bit_length() - 1
+        leaf = self._leaf
+        if leaf is not None:
+            width = n_leaves >> level
+            lo = (v - (1 << level)) * width
+            leaf[lo : lo + width] += delta
         while v >= 1:
             c = count[v]
             if v >= n_leaves:  # leaf
@@ -196,7 +157,6 @@ class LoadTracker:
                 b = mb[2 * v + 1]
                 new = c + (a if a >= b else b)
             mb[v] = new
-            m_np[v] = new
             if minagg is not None:
                 i = v - (1 << level)
                 width = n - level + 1  # own vector length
@@ -214,78 +174,34 @@ class LoadTracker:
             v >>= 1
             level -= 1
 
-    def _journal_span(self, node: NodeId, delta: int) -> None:
-        """Record a span update for the leaf-load cache (bounded journal).
-
-        The journal goes stale — dropping to one vectorized O(N) rebuild
-        on the next :meth:`leaf_loads` — when the accumulated replay
-        *width* of the pending spans exceeds ~2N leaf additions, i.e. when
-        replay stops being cheaper than the rebuild.  Width-based
-        accounting (rather than a flat entry count) lets a large batch of
-        narrow spans stay incremental: 2N width also bounds the journal to
-        at most 2N entries, since every span is at least one leaf wide.
-        With the ``_LEAF_JOURNAL_CAP`` override a plain entry cap applies
-        instead (deterministic overflow tests).
-        """
-        if self._leaf_stale:
-            return
-        journal = self._leaf_journal
-        budget = self._leaf_journal_budget
-        if budget is None:
-            if len(journal) >= self._leaf_journal_cap:
-                self._leaf_stale = True
-                journal.clear()
-                return
-            lo, hi = self.hierarchy.leaf_span(node)
-        else:
-            lo, hi = self.hierarchy.leaf_span(node)
-            width = self._leaf_journal_width + (hi - lo)
-            if width > budget:
-                self._leaf_stale = True
-                journal.clear()
-                self._leaf_journal_width = 0
-                return
-            self._leaf_journal_width = width
-        journal.append((lo, hi, delta))
-
     def place(self, node: NodeId, size: int) -> None:
         """Record one task of ``size`` PEs placed at hierarchy node ``node``."""
         self._validate_placement(node, size)
-        self._count[node] += 1
-        self._count_list[node] += 1
         self._active += 1
-        self._reaggregate_up(node)
-        self._journal_span(node, 1)
+        self._update(node, 1)
 
     def remove(self, node: NodeId, size: int) -> None:
         """Remove one previously placed task from ``node``."""
         self._validate_placement(node, size)
-        if self._count_list[node] <= 0:
+        if self._count[node] <= 0:
             raise PlacementError(f"no task placed at node {node} to remove")
-        self._count[node] -= 1
-        self._count_list[node] -= 1
         self._active -= 1
-        self._reaggregate_up(node)
-        self._journal_span(node, -1)
+        self._update(node, -1)
 
     def clear(self) -> None:
         """Drop all placements (used by reallocation: repack from scratch).
 
         All buffers stay allocated — repack-heavy runs (A_C repacks on
         every arrival) call this constantly, and reallocating the two
-        2N-slot mirror lists each time dominated the repack path.
+        2N-slot lists each time dominated the repack path.
         """
-        self._count[:] = 0
-        self._max_below[:] = 0
         self._active = 0
         size = 2 * self.hierarchy.num_leaves
-        self._count_list[:] = repeat(0, size)
-        self._mb_list[:] = repeat(0, size)
-        self._minagg = None  # rebuilt lazily on the next min-load query
-        self._leaf_cache[:] = 0
-        self._leaf_journal.clear()
-        self._leaf_journal_width = 0
-        self._leaf_stale = False
+        self._count[:] = repeat(0, size)
+        self._max_below[:] = repeat(0, size)
+        self._minagg = None  # rebuilt on the next min-load query
+        if self._leaf is not None:
+            self._leaf[:] = 0
 
     def rebuild_from(self, placements: Iterable[tuple[NodeId, int]]) -> None:
         """Replace the entire load state with ``placements`` in one pass.
@@ -312,16 +228,17 @@ class LoadTracker:
         if not self.hierarchy.roots_of_size(nodes, sizes).all():
             for node, size in pairs:
                 self._validate_placement(node, size)
-        self._count[:] = np.bincount(nodes, minlength=2 * n)
+        count = np.bincount(nodes, minlength=2 * n)
+        self._count[:] = count.tolist()
         self._active = len(pairs)
-        self._recompute_aggregates()
+        self._recompute_aggregates(count)
 
     def resized(
         self, hierarchy: Hierarchy, placements: Iterable[tuple[NodeId, int]]
     ) -> "LoadTracker":
         """A fresh tracker on ``hierarchy`` seeded from ``placements``.
 
-        The leaf arrays of a tracker are sized to its hierarchy, so an
+        The buffers of a tracker are sized to its hierarchy, so an
         online machine resize cannot mutate in place; instead the kernel
         swaps in this replacement — new-size buffers, loads re-derived
         from the (already remapped) placements via the O(N + T) vectorized
@@ -331,29 +248,27 @@ class LoadTracker:
         tracker.rebuild_from(placements)
         return tracker
 
-    def _recompute_aggregates(self) -> None:
-        """Rebuild ``max_below`` (and its mirror) bottom-up from ``count``
-        with one vectorized reduction per level: O(N) total.  The lazy
-        min-of-max structure and the per-PE cache are invalidated and
-        rebuilt on their next query."""
+    def _count_array(self) -> np.ndarray:
+        """``count`` as a heap-indexed int64 array (one O(N) conversion)."""
+        return np.fromiter(self._count, dtype=np.int64, count=len(self._count))
+
+    def _recompute_aggregates(self, count: np.ndarray) -> None:
+        """Rebuild ``max_below`` bottom-up from ``count`` (the array form of
+        the stored list) with one vectorized reduction per level: O(N)
+        total.  The derived structures already built are rebuilt from the
+        same array."""
         h = self.hierarchy
-        count = self._count
-        mb = self._max_below
-        n = h.height
-        leaves = h.level_slice(n)
-        mb[leaves] = count[leaves]
-        for level in range(n - 1, -1, -1):
+        mb = count.copy()
+        for level in range(h.height - 1, -1, -1):
             sl = h.level_slice(level)
             below = mb[h.level_slice(level + 1)]
             np.maximum(below[0::2], below[1::2], out=mb[sl])
             mb[sl] += count[sl]
-        self._count_list[:] = count.tolist()
-        self._mb_list[:] = mb.tolist()
-        self._minagg = None  # rebuilt lazily on the next min-load query
-        # The per-PE cache is recomputed vectorized on the next query.
-        self._leaf_journal.clear()
-        self._leaf_journal_width = 0
-        self._leaf_stale = True
+        self._max_below[:] = mb.tolist()
+        if self._minagg is not None:
+            self._build_minagg(count)
+        if self._leaf is not None:
+            self._fill_leaf(count)
 
     def apply_spans(self, updates: Iterable[tuple[NodeId, int, int]]) -> None:
         """Apply many placement-count deltas in one bulk mutation.
@@ -390,31 +305,23 @@ class LoadTracker:
         acc = {v: d for v, d in acc.items() if d}
         if not acc:
             return
-        count = self._count_list
+        count = self._count
         for v, d in acc.items():
             if count[v] + d < 0:
                 raise PlacementError(f"no task placed at node {v} to remove")
-        total = 0
-        count_np = self._count
-        for v, d in acc.items():
-            count_np[v] += d
-            count[v] += d
-            total += d
-        self._active += total
+        self._active += sum(acc.values())
         # Crossover measured, not counted: a Python path walk costs ~5µs
         # regardless of height at realistic N, while the vectorized
-        # bottom-up recompute is ~200µs at N = 4096 — so walks win only
-        # up to about one node per hundred leaves.
+        # bottom-up recompute (converting the count list included) is
+        # ~200-350µs at N = 4096 — so walks win only up to about one node
+        # per hundred leaves, one per fifty at most.
         if len(acc) * 100 < h.num_leaves:
-            # Path walks recompute each node from its children's *current*
-            # aggregates, so with all counts applied up front the walks
-            # commute: the last walk through any shared path segment sees
-            # every sibling branch already settled.
             for v, d in acc.items():
-                self._reaggregate_up(v)
-                self._journal_span(v, d)
+                self._update(v, d)
         else:
-            self._recompute_aggregates()
+            for v, d in acc.items():
+                count[v] += d
+            self._recompute_aggregates(self._count_array())
 
     # -- Queries -------------------------------------------------------------
 
@@ -426,101 +333,103 @@ class LoadTracker:
     @property
     def max_load(self) -> int:
         """Machine-wide maximum PE load, ``max_u lambda(u)`` — O(1)."""
-        return self._mb_list[1]
+        return self._max_below[1]
 
     def node_count(self, node: NodeId) -> int:
         """Tasks placed exactly at ``node``."""
         self.hierarchy._check(node)
-        return self._count_list[node]
+        return self._count[node]
 
-    def _path_gather(self, node: NodeId) -> np.ndarray:
-        """``count`` over ``node`` and its ancestors, via one NumPy gather."""
-        shifts = self._path_shifts[: node.bit_length()]
-        return self._count[node >> shifts]
+    def _path_sum(self, v: int) -> int:
+        """Sum of ``count`` over ``v`` and its ancestors (0 for ``v == 0``)."""
+        count = self._count
+        total = 0
+        while v:
+            total += count[v]
+            v >>= 1
+        return total
 
     def ancestor_load(self, node: NodeId) -> int:
-        """Sum of ``count`` over proper ancestors of ``node`` — O(log N),
-        vectorized as a shifted path-index gather."""
+        """Sum of ``count`` over proper ancestors of ``node`` — O(log N)."""
         self.hierarchy._check(node)
-        if node == 1:
-            return 0
-        return int(self._path_gather(node)[1:].sum())
+        return self._path_sum(node >> 1)
 
     def submachine_load(self, node: NodeId) -> int:
         """Max PE load within the submachine rooted at ``node`` — O(log N)."""
         self.hierarchy._check(node)
-        return self._mb_list[node] + self.ancestor_load(node)
+        return self._max_below[node] + self._path_sum(node >> 1)
 
     def leaf_load(self, pe: int) -> int:
-        """Load of one PE — O(log N), vectorized path gather."""
-        leaf = self.hierarchy.leaf_node(pe)
-        return int(self._path_gather(leaf).sum())
+        """Load of one PE — O(log N)."""
+        return self._path_sum(self.hierarchy.leaf_node(pe))
+
+    def _fill_leaf(self, count: np.ndarray) -> None:
+        """Write the per-PE loads derived from ``count`` into the leaf
+        array, in place, so views of it stay the tracker's."""
+        h = self.hierarchy
+        anc = h.ancestor_sums(count, h.height)
+        np.add(anc, count[h.level_slice(h.height)], out=self._leaf)
+
+    def _leaves(self) -> np.ndarray:
+        """The per-PE leaf array, built on first use: O(N) once."""
+        if self._leaf is None:
+            self._leaf = np.empty(self.hierarchy.num_leaves, dtype=np.int64)
+            self._leaf_view = self._leaf.view()
+            self._leaf_view.flags.writeable = False
+            self._fill_leaf(self._count_array())
+        return self._leaf
 
     def leaf_loads(self, *, copy: bool = True) -> np.ndarray:
-        """Loads of all PEs — incrementally cached; O(journal) typical,
-        one O(N) vectorized rebuild after journal overflow.
+        """Loads of all PEs: an O(N) copy of the leaf array (built on the
+        first query, then kept current by every mutation).
 
         With ``copy=False`` the returned array is a **read-only view** of
-        the internal cache: O(1) after the journal replay, for internal
-        callers (engine metrics, audits, consistency checks) that only
-        read it before the tracker mutates again.  The view's contents are
-        only guaranteed until the next ``place``/``remove``/``clear``;
-        callers that hold onto the loads must copy (the default).
+        the leaf array: O(1), for internal callers (engine metrics, audits,
+        consistency checks) that only read it before the tracker mutates
+        again.  The view follows the tracker, so its contents change with
+        the next ``place``/``remove``/``clear``/bulk update; callers that
+        hold onto the loads must copy (the default).
         """
-        cache = self._leaf_cache
-        if self._leaf_stale:
-            h = self.hierarchy
-            anc = h.ancestor_sums(self._count, h.height)
-            np.add(anc, self._count[h.level_slice(h.height)], out=cache)
-            self._leaf_stale = False
-        elif self._leaf_journal:
-            for lo, hi, delta in self._leaf_journal:
-                cache[lo:hi] += delta
-            self._leaf_journal.clear()
-            self._leaf_journal_width = 0
-        return cache.copy() if copy else self._leaf_view
+        leaf = self._leaves()
+        return leaf.copy() if copy else self._leaf_view
 
     def level_loads(self, size: int) -> np.ndarray:
         """Loads of every ``size``-PE submachine, left to right — vectorized.
 
         ``result[j]`` is the max PE load within the ``j``-th aligned
-        submachine of ``size`` PEs: O(number of submachines) NumPy work.
+        submachine of ``size`` PEs: O(N) NumPy work over the leaf array.
         Use :meth:`leftmost_min_submachine` when only the minimum is needed.
         """
-        h = self.hierarchy
-        level = h.level_for_size(size)
-        anc = h.ancestor_sums(self._count, level)
-        return anc + self._max_below[h.level_slice(level)]
+        self.hierarchy.level_for_size(size)  # rejects sizes with no level
+        return self._leaves().reshape(-1, size).max(axis=1)
 
     def leftmost_min_submachine_scan(self, size: int) -> tuple[NodeId, int]:
         """Reference implementation: full level scan plus ``argmin``.
 
         ``np.argmin`` returns the first minimum, which is precisely the
-        paper's leftmost tie-break.  O(number of submachines); kept as the
-        oracle the O(log N) descent is property-tested against, and as the
-        baseline kernel in the perf benches.
+        paper's leftmost tie-break.  Kept as the oracle the O(log N)
+        descent is property-tested against, and as the baseline kernel in
+        the perf benches.
         """
         loads = self.level_loads(size)
         j = int(np.argmin(loads))
         return self.hierarchy.node_for(size, j), int(loads[j])
 
-    def _build_minagg(self) -> None:
-        """Materialize the min-of-max vectors bottom-up, vectorized per
-        (level, target-level) pair: O(N) total work, done once."""
+    def _build_minagg(self, count: np.ndarray) -> None:
+        """Materialize the min-of-max vectors bottom-up from ``count``,
+        vectorized per level: O(N) total work."""
         h = self.hierarchy
         n = h.height
-        count = self._count
-        # rows[l] is the (2^l, n-l+1) matrix of D vectors for level l.
+        # rows[l] is the (2^l, n-l+1) matrix of D vectors for level l;
+        # column 0 is M, so M needs no separate input.
         rows: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-        leaves = count[h.level_slice(n)]
-        rows[n] = leaves.reshape(-1, 1).copy()
-        mb = self._max_below
+        rows[n] = count[h.level_slice(n)].reshape(-1, 1)
         for level in range(n - 1, -1, -1):
             below = rows[level + 1]
             mat = np.empty((1 << level, n - level + 1), dtype=np.int64)
-            mat[:, 0] = mb[h.level_slice(level)]
+            np.maximum(below[0::2, 0], below[1::2, 0], out=mat[:, 0])
             np.minimum(below[0::2, :], below[1::2, :], out=mat[:, 1:])
-            mat[:, 1:] += count[h.level_slice(level)][:, None]
+            mat += count[h.level_slice(level)][:, None]
             rows[level] = mat
         flat: list[int] = []
         for level in range(n + 1):
@@ -530,14 +439,14 @@ class LoadTracker:
     def leftmost_min_submachine(self, size: int) -> tuple[NodeId, int]:
         """Leftmost ``size``-PE submachine of minimum load, and that load.
 
-        O(log N) descent over the lazily built min-of-max structure; ties
-        resolve to the left child at every step, which is the paper's
-        leftmost tie-break (verified against
+        O(log N) descent over the min-of-max structure (built on the
+        first query); ties resolve to the left child at every step, which
+        is the paper's leftmost tie-break (verified against
         :meth:`leftmost_min_submachine_scan` by property tests).
         """
         target = self.hierarchy.level_for_size(size)
         if self._minagg is None:
-            self._build_minagg()
+            self._build_minagg(self._count_array())
         minagg = self._minagg
         base = self._minagg_base
         n = self.hierarchy.height
@@ -555,36 +464,23 @@ class LoadTracker:
             level += 1
         return v, best
 
-    def snapshot(self) -> np.ndarray:
-        """Copy of the per-node placement counts (heap-indexed)."""
-        return self._count.copy()
-
     def check_invariants(self) -> None:
         """Verify internal aggregation consistency (test helper, O(N log N))."""
         h = self.hierarchy
-        m = np.zeros_like(self._max_below)
-        leaves = h.level_slice(h.height)
-        m[leaves] = self._count[leaves]
-        for level in range(h.height - 1, -1, -1):
-            for v in h.nodes_at_level(level):
-                m[v] = self._count[v] + max(m[2 * v], m[2 * v + 1])
-        if not np.array_equal(m, self._max_below):
+        count = self._count
+        m = list(count)
+        for v in range(h.num_leaves - 1, 0, -1):
+            m[v] = count[v] + max(m[2 * v], m[2 * v + 1])
+        if m[1:] != self._max_below[1:]:
             raise AssertionError("LoadTracker max aggregation out of sync")
-        if self._count[1:].tolist() != self._count_list[1:]:
-            raise AssertionError("LoadTracker count mirror out of sync")
-        if self._max_below[1:].tolist() != self._mb_list[1:]:
-            raise AssertionError("LoadTracker max-below mirror out of sync")
-        if int(self._count[1:].sum()) != self._active:
+        if sum(count[1:]) != self._active:
             raise AssertionError("LoadTracker active-count out of sync")
-        # Leaf cache: replaying the journal must reproduce the true loads.
-        anc = h.ancestor_sums(self._count, h.height)
-        true_leaves = anc + self._count[leaves]
-        if not self._leaf_stale:
-            replayed = self._leaf_cache.copy()
-            for lo, hi, delta in self._leaf_journal:
-                replayed[lo:hi] += delta
-            if not np.array_equal(replayed, true_leaves):
-                raise AssertionError("LoadTracker leaf cache out of sync")
+        count_np = self._count_array()
+        true_leaves = h.ancestor_sums(count_np, h.height) + count_np[
+            h.level_slice(h.height)
+        ]
+        if self._leaf is not None and not np.array_equal(self._leaf, true_leaves):
+            raise AssertionError("LoadTracker leaf array out of sync")
         # Min-of-max structure (only when built): every D_L(v) must equal
         # the brute-force minimum over level-L descendant loads.
         if self._minagg is not None:
@@ -596,7 +492,7 @@ class LoadTracker:
                     vec = self._minagg[
                         base[level] + i * width : base[level] + (i + 1) * width
                     ]
-                    anc_v = sum(self._count_list[a] for a in h.ancestors(v))
+                    anc_v = sum(count[a] for a in h.ancestors(v))
                     for j, target in enumerate(range(level, n + 1)):
                         lo, hi = h.leaf_span(v)
                         size = h.num_leaves >> target

@@ -87,12 +87,6 @@ class TestQueries:
         node, load = tracker.leftmost_min_submachine(2)
         assert (node, load) == (4, 1)  # all tied at 1 -> leftmost
 
-    def test_snapshot_is_copy(self, tracker):
-        tracker.place(1, 8)
-        snap = tracker.snapshot()
-        snap[1] = 99
-        assert tracker.node_count(1) == 1
-
 
 @st.composite
 def placement_scripts(draw, num_leaves=8, max_ops=40):
@@ -226,8 +220,8 @@ class TestLeftmostMinDescent:
         tracker.check_invariants()
 
     def test_journal_overflow_falls_back_to_rebuild(self):
-        """More mutations between queries than the journal cap: the cache
-        is rebuilt vectorized and stays exact."""
+        """300 mutations before the first leaf query: the leaf array built
+        then is exact."""
         h = Hierarchy(16)
         tracker = LoadTracker(h)
         naive = np.zeros(16, dtype=np.int64)
@@ -328,34 +322,6 @@ class TestLeafLoadsView:
         assert tracker.leaf_loads(copy=False).tolist() == tracker.leaf_loads().tolist()
 
 
-class TestJournalCapScaling:
-    def test_scales_with_machine_size(self):
-        from repro.machines.loads import _leaf_journal_cap
-
-        assert _leaf_journal_cap(16) == 16          # floor
-        assert _leaf_journal_cap(1 << 10) == 128    # N // 8
-        assert _leaf_journal_cap(1 << 16) == 8192   # ceiling
-        assert _leaf_journal_cap(1 << 20) == 8192
-
-    def test_module_override_wins(self, monkeypatch):
-        import repro.machines.loads as loads_mod
-
-        monkeypatch.setattr(loads_mod, "_LEAF_JOURNAL_CAP", 3)
-        tracker = LoadTracker(Hierarchy(64))
-        assert tracker._leaf_journal_cap == 3
-        h = tracker.hierarchy
-        naive = np.zeros(64, dtype=np.int64)
-        rng = np.random.default_rng(1)
-        _ = tracker.leaf_loads()
-        for _ in range(50):  # far past the tiny cap: overflow path
-            node = int(rng.integers(1, 128))
-            tracker.place(node, h.subtree_size(node))
-            lo, hi = h.leaf_span(node)
-            naive[lo:hi] += 1
-        assert tracker.leaf_loads().tolist() == naive.tolist()
-        tracker.check_invariants()
-
-
 class TestApplySpans:
     """apply_spans(updates) == the same |delta| place()/remove() calls."""
 
@@ -449,45 +415,3 @@ class TestApplySpans:
         tracker.apply_spans([(2, 8, 0), (3, 8, 0)])
         assert tracker.leaf_loads().tolist() == before
         tracker.check_invariants()
-
-
-class TestJournalWidthBudget:
-    """Staleness is decided by accumulated replay width, not entry count."""
-
-    def test_many_narrow_spans_stay_incremental(self):
-        # 2N width budget: N leaf-wide spans cost 1 each, so N/2 singleton
-        # places stay under budget and never force a rebuild.
-        h = Hierarchy(64)
-        tracker = LoadTracker(h)
-        _ = tracker.leaf_loads()  # populate the cache; journal from here
-        for leaf in range(32):
-            tracker.place(64 + leaf, 1)
-        assert not tracker._leaf_stale
-        assert len(tracker._leaf_journal) == 32
-        assert tracker._leaf_journal_width == 32
-        assert tracker.leaf_loads().tolist() == [1] * 32 + [0] * 32
-
-    def test_wide_spans_exhaust_the_budget(self):
-        # Whole-machine spans are N wide: the third one exceeds 2N and
-        # flips the cache to stale (one vectorized rebuild on next query).
-        h = Hierarchy(64)
-        tracker = LoadTracker(h)
-        _ = tracker.leaf_loads()
-        tracker.place(1, 64)
-        tracker.place(1, 64)
-        assert not tracker._leaf_stale
-        tracker.place(1, 64)
-        assert tracker._leaf_stale
-        assert tracker._leaf_journal == []
-        assert tracker.leaf_loads().tolist() == [3] * 64
-        tracker.check_invariants()
-
-    def test_drain_resets_width(self):
-        h = Hierarchy(64)
-        tracker = LoadTracker(h)
-        _ = tracker.leaf_loads()
-        tracker.place(1, 64)
-        assert tracker._leaf_journal_width == 64
-        _ = tracker.leaf_loads()  # replays and drains the journal
-        assert tracker._leaf_journal_width == 0
-        assert tracker._leaf_journal == []

@@ -2,20 +2,25 @@
 
 The unit suite checks place/remove/repack in hand-picked orders; this
 machine lets Hypothesis interleave them arbitrarily and asserts after
-*every* step that all of the tracker's redundant representations agree:
+*every* step that every query agrees with a naive difference-array
+recomputation from the shadow placement list (via the verify package's
+independent ``oracle_leaf_span``, which shares no code with the tracker):
 
-* the journal-backed ``leaf_loads`` cache against a naive difference-array
-  recomputation from the shadow placement list (via the verify package's
-  independent ``oracle_leaf_span``, which shares no code with the tracker);
+* ``leaf_loads``, ``leaf_load`` for every PE and ``level_loads`` for
+  every submachine size;
+* ``submachine_load`` and ``ancestor_load`` for every node;
 * the O(log N) ``leftmost_min_submachine`` descent against the
   ``leftmost_min_submachine_scan`` oracle, for every submachine size;
-* ``max_load`` and the tracker's own ``check_invariants``.
+* ``max_load``, ``num_active`` and the tracker's own ``check_invariants``.
 
-A dedicated churn rule overflows the leaf journal's replay-width budget
-(2N leaf additions) so the
-stale-flag → vectorised-rebuild path runs inside arbitrary histories, and
-the repack rule exercises ``clear()`` + bulk re-placement (the A_M repack
-idiom) rather than only incremental updates.
+Beyond single places and removes, the rules cover the bulk paths — the
+repack idiom (``clear()`` + re-placement), ``rebuild_from`` and mixed
+``apply_spans`` batches — and a fresh tracker whose derived structures
+(the per-PE leaf array and the min-of-max vectors) are first built partway
+through its history and must then be kept current by later mutations.
+The N = 16 machine always takes ``apply_spans``' vectorised branch; the
+N = 256 one also takes its per-node walk (fewer than one distinct node
+per hundred leaves).
 """
 
 import numpy as np
@@ -26,38 +31,39 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.machines.tree import TreeMachine
 from repro.verify.oracle import oracle_leaf_span
 
-N = 16
-SIZES = [1, 2, 4, 8, 16]
-
-
-def _nodes_for_size(size: int) -> range:
-    count = N // size
-    return range(count, 2 * count)
-
 
 class LoadTrackerMachine(RuleBasedStateMachine):
+    N = 16
+
     def __init__(self):
         super().__init__()
-        self.machine = TreeMachine(N)
+        self.sizes = [1 << k for k in range(self.N.bit_length())]
+        self.machine = TreeMachine(self.N)
         self.tracker = self.machine.new_load_tracker()
         #: Shadow model: flat list of (node, size) placements.
         self.placed: list[tuple[int, int]] = []
 
+    def _draw_node(self, data, size):
+        count = self.N // size
+        return data.draw(st.integers(count, 2 * count - 1))
+
     # -- rules ------------------------------------------------------------
 
-    @rule(size=st.sampled_from(SIZES))
-    def place_at_descent_choice(self, size):
+    @rule(data=st.data())
+    def place_at_descent_choice(self, data):
+        size = data.draw(st.sampled_from(self.sizes))
         node, load = self.tracker.leftmost_min_submachine(size)
         scan_node, scan_load = self.tracker.leftmost_min_submachine_scan(size)
         assert (node, load) == (scan_node, scan_load)
         self.tracker.place(node, size)
         self.placed.append((node, size))
 
-    @rule(size=st.sampled_from(SIZES), data=st.data())
-    def place_anywhere(self, size, data):
+    @rule(data=st.data())
+    def place_anywhere(self, data):
         # Adversarial placements too — the tracker serves all algorithms,
         # not only load-seeking ones.
-        node = data.draw(st.sampled_from(list(_nodes_for_size(size))))
+        size = data.draw(st.sampled_from(self.sizes))
+        node = self._draw_node(data, size)
         self.tracker.place(node, size)
         self.placed.append((node, size))
 
@@ -81,39 +87,95 @@ class LoadTrackerMachine(RuleBasedStateMachine):
             self.tracker.place(node, size)
             self.placed.append((node, size))
 
-    @rule(pe=st.integers(0, N - 1))
-    def churn_overflows_journal(self, pe):
-        # 70 place/remove pairs on one leaf: net zero, but 140 leaves of
-        # accumulated replay width — past the 2N = 32 width budget,
-        # forcing the stale-rebuild path the next time leaf_loads() is
-        # consulted.
-        leaf = N + pe
-        for _ in range(70):
-            self.tracker.place(leaf, 1)
-            self.tracker.remove(leaf, 1)
+    @rule(data=st.data())
+    def rebuild_from_shadow(self, data):
+        # Adoption of a whole placement list, in a drawn order.
+        self.placed = data.draw(st.permutations(self.placed))
+        self.tracker.rebuild_from(self.placed)
+
+    @rule(data=st.data())
+    def mixed_apply_spans(self, data):
+        # Removals of live placements and new placements in one batch,
+        # shuffled, with repeated nodes coalescing.
+        updates = []
+        for _ in range(data.draw(st.integers(0, min(3, len(self.placed))))):
+            idx = data.draw(st.integers(0, len(self.placed) - 1))
+            node, size = self.placed.pop(idx)
+            updates.append((node, size, -1))
+        for _ in range(data.draw(st.integers(0, 3))):
+            size = data.draw(st.sampled_from(self.sizes))
+            node = self._draw_node(data, size)
+            updates.append((node, size, 1))
+            self.placed.append((node, size))
+        self.tracker.apply_spans(data.draw(st.permutations(updates)))
+
+    @rule(data=st.data())
+    def fresh_tracker_built_mid_history(self, data):
+        # Replay the shadow placements into a new tracker, building the
+        # derived structures after a drawn prefix (one of them, or both),
+        # so the rest of the replay must keep them current.
+        tracker = self.machine.new_load_tracker()
+        split = data.draw(st.integers(0, len(self.placed)))
+        for node, size in self.placed[:split]:
+            tracker.place(node, size)
+        built = data.draw(st.sampled_from(["leaf", "minagg", "both"]))
+        if built in ("leaf", "both"):
+            tracker.leaf_loads(copy=False)
+        if built in ("minagg", "both"):
+            tracker.leftmost_min_submachine(1)
+        for node, size in self.placed[split:]:
+            tracker.place(node, size)
+        tracker.check_invariants()
+        self.tracker = tracker
 
     # -- invariants -------------------------------------------------------
 
     @invariant()
-    def all_representations_agree(self):
+    def every_query_matches_the_naive_loads(self):
         self.tracker.check_invariants()
-        expected = np.zeros(N, dtype=np.int64)
+        n = self.N
+        expected = np.zeros(n, dtype=np.int64)
         for node, _size in self.placed:
-            lo, hi = oracle_leaf_span(node, N)
+            lo, hi = oracle_leaf_span(node, n)
             expected[lo:hi] += 1
-        assert np.array_equal(self.tracker.leaf_loads(), expected)
-        assert self.tracker.max_load == int(expected.max())
-        assert self.tracker.num_active == len(self.placed)
+        tracker = self.tracker
+        assert np.array_equal(tracker.leaf_loads(), expected)
+        assert [tracker.leaf_load(pe) for pe in range(n)] == expected.tolist()
+        for size in self.sizes:
+            blocks = expected.reshape(-1, size)
+            assert tracker.level_loads(size).tolist() == blocks.max(axis=1).tolist()
+        for node in range(1, 2 * n):
+            lo, hi = oracle_leaf_span(node, n)
+            assert tracker.submachine_load(node) == int(expected[lo:hi].max())
+            above = sum(1 for v, _ in self.placed if _covers(v, node))
+            assert tracker.ancestor_load(node) == above
+        assert tracker.max_load == int(expected.max())
+        assert tracker.num_active == len(self.placed)
 
     @invariant()
     def descent_matches_scan_for_every_size(self):
-        for size in SIZES:
+        for size in self.sizes:
             assert self.tracker.leftmost_min_submachine(
                 size
             ) == self.tracker.leftmost_min_submachine_scan(size)
 
 
+def _covers(anc, node):
+    """Is ``anc`` a proper ancestor of heap node ``node``?"""
+    shift = node.bit_length() - anc.bit_length()
+    return shift > 0 and node >> shift == anc
+
+
+class LargeLoadTrackerMachine(LoadTrackerMachine):
+    N = 256
+
+
 TestLoadTrackerStateful = LoadTrackerMachine.TestCase
 TestLoadTrackerStateful.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
+)
+
+TestLargeLoadTrackerStateful = LargeLoadTrackerMachine.TestCase
+TestLargeLoadTrackerStateful.settings = settings(
+    max_examples=8, stateful_step_count=20, deadline=None
 )

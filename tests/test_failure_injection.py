@@ -138,8 +138,14 @@ class TestStateCorruptionDetection:
 
         tracker = LoadTracker(Hierarchy(8))
         tracker.place(2, 4)
-        tracker._max_below[1] += 1  # corrupt the aggregate
-        with pytest.raises(AssertionError):
+        tracker._max_below[1] += 1  # corrupt the stored aggregate
+        with pytest.raises(AssertionError, match="max aggregation"):
+            tracker.check_invariants()
+        tracker._max_below[1] -= 1
+        tracker.leaf_loads()  # build the derived per-PE array
+        tracker.check_invariants()
+        tracker._leaf[5] += 1  # corrupt it
+        with pytest.raises(AssertionError, match="leaf array"):
             tracker.check_invariants()
 
     def test_buddycopy_detects_tampering(self):
