@@ -4,9 +4,9 @@ Not a paper artifact — this suite tracks the streaming implementation
 itself.  Three layers are metered:
 
 * kernel-only ingest: ``AllocationKernel.apply`` in a loop vs.
-  ``apply_batch`` at several batch sizes (amortised metering/bookkeeping;
-  the kernel runs batches of ``_COLUMNAR_MIN_BATCH`` or more events on
-  its columnar engine),
+  ``apply_batch`` at several batch sizes (the kernel runs batches of
+  ``_COLUMNAR_MIN_BATCH`` or more events on its columnar engine and
+  loops ``apply`` over shorter ones),
 * columnar ingest: the structure-of-arrays engine of
   :mod:`repro.kernel.columnar` driven directly, whatever the kernel's
   routing threshold,

@@ -226,19 +226,11 @@ class AllocationKernel:
         return decision
 
     def apply_batch(self, events: Sequence[Any]) -> BatchDecision:
-        """Absorb a sequence of events with amortised per-event overhead.
+        """Absorb a sequence of events; the same as one :meth:`apply` each.
 
-        Bit-identical to calling :meth:`apply` once per event — same
-        decisions, same metrics, same snapshots — but the per-event
-        metering is batched: the running peak and event count are folded
-        into the metrics once, and the O(N) peak snapshot is copied only
-        at events that strictly raise the peak.
-        Event *semantics* are untouched; each event still runs the full
-        dispatch, validation, and d-budget discipline.
-
-        If an event fails, the kernel state equals the per-event path
-        after the preceding events (their metrics are flushed in the
-        ``finally`` below) and a :class:`~repro.errors.BatchError`
+        Same decisions, metrics and snapshots as calling :meth:`apply`
+        once per event.  If an event fails, the kernel state is the one
+        the preceding events left and a :class:`~repro.errors.BatchError`
         carrying the applied prefix is raised.
 
         A batch of at least ``_COLUMNAR_MIN_BATCH`` events is first offered
@@ -246,8 +238,7 @@ class AllocationKernel:
         absorbs it whole — same decisions, metrics, snapshots and error
         semantics, bit for bit — or declines without side effects.  Shorter
         batches, where the engine's fixed NumPy overhead outweighs its
-        gain, and declined ones run the per-event loop
-        (:meth:`_apply_batch_loop`).
+        gain, and declined ones run :meth:`_apply_batch_loop`.
         """
         if len(events) >= _COLUMNAR_MIN_BATCH:
             summary = self._columnar.try_apply_batch(events)
@@ -256,44 +247,17 @@ class AllocationKernel:
         return self._apply_batch_loop(events)
 
     def _apply_batch_loop(self, events: Sequence[Any]) -> BatchDecision:
-        """The per-event batch loop: :meth:`apply` semantics, batched metering."""
+        """:meth:`apply` per event, a failure wrapped with the applied prefix."""
         decisions: list[Decision] = []
-        collect = self.collect_leaf_snapshots
-        view = self.view
-        peak = self.metrics.max_load
-        # The captured snapshot's max equals the running peak (the peak
-        # snapshot *is* the leaf-load vector at the peak).
-        snap_peak = peak if self.metrics.peak_snapshot is not None else None
-        new_snap: Optional[np.ndarray] = None
-        new_snap_time: Optional[Time] = None
         try:
             for event in events:
-                decision = self._dispatch(event)
-                # Re-read the tracker each event: a resize in the batch
-                # replaces ``self._loads`` with a resized instance.
-                tracker = self._loads
-                max_load = tracker.max_load
-                if max_load > peak:
-                    peak = max_load
-                if collect and (snap_peak is None or max_load > snap_peak):
-                    new_snap = tracker.leaf_loads()  # already a fresh copy
-                    new_snap_time = event.time
-                    snap_peak = max_load
-                if view is not None:
-                    self._update_degradation_gauges()
-                decisions.append(decision)
+                decisions.append(self.apply(event))
         except ReproError as exc:
             raise BatchError(
                 f"batch event {len(decisions)} failed: {exc}",
                 applied=len(decisions),
                 decisions=decisions,
             ) from exc
-        finally:
-            # Flush the applied prefix so kernel state always equals the
-            # per-event path, success or failure.
-            self.metrics.observe_batch(
-                len(decisions), peak, new_snap, new_snap_time
-            )
         return BatchDecision.summarize(
             tuple(decisions),
             max_load=self._loads.max_load,
@@ -640,9 +604,6 @@ class AllocationKernel:
         )
         self.machine = new_machine
         self.view = new_view
-        # The columnar engine caches the hierarchy's level geometry at
-        # construction; rebind it to the new tree.
-        self._columnar = ColumnarEngine(self)
         realloc = cast(_ResizeCapable, self.algorithm).on_resize(
             new_machine, new_view
         )
@@ -1001,7 +962,6 @@ class AllocationKernel:
             self._bind_loads(machine.new_load_tracker())
             if self.view is not None:
                 self.view = DegradedView(machine)
-            self._columnar = ColumnarEngine(self)
         if self.algorithm is None:
             self._restored_algorithm_name = state.get("algorithm")
         if self.view is not None:

@@ -23,10 +23,12 @@ root-to-leaf path: **O(log N)** per event.
 Three query paths exist for the greedy algorithm's per-arrival question
 ("which 2^x-PE submachine has minimum load?"):
 
-* :meth:`level_loads` — every load of one level, read off the per-PE leaf
-  array as ``leaf.reshape(-1, size).max(axis=1)`` (the definition of a
-  submachine's load): O(N) NumPy work, for callers that need *all* loads
-  of a level (first-fit, two-choice, baselines, brute-force checks).
+* :meth:`level_loads` — every load of one level, reduced off the per-PE
+  leaf array by :func:`level_max` (a submachine's load is the max PE
+  load within it): O(N) NumPy work, for callers that need *all* loads of
+  a level (first-fit, two-choice, baselines, brute-force checks) and for
+  the columnar batch engine, which runs the same reduction over its
+  private copy of the leaf array.
 * :meth:`leftmost_min_submachine_scan` — the scan plus ``argmin``: the
   seed implementation, kept as the reference oracle.
 * :meth:`leftmost_min_submachine` — **O(log N)** tree descent over a
@@ -57,9 +59,11 @@ current by every ``place``/``remove`` (the vectors by the path walk, the
 leaf array by one in-place slice add over the node's leaf span); and a
 bulk recompute (:meth:`rebuild_from`, :meth:`resized`, a wide
 :meth:`apply_spans`) rebuilds whichever is built from the NumPy arrays it
-computes anyway.  Trackers that never ask (e.g. a kernel's, when its
-algorithm decides without loads and the kernel only validates and meters)
-pay nothing for either.
+computes anyway.  :meth:`apply_spans` alone drops the vectors instead: its
+caller answers placement queries from its own leaf copy, so the next
+descent rebuilds them when it needs them.  Trackers that never ask (e.g.
+a kernel's, when its algorithm decides without loads and the kernel only
+validates and meters) pay nothing for either.
 """
 
 from __future__ import annotations
@@ -73,7 +77,28 @@ from repro.errors import PlacementError
 from repro.machines.hierarchy import Hierarchy
 from repro.types import NodeId, is_power_of_two
 
-__all__ = ["LoadTracker"]
+__all__ = ["LoadTracker", "level_max"]
+
+
+def level_max(leaf: np.ndarray, size: int) -> np.ndarray:
+    """Loads of every ``size``-PE submachine, left to right, from the
+    per-PE loads ``leaf``: a fresh array, never a view of ``leaf``.
+
+    For wide submachines ``reshape(-1, size).max(axis=1)`` is one tight
+    reduction; for narrow ones it degenerates into thousands of tiny
+    per-row reductions (30µs+ at size 4, N 4096), so below 64 PEs a
+    pairwise-maximum halving tree — log2(size) whole-array ufunc calls,
+    O(N) total element work — is an order of magnitude faster.
+    """
+    if size == 1:
+        return leaf.copy()
+    if size >= 64:
+        return leaf.reshape(-1, size).max(axis=1)
+    lv = leaf
+    while size > 1:
+        lv = np.maximum(lv[0::2], lv[1::2])
+        size >>= 1
+    return lv
 
 
 class LoadTracker:
@@ -279,11 +304,14 @@ class LoadTracker:
         identical to ``|delta|`` :meth:`place`/:meth:`remove` calls per
         triple, but the aggregation work is amortised: duplicate nodes
         coalesce, each distinct node costs one O(log N) path walk, and
-        past the same crossover the kernel's repack commit uses (enough
-        distinct nodes that the walks would exceed one rebuild) the whole
-        tree is recomputed bottom-up vectorized instead.  This is the
-        entry point the columnar batch engine uses to sync a whole batch
-        of load deltas onto the kernel's tracker in one call.
+        past a measured crossover (enough distinct nodes that the walks
+        would cost more than one rebuild) the whole tree is recomputed
+        bottom-up vectorized instead.  This is the entry point the
+        columnar batch engine uses to sync a whole batch of load deltas
+        onto the kernel's tracker in one call.  The engine answers its
+        placement queries from its own leaf copy, so the min-of-max
+        descent vectors would only add upkeep here: they are dropped, and
+        the next descent rebuilds them.
 
         Validation matches the per-call methods: every ``(node, size)``
         pair is checked and a net-negative count at any node raises
@@ -310,12 +338,15 @@ class LoadTracker:
             if count[v] + d < 0:
                 raise PlacementError(f"no task placed at node {v} to remove")
         self._active += sum(acc.values())
-        # Crossover measured, not counted: a Python path walk costs ~5µs
-        # regardless of height at realistic N, while the vectorized
-        # bottom-up recompute (converting the count list included) is
-        # ~200-350µs at N = 4096 — so walks win only up to about one node
-        # per hundred leaves, one per fifty at most.
-        if len(acc) * 100 < h.num_leaves:
+        self._minagg = None
+        # Crossover measured, not counted (churn-like state, leaf array
+        # built, descent vectors dropped; 2-vCPU Xeon, Python 3.11): a
+        # path walk costs ~4.5µs per node at N = 256 and ~5.7µs at
+        # N = 4096; the bulk recompute (count-list conversion included)
+        # ~90µs and ~470µs.  Walks break even at one distinct node per ~13
+        # leaves at N = 256 and per ~50 at N = 4096; one per 25, their
+        # geometric mean, keeps a wrong pick within 2x at both sizes.
+        if len(acc) * 25 < h.num_leaves:
             for v, d in acc.items():
                 self._update(v, d)
         else:
@@ -401,7 +432,7 @@ class LoadTracker:
         Use :meth:`leftmost_min_submachine` when only the minimum is needed.
         """
         self.hierarchy.level_for_size(size)  # rejects sizes with no level
-        return self._leaves().reshape(-1, size).max(axis=1)
+        return level_max(self._leaves(), size)
 
     def leftmost_min_submachine_scan(self, size: int) -> tuple[NodeId, int]:
         """Reference implementation: full level scan plus ``argmin``.

@@ -189,11 +189,13 @@ class Simulator:
         """Drive the sequence in ``batch_size`` chunks via ``apply_batch``.
 
         Bit-identical results to :meth:`run` (the kernel guarantees it),
-        but the per-event metering is amortised and the kernel runs whole
-        batches columnar where it can — the fast path for large offline
-        sweeps.  Observer hooks are per-event by nature and are not
-        invoked; use :meth:`run` when observers are attached.
+        but the kernel runs whole batches columnar where it can — the
+        fast path for large offline sweeps.  Observer hooks are per-event
+        by nature and are not invoked; use :meth:`run` when observers are
+        attached.
         """
+        if batch_size < 1:
+            raise ValueError(f"run_batched() needs batch_size >= 1, got {batch_size}")
         if self._observers:
             raise ValueError(
                 "run_batched() does not deliver per-event observer "

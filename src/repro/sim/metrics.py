@@ -251,7 +251,8 @@ class MetricsCollector:
         ):
             self.peak_snapshot = leaf_loads.copy()
             self.peak_snapshot_time = time
-        self.max_load = max(self.max_load, max_load)
+        if max_load > self.max_load:
+            self.max_load = max_load
 
     def observe_batch(
         self, count: int, peak: int, snapshot: Optional[np.ndarray], snapshot_time: Optional[Time]

@@ -158,8 +158,8 @@ def check_churn_backend_parity(
     the scenario's merged alphabet — arrivals, departures, failures,
     repairs, kills, and resizes — fed through ``apply_batch`` in chunks
     that deliberately straddle fault and resize boundaries.  The batch
-    loop's amortised metering (running peak, peak snapshots, degraded
-    gauges) must match per-event metering bit for bit.
+    path's metering (running peak, peak snapshots, degraded gauges) must
+    match per-event metering bit for bit.
     """
     events = list(scenario.merged_events())
     return _diff(

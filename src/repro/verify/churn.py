@@ -31,8 +31,7 @@ interval max (the engine also sees same-instant transients the interval
 referees cannot), the machine-size trajectory must match the scenario,
 and the whole scenario must replay bit-identically through chunked
 ``apply_batch`` and per-event ``apply`` (:func:`check_churn_backend_parity`
-holds the batch loop's amortised metering to the per-event path on
-fault/resize batches).
+holds the batch path to the per-event path on fault/resize batches).
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.greedy import GreedyAlgorithm
 from repro.core.registry import make_algorithm
 from repro.errors import (
     BatchError,
@@ -26,13 +27,14 @@ from repro.errors import (
 from repro.faults.plan import generate_fault_plan, merge_events
 from repro.faults.salvage import FaultTolerantAlgorithm
 from repro.kernel import AllocationKernel
-from repro.kernel.columnar import _COLUMNAR_MIN_BATCH, RUN_MIN, ColumnarEngine
+from repro.kernel.columnar import _COLUMNAR_MIN_BATCH, ColumnarEngine
+from repro.kernel.decision import BatchDecision
 from repro.machines.butterfly import Butterfly
 from repro.machines.fattree import FatTree
 from repro.machines.hypercube import Hypercube
 from repro.machines.mesh import Mesh2D
 from repro.machines.tree import TreeMachine
-from repro.sim.metrics import MetricsCollector
+from repro.scenarios import MachineResize
 from repro.tasks.events import Arrival, Departure
 from repro.tasks.sequence import TaskSequence
 from repro.tasks.task import Task
@@ -77,6 +79,28 @@ def _fault_kernel(n: int = N):
     algo = make_algorithm("greedy", machine, d=1)
     wrapper = FaultTolerantAlgorithm(machine, algo, machine.degraded_view())
     return AllocationKernel(machine, wrapper, view=wrapper.view)
+
+
+class _ResizableGreedy(GreedyAlgorithm):
+    """Greedy that takes a grow as a pure renumbering (no repack), so a
+    grown kernel keeps placing by the same rule."""
+
+    def on_resize(self, machine, view):
+        self.machine = machine
+        return None
+
+
+def _grown_kernel(events):
+    """A greedy kernel fed ``events`` one by one, then grown 2x online."""
+    machine = TreeMachine(N)
+    kernel = AllocationKernel(
+        machine, _ResizableGreedy(machine), view=machine.degraded_view()
+    )
+    for e in events:
+        kernel.apply(e)
+    kernel.apply(MachineResize(events[-1].time, "grow", 2))
+    assert kernel.machine.num_pes == 2 * N
+    return kernel
 
 
 def _random_splits(num_events: int, rng) -> list[slice]:
@@ -160,14 +184,19 @@ class TestBatchRouting:
         _run_pair(events, _fixed_splits(len(events), 64), _fault_kernel)
         assert engine_spy and not any(absorbed for _, absorbed in engine_spy)
 
-    def test_engine_rebound_after_resize(self):
-        from repro.scenarios import MachineResize
-
-        kernel = _fault_kernel()
-        kernel.apply(MachineResize(0.0, "grow", 2))
-        assert kernel.machine.num_pes == 2 * N
-        assert kernel._columnar.kernel is kernel
-        assert max(kernel._columnar._valid_sizes) == 2 * N
+    def test_engine_rebound_after_resize(self, engine_spy):
+        # The engine reads the level geometry off ``kernel.machine`` each
+        # batch, so after a grow its next batch places on the new tree.
+        events = list(churn_sequence(N, 100, np.random.default_rng(37)))
+        half = len(events) // 2
+        oracle, batched = _grown_kernel(events[:half]), _grown_kernel(events[:half])
+        # The engine declines a kernel with a degraded view; no fault event
+        # follows, so drop the views and let the rest run columnar.
+        oracle.view = batched.view = None
+        expected = [oracle.apply(e) for e in events[half:]]
+        assert list(batched.apply_batch(events[half:]).decisions) == expected
+        assert engine_spy == [(len(events) - half, True)]
+        _assert_same_state(batched, oracle)
 
 
 # -- Bit-identity across topologies and workloads -----------------------------
@@ -192,14 +221,14 @@ class TestColumnarParity:
             events = list(fuzzer.generate())
             _run_pair(events, _random_splits(len(events), rng))
 
-    def test_same_size_bursts_hit_the_run_path(self):
-        # Bursts of >= RUN_MIN same-class arrivals engage the vectorised
-        # waterfill; interleaved departures break them back to singletons.
+    def test_same_size_arrival_bursts(self):
+        # Waves of 12 consecutive same-size arrivals; departures
+        # interleave as the waves drain.
         tasks = []
         tid = 0
         t = 0.0
-        for wave, size in enumerate((2, 4, 2, 1)):
-            for _ in range(RUN_MIN + 4):
+        for size in (2, 4, 2, 1):
+            for _ in range(12):
                 tasks.append(
                     Task(TaskId(tid), size, t, t + 3.0 + (tid % 5))
                 )
@@ -207,10 +236,10 @@ class TestColumnarParity:
                 t += 0.125
             t += 1.0
         events = list(TaskSequence.from_tasks(tasks))
-        assert len(events) >= 2 * (RUN_MIN + 4)
+        assert len(events) == 2 * 4 * 12
         rng = np.random.default_rng(3)
         _run_pair(events, _random_splits(len(events), rng))
-        # Whole stream as one batch, too: maximal run lengths.
+        # Whole stream as one batch, too.
         _run_pair(events, [slice(0, len(events))])
 
     def test_fault_plan_falls_back_bit_identically(self):
@@ -242,7 +271,7 @@ class TestColumnarParity:
         )
         assert batched.machine.num_pes == oracle.machine.num_pes == N
 
-    def test_snapshot_restore_mid_stream(self):
+    def test_snapshot_restore_mid_stream(self, engine_spy):
         events = list(churn_sequence(N, 100, np.random.default_rng(41)))
         half = len(events) // 2
         oracle = _kernel()
@@ -269,6 +298,22 @@ class TestColumnarParity:
         got_rest = list(first.apply_batch(events[half:]).decisions)
         assert got_rest == expected_rest
         _assert_same_state(first, oracle)
+
+        # A snapshot taken after a grow restores onto a kernel built for
+        # the original machine by adopting the grown one; the engine reads
+        # the new geometry off ``kernel.machine``, so the next columnar
+        # batch still matches per-event apply.
+        grown_state = _grown_kernel(events[:half]).snapshot()
+        adopted = [_kernel(), _kernel()]
+        for kernel in adopted:
+            kernel.restore(grown_state)
+            kernel.algorithm.machine = kernel.machine
+        oracle, batched = adopted
+        assert batched.machine.num_pes == 2 * N
+        expected_rest = [oracle.apply(e) for e in events[half:]]
+        assert list(batched.apply_batch(events[half:]).decisions) == expected_rest
+        assert engine_spy[-1] == (len(events) - half, True)
+        _assert_same_state(batched, oracle)
 
     def test_mid_batch_failure_leaves_prefix_state(self):
         events = list(churn_sequence(N, 60, np.random.default_rng(2)))
@@ -403,8 +448,9 @@ class TestHarnessAxis:
         assert any("series differ" in v for v in violations)
 
     def test_churn_referee_catches_a_skipped_metrics_flush(self, monkeypatch):
-        # A batch path that drops the last event of each metrics flush must
-        # fail the churn referee, which the per-event path never touches.
+        # A batch path that applies the last event of each batch without
+        # metering it must fail the churn referee, which the per-event
+        # path never touches.
         from repro.scenarios import ChurnProcess
 
         scenario = ChurnProcess(
@@ -412,11 +458,18 @@ class TestHarnessAxis:
             pe_mttf=10.0, mttr=2.5, kill_rate=0.1,
         ).build()
         assert check_churn_backend_parity("greedy", 2.0, 0, scenario) == []
-        real = MetricsCollector.observe_batch
+        real = AllocationKernel._apply_batch_loop
 
-        def lossy(self, count, *args):
-            real(self, count - 1, *args)
+        def lossy(self, events):
+            head = real(self, events[:-1]).decisions
+            last = self._dispatch(events[-1])  # applied, never metered
+            return BatchDecision.summarize(
+                head + (last,),
+                max_load=self.current_max_load,
+                active_size=self.active_size(),
+                optimal_load=self.optimal_load,
+            )
 
-        monkeypatch.setattr(MetricsCollector, "observe_batch", lossy)
+        monkeypatch.setattr(AllocationKernel, "_apply_batch_loop", lossy)
         violations = check_churn_backend_parity("greedy", 2.0, 0, scenario)
         assert any("digests differ" in v for v in violations)

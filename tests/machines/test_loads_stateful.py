@@ -19,8 +19,8 @@ repack idiom (``clear()`` + re-placement), ``rebuild_from`` and mixed
 (the per-PE leaf array and the min-of-max vectors) are first built partway
 through its history and must then be kept current by later mutations.
 The N = 16 machine always takes ``apply_spans``' vectorised branch; the
-N = 256 one also takes its per-node walk (fewer than one distinct node
-per hundred leaves).
+N = 256 one, drawing up to 24 updates per batch, takes both its per-node
+walk (fewer than one distinct node per 25 leaves) and that branch.
 """
 
 import numpy as np
@@ -34,6 +34,8 @@ from repro.verify.oracle import oracle_leaf_span
 
 class LoadTrackerMachine(RuleBasedStateMachine):
     N = 16
+    #: Most removals, and most placements, in one ``apply_spans`` batch.
+    SPANS = 3
 
     def __init__(self):
         super().__init__()
@@ -98,11 +100,11 @@ class LoadTrackerMachine(RuleBasedStateMachine):
         # Removals of live placements and new placements in one batch,
         # shuffled, with repeated nodes coalescing.
         updates = []
-        for _ in range(data.draw(st.integers(0, min(3, len(self.placed))))):
+        for _ in range(data.draw(st.integers(0, min(self.SPANS, len(self.placed))))):
             idx = data.draw(st.integers(0, len(self.placed) - 1))
             node, size = self.placed.pop(idx)
             updates.append((node, size, -1))
-        for _ in range(data.draw(st.integers(0, 3))):
+        for _ in range(data.draw(st.integers(0, self.SPANS))):
             size = data.draw(st.sampled_from(self.sizes))
             node = self._draw_node(data, size)
             updates.append((node, size, 1))
@@ -168,6 +170,7 @@ def _covers(anc, node):
 
 class LargeLoadTrackerMachine(LoadTrackerMachine):
     N = 256
+    SPANS = 12
 
 
 TestLoadTrackerStateful = LoadTrackerMachine.TestCase
