@@ -331,6 +331,16 @@ class TestLeafLoadsView:
         assert tracker.leaf_loads(copy=False).tolist() == tracker.leaf_loads().tolist()
 
 
+class _CountingTracker(LoadTracker):
+    """A tracker that counts the bulk recomputes ``apply_spans`` takes."""
+
+    bulk_recomputes = 0
+
+    def _recompute_aggregates(self, count):
+        self.bulk_recomputes += 1
+        super()._recompute_aggregates(count)
+
+
 class TestApplySpans:
     """apply_spans(updates) == the same |delta| place()/remove() calls."""
 
@@ -377,30 +387,43 @@ class TestApplySpans:
         with pytest.raises(PlacementError):
             tracker.apply_spans([(16, 2, 1)])    # leaf can't host 2 PEs
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=31),
-                st.integers(min_value=1, max_value=3),
-            ),
-            max_size=30,
-        )
-    )
+    @given(data=st.data())
     @settings(max_examples=50, deadline=None)
-    def test_property_equivalence_incremental_vs_rebuild(self, spans):
-        # Small span lists take the per-node walk path; a wide warm-up
-        # placement list pushes the same tracker over the rebuild
-        # crossover on a second call — both must agree with place() loops.
-        h = Hierarchy(16)
-        bulk, slow = LoadTracker(h), LoadTracker(h)
-        updates = [(node, h.subtree_size(node), d) for node, d in spans]
-        bulk.apply_spans(updates)
-        for node, size, d in updates:
-            for _ in range(d):
-                slow.place(node, size)
-        assert bulk.leaf_loads().tolist() == slow.leaf_loads().tolist()
-        assert bulk.max_load == slow.max_load
-        bulk.check_invariants()
+    def test_property_equivalence_incremental_vs_rebuild(self, data):
+        # Which branch runs depends only on the distinct nodes against the
+        # crossover ``len(acc) * 25 < num_leaves``: on 16 PEs any
+        # non-empty list takes the bulk recompute, on 256 PEs at most 10
+        # distinct nodes take the per-node walk.  Each example draws on
+        # both machines, so both branches run; both must agree with
+        # place() loops, with the leaf array built beforehand or not.
+        for num_pes, max_nodes in ((16, 31), (256, 10)):
+            h = Hierarchy(num_pes)
+            nodes = data.draw(
+                st.lists(
+                    st.integers(min_value=1, max_value=2 * num_pes - 1),
+                    min_size=1, max_size=max_nodes, unique=True,
+                )
+            )
+            spans = data.draw(
+                st.lists(
+                    st.tuples(st.sampled_from(nodes), st.integers(1, 3)),
+                    min_size=1, max_size=30,
+                )
+            )
+            bulk, slow = _CountingTracker(h), LoadTracker(h)
+            if data.draw(st.booleans()):
+                bulk.leaf_loads()
+            updates = [(node, h.subtree_size(node), d) for node, d in spans]
+            bulk.apply_spans(updates)
+            walk = len({node for node, _ in spans}) * 25 < h.num_leaves
+            assert walk == (num_pes == 256)
+            assert bulk.bulk_recomputes == (0 if walk else 1)
+            for node, size, d in updates:
+                for _ in range(d):
+                    slow.place(node, size)
+            assert bulk.leaf_loads().tolist() == slow.leaf_loads().tolist()
+            assert bulk.max_load == slow.max_load
+            bulk.check_invariants()
 
     def test_crossover_rebuild_path_is_exact(self):
         # Enough distinct nodes that len(acc) * 25 >= num_leaves forces
