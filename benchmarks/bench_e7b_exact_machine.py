@@ -3,8 +3,9 @@
 For ``N = 2^(2^k)`` the construction's task sizes ``log^i N`` are exact
 powers of two — no rounding substitution at all.  N = 65536 is the first
 such machine big enough for 4 phases (sizes 1, 16, 256, 4096), so this is
-the purest available instantiation of Theorem 5.2's sequence.  Runs in
-lightweight-metrics mode (max load stays exact; per-PE snapshots skipped).
+the purest available instantiation of Theorem 5.2's sequence.  Only the
+max load is read; the kernel takes its per-PE peak snapshot only when
+the max load rises, once per unit of it (at most five times a run here).
 
 Expected: L* = 1 with margin (Lemma 5), oblivious placement pushed to a
 multiple of it, load-aware greedy still comfortable — the asymptotics of
@@ -30,7 +31,7 @@ N_EXACT = 1 << 16
 
 
 def _run_light(machine, algorithm, sequence):
-    sim = Simulator(machine, algorithm, collect_leaf_snapshots=False)
+    sim = Simulator(machine, algorithm)
     for event in sequence:
         sim.step(event)
     return sim.metrics.max_load

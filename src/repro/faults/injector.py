@@ -58,7 +58,6 @@ class FaultAwareSimulator(Simulator):
         plan: FaultPlan,
         cost_model: Optional[MigrationCostModel] = None,
         *,
-        collect_leaf_snapshots: bool = True,
         repack_on_repair: bool = True,
     ):
         plan.validate_for(machine.num_pes)
@@ -71,12 +70,7 @@ class FaultAwareSimulator(Simulator):
         # Stashed for the _build_kernel hook, which super().__init__ calls.
         self._pending_view: DegradedView = wrapper.view
         self._pending_repack_on_repair = repack_on_repair
-        super().__init__(
-            machine,
-            wrapper,
-            cost_model,
-            collect_leaf_snapshots=collect_leaf_snapshots,
-        )
+        super().__init__(machine, wrapper, cost_model)
         self.plan = plan
         self.view = wrapper.view
         self.repack_on_repair = repack_on_repair
@@ -86,13 +80,11 @@ class FaultAwareSimulator(Simulator):
         machine: PartitionableMachine,
         algorithm: AllocationAlgorithm,
         cost_model: Optional[MigrationCostModel],
-        collect_leaf_snapshots: bool,
     ) -> AllocationKernel:
         return AllocationKernel(
             machine,
             algorithm,
             cost_model,
-            collect_leaf_snapshots=collect_leaf_snapshots,
             view=self._pending_view,
             repack_on_repair=self._pending_repack_on_repair,
         )
@@ -113,7 +105,6 @@ def run_traced_with_faults(
     plan: FaultPlan,
     cost_model: Optional[MigrationCostModel] = None,
     *,
-    collect_leaf_snapshots: bool = True,
     repack_on_repair: bool = True,
 ):
     """Fault-injected analogue of :func:`repro.sim.runner.run_traced`.
@@ -126,7 +117,6 @@ def run_traced_with_faults(
         algorithm,
         plan,
         cost_model,
-        collect_leaf_snapshots=collect_leaf_snapshots,
         repack_on_repair=repack_on_repair,
     )
     result = sim.run(sequence)

@@ -31,11 +31,10 @@ Why it is fast
   kernel's heap tracker sees one coalesced
   :meth:`~repro.machines.loads.LoadTracker.apply_spans` call per batch
   instead of one O(log N) walk per event.
-* **Deferred everything else.**  The metrics are folded in once; the
-  peak leaf snapshot is materialised once at the end by un-applying
-  the span updates that followed the last strict peak increase;
+* **Deferred everything else.**  The metrics are folded in once;
   :class:`Decision` objects are assembled in bulk from a compact args
-  list.
+  list.  The peak leaf snapshot is a copy of the private vector at each
+  strict peak increase, which happens at most ``L_A + 1`` times a run.
 
 The engine keeps no geometry of its own: it reads the level layout off
 ``kernel.machine`` each batch, so a resize or a restore that swaps the
@@ -121,9 +120,10 @@ class ColumnarEngine:
         active = k._active_size
         peak = k._peak_active_size
         arrived = k._arrived_since_realloc
-        collect = k.collect_leaf_snapshots
+        # The peak rule of ``MetricsCollector.observe``: a per-PE snapshot
+        # on the run's first event and at each strict rise of the max load.
         snap_peak = metrics.max_load if metrics.peak_snapshot is not None else None
-        snap_idx = -1
+        snap = snap_time = None
 
         # The batch's working state: per-PE loads and the running max.
         # Every mutation below is mirrored into ``deltas`` and replayed
@@ -133,8 +133,6 @@ class ColumnarEngine:
 
         #: Positional Decision() args per applied event (bulk-built later).
         d_args: list[tuple[Any, ...]] = []
-        #: Per-event leaf-span ops, for the deferred peak-snapshot replay.
-        ops: list[tuple[int, int, int]] = []
         #: node -> [size, net delta]; synced onto the tracker once.
         deltas: dict[int, list[int]] = {}
         err: Optional[ReproError] = None
@@ -157,8 +155,7 @@ class ColumnarEngine:
                     j = int(lv.argmin())
                     nv = int(lv[j]) + 1
                     lo = j * size
-                    hi = lo + size
-                    L[lo:hi] += 1
+                    L[lo : lo + size] += 1
                     node = node_base[size] + j
                     if nv > ml:
                         ml = nv
@@ -173,73 +170,56 @@ class ColumnarEngine:
                         deltas[node] = [size, 1]
                     else:
                         sd[1] += 1
-                    if collect:
-                        ops.append((lo, hi, 1))
-                        if snap_peak is None or ml > snap_peak:
-                            snap_idx = len(d_args)
-                            snap_peak = ml
-                    opt = -(-peak // num_pes)
-                    d_args.append(
-                        ("arrival", float(e.time), ml, active, opt,
-                         int(tid), int(node))
+                    args: tuple[Any, ...] = (
+                        "arrival", float(e.time), ml, active,
+                        -(-peak // num_pes), int(tid), int(node),
                     )
-                    continue
-                # ---- departure -------------------------------------------
-                tid = e.task_id
-                t = e.time
-                if killed and tid in killed:
+                elif killed and e.task_id in killed:
                     # The task already died at its kill time; its scheduled
                     # departure is a metered no-op.
-                    killed.discard(tid)
-                    if collect:
-                        ops.append((0, 0, 0))
-                        if snap_peak is None or ml > snap_peak:
-                            snap_idx = len(d_args)
-                            snap_peak = ml
-                    opt = -(-peak // num_pes)
-                    d_args.append(
-                        ("departure", float(t), ml, active, opt,
-                         int(tid), None, False, 0, False, True)
+                    killed.discard(e.task_id)
+                    args = (
+                        "departure", float(e.time), ml, active,
+                        -(-peak // num_pes), int(e.task_id), None, False, 0,
+                        False, True,
                     )
-                    continue
-                node = placements.pop(tid, None)
-                task = tasks.pop(tid, None)
-                if node is None or task is None:
-                    raise SimulationError(f"departure of unknown task {tid}")
-                size = task.size
-                level = node.bit_length() - 1
-                span = num_pes >> level
-                lo = (node - (1 << level)) * span
-                hi = lo + span
-                seg = L[lo:hi]
-                sm = int(seg.max())
-                seg -= 1
-                if sm >= ml:
-                    # The departed span attained the max; it may drop.
-                    ml = int(L.max())
-                active -= size
-                sd = deltas.get(node)
-                if sd is None:
-                    deltas[node] = [size, -1]
                 else:
-                    sd[1] -= 1
-                if collect:
-                    ops.append((lo, hi, -1))
-                    if snap_peak is None or ml > snap_peak:
-                        snap_idx = len(d_args)
-                        snap_peak = ml
-                opt = -(-peak // num_pes)
-                d_args.append(
-                    ("departure", float(t), ml, active, opt, int(tid))
-                )
+                    tid = e.task_id
+                    node = placements.pop(tid, None)
+                    task = tasks.pop(tid, None)
+                    if node is None or task is None:
+                        raise SimulationError(f"departure of unknown task {tid}")
+                    size = task.size
+                    level = node.bit_length() - 1
+                    span = num_pes >> level
+                    lo = (node - (1 << level)) * span
+                    seg = L[lo : lo + span]
+                    sm = int(seg.max())
+                    seg -= 1
+                    if sm >= ml:
+                        # The departed span attained the max; it may drop.
+                        ml = int(L.max())
+                    active -= size
+                    sd = deltas.get(node)
+                    if sd is None:
+                        deltas[node] = [size, -1]
+                    else:
+                        sd[1] -= 1
+                    args = (
+                        "departure", float(e.time), ml, active,
+                        -(-peak // num_pes), int(tid),
+                    )
+                if snap_peak is None or ml > snap_peak:
+                    snap_peak = ml
+                    snap = L.copy()
+                    snap_time = args[1]
+                d_args.append(args)
         except ReproError as exc:
             err = exc
         finally:
             # Mirror the per-event path's ``finally``: whatever prefix was
             # applied is fully committed — scalars written back, the heap
-            # tracker synced in one bulk call, the metrics folded in
-            # once, and the peak snapshot materialised by un-applying the
-            # span ops that followed the last strict peak increase.
+            # tracker synced in one bulk call, the metrics folded in once.
             k._active_size = active
             k._peak_active_size = peak
             k._arrived_since_realloc = arrived
@@ -248,16 +228,8 @@ class ColumnarEngine:
             ]
             if items:
                 tracker.apply_spans(items)
-            arr = None
-            if snap_idx >= 0:
-                arr = L.copy()
-                for j2 in range(len(ops) - 1, snap_idx, -1):
-                    lo, hi, d = ops[j2]
-                    if d:
-                        arr[lo:hi] -= d
             metrics.observe_batch(
-                len(d_args), max((a[2] for a in d_args), default=0), arr,
-                d_args[snap_idx][1] if arr is not None else None,
+                len(d_args), max((a[2] for a in d_args), default=0), snap, snap_time
             )
         decisions = [Decision(*a) for a in d_args]
         if err is not None:

@@ -124,13 +124,6 @@ class AllocationKernel:
         them in with :meth:`apply_placed` (the exclusive-queueing driver).
     cost_model:
         Prices migrations; defaults to :class:`MigrationCostModel`.
-    collect_leaf_snapshots:
-        When False, keep no per-PE snapshot at the peak: skip the O(N)
-        copy of the leaf loads at each new peak, and leave the load
-        tracker's leaf array unbuilt unless something else reads it (the
-        algorithm, or a columnar ``apply_batch``), so events pay no slice
-        add to keep it current.  Max-load accounting stays exact either
-        way.
     view:
         A :class:`~repro.machines.degraded.DegradedView` enables fault
         events; with ``view=None`` a fault event is an unknown-event error,
@@ -146,7 +139,6 @@ class AllocationKernel:
         algorithm: Optional[AllocationAlgorithm] = None,
         cost_model: Optional[MigrationCostModel] = None,
         *,
-        collect_leaf_snapshots: bool = True,
         view: Optional[DegradedView] = None,
         repack_on_repair: bool = True,
     ) -> None:
@@ -157,7 +149,6 @@ class AllocationKernel:
         self.machine = machine
         self.algorithm = algorithm
         self.cost_model = cost_model or MigrationCostModel()
-        self.collect_leaf_snapshots = collect_leaf_snapshots
         self.view = view
         self.repack_on_repair = repack_on_repair
         self._columnar = ColumnarEngine(self)
@@ -698,14 +689,13 @@ class AllocationKernel:
     # -- Metering ------------------------------------------------------------
 
     def _observe(self, time: Time) -> None:
-        # copy=False: the collector only reads the vector (and copies it
-        # itself at a new peak), so the read-only view avoids an O(N)
-        # defensive copy on every event.
-        self.metrics.observe(
-            time,
-            self._loads.max_load,
-            self._loads.leaf_loads(copy=False) if self.collect_leaf_snapshots else None,
-        )
+        # The per-PE vector at the peak can change only when the max load
+        # strictly rises (at most L_A + 1 times a run), so it is taken
+        # then, and taken fresh: the tracker builds nothing for it.
+        metrics = self.metrics
+        if metrics.observe(self._loads.max_load):
+            metrics.peak_snapshot = self._loads.fresh_leaf_loads()
+            metrics.peak_snapshot_time = time
 
     def _update_degradation_gauges(self) -> None:
         view = self.view

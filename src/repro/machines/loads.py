@@ -61,9 +61,12 @@ bulk recompute (:meth:`rebuild_from`, :meth:`resized`, a wide
 :meth:`apply_spans`) rebuilds whichever is built from the NumPy arrays it
 computes anyway.  :meth:`apply_spans` alone drops the vectors instead: its
 caller answers placement queries from its own leaf copy, so the next
-descent rebuilds them when it needs them.  Trackers that never ask (e.g.
-a kernel's, when its algorithm decides without loads and the kernel only
-validates and meters) pay nothing for either.
+descent rebuilds them when it needs them.  Trackers that never ask pay
+nothing for either.  That includes the tracker of every kernel whose
+algorithm decides without the leaf array (greedy's descent builds only
+the vectors): the kernel's per-PE peak snapshot reads
+:meth:`fresh_leaf_loads`, which builds nothing, and asks only when the
+max load strictly rises.
 """
 
 from __future__ import annotations
@@ -293,7 +296,7 @@ class LoadTracker:
         if self._minagg is not None:
             self._build_minagg(count)
         if self._leaf is not None:
-            self._fill_leaf(count)
+            self._derive_leaves(count, self._leaf)
 
     def apply_spans(self, updates: Iterable[tuple[NodeId, int, int]]) -> None:
         """Apply many placement-count deltas in one bulk mutation.
@@ -394,12 +397,13 @@ class LoadTracker:
         """Load of one PE — O(log N)."""
         return self._path_sum(self.hierarchy.leaf_node(pe))
 
-    def _fill_leaf(self, count: np.ndarray) -> None:
-        """Write the per-PE loads derived from ``count`` into the leaf
-        array, in place, so views of it stay the tracker's."""
+    def _derive_leaves(self, count: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The per-PE loads derived from ``count`` (the array form of the
+        stored list): O(N).  Written into ``out`` when given, which fills
+        the leaf array in place, so views of it stay the tracker's."""
         h = self.hierarchy
         anc = h.ancestor_sums(count, h.height)
-        np.add(anc, count[h.level_slice(h.height)], out=self._leaf)
+        return np.add(anc, count[h.level_slice(h.height)], out=out)
 
     def _leaves(self) -> np.ndarray:
         """The per-PE leaf array, built on first use: O(N) once."""
@@ -407,7 +411,7 @@ class LoadTracker:
             self._leaf = np.empty(self.hierarchy.num_leaves, dtype=np.int64)
             self._leaf_view = self._leaf.view()
             self._leaf_view.flags.writeable = False
-            self._fill_leaf(self._count_array())
+            self._derive_leaves(self._count_array(), self._leaf)
         return self._leaf
 
     def leaf_loads(self, *, copy: bool = True) -> np.ndarray:
@@ -423,6 +427,16 @@ class LoadTracker:
         """
         leaf = self._leaves()
         return leaf.copy() if copy else self._leaf_view
+
+    def fresh_leaf_loads(self) -> np.ndarray:
+        """Loads of all PEs as a new array the tracker does not keep: a
+        copy of the leaf array if something built it, else one O(N)
+        derivation from ``count`` that leaves the leaf array unbuilt, so
+        a one-off reader (the kernel's peak snapshot) puts no slice add
+        on later events."""
+        if self._leaf is not None:
+            return self._leaf.copy()
+        return self._derive_leaves(self._count_array())
 
     def level_loads(self, size: int) -> np.ndarray:
         """Loads of every ``size``-PE submachine, left to right — vectorized.
@@ -506,10 +520,7 @@ class LoadTracker:
             raise AssertionError("LoadTracker max aggregation out of sync")
         if sum(count[1:]) != self._active:
             raise AssertionError("LoadTracker active-count out of sync")
-        count_np = self._count_array()
-        true_leaves = h.ancestor_sums(count_np, h.height) + count_np[
-            h.level_slice(h.height)
-        ]
+        true_leaves = self._derive_leaves(self._count_array())
         if self._leaf is not None and not np.array_equal(self._leaf, true_leaves):
             raise AssertionError("LoadTracker leaf array out of sync")
         # Min-of-max structure (only when built): every D_L(v) must equal

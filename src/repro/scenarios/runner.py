@@ -196,7 +196,6 @@ def run_scenario(
     d: float = 2.0,
     seed: int = 0,
     cost_model: Optional[MigrationCostModel] = None,
-    collect_leaf_snapshots: bool = True,
     validate: bool = True,
 ) -> ScenarioRunResult:
     """Run one registry algorithm over one churn scenario.
@@ -213,13 +212,7 @@ def run_scenario(
     view = machine.degraded_view()
     inner = make_algorithm(algorithm, machine, d=d, seed=seed)
     wrapper = FaultTolerantAlgorithm(machine, inner, view)
-    kernel = AllocationKernel(
-        machine,
-        wrapper,
-        cost_model,
-        collect_leaf_snapshots=collect_leaf_snapshots,
-        view=view,
-    )
+    kernel = AllocationKernel(machine, wrapper, cost_model, view=view)
     history = RunHistory()
     for event in scenario.merged_events():
         history.record(kernel.apply(event))

@@ -277,7 +277,6 @@ class AllocationSession:
         fault_tolerant: bool = False,
         journal_path: Union[str, Path, None] = None,
         snapshot_interval: int = 64,
-        collect_leaf_snapshots: bool = True,
         repack_on_repair: bool = True,
         fsync_policy: str = "always",
         full_snapshot_interval: Optional[int] = None,
@@ -304,7 +303,6 @@ class AllocationSession:
         self._pristine = copy.deepcopy(self.algorithm, {id(machine): machine})
         self._kernel_options: dict[str, Any] = {
             "cost_model": cost_model,
-            "collect_leaf_snapshots": collect_leaf_snapshots,
             "repack_on_repair": repack_on_repair,
         }
         self.kernel = self._new_kernel()
@@ -1379,12 +1377,10 @@ class AllocationSession:
 
             replay: Simulator = FaultAwareSimulator(
                 algorithm.machine, algorithm, FaultPlan(), self.kernel.cost_model,
-                collect_leaf_snapshots=False, repack_on_repair=self.kernel.repack_on_repair,
+                repack_on_repair=self.kernel.repack_on_repair,
             )
         else:
-            replay = Simulator(
-                algorithm.machine, algorithm, self.kernel.cost_model, collect_leaf_snapshots=False
-            )
+            replay = Simulator(algorithm.machine, algorithm, self.kernel.cost_model)
         for event in events:
             replay.step(event)
         plan = _fault_plan_of(events) if self._fault_tolerant else None

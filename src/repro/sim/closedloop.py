@@ -113,7 +113,7 @@ def simulate_shared_closed_loop(
         if t.work <= 0:
             raise SimulationError(f"task {t.task_id} has non-positive work")
 
-    kernel = AllocationKernel(machine, algorithm, collect_leaf_snapshots=False)
+    kernel = AllocationKernel(machine, algorithm)
     remaining: dict[TaskId, float] = {}
     outcomes: dict[TaskId, TaskOutcome] = {}
 

@@ -110,12 +110,8 @@ class Simulator:
         machine: PartitionableMachine,
         algorithm: AllocationAlgorithm,
         cost_model: Optional[MigrationCostModel] = None,
-        *,
-        collect_leaf_snapshots: bool = True,
     ):
-        self.kernel = self._build_kernel(
-            machine, algorithm, cost_model, collect_leaf_snapshots
-        )
+        self.kernel = self._build_kernel(machine, algorithm, cost_model)
         self.history = RunHistory()
         self._observers: list = []
 
@@ -124,15 +120,9 @@ class Simulator:
         machine: PartitionableMachine,
         algorithm: AllocationAlgorithm,
         cost_model: Optional[MigrationCostModel],
-        collect_leaf_snapshots: bool,
     ) -> AllocationKernel:
         """Subclass hook: the fault injector builds a fault-capable kernel."""
-        return AllocationKernel(
-            machine,
-            algorithm,
-            cost_model,
-            collect_leaf_snapshots=collect_leaf_snapshots,
-        )
+        return AllocationKernel(machine, algorithm, cost_model)
 
     # -- Kernel state, re-exported for drivers, tests and observers ----------
 
@@ -149,10 +139,6 @@ class Simulator:
     @property
     def cost_model(self) -> MigrationCostModel:
         return self.kernel.cost_model
-
-    @property
-    def collect_leaf_snapshots(self) -> bool:
-        return self.kernel.collect_leaf_snapshots
 
     @property
     def metrics(self) -> MetricsCollector:

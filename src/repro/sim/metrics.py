@@ -233,26 +233,17 @@ class MetricsCollector:
     peak_snapshot_time: Optional[Time] = None
     events_processed: int = 0
 
-    def observe(
-        self,
-        time: Time,
-        max_load: int,
-        leaf_loads: Optional[np.ndarray] = None,
-    ) -> None:
-        """Record the post-event state; keep the snapshot at the peak.
-
-        ``leaf_loads`` may be omitted (lightweight mode): the peak stays
-        exact — only the per-PE snapshot (an O(N) copy at each new peak)
-        is skipped, which is what makes N = 2^16 runs affordable.
-        """
+    def observe(self, max_load: int) -> bool:
+        """Record one post-event max load.  Returns whether a per-PE peak
+        snapshot is due: on the first event, and whenever ``max_load``
+        strictly raises ``L_A`` (so at most ``L_A + 1`` times a run).  The
+        caller owns the loads; it stores them in ``peak_snapshot`` and
+        the event's time in ``peak_snapshot_time``."""
         self.events_processed += 1
-        if leaf_loads is not None and (
-            self.peak_snapshot is None or max_load > self.max_load
-        ):
-            self.peak_snapshot = leaf_loads.copy()
-            self.peak_snapshot_time = time
         if max_load > self.max_load:
             self.max_load = max_load
+            return True
+        return self.peak_snapshot is None
 
     def observe_batch(
         self, count: int, peak: int, snapshot: Optional[np.ndarray], snapshot_time: Optional[Time]

@@ -78,9 +78,7 @@ def simulate_exclusive_queueing(
     # alignment validation as every other driver).  A custom allocator may
     # return opaque handles the kernel cannot interpret, so it is trusted
     # to do its own bookkeeping.
-    kernel = None if allocator is not None else AllocationKernel(
-        machine, collect_leaf_snapshots=False
-    )
+    kernel = None if allocator is not None else AllocationKernel(machine)
     queue: deque[Task] = deque()
     running: dict[TaskId, tuple[float, int]] = {}  # tid -> (finish time, node)
     outcomes: dict[TaskId, TaskOutcome] = {}

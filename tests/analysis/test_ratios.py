@@ -9,9 +9,7 @@ from repro.sim.metrics import MetricsCollector
 
 def _result(max_load: int, lstar: int) -> RunResult:
     metrics = MetricsCollector()
-    import numpy as np
-
-    metrics.observe(0.0, max_load, np.array([max_load]))
+    metrics.observe(max_load)
     return RunResult(
         algorithm_name="x",
         machine_description={},

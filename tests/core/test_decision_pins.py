@@ -192,11 +192,11 @@ def _digest(decisions):
     return h.hexdigest()
 
 
-def _run(name, seed, *, batch=None, collect=False):
+def _run(name, seed, *, batch=None):
     """Drive one churn stream; return the decisions and the kernel."""
     sequence = churn_sequence(N, EVENTS, np.random.default_rng(seed))
     machine = TreeMachine(N)
-    sim = Simulator(machine, _build(name, machine, seed), collect_leaf_snapshots=collect)
+    sim = Simulator(machine, _build(name, machine, seed))
     events = list(sequence)
     if batch is None:
         return [sim.kernel.apply(event) for event in events], sim.kernel
@@ -211,7 +211,7 @@ def _decisions(name, seed, *, batch=None):
 
 
 def _state_digest(name, seed, *, batch=None):
-    kernel = _run(name, seed, batch=batch, collect=True)[1]
+    kernel = _run(name, seed, batch=batch)[1]
     return hashlib.sha256(json.dumps(kernel.snapshot(), sort_keys=True).encode()).hexdigest()
 
 

@@ -315,6 +315,31 @@ class TestColumnarParity:
         assert engine_spy[-1] == (len(events) - half, True)
         _assert_same_state(batched, oracle)
 
+    def test_peak_snapshot_rises_inside_one_batch(self, engine_spy):
+        # Whole-machine arrivals raise the max load one by one, with
+        # smaller arrivals and departures between them: the first batch
+        # opens the run and holds several strict peak rises, the second
+        # holds the rest.  The engine copies its leaf vector at each rise;
+        # the last copy must be the per-event path's snapshot.
+        tasks = []
+        t = 0.0
+        for i in range(6):
+            tasks.append(Task(TaskId(2 * i), N, t, 100.0))
+            tasks.append(Task(TaskId(2 * i + 1), 1 << (i % 4), t + 0.25, t + 0.75))
+            t += 1.0
+        events = list(TaskSequence.from_tasks(tasks))
+        oracle = _kernel()
+        loads = [oracle.apply(e).max_load for e in events]
+        rises = [i for i, v in enumerate(loads) if i == 0 or v > max(loads[:i])]
+        first = len(events) // 2
+        assert rises[0] == 0
+        assert sum(i < first for i in rises) >= 3
+        assert sum(i >= first for i in rises) >= 2
+        _run_pair(events, [slice(0, first), slice(first, len(events))])
+        assert engine_spy[-2:] == [(first, True), (len(events) - first, True)]
+        # The whole stream as one batch, too.
+        _run_pair(events, [slice(0, len(events))])
+
     def test_mid_batch_failure_leaves_prefix_state(self):
         events = list(churn_sequence(N, 60, np.random.default_rng(2)))
         k = len(events) // 2

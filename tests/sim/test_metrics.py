@@ -73,46 +73,55 @@ class TestReallocationStats:
         assert stats.checkpoint_bytes == 150.0
 
 
+def _observe(mc, time, loads):
+    """Meter one event as the kernel does: the collector decides whether
+    the per-PE snapshot is due, the owner of the loads stores it."""
+    if mc.observe(max(loads)):
+        mc.peak_snapshot = np.array(loads)
+        mc.peak_snapshot_time = time
+
+
 class TestMetricsCollector:
     def test_peak_snapshot_follows_max(self):
         mc = MetricsCollector()
-        mc.observe(0.0, 1, np.array([1, 0]))
-        mc.observe(1.0, 3, np.array([3, 1]))
-        mc.observe(2.0, 2, np.array([2, 2]))
+        _observe(mc, 0.0, [1, 0])
+        _observe(mc, 1.0, [3, 1])
+        _observe(mc, 2.0, [2, 2])
+        _observe(mc, 3.0, [3, 3])  # ties the peak: no new snapshot
         assert mc.max_load == 3
         assert mc.peak_snapshot.tolist() == [3, 1]
         assert mc.peak_snapshot_time == 1.0
-        assert mc.events_processed == 3
+        assert mc.events_processed == 4
+
+    def test_snapshot_due_on_first_event_and_strict_rises(self):
+        mc = MetricsCollector()
+        due = []
+        for v in (0, 0, 2, 1, 2, 3):
+            due.append(mc.observe(v))
+            if due[-1]:
+                mc.peak_snapshot = np.array([v])
+        assert due == [True, False, True, False, False, True]
+        assert mc.max_load == 3
 
     def test_fairness_at_peak(self):
         mc = MetricsCollector()
         assert mc.fairness_at_peak() == 1.0
-        mc.observe(0.0, 2, np.array([2, 0]))
+        _observe(mc, 0.0, [2, 0])
         assert mc.fairness_at_peak() == pytest.approx(0.5)
 
-
-class TestLightweightMode:
-    def test_observe_without_snapshot(self):
-        mc = MetricsCollector()
-        mc.observe(0.0, 3)  # no leaf loads
-        assert mc.max_load == 3
-        assert mc.peak_snapshot is None
-        assert mc.fairness_at_peak() == 1.0
-
-    def test_simulator_flag_keeps_max_load_exact(self):
+    def test_simulator_meters_max_load_and_peak(self):
         from repro.core.greedy import GreedyAlgorithm
         from repro.machines.tree import TreeMachine
         from repro.sim.engine import Simulator
         from repro.tasks.builder import figure1_sequence
 
-        m1, m2 = TreeMachine(4), TreeMachine(4)
-        full = Simulator(m1, GreedyAlgorithm(m1))
-        light = Simulator(m2, GreedyAlgorithm(m2), collect_leaf_snapshots=False)
+        machine = TreeMachine(4)
+        sim = Simulator(machine, GreedyAlgorithm(machine))
         for ev in figure1_sequence():
-            full.step(ev)
-        for ev in figure1_sequence():
-            light.step(ev)
-        assert light.metrics.max_load == full.metrics.max_load == 2
-        assert light.history.series.max_loads == full.history.series.max_loads
-        assert light.metrics.peak_snapshot is None
-        assert full.metrics.peak_snapshot is not None
+            sim.step(ev)
+        series = sim.history.series.max_loads
+        assert sim.metrics.max_load == max(series) == 2
+        assert sim.metrics.events_processed == len(series)
+        assert int(sim.metrics.peak_snapshot.max()) == 2
+        # The snapshot is the state after the first event that reached 2.
+        assert sim.metrics.peak_snapshot_time == sim.history.series.times[series.index(2)]
