@@ -261,8 +261,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     One :class:`~repro.service.session.AllocationSession` behind one line
     handler (:mod:`repro.service.shard.server`), on stdin/stdout or, with
-    ``--listen HOST:PORT``, on a TCP socket.  Besides event records,
-    control lines are understood::
+    ``--listen HOST:PORT``, on TCP sockets served by one ``selectors``
+    loop.  Besides event records, control lines are understood::
 
         {"op": "status"}    -> one status JSON line
         {"op": "snapshot"}  -> the kernel state snapshot as one JSON line
@@ -280,12 +280,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     when the journal's fsync lag crosses the policy's high watermark the
     server emits an ``{"overloaded": true, ...}`` record and *stalls* —
     it commits the journal before reading on.  Signals keep their
-    contract through the stall: SIGINT exits 130 and a closed reader
-    exits 141 (the session closes and commits in both cases).  SIGTERM
-    stops the server once the line in hand is answered (at once while
-    it waits for input) and exits 0 through the same close and commit.
+    contract through the stall.  SIGTERM, and on the socket SIGINT too,
+    only set a flag and wake the wait for input: the server stops once
+    the line in hand is answered (at once while it waits) and exits 0
+    through the close that commits the session.  On stdin SIGINT exits
+    130 and a closed reader exits 141, through the same close.
     """
-    import asyncio
     import signal
 
     from repro.service.shard.server import ServiceServer, StdioServer
@@ -295,46 +295,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"resumed {session.num_events} event(s) (restored at event "
               f"{session.restored_events}, replayed {session.replayed_events}) "
               f"from {args.journal}", file=sys.stderr)
+    # KeyboardInterrupt / BrokenPipeError on stdin propagate to main() for
+    # the usual 130 / 141 exits; the finally below still commits.
+    server: ServiceServer
+    signals = [signal.SIGTERM]
+    if args.listen:
+        host, _, port = args.listen.rpartition(":")
+        server = ServiceServer(
+            session, host=host or "127.0.0.1", port=int(port),
+            metrics_port=args.metrics_port,
+        )
+        signals.append(signal.SIGINT)
+    else:
+        server = StdioServer(session)
+    before = {sig: signal.signal(sig, lambda *_: server.stop()) for sig in signals}
     try:
-        if args.listen:
-            host, _, port = args.listen.rpartition(":")
-            server = ServiceServer(
-                session, host=host or "127.0.0.1", port=int(port),
-                metrics_port=args.metrics_port,
-            )
-
-            async def _run() -> None:
-                asyncio.get_running_loop().add_signal_handler(
-                    signal.SIGTERM, asyncio.current_task().cancel
-                )
-                bound = await server.start()
+        if isinstance(server, StdioServer):
+            for out in server.serve_lines(sys.stdin):
+                print(out, flush=True)
+        else:
+            try:
+                bound = server.start()
                 print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr)
                 if server.metrics_address:
                     mhost, mport = server.metrics_address
                     print(f"metrics on http://{mhost}:{mport}/metrics",
                           file=sys.stderr)
-                try:
-                    await server.serve_forever()
-                except asyncio.CancelledError:
-                    pass
-                finally:
-                    await server.close()
-
-            try:
-                asyncio.run(_run())
-            except KeyboardInterrupt:
-                pass
-        else:
-            # KeyboardInterrupt / BrokenPipeError propagate to main() for
-            # the usual 130 / 141 exits; the finally below still commits.
-            stdio = StdioServer(session)
-            before = signal.signal(signal.SIGTERM, lambda *_: stdio.stop())
-            try:
-                for out in stdio.serve_lines(sys.stdin):
-                    print(out, flush=True)
+                server.serve_forever()
             finally:
-                signal.signal(signal.SIGTERM, signal.SIG_DFL if before is None else before)
+                server.close()
     finally:
+        for sig, handler in before.items():
+            signal.signal(sig, signal.SIG_DFL if handler is None else handler)
         # close() must run even if status() raises — it is the commit
         # point that makes a Ctrl-C / broken-pipe exit durable.
         try:

@@ -103,8 +103,9 @@ class AlgorithmSpec:
         rng: Optional[np.random.Generator] = None,
         seed: int = 0,
     ) -> AllocationAlgorithm:
-        """Construct the algorithm, supplying only the options it takes."""
-        rng = rng if rng is not None else np.random.default_rng(seed)
+        """Construct the algorithm, supplying only the options it takes.
+        The generator is made only for an algorithm that draws from one,
+        so a deterministic algorithm's process never loads numpy.random."""
         kwargs: dict[str, Any] = {}
         if "d" in self.options:
             kwargs["d"] = d
@@ -119,7 +120,7 @@ class AlgorithmSpec:
         if "load_target" in self.options and load_target is not None:
             kwargs["load_target"] = load_target
         if "rng" in self.options:
-            kwargs["rng"] = rng
+            kwargs["rng"] = rng if rng is not None else np.random.default_rng(seed)
         return self.factory(machine, **kwargs)
 
 

@@ -6,32 +6,31 @@ behind this server.  The wire protocol is the JSONL codec of
 (or typed admission outcome) line back, ``{"error": ..., "op": ...,
 "line": N}`` for a bad line, and an ``{"overloaded": true, ...}`` record
 plus a journal flush when the SLO backpressure watermark trips.  With
-``--listen`` many clients may connect; every line is handled
-synchronously on the event loop, so the global event order (and
-therefore every decision, ``L_A``, ``L*``) is a single serializable
-history — clients interleave at line granularity.  Without ``--listen``
-:class:`StdioServer` serves stdin/stdout through the same line handler.
-Under ``--fsync interval:<ms>`` the socket server also keeps one timer
-that syncs records left pending once the interval is up, so a client
-that goes quiet after a burst does not leave them in user space; the
-stdin server waits for input no longer than that and syncs when the
-wait runs out, on the same thread.
+``--listen`` many clients may connect to one :mod:`selectors` loop on
+one thread, which serves each line to the end before the next, so the
+global event order (and therefore every decision, ``L_A``, ``L*``) is a
+single serializable history — clients interleave at line granularity.
+Without ``--listen`` :class:`StdioServer` serves stdin/stdout through the
+same line handler and line splitter.  Under ``--fsync interval:<ms>``
+both wait for input no longer than the sync the policy owes, and sync
+when the wait runs out, so a client that goes quiet after a burst does
+not leave its last records in user space.
 
-A second, optional listener (``--metrics-port``) answers any HTTP GET
-with the Prometheus text exposition from :mod:`repro.service.metrics`:
-live ``L_A`` / ``L*`` / ratio / event-rate / journal-lag gauges and the
-process's current and peak resident memory, scrapable while the event
-stream is live.
+A second, optional listener (``--metrics-port``) on the same loop answers
+an HTTP GET with the Prometheus text exposition from
+:mod:`repro.service.metrics`: live ``L_A`` / ``L*`` / ratio / event-rate
+/ journal-lag gauges and the process's current and peak resident memory.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import select
+import selectors
+import socket
 import time as _time
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import ReproError
 from repro.service.metrics import process_memory, render_exposition, service_samples
@@ -40,16 +39,93 @@ from repro.service.stream import admission_lines, decision_line, parse_event_rec
 
 __all__ = ["ServiceServer", "StdioServer"]
 
-#: Longest client line either reader buffers (asyncio's default).  A
+#: Longest client line either transport takes, and the most unsent
+#: output a connection may hold before the loop stops serving it.  A
 #: longer line gets an error reply; the socket then closes its
 #: connection, stdin discards the rest of the line and reads on.
 _LINE_LIMIT = 1 << 16
 
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
-def _long_line_error(lineno: int) -> str:
-    return json.dumps(
-        {"error": f"line longer than {_LINE_LIMIT} bytes", "op": None, "line": lineno}
-    )
+
+class _Lines:
+    """The line splitter of both transports: bytes in, lines out, ``None``
+    standing for a line longer than ``_LINE_LIMIT``.  That line is
+    reported as soon as the limit is passed, and its bytes are dropped up
+    to the next newline, so a line without end costs no more memory than
+    two reads."""
+
+    __slots__ = ("pending", "skipping")
+
+    def __init__(self) -> None:
+        self.pending = bytearray()  # input after the last complete line
+        self.skipping = False  # inside a reported over-long line
+
+    def feed(self, chunk: bytes) -> Iterator[Optional[str]]:
+        """The lines ``chunk`` completes.  An empty chunk ends the input:
+        it yields the last line if that has no newline."""
+        pending = self.pending
+        if not chunk:
+            if pending:
+                yield pending.decode("utf-8", "replace")
+            return
+        pending += chunk
+        end = pending.rfind(b"\n", len(pending) - len(chunk))
+        if end >= 0:
+            lines = pending[:end].split(b"\n")
+            del pending[: end + 1]
+            if self.skipping:
+                del lines[0]  # the end of the over-long line
+                self.skipping = False
+            for line in lines:
+                yield None if len(line) > _LINE_LIMIT else line.decode("utf-8", "replace")
+        if not self.skipping and len(pending) > _LINE_LIMIT:
+            yield None
+            self.skipping = True
+        if self.skipping:
+            pending.clear()
+
+
+class _Gone(Exception):
+    """A client's socket failed (reset, broken pipe, ...): the loop drops
+    that connection.  Other errors, a journal write's among them, are not
+    the client's and end the loop."""
+
+
+class _Conn(_Lines):
+    """One accepted socket: its handler, its input split into lines, the
+    lines read but not yet served, and its unsent output."""
+
+    __slots__ = ("sock", "handler", "todo", "lineno", "out", "closing", "linger")
+
+    def __init__(self, sock: socket.socket, handler: Callable[[_Conn, int], None]) -> None:
+        super().__init__()
+        self.sock = sock
+        self.handler = handler
+        self.todo: Optional[Iterator[Optional[str]]] = None
+        self.lineno = 0
+        self.out = bytearray()
+        self.closing = False  # close once ``out`` is sent
+        self.linger: Optional[float] = None  # refused: discard input until then
+
+    def __call__(self, mask: int) -> None:
+        self.handler(self, mask)
+
+    def recv(self) -> bytes:
+        try:
+            return self.sock.recv(_LINE_LIMIT)
+        except OSError as exc:
+            raise _Gone from exc
+
+    def send(self) -> None:
+        """Send what the socket takes now of the unsent output."""
+        if self.out:
+            try:
+                del self.out[: self.sock.send(self.out)]
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                raise _Gone from exc
 
 
 class ServiceServer:
@@ -68,10 +144,10 @@ class ServiceServer:
         self._port = port
         self._metrics_port = metrics_port
         self._rate_mark: tuple[float, int] = (_time.monotonic(), 0)
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._metrics_server: Optional[asyncio.base_events.Server] = None
-        # The one timer that syncs what an interval policy left pending.
-        self._sync_timer: Optional[asyncio.TimerHandle] = None
+        self._sel = selectors.DefaultSelector()
+        self._wake: tuple[socket.socket, ...] = ()  # stop() writes to [1]
+        self._stopping = False
+        self.metrics_address: Optional[tuple[str, int]] = None
         self.connections = 0
 
     @property
@@ -112,115 +188,164 @@ class ServiceServer:
 
     # -- Lifecycle -----------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
+    def start(self) -> tuple[str, int]:
         """Bind both listeners; returns the event listener's (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_client, self._host, self._port, limit=_LINE_LIMIT
-        )
-        sock = self._server.sockets[0]
-        addr = sock.getsockname()
+        wake = self._open_wake()
+        self._sel.register(wake, _READ, lambda mask: wake.recv(_LINE_LIMIT))
+        address = self._listen(self._port, self._on_client)
         if self._metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_scrape, self._host, self._metrics_port
-            )
-        return str(addr[0]), int(addr[1])
+            self.metrics_address = self._listen(self._metrics_port, self._on_scrape)
+        return address
 
-    @property
-    def metrics_address(self) -> Optional[tuple[str, int]]:
-        if self._metrics_server is None:
-            return None
-        addr = self._metrics_server.sockets[0].getsockname()
-        return str(addr[0]), int(addr[1])
+    def _listen(self, port: int, handler: Callable[[_Conn, int], None]) -> tuple[str, int]:
+        family = socket.getaddrinfo(self._host, port, type=socket.SOCK_STREAM)[0][0]
+        sock = socket.create_server((self._host, port), family=family, backlog=100)
+        sock.setblocking(False)
+        self._sel.register(sock, _READ, lambda mask: self._accept(sock, handler))
+        host, bound = sock.getsockname()[:2]
+        return str(host), int(bound)
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Serve every socket until :meth:`stop`.  A wait for input lasts
+        no longer than the sync an ``interval:<ms>`` policy owes: the
+        journal syncs only when a record arrives."""
+        while not self._stopping:
+            due = self.backend.journal_sync_due
+            if due is not None and due <= 0:
+                self.backend.flush()
+                continue
+            for key, mask in self._sel.select(due):
+                if self._stopping:
+                    break
+                key.data(mask)
 
-    async def close(self) -> None:
-        if self._sync_timer is not None:
-            self._sync_timer.cancel()
-            self._sync_timer = None
-        for server in (self._server, self._metrics_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        self._server = self._metrics_server = None
+    def stop(self) -> None:
+        """End :meth:`serve_forever` (or :meth:`StdioServer.serve_lines`)
+        once the line in hand is answered, at once while it waits, so no
+        session update is cut short.  Safe to call from a signal handler
+        or from another thread."""
+        self._stopping = True
+        if self._wake:
+            try:
+                self._wake[1].send(b"\0")
+            except OSError:  # a wake-up is already pending, or closed
+                pass
+
+    def close(self) -> None:
+        """Close every socket this server owns, connections included."""
+        for key in list(self._sel.get_map().values()):
+            key.fileobj.close()  # type: ignore[union-attr]
+        self._sel.close()
+        self._close_wake()
+
+    def _open_wake(self) -> socket.socket:
+        """A fresh wake-up pair for :meth:`stop`; returns the end to watch."""
+        self._wake = socket.socketpair()
+        for sock in self._wake:
+            sock.setblocking(False)
+        return self._wake[0]
+
+    def _close_wake(self) -> None:
+        for sock in self._wake:
+            sock.close()
+        self._wake = ()
+
+    # -- Connections ---------------------------------------------------------
+
+    def _accept(self, listener: socket.socket, handler: Callable[[_Conn, int], None]) -> None:
+        try:
+            sock, _ = listener.accept()
+        except OSError:  # gone before it was accepted
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if handler == self._on_client:
+            self.connections += 1
+        self._sel.register(sock, _READ, _Conn(sock, handler))
+
+    def _drop(self, conn: _Conn) -> None:
+        self._sel.unregister(conn.sock)
+        conn.sock.close()
+        if conn.handler == self._on_client:
+            self.connections -= 1
+
+    def _watch(self, conn: _Conn) -> None:
+        """Close ``conn`` once it is done, or watch it for what it waits on
+        next: writable while it holds unsent output, readable unless it is
+        closing or that output is over ``_LINE_LIMIT``."""
+        if conn.closing and not conn.out and conn.todo is None:
+            if conn.linger is None:
+                return self._drop(conn)
+            # A refused line: half-close, then discard what the client
+            # still sends until it closes, or for at most a second.
+            # Closing with unread input would reset the connection
+            # before the client reads the reply.
+            try:
+                conn.sock.shutdown(socket.SHUT_WR)
+            except OSError:  # already gone: its next read says so
+                pass
+            conn.closing, conn.linger = False, _time.monotonic() + 1.0
+        mask = _WRITE if conn.out else 0
+        if not conn.closing and len(conn.out) <= _LINE_LIMIT:
+            mask |= _READ
+        self._sel.modify(conn.sock, mask, conn)
 
     # -- Event-stream protocol -----------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
+    def _on_client(self, conn: _Conn, mask: int) -> None:
         try:
-            lineno = 0
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # the line overran _LINE_LIMIT
-                    await self._refuse_long_line(reader, writer, lineno + 1)
-                    break
-                if not line:
-                    break
-                lineno += 1
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text or text.startswith("#"):
-                    continue
-                for out in self._serve_line(text, lineno):
-                    writer.write(out.encode("utf-8") + b"\n")
-                if self._sync_timer is None:
-                    self._sync_when_due()
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown with the connection open
-        finally:
-            self.connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError, OSError):
-                pass
+            if mask & _WRITE:
+                conn.send()
+            if mask & _READ and conn.todo is None:
+                chunk = conn.recv()
+                if conn.linger is not None:  # discarding after a refusal
+                    if not chunk or _time.monotonic() > conn.linger:
+                        self._drop(conn)
+                    return
+                conn.todo, conn.closing = conn.feed(chunk), not chunk
+            if conn.todo is not None and len(conn.out) <= _LINE_LIMIT:
+                self._serve(conn, conn.todo)
+            self._watch(conn)
+        except _Gone:
+            self._drop(conn)
 
-    def _sync_when_due(self) -> None:
-        """Sync the records an ``interval:<ms>`` policy left pending once
-        the interval since the last sync has passed, or arm the one timer
-        that comes back then.  The journal syncs only when a record
-        arrives, so without this a server gone quiet after a burst would
-        keep its last records in user space until the next event."""
-        self._sync_timer = None
-        due = self.backend.journal_sync_due
-        if due is None:
-            return
-        if due <= 0:
-            self.backend.flush()
-        else:
-            self._sync_timer = asyncio.get_running_loop().call_later(
-                due, self._sync_when_due
-            )
+    def _serve(self, conn: _Conn, todo: Iterator[Optional[str]]) -> None:
+        """Serve ``conn``'s lines in order until none is left, the loop
+        stops, a line is refused or the unsent replies pass
+        ``_LINE_LIMIT``; the rest waits in ``todo`` until they drain.
+        Each line's replies leave at once unless earlier ones still wait
+        for the socket."""
+        for line in todo:
+            if self._stopping:
+                return
+            conn.lineno += 1
+            blocked = bool(conn.out)
+            for out in self._replies(line, conn.lineno):
+                conn.out += out.encode("utf-8") + b"\n"
+            if line is None:
+                conn.closing, conn.linger = True, 0.0
+                break
+            if not blocked:
+                conn.send()
+            if len(conn.out) > _LINE_LIMIT:
+                return
+        conn.todo = None
 
-    @staticmethod
-    async def _refuse_long_line(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter, lineno: int
-    ) -> None:
-        writer.write(_long_line_error(lineno).encode("utf-8") + b"\n")
-        await writer.drain()
-        # Half-close, then discard what the client is still sending (for at
-        # most a second): closing with unread input would reset the
-        # connection before the client reads the reply.
-        writer.write_eof()
-        try:
-            await asyncio.wait_for(_discard(reader), timeout=1.0)
-        except asyncio.TimeoutError:
-            pass
+    def _replies(self, line: Optional[str], lineno: int) -> list[str]:
+        """Reply lines for one line of the splitter (``None`` for one too
+        long); blank and ``#`` comment lines get none."""
+        if line is None:
+            return [json.dumps({"error": f"line longer than {_LINE_LIMIT} bytes",
+                                "op": None, "line": lineno})]
+        text = line.strip()
+        if not text or text.startswith("#"):
+            return []
+        return self._serve_line(text, lineno)
 
     def _serve_line(self, text: str, lineno: int) -> list[str]:
         """Reply lines for one client line.  No lock is needed: every
-        backend touch is synchronous, so the event loop serialises the
-        per-line critical sections across connections by construction.
+        backend touch happens on the one serving thread, which serves one
+        line to the end before the next, whichever client sent it.
 
         A line with a ``"kind"`` is an event record, whatever else it
         carries (a resize names its ``"op"``); only a line without one is
@@ -261,47 +386,32 @@ class ServiceServer:
 
     # -- Metrics scrape protocol ---------------------------------------------
 
-    async def _handle_scrape(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Minimal HTTP/1.0 responder: any GET gets the exposition page."""
+    def _on_scrape(self, conn: _Conn, mask: int) -> None:
+        """Minimal HTTP/1.0 responder: read the request up to its blank
+        line, answer a GET with the exposition page and anything else
+        with 405, then close."""
         try:
-            request = await reader.readline()
-            while True:  # drain headers
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            if not request.startswith(b"GET"):
-                writer.write(b"HTTP/1.0 405 Method Not Allowed\r\n\r\n")
-            else:
-                body = self._metrics_page().encode("utf-8")
-                writer.write(
-                    b"HTTP/1.0 200 OK\r\n"
-                    b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                    + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
-                )
-                writer.write(body)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError, OSError):
-                pass
-
-
-async def _discard(reader: asyncio.StreamReader) -> None:
-    while await reader.read(_LINE_LIMIT):
-        pass
-
-
-class _Stopped(Exception):
-    """:meth:`StdioServer.stop` while the server waits for input."""
+            if mask & _READ and not conn.closing:
+                chunk = conn.recv()
+                request = conn.pending  # a request needs no splitting
+                request += chunk
+                if (not chunk or b"\n\r\n" in request or b"\n\n" in request
+                        or len(request) > _LINE_LIMIT):
+                    if request.startswith(b"GET"):
+                        body = self._metrics_page().encode("utf-8")
+                        conn.out += (
+                            b"HTTP/1.0 200 OK\r\n"
+                            b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+                            + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                            + body
+                        )
+                    else:
+                        conn.out += b"HTTP/1.0 405 Method Not Allowed\r\n\r\n"
+                    conn.closing = True
+            conn.send()
+            self._watch(conn)
+        except _Gone:
+            self._drop(conn)
 
 
 class StdioServer(ServiceServer):
@@ -312,24 +422,11 @@ class StdioServer(ServiceServer):
     files on the server's host.
     """
 
-    def __init__(self, backend: AllocationSession, **kwargs: Any) -> None:
-        super().__init__(backend, **kwargs)
-        self._stopping = False
-        self._waiting = False  # blocked on input, between lines
-
     def _control(self, op: str, obj: dict[str, Any]) -> Any:
         if op == "save":
             self.backend.save_run(obj["path"])
             return {"saved": str(obj["path"])}
         return super()._control(op, obj)
-
-    def stop(self) -> None:
-        """End :meth:`serve_lines`: at once while it waits for input,
-        otherwise once the line being served is answered, so no session
-        update is cut short.  Safe to call from a signal handler."""
-        self._stopping = True
-        if self._waiting:
-            raise _Stopped
 
     def serve_lines(self, lines: Iterable[str]) -> Iterable[str]:
         """Reply lines for a stream of client lines, in order, until the
@@ -343,62 +440,33 @@ class StdioServer(ServiceServer):
             source = iter(lines)
         else:
             source = self._read_lines(fd)
-        try:
-            for lineno, line in enumerate(source, start=1):
-                if self._stopping:
-                    return
-                if line is None:
-                    yield _long_line_error(lineno)
-                    continue
-                text = line.strip()
-                if text and not text.startswith("#"):
-                    yield from self._serve_line(text, lineno)
-        except _Stopped:
-            return
+        for lineno, line in enumerate(source, start=1):
+            if self._stopping:
+                return
+            yield from self._replies(line, lineno)
 
     def _read_lines(self, fd: int) -> Iterator[Optional[str]]:
-        """The lines read from ``fd``, ``None`` standing for a line longer
-        than ``_LINE_LIMIT``: it is reported as soon as the limit is
-        passed, and its bytes are dropped up to the next newline, so a
-        line without end costs no more memory than two reads.  While an
+        """The lines read from ``fd``, split by :class:`_Lines`, until the
+        input ends or :meth:`stop` wakes the wait.  While an
         ``interval:<ms>`` policy owes pending records a sync, input is
         awaited only until the sync is due, and the journal is flushed
         when that wait runs out — on this thread, so the journal has one
-        user."""
-        pending = bytearray()  # input after the last complete line
-        skipping = False  # inside a reported over-long line
-        while not self._stopping:
-            self._waiting = True
-            try:
+        user.  (``select``, unlike epoll, also waits on a file.)"""
+        wake, lines = self._open_wake(), _Lines()
+        try:
+            while True:
                 due = self.backend.journal_sync_due
-                if due is not None and not select.select([fd], [], [], max(due, 0.0))[0]:
-                    chunk = None
-                else:
-                    chunk = os.read(fd, _LINE_LIMIT)
-            finally:
-                self._waiting = False
-            if chunk is None:
-                self.backend.flush()
-                continue
-            if not chunk:
-                break
-            pending += chunk
-            end = pending.rfind(b"\n", len(pending) - len(chunk))
-            if end >= 0:
-                lines = pending[:end].split(b"\n")
-                del pending[: end + 1]
-                if skipping:
-                    del lines[0]  # the end of the over-long line
-                    skipping = False
-                for line in lines:
-                    if len(line) > _LINE_LIMIT:
-                        yield None
-                    else:
-                        yield line.decode("utf-8", errors="replace")
-            if not skipping and len(pending) > _LINE_LIMIT:
-                yield None
-                skipping = True
-            if skipping:
-                pending.clear()
-        if pending:
-            yield pending.decode("utf-8", errors="replace")
+                ready = select.select(
+                    [fd, wake], [], [], None if due is None else max(due, 0.0)
+                )[0]
+                if self._stopping:
+                    return
+                if not ready:
+                    self.backend.flush()
+                    continue
+                chunk = os.read(fd, _LINE_LIMIT)
+                yield from lines.feed(chunk)
+                if not chunk:
+                    return
+        finally:
+            self._close_wake()

@@ -1,22 +1,23 @@
 """Socket and stdin front-end: protocol, errors, scrape, concurrent clients.
 
-Each socket test spins up a real
+Each socket test runs a real
 :class:`~repro.service.shard.server.ServiceServer` over one
-:class:`~repro.service.session.AllocationSession` on an ephemeral port
-inside ``asyncio.run`` and talks to it over a plain socket — the same
-wire a ``repro serve --listen`` client sees.
+:class:`~repro.service.session.AllocationSession` on an ephemeral port,
+its loop on a thread of its own, and talks to it over a plain socket —
+the same wire a ``repro serve --listen`` client sees.
 """
 
-import asyncio
 import json
 import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.registry import make_algorithm
@@ -35,35 +36,53 @@ def _session_backend(journal=None):
     )
 
 
-async def _roundtrip(server, lines):
-    """Send ``lines`` to a started server, return every reply line."""
-    host, port = await server.start()
-    reader, writer = await asyncio.open_connection(host, port)
+@contextmanager
+def _running(server):
+    """Start ``server``, run its loop on a thread and yield its address;
+    stop and close it on exit."""
+    address = server.start()
+    loop = threading.Thread(target=server.serve_forever, daemon=True)
+    loop.start()
     try:
-        for line in lines:
-            writer.write(line.encode() + b"\n")
-        await writer.drain()
-        writer.write_eof()
-        replies = []
-        while True:
-            raw = await asyncio.wait_for(reader.readline(), timeout=10)
-            if not raw:
-                return replies
-            replies.append(json.loads(raw))
+        yield address
     finally:
-        writer.close()
-        await server.close()
+        server.stop()
+        loop.join(timeout=10)
+        assert not loop.is_alive()
+        server.close()
+
+
+def _connect(address, rcvbuf=None):
+    conn = socket.socket()
+    if rcvbuf is not None:  # before connect, so the window starts small
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    conn.settimeout(10)
+    conn.connect(address)
+    return conn
+
+
+def _send_all(conn, lines):
+    conn.sendall(b"".join(line + b"\n" for line in lines))
+
+
+def _until_eof(conn):
+    """Half-close ``conn``, then every reply line until the server closes."""
+    conn.shutdown(socket.SHUT_WR)
+    return [json.loads(raw) for raw in conn.makefile("rb")]
+
+
+def _roundtrip(server, lines):
+    """Send ``lines`` to a server, return every reply line."""
+    with _running(server) as address, _connect(address) as conn:
+        _send_all(conn, [line.encode() for line in lines])
+        return _until_eof(conn)
 
 
 def _serve(backend, lines, **kwargs):
-    async def scenario():
-        server = ServiceServer(backend, **kwargs)
-        try:
-            return await _roundtrip(server, lines)
-        finally:
-            backend.close()
-
-    return asyncio.run(scenario())
+    try:
+        return _roundtrip(ServiceServer(backend, **kwargs), lines)
+    finally:
+        backend.close()
 
 
 class TestEventStream:
@@ -147,34 +166,21 @@ class TestStructuredErrors:
         assert not target.exists()
 
     def test_overlong_line_is_refused_and_the_server_stays_up(self):
-        async def scenario():
-            backend = _session_backend()
-            server = ServiceServer(backend)
-            host, port = await server.start()
+        backend = _session_backend()
 
-            async def client(lines):
-                reader, writer = await asyncio.open_connection(host, port)
-                for line in lines:
-                    writer.write(line + b"\n")
-                await writer.drain()
-                writer.write_eof()
-                replies = []
-                while raw := await asyncio.wait_for(reader.readline(), 10):
-                    replies.append(json.loads(raw))
-                writer.close()
-                return replies
+        def client(address, lines):
+            with _connect(address) as conn:
+                _send_all(conn, lines)
+                return _until_eof(conn)
 
-            arrival = json.dumps(
-                {"kind": "arrival", "time": 0.0, "id": 0, "size": 1}
-            ).encode()
-            long_line = b'{"kind": "arrival", "pad": "' + b"x" * 200_000 + b'"}'
-            refused = await client([b"# comment", long_line, arrival])
-            served = await client([arrival])
-            await server.close()
-            backend.close()
-            return refused, served
-
-        refused, served = asyncio.run(scenario())
+        arrival = json.dumps(
+            {"kind": "arrival", "time": 0.0, "id": 0, "size": 1}
+        ).encode()
+        long_line = b'{"kind": "arrival", "pad": "' + b"x" * 200_000 + b'"}'
+        with _running(ServiceServer(backend)) as address:
+            refused = client(address, [b"# comment", long_line, arrival])
+            served = client(address, [arrival])
+        backend.close()
         assert refused == [
             {"error": "line longer than 65536 bytes", "op": None, "line": 2}
         ]
@@ -350,25 +356,15 @@ class TestQuietIntervalSync:
             for i in range(3)
         ]
 
-        async def scenario():
-            server = ServiceServer(session)
-            host, port = await server.start()
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
-                for record in records:
-                    writer.write(json.dumps(record).encode() + b"\n")
-                await writer.drain()
-                for _record in records:
-                    await asyncio.wait_for(reader.readline(), timeout=10)
-                await asyncio.sleep(0.2)
-                # The file as a kill of the server would leave it.
-                return path.read_bytes(), session.journal_pending
-            finally:
-                writer.close()
-                await server.close()
-
         try:
-            data, pending = asyncio.run(scenario())
+            with _running(ServiceServer(session)) as address, _connect(address) as conn:
+                _send_all(conn, [json.dumps(record).encode() for record in records])
+                replies = conn.makefile("rb")
+                for _record in records:
+                    replies.readline()
+                time.sleep(0.2)
+                # The file as a kill of the server would leave it.
+                data, pending = path.read_bytes(), session.journal_pending
         finally:
             session.close()
         journaled = [p["record"] for p in decode_journal(data)[1].values()]
@@ -391,32 +387,22 @@ class TestMetrics:
         assert by_name[("repro_active_tasks", ())] == 1.0
         assert ("repro_events_per_second", ()) in by_name
 
+    @staticmethod
+    def _scrape(server, request):
+        with _connect(server.metrics_address) as conn:
+            conn.sendall(request)
+            return conn.makefile("rb").read().decode()
+
     def test_http_scrape(self):
-        async def scenario():
-            backend = _session_backend()
-            server = ServiceServer(backend, metrics_port=0)
-            host, port = await server.start()
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                json.dumps(
-                    {"kind": "arrival", "time": 0.0, "id": 0, "size": 1}
-                ).encode() + b"\n"
-            )
-            await writer.drain()
-            await asyncio.wait_for(reader.readline(), timeout=10)
-
-            mhost, mport = server.metrics_address
-            sreader, swriter = await asyncio.open_connection(mhost, mport)
-            swriter.write(b"GET /metrics HTTP/1.0\r\n\r\n")
-            await swriter.drain()
-            payload = await asyncio.wait_for(sreader.read(), timeout=10)
-            swriter.close()
-            writer.close()
-            await server.close()
-            backend.close()
-            return payload.decode()
-
-        page = asyncio.run(scenario())
+        backend = _session_backend()
+        server = ServiceServer(backend, metrics_port=0)
+        with _running(server) as address, _connect(address) as conn:
+            _send_all(conn, [json.dumps(
+                {"kind": "arrival", "time": 0.0, "id": 0, "size": 1}
+            ).encode()])
+            conn.makefile("rb").readline()
+            page = self._scrape(server, b"GET /metrics HTTP/1.0\r\n\r\n")
+        backend.close()
         head, _, body = page.partition("\r\n\r\n")
         assert head.startswith("HTTP/1.0 200 OK")
         assert "text/plain" in head
@@ -424,57 +410,38 @@ class TestMetrics:
         assert by_name["repro_events_total"] == 1.0
 
     def test_scrape_rejects_non_get(self):
-        async def scenario():
-            backend = _session_backend()
-            server = ServiceServer(backend, metrics_port=0)
-            await server.start()
-            mhost, mport = server.metrics_address
-            reader, writer = await asyncio.open_connection(mhost, mport)
-            writer.write(b"POST /metrics HTTP/1.0\r\n\r\n")
-            await writer.drain()
-            reply = await asyncio.wait_for(reader.read(), timeout=10)
-            writer.close()
-            await server.close()
-            backend.close()
-            return reply.decode()
+        backend = _session_backend()
+        server = ServiceServer(backend, metrics_port=0)
+        with _running(server):
+            reply = self._scrape(server, b"POST /metrics HTTP/1.0\r\n\r\n")
+        backend.close()
+        assert reply.startswith("HTTP/1.0 405")
 
-        assert asyncio.run(scenario()).startswith("HTTP/1.0 405")
+
+def _roundtrip_line(conn, replies, record):
+    """Send one record on ``conn`` and read its one reply."""
+    conn.sendall(json.dumps(record).encode() + b"\n")
+    return json.loads(replies.readline())
 
 
 class TestConcurrentClients:
     def test_interleaved_clients_share_one_history(self, tmp_path):
-        async def scenario():
-            backend = _session_backend(tmp_path / "s.journal")
-            server = ServiceServer(backend)
-            host, port = await server.start()
-
-            async def client(base):
-                reader, writer = await asyncio.open_connection(host, port)
-                decisions = []
-                for i in range(20):
-                    writer.write(
-                        json.dumps(
-                            {"kind": "arrival", "time": float(i),
-                             "id": base + i, "size": 1}
-                        ).encode() + b"\n"
-                    )
-                    await writer.drain()
-                    decisions.append(
-                        json.loads(await asyncio.wait_for(
-                            reader.readline(), timeout=10
-                        ))
-                    )
-                writer.close()
-                return decisions
-
-            results = await asyncio.gather(client(0), client(1000))
-            status = backend.status()
-            events = backend.events
-            await server.close()
-            backend.close()
-            return results, status, events
-
-        (a, b), status, events = asyncio.run(scenario())
+        backend = _session_backend(tmp_path / "s.journal")
+        with _running(ServiceServer(backend)) as address, \
+                _connect(address) as first, _connect(address) as second:
+            # The two clients take turns, one record each, as the clock
+            # (one per session) needs.
+            clients = [(first, first.makefile("rb"), 0, []),
+                       (second, second.makefile("rb"), 1000, [])]
+            for i in range(20):
+                for conn, replies, base, decisions in clients:
+                    decisions.append(_roundtrip_line(conn, replies, {
+                        "kind": "arrival", "time": float(i), "id": base + i, "size": 1,
+                    }))
+        status = backend.status()
+        events = backend.events
+        backend.close()
+        a, b = clients[0][3], clients[1][3]
         assert status["events"] == 40 and status["active_tasks"] == 40
         # Every client got a decision for every one of its own records.
         assert [d["task_id"] for d in a] == list(range(20))
@@ -484,25 +451,98 @@ class TestConcurrentClients:
         assert sorted(ids) == list(range(20)) + list(range(1000, 1020))
 
     def test_connection_counter(self):
-        async def scenario():
-            backend = _session_backend()
-            server = ServiceServer(backend)
-            host, port = await server.start()
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                json.dumps(
-                    {"kind": "arrival", "time": 0.0, "id": 0, "size": 1}
-                ).encode() + b"\n"
-            )
-            await writer.drain()
-            await asyncio.wait_for(reader.readline(), timeout=10)
+        backend = _session_backend()
+        server = ServiceServer(backend)
+        with _running(server) as address, _connect(address) as conn:
+            _roundtrip_line(conn, conn.makefile("rb"),
+                            {"kind": "arrival", "time": 0.0, "id": 0, "size": 1})
             during = server.connections
-            writer.close()
-            await server.close()
-            backend.close()
-            return during
+        backend.close()
+        assert during == 1
 
-        assert asyncio.run(scenario()) == 1
+
+def _until_still(count, limit):
+    """Wait until ``count()`` reaches ``limit`` or stops growing."""
+    last, still = -1, 0
+    while still < 5:
+        now = count()
+        if now == limit:
+            return
+        last, still = now, still + 1 if now == last else 0
+        time.sleep(0.05)
+
+
+class TestSlowClients:
+    """A client that reads none of its replies holds up neither the loop
+    nor the other clients, and loses none of its own replies."""
+
+    COUNT = 2000
+
+    @staticmethod
+    def _arrivals_and_snapshots(count):
+        """Arrivals with a snapshot every 20th line: replies that outgrow
+        any socket buffer long before the last line."""
+        return [
+            json.dumps({"op": "snapshot"} if i % 20 == 19 else
+                       {"kind": "arrival", "time": float(i), "id": i, "size": 1}).encode()
+            for i in range(count)
+        ]
+
+    def test_unread_replies_do_not_stall_other_clients(self):
+        backend = _session_backend()
+        lines = self._arrivals_and_snapshots(self.COUNT)
+        arrivals = self.COUNT - self.COUNT // 20
+        with _running(ServiceServer(backend)) as address, \
+                _connect(address, rcvbuf=4096) as slow:
+            sender = threading.Thread(target=_send_all, args=(slow, lines))
+            sender.start()
+            _until_still(lambda: backend.num_events, arrivals)
+            # The loop stopped serving the slow client's lines ...
+            assert backend.num_events < arrivals
+            with _connect(address) as other:
+                replies = other.makefile("rb")
+                for _ in range(20):  # ... and serves the others meanwhile.
+                    assert "events" in _roundtrip_line(other, replies, {"op": "status"})
+            replies = slow.makefile("rb")
+            got = [json.loads(replies.readline()) for _ in lines]
+            sender.join(timeout=60)
+        backend.close()
+        sent = [json.loads(line) for line in lines]
+        assert [(r["kind"], r.get("task_id")) for r in got] == [
+            (r.get("kind", "repro-kernel-state"), r.get("id")) for r in sent
+        ]
+
+    def test_a_client_gone_with_replies_unread(self, tmp_path):
+        """The server serves on, and the journal holds exactly the records
+        whose lines it served: a prefix of the gone client's stream, then
+        the other client's records."""
+        journal = tmp_path / "s.journal"
+        backend = _session_backend(journal)
+        lines = self._arrivals_and_snapshots(self.COUNT)
+        arrivals = [r for r in map(json.loads, lines) if "kind" in r]
+        late = [{"kind": "arrival", "time": 1e6 + i, "id": 10_000 + i, "size": 1}
+                for i in range(3)]
+        server = ServiceServer(backend)
+        with _running(server) as address:
+            with _connect(address, rcvbuf=4096) as gone:
+                _send_all(gone, lines)
+                _until_still(lambda: backend.num_events, len(arrivals))
+                # Reset on close: the replies are left unread.
+                gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            with _connect(address) as other:
+                replies = other.makefile("rb")
+                decisions = [_roundtrip_line(other, replies, r) for r in late]
+                assert server.connections == 1
+            events = backend.num_events
+        backend.close()
+        assert [d["task_id"] for d in decisions] == [r["id"] for r in late]
+        journaled = [p["record"] for p in decode_journal(journal.read_bytes())[1].values()]
+        served = len(journaled) - len(late)
+        assert 0 < served < len(arrivals) and len(journaled) == events
+        expected = arrivals[:served] + late
+        assert [(r["kind"], r["id"]) for r in journaled] == [
+            (r["kind"], r["id"]) for r in expected
+        ]
 
 
 def _fault_backend(journal=None):
@@ -661,9 +701,30 @@ class TestStdinQuietIntervalSync:
             assert proc.wait(timeout=60) == 0
 
 
+def _send_quietly(conn, data):
+    """``sendall`` that ends quietly when the server closes first."""
+    try:
+        conn.sendall(data)
+    except OSError:
+        pass
+
+
+def _complete_lines(replies):
+    """The newline-terminated reply lines left, until the server closes."""
+    lines = []
+    try:
+        for raw in replies:
+            if raw.endswith(b"\n"):
+                lines.append(json.loads(raw))
+    except ConnectionResetError:  # it closed with our lines unread
+        pass
+    return lines
+
+
 class TestSigterm:
-    """SIGTERM stops ``repro serve`` through the close that commits the
-    journal: under ``--fsync batch`` no answered record is lost."""
+    """SIGTERM (and SIGINT on the socket) stops ``repro serve`` through
+    the close that commits the journal: under ``--fsync batch`` no
+    answered record is lost."""
 
     COUNT = 1600
 
@@ -690,6 +751,35 @@ class TestSigterm:
                 proc.kill()
             proc.wait()
         assert _resumed_events(journal) == self.COUNT
+
+    def test_socket_server_on_sigint_mid_stream(self, tmp_path):
+        """SIGINT while lines are still arriving: the server stops between
+        two lines and exits 0, and every answered record resumes."""
+        journal = tmp_path / "s.journal"
+        proc = _serve_process(
+            journal, "--n", "256", "--fsync", "batch", "--listen", "127.0.0.1:0"
+        )
+        try:
+            line = proc.stderr.readline().decode()
+            host, port = re.search(r"listening on (\S+):(\d+)", line).groups()
+            data = "".join(line + "\n" for line in _churn_lines(self.COUNT)).encode()
+            with socket.create_connection((host, int(port)), timeout=60) as conn:
+                sender = threading.Thread(target=_send_quietly, args=(conn, data))
+                sender.start()
+                replies = conn.makefile("rb")
+                answered = [json.loads(replies.readline()) for _ in range(self.COUNT // 4)]
+                proc.send_signal(signal.SIGINT)
+                answered += _complete_lines(replies)
+                sender.join(timeout=60)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            stderr = proc.communicate()[1]
+        assert all("error" not in reply for reply in answered)
+        served = int(re.search(rb"session closed: (\d+) event", stderr).group(1))
+        assert len(answered) <= served <= self.COUNT
+        assert _resumed_events(journal) == served
 
     def test_stdin_server(self, tmp_path):
         journal = tmp_path / "s.journal"

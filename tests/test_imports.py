@@ -13,6 +13,7 @@ import importlib
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -42,36 +43,79 @@ NOT_SERVED = (
     "repro.tasks.transforms",
 )
 
+#: What only an event loop loads: ``repro serve`` runs none.
+EVENT_LOOP = ("asyncio", "ssl", "_ssl", "concurrent.futures")
+
+#: A few events and a control read, for boots that serve.
+EVENTS = (
+    json.dumps({"kind": "arrival", "time": 0.0, "id": 0, "size": 2}),
+    json.dumps({"kind": "arrival", "time": 1.0, "id": 1, "size": 1}),
+    json.dumps({"kind": "departure", "time": 2.0, "id": 0}),
+    json.dumps({"op": "status"}),
+)
+
 LAZY_PACKAGES = ("repro", "repro.sim", "repro.machines", "repro.tasks")
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
     proc = subprocess.run(
-        [sys.executable, *args], input=b"", capture_output=True, timeout=120,
+        [sys.executable, *args], input=stdin, capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return proc
 
 
-def _serve_imports(tmp_path, *flags: str) -> set[str]:
-    """Every module a ``python -m repro serve`` boot imports, read from
-    ``-X importtime`` (one stderr line per module executed)."""
-    proc = _python(
+def _serve_command(tmp_path, *flags: str) -> list[str]:
+    return [
         "-X", "importtime", "-m", "repro", "serve",
         "--journal", str(tmp_path / "boot.journal"), *flags,
-    )
+    ]
+
+
+def _imported(stderr: bytes) -> set[str]:
+    """The modules ``-X importtime`` reports (one stderr line each)."""
     return {
         line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.decode().splitlines()
+        for line in stderr.decode().splitlines()
         if line.startswith("import time:") and line.count("|") == 2
     }
 
 
-def _unserved(modules: set[str]) -> list[str]:
+def _serve_imports(tmp_path, *flags: str, lines: tuple[str, ...] = ()) -> set[str]:
+    """Every module a ``python -m repro serve`` boot on stdin imports
+    while it serves ``lines``."""
+    stdin = "".join(line + "\n" for line in lines).encode()
+    return _imported(_python(*_serve_command(tmp_path, *flags), stdin=stdin).stderr)
+
+
+def _listen_imports(tmp_path) -> set[str]:
+    """Every module a ``repro serve --listen`` boot imports, stopped by
+    SIGTERM once it listens."""
+    proc = subprocess.Popen(
+        [sys.executable, *_serve_command(tmp_path, "--listen", "127.0.0.1:0")],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    try:
+        stderr = []
+        while not stderr or not stderr[-1].startswith(b"listening on"):
+            stderr.append(proc.stderr.readline())
+            assert stderr[-1], b"".join(stderr).decode()
+        proc.send_signal(signal.SIGTERM)
+        stderr.append(proc.communicate(timeout=60)[1])
+        assert proc.returncode == 0, b"".join(stderr).decode()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return _imported(b"".join(stderr))
+
+
+def _within(modules: set[str], trees) -> list[str]:
     return sorted(
         m for m in modules
-        if any(m == tree or m.startswith(tree + ".") for tree in NOT_SERVED)
+        if any(m == tree or m.startswith(tree + ".") for tree in trees)
     )
 
 
@@ -79,7 +123,29 @@ class TestServeBoot:
     def test_serve_imports_only_the_serving_layers(self, tmp_path):
         modules = _serve_imports(tmp_path)
         assert "repro.service.session" in modules  # the scan saw the boot
-        assert _unserved(modules) == []
+        assert _within(modules, NOT_SERVED) == []
+
+    def test_stdin_boot_loads_no_event_loop(self, tmp_path):
+        modules = _serve_imports(tmp_path, lines=EVENTS)
+        assert "repro.service.shard.server" in modules
+        assert _within(modules, EVENT_LOOP) == []
+
+    def test_socket_boot_loads_no_event_loop(self, tmp_path):
+        modules = _listen_imports(tmp_path)
+        assert "repro.service.shard.server" in modules
+        assert _within(modules, EVENT_LOOP) == []
+
+    @pytest.mark.parametrize(
+        "algorithm, draws", [("greedy", False), ("periodic", False), ("twochoice", True)]
+    )
+    def test_only_an_algorithm_that_draws_loads_numpy_random(
+        self, tmp_path, algorithm, draws
+    ):
+        """``twochoice`` is the positive control: it takes an RNG, so
+        its boot must still load one."""
+        modules = _serve_imports(tmp_path, "--algorithm", algorithm, lines=EVENTS)
+        assert "repro.service.session" in modules
+        assert ("numpy.random" in modules) == draws
 
     def test_faults_flag_still_loads_fault_handling(self, tmp_path):
         modules = _serve_imports(tmp_path, "--faults")
