@@ -506,6 +506,7 @@ class TestSlowClients:
             replies = slow.makefile("rb")
             got = [json.loads(replies.readline()) for _ in lines]
             sender.join(timeout=60)
+            assert not sender.is_alive()
         backend.close()
         sent = [json.loads(line) for line in lines]
         assert [(r["kind"], r.get("task_id")) for r in got] == [
@@ -771,6 +772,7 @@ class TestSigterm:
                 proc.send_signal(signal.SIGINT)
                 answered += _complete_lines(replies)
                 sender.join(timeout=60)
+                assert not sender.is_alive()
             assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:
