@@ -11,10 +11,10 @@ one thread, which serves each line to the end before the next, so the
 global event order (and therefore every decision, ``L_A``, ``L*``) is a
 single serializable history — clients interleave at line granularity.
 Without ``--listen`` :class:`StdioServer` serves stdin/stdout through the
-same line handler and line splitter.  Under ``--fsync interval:<ms>``
-both wait for input no longer than the sync the policy owes, and sync
-when the wait runs out, so a client that goes quiet after a burst does
-not leave its last records in user space.
+same line handler, line splitter and wait for input.  Under ``--fsync
+interval:<ms>`` that wait lasts no longer than the sync the policy owes,
+and the journal syncs when it runs out, so a client that goes quiet after
+a burst does not leave its last records in user space.
 
 A second, optional listener (``--metrics-port``) on the same loop answers
 an HTTP GET with the Prometheus text exposition from
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import os
-import select
 import selectors
 import socket
 import time as _time
-from typing import Any, Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
 
 from repro.errors import ReproError
 from repro.service.metrics import process_memory, render_exposition, service_samples
@@ -48,6 +48,7 @@ _LINE_LIMIT = 1 << 16
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
+@dataclass
 class _Lines:
     """The line splitter of both transports: bytes in, lines out, ``None``
     standing for a line longer than ``_LINE_LIMIT``.  That line is
@@ -55,11 +56,8 @@ class _Lines:
     to the next newline, so a line without end costs no more memory than
     two reads."""
 
-    __slots__ = ("pending", "skipping")
-
-    def __init__(self) -> None:
-        self.pending = bytearray()  # input after the last complete line
-        self.skipping = False  # inside a reported over-long line
+    pending: bytearray = field(default_factory=bytearray)  # after the last complete line
+    skipping: bool = False  # inside a reported over-long line
 
     def feed(self, chunk: bytes) -> Iterator[Optional[str]]:
         """The lines ``chunk`` completes.  An empty chunk ends the input:
@@ -92,21 +90,18 @@ class _Gone(Exception):
     the client's and end the loop."""
 
 
-class _Conn(_Lines):
-    """One accepted socket: its handler, its input split into lines, the
-    lines read but not yet served, and its unsent output."""
+_Handler = Callable[[Any, int], None]
 
-    __slots__ = ("sock", "handler", "todo", "lineno", "out", "closing", "linger")
 
-    def __init__(self, sock: socket.socket, handler: Callable[[_Conn, int], None]) -> None:
-        super().__init__()
-        self.sock = sock
-        self.handler = handler
-        self.todo: Optional[Iterator[Optional[str]]] = None
-        self.lineno = 0
-        self.out = bytearray()
-        self.closing = False  # close once ``out`` is sent
-        self.linger: Optional[float] = None  # refused: discard input until then
+@dataclass(eq=False)
+class _Conn:
+    """One accepted socket, the handler that serves it, its unsent output."""
+
+    sock: socket.socket
+    handler: _Handler
+    out: bytearray = field(default_factory=bytearray)
+    closing: bool = False  # close once ``out`` is sent
+    counted: ClassVar[bool] = False  # in ServiceServer.connections
 
     def __call__(self, mask: int) -> None:
         self.handler(self, mask)
@@ -128,6 +123,26 @@ class _Conn(_Lines):
                 raise _Gone from exc
 
 
+@dataclass(eq=False)
+class _Scrape(_Conn):
+    """A metrics scrape and its HTTP request so far."""
+
+    request: bytearray = field(default_factory=bytearray)
+
+
+@dataclass(eq=False)
+class _Client(_Conn):
+    """An event-stream connection: its input split into lines, the lines
+    read but not yet served, and whether it refused a line (it then only
+    discards input)."""
+
+    lines: _Lines = field(default_factory=_Lines)
+    todo: Optional[Iterator[Optional[str]]] = None
+    lineno: int = 0
+    refused: bool = False
+    counted: ClassVar[bool] = True
+
+
 class ServiceServer:
     """One session, one event-stream listener, one optional scrape port."""
 
@@ -144,9 +159,10 @@ class ServiceServer:
         self._port = port
         self._metrics_port = metrics_port
         self._rate_mark: tuple[float, int] = (_time.monotonic(), 0)
-        self._sel = selectors.DefaultSelector()
+        self._sel: selectors.BaseSelector  # set by _open()
         self._wake: tuple[socket.socket, ...] = ()  # stop() writes to [1]
         self._stopping = False
+        self._lingering: dict[_Conn, float] = {}  # refused: closes by then
         self.metrics_address: Optional[tuple[str, int]] = None
         self.connections = 0
 
@@ -190,34 +206,52 @@ class ServiceServer:
 
     def start(self) -> tuple[str, int]:
         """Bind both listeners; returns the event listener's (host, port)."""
-        wake = self._open_wake()
-        self._sel.register(wake, _READ, lambda mask: wake.recv(_LINE_LIMIT))
-        address = self._listen(self._port, self._on_client)
+        self._open(selectors.DefaultSelector())
+        address = self._listen(self._port, _Client, self._on_client)
         if self._metrics_port is not None:
-            self.metrics_address = self._listen(self._metrics_port, self._on_scrape)
+            self.metrics_address = self._listen(self._metrics_port, _Scrape, self._on_scrape)
         return address
 
-    def _listen(self, port: int, handler: Callable[[_Conn, int], None]) -> tuple[str, int]:
-        family = socket.getaddrinfo(self._host, port, type=socket.SOCK_STREAM)[0][0]
-        sock = socket.create_server((self._host, port), family=family, backlog=100)
-        sock.setblocking(False)
-        self._sel.register(sock, _READ, lambda mask: self._accept(sock, handler))
-        host, bound = sock.getsockname()[:2]
-        return str(host), int(bound)
+    def _listen(self, port: int, kind: type[_Conn], handler: _Handler) -> tuple[str, int]:
+        """Listen on every address of the host (``localhost`` may name
+        ``::1`` and ``127.0.0.1``), all on the port the first bind got;
+        returns the first address."""
+        bound: list[tuple[str, int]] = []
+        for family, *_, addr in dict.fromkeys(
+            socket.getaddrinfo(self._host, port, type=socket.SOCK_STREAM)
+        ):
+            sock = socket.create_server((addr[0], port, *addr[2:]), family=family, backlog=100)
+            sock.setblocking(False)
+            self._sel.register(sock, _READ, lambda _, sock=sock: self._accept(sock, kind, handler))
+            bound.append(sock.getsockname()[:2])
+            port = bound[0][1]
+        return str(bound[0][0]), int(bound[0][1])
 
     def serve_forever(self) -> None:
-        """Serve every socket until :meth:`stop`.  A wait for input lasts
-        no longer than the sync an ``interval:<ms>`` policy owes: the
-        journal syncs only when a record arrives."""
-        while not self._stopping:
-            due = self.backend.journal_sync_due
-            if due is not None and due <= 0:
+        """Serve every socket until :meth:`stop`."""
+        for ready in iter(self._select, []):
+            for key, mask in ready:
+                key.data(mask)
+
+    def _select(self) -> list[tuple[selectors.SelectorKey, int]]:
+        """Wait for input; ``[]`` once :meth:`stop` is called.  The wait
+        lasts no longer than the sync an ``interval:<ms>`` policy owes
+        (the journal syncs only when a record arrives, so it syncs here
+        when the wait runs out), nor than a refused connection's discard,
+        which is then closed."""
+        ready: list[tuple[selectors.SelectorKey, int]] = []
+        while not (ready or self._stopping):
+            timeout, now = self.backend.journal_sync_due, _time.monotonic()
+            if timeout is not None and timeout <= 0:
                 self.backend.flush()
                 continue
-            for key, mask in self._sel.select(due):
-                if self._stopping:
-                    break
-                key.data(mask)
+            for conn, end in list(self._lingering.items()):
+                if end <= now:
+                    self._drop(conn)
+                elif timeout is None or end - now < timeout:
+                    timeout = end - now
+            ready = self._sel.select(timeout)
+        return [] if self._stopping else ready
 
     def stop(self) -> None:
         """End :meth:`serve_forever` (or :meth:`StdioServer.serve_lines`)
@@ -231,60 +265,47 @@ class ServiceServer:
             except OSError:  # a wake-up is already pending, or closed
                 pass
 
+    def _open(self, sel: selectors.BaseSelector) -> None:
+        """Wait through ``sel``, with a fresh wake-up pair for :meth:`stop`."""
+        self._sel, self._wake = sel, socket.socketpair()
+        for sock in self._wake:
+            sock.setblocking(False)
+        wake = self._wake[0]
+        sel.register(wake, _READ, lambda mask: wake.recv(_LINE_LIMIT))
+
     def close(self) -> None:
         """Close every socket this server owns, connections included."""
         for key in list(self._sel.get_map().values()):
             key.fileobj.close()  # type: ignore[union-attr]
         self._sel.close()
-        self._close_wake()
-
-    def _open_wake(self) -> socket.socket:
-        """A fresh wake-up pair for :meth:`stop`; returns the end to watch."""
-        self._wake = socket.socketpair()
-        for sock in self._wake:
-            sock.setblocking(False)
-        return self._wake[0]
-
-    def _close_wake(self) -> None:
-        for sock in self._wake:
-            sock.close()
+        self._wake[1].close()
         self._wake = ()
 
     # -- Connections ---------------------------------------------------------
 
-    def _accept(self, listener: socket.socket, handler: Callable[[_Conn, int], None]) -> None:
+    def _accept(self, listener: socket.socket, kind: type[_Conn], handler: _Handler) -> None:
         try:
             sock, _ = listener.accept()
         except OSError:  # gone before it was accepted
             return
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if handler == self._on_client:
-            self.connections += 1
-        self._sel.register(sock, _READ, _Conn(sock, handler))
+        conn = kind(sock, handler)
+        self.connections += conn.counted
+        self._sel.register(sock, _READ, conn)
 
     def _drop(self, conn: _Conn) -> None:
         self._sel.unregister(conn.sock)
         conn.sock.close()
-        if conn.handler == self._on_client:
-            self.connections -= 1
+        self._lingering.pop(conn, None)
+        self.connections -= conn.counted
 
     def _watch(self, conn: _Conn) -> None:
         """Close ``conn`` once it is done, or watch it for what it waits on
         next: writable while it holds unsent output, readable unless it is
         closing or that output is over ``_LINE_LIMIT``."""
-        if conn.closing and not conn.out and conn.todo is None:
-            if conn.linger is None:
-                return self._drop(conn)
-            # A refused line: half-close, then discard what the client
-            # still sends until it closes, or for at most a second.
-            # Closing with unread input would reset the connection
-            # before the client reads the reply.
-            try:
-                conn.sock.shutdown(socket.SHUT_WR)
-            except OSError:  # already gone: its next read says so
-                pass
-            conn.closing, conn.linger = False, _time.monotonic() + 1.0
+        if conn.closing and not conn.out:
+            return self._drop(conn)
         mask = _WRITE if conn.out else 0
         if not conn.closing and len(conn.out) <= _LINE_LIMIT:
             mask |= _READ
@@ -292,24 +313,32 @@ class ServiceServer:
 
     # -- Event-stream protocol -----------------------------------------------
 
-    def _on_client(self, conn: _Conn, mask: int) -> None:
+    def _on_client(self, conn: _Client, mask: int) -> None:
         try:
             if mask & _WRITE:
                 conn.send()
-            if mask & _READ and conn.todo is None:
+            if mask & _READ:
                 chunk = conn.recv()
-                if conn.linger is not None:  # discarding after a refusal
-                    if not chunk or _time.monotonic() > conn.linger:
-                        self._drop(conn)
-                    return
-                conn.todo, conn.closing = conn.feed(chunk), not chunk
+                conn.closing = not chunk
+                if not conn.refused:  # after a refusal, input is discarded
+                    conn.todo = conn.lines.feed(chunk)
             if conn.todo is not None and len(conn.out) <= _LINE_LIMIT:
                 self._serve(conn, conn.todo)
+            if conn.refused and not conn.out and conn not in self._lingering:
+                # Half-close, then discard what the client still sends
+                # until it closes, or for at most a second: closing with
+                # unread input would reset the connection before the
+                # client reads the reply.
+                try:
+                    conn.sock.shutdown(socket.SHUT_WR)
+                except OSError as exc:
+                    raise _Gone from exc
+                self._lingering[conn] = _time.monotonic() + 1.0
             self._watch(conn)
         except _Gone:
             self._drop(conn)
 
-    def _serve(self, conn: _Conn, todo: Iterator[Optional[str]]) -> None:
+    def _serve(self, conn: _Client, todo: Iterator[Optional[str]]) -> None:
         """Serve ``conn``'s lines in order until none is left, the loop
         stops, a line is refused or the unsent replies pass
         ``_LINE_LIMIT``; the rest waits in ``todo`` until they drain.
@@ -322,11 +351,11 @@ class ServiceServer:
             blocked = bool(conn.out)
             for out in self._replies(line, conn.lineno):
                 conn.out += out.encode("utf-8") + b"\n"
-            if line is None:
-                conn.closing, conn.linger = True, 0.0
-                break
             if not blocked:
                 conn.send()
+            if line is None:
+                conn.refused = True
+                break
             if len(conn.out) > _LINE_LIMIT:
                 return
         conn.todo = None
@@ -352,7 +381,7 @@ class ServiceServer:
         a control op."""
         try:
             obj = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an over-long int
+        except (ValueError, RecursionError) as exc:  # not JSON, an over-long int, or too deep
             return [json.dumps(
                 {"error": f"invalid JSON: {exc}", "op": None, "line": lineno}
             )]
@@ -386,14 +415,14 @@ class ServiceServer:
 
     # -- Metrics scrape protocol ---------------------------------------------
 
-    def _on_scrape(self, conn: _Conn, mask: int) -> None:
+    def _on_scrape(self, conn: _Scrape, mask: int) -> None:
         """Minimal HTTP/1.0 responder: read the request up to its blank
         line, answer a GET with the exposition page and anything else
         with 405, then close."""
         try:
-            if mask & _READ and not conn.closing:
+            if mask & _READ:
                 chunk = conn.recv()
-                request = conn.pending  # a request needs no splitting
+                request = conn.request
                 request += chunk
                 if (not chunk or b"\n\r\n" in request or b"\n\n" in request
                         or len(request) > _LINE_LIMIT):
@@ -447,26 +476,18 @@ class StdioServer(ServiceServer):
 
     def _read_lines(self, fd: int) -> Iterator[Optional[str]]:
         """The lines read from ``fd``, split by :class:`_Lines`, until the
-        input ends or :meth:`stop` wakes the wait.  While an
-        ``interval:<ms>`` policy owes pending records a sync, input is
-        awaited only until the sync is due, and the journal is flushed
-        when that wait runs out — on this thread, so the journal has one
-        user.  (``select``, unlike epoll, also waits on a file.)"""
-        wake, lines = self._open_wake(), _Lines()
+        input ends or :meth:`stop` wakes the wait.  The wait is the
+        socket loop's, on this thread, so the journal has one user; a
+        ``select`` selector, unlike epoll, also waits on a file."""
+        self._open(selectors.SelectSelector())
+        self._sel.register(fd, _READ)
+        lines = _Lines()
         try:
-            while True:
-                due = self.backend.journal_sync_due
-                ready = select.select(
-                    [fd, wake], [], [], None if due is None else max(due, 0.0)
-                )[0]
-                if self._stopping:
-                    return
-                if not ready:
-                    self.backend.flush()
-                    continue
+            while self._select():
                 chunk = os.read(fd, _LINE_LIMIT)
                 yield from lines.feed(chunk)
                 if not chunk:
                     return
         finally:
-            self._close_wake()
+            self._sel.unregister(fd)
+            self.close()

@@ -62,7 +62,7 @@ def parse_event_record(source: Any) -> dict[str, Any]:
     if isinstance(source, (str, bytes)):
         try:
             record = json.loads(source)
-        except ValueError as exc:  # a JSONDecodeError, or an over-long int
+        except (ValueError, RecursionError) as exc:  # not JSON, an over-long int, or too deep
             raise TraceFormatError(f"invalid event JSON: {exc}") from exc
     else:
         record = source

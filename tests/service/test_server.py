@@ -186,6 +186,62 @@ class TestStructuredErrors:
         ]
         assert served[0]["task_id"] == 0
 
+    def test_deeply_nested_line_is_refused_and_the_server_stays_up(self):
+        # Nesting deeper than the interpreter's stack makes json.loads
+        # raise RecursionError; it must end that line, not the loop.
+        backend = _session_backend()
+        nested = b"[" * 30_000 + b"]" * 30_000
+        arrival = {"kind": "arrival", "time": 0.0, "id": 0, "size": 1}
+        with _running(ServiceServer(backend)) as address:
+            with _connect(address) as first:
+                _send_all(first, [nested, b'{"op": ' + nested + b"}"])
+                refused = _until_eof(first)
+            with _connect(address) as second:
+                served = _roundtrip_line(second, second.makefile("rb"), arrival)
+        backend.close()
+        assert [(r["op"], r["line"]) for r in refused] == [(None, 1), (None, 2)]
+        assert all(r["error"].startswith("invalid JSON") for r in refused)
+        assert served["task_id"] == 0
+
+    def test_refused_client_that_goes_quiet_is_closed(self):
+        """After a refused line the server discards for at most a second,
+        even if the client then neither sends nor closes."""
+        backend = _session_backend()
+        server = ServiceServer(backend)
+        with _running(server) as address, _connect(address) as conn:
+            conn.sendall(b"x" * (2 * _LINE_LIMIT))
+            replies = conn.makefile("rb")
+            assert json.loads(replies.readline())["op"] is None
+            assert replies.readline() == b""  # half-closed by the server
+            deadline = time.monotonic() + 10
+            while server.connections and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert server.connections == 0
+        backend.close()
+
+
+class TestListenAddresses:
+    def test_every_address_of_the_host_is_served_on_one_port(self, monkeypatch):
+        real = socket.getaddrinfo
+
+        def two_addresses(host, port, *args, **kwargs):
+            assert host == "loopback"
+            return [*real("127.0.0.1", port, *args, **kwargs),
+                    *real("127.0.0.2", port, *args, **kwargs)]
+
+        monkeypatch.setattr(socket, "getaddrinfo", two_addresses)
+        backend = _session_backend()
+        with _running(ServiceServer(backend, host="loopback")) as (host, port):
+            monkeypatch.undo()
+            for i, other in enumerate(["127.0.0.1", "127.0.0.2"]):
+                with _connect((other, port)) as conn:
+                    decision = _roundtrip_line(conn, conn.makefile("rb"), {
+                        "kind": "arrival", "time": float(i), "id": i, "size": 1,
+                    })
+                assert decision["task_id"] == i
+        backend.close()
+        assert host == "127.0.0.1"
+
 
 class TestStdio:
     def test_same_replies_as_the_socket(self):

@@ -31,6 +31,10 @@ class TestParseEventRecord:
         with pytest.raises(TraceFormatError, match="invalid event JSON"):
             parse_event_record("{nope")
 
+    def test_nesting_deeper_than_the_stack_is_invalid_json(self):
+        with pytest.raises(TraceFormatError, match="invalid event JSON"):
+            parse_event_record("[" * 30_000 + "]" * 30_000)
+
     def test_non_object(self):
         with pytest.raises(TraceFormatError, match="must be a JSON object"):
             parse_event_record("[1, 2]")
