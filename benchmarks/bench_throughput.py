@@ -1,15 +1,10 @@
 """Events/sec throughput of the ingest path, per-event vs. batched.
 
 Not a paper artifact — this suite tracks the streaming implementation
-itself.  Three layers are metered:
+itself.  Two layers are metered:
 
 * kernel-only ingest: ``AllocationKernel.apply`` in a loop vs.
-  ``apply_batch`` at several batch sizes (the kernel runs batches of
-  ``_COLUMNAR_MIN_BATCH`` or more events on its columnar engine and
-  loops ``apply`` over shorter ones),
-* columnar ingest: the structure-of-arrays engine of
-  :mod:`repro.kernel.columnar` driven directly, whatever the kernel's
-  routing threshold,
+  ``apply_batch`` (one ``apply`` per event) at several batch sizes,
 * journaled ingest: ``AllocationSession.push`` with ``fsync=always`` vs.
   ``push_batch`` under group commit (``fsync=batch``) and interval
   fsync — the headline events/sec numbers,
@@ -18,7 +13,7 @@ itself.  Three layers are metered:
 
 Benchmarks whose name contains ``journal`` are fsync/I-O bound and are
 exempted from the snapshot regression gate (``scripts/bench_snapshot.py``)
-because their variance tracks the storage stack, not the code.  The three
+because their variance tracks the storage stack, not the code.  The two
 ``*_speedup_floor`` tests at the bottom are plain-timing acceptance
 assertions (skipped at smoke N); they run without ``--benchmark-only``.
 
@@ -26,7 +21,6 @@ assertions (skipped at smoke N); they run without ``--benchmark-only``.
 a fast smoke pass at small N while snapshots use the full size.
 """
 
-import gc
 import itertools
 import os
 import time
@@ -91,19 +85,6 @@ def _ingest_events(kernel, events, batch):
             kernel.apply_batch(events[i : i + batch])
 
 
-def _ingest_columnar(kernel, events, batch):
-    """Every batch straight through the columnar engine."""
-    engine = kernel._columnar
-    for i in range(0, len(events), batch):
-        assert engine.try_apply_batch(events[i : i + batch]) is not None
-
-
-def _ingest_loop(kernel, events, batch):
-    """Every batch through the kernel's per-event batch loop."""
-    for i in range(0, len(events), batch):
-        kernel._apply_batch_loop(events[i : i + batch])
-
-
 def _note_rate(benchmark, num_events):
     if benchmark.stats is None:  # --benchmark-disable: nothing to annotate
         return
@@ -135,22 +116,6 @@ def test_perf_ingest_kernel_hypercube_batch256(benchmark, sigma):
         return (_fresh_kernel(Hypercube), events, 256), {}
 
     benchmark.pedantic(_ingest_events, setup=setup, rounds=5, iterations=1)
-    _note_rate(benchmark, len(events))
-
-
-# ---------------------------------------------------------------------------
-# Columnar ingest: the structure-of-arrays batch engine on its own.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("batch", [64, 256], ids=lambda b: f"batch{b}")
-def test_perf_ingest_kernel_columnar(benchmark, sigma, batch):
-    events = list(sigma)
-
-    def setup():
-        return (_fresh_kernel(), events, batch), {}
-
-    benchmark.pedantic(_ingest_columnar, setup=setup, rounds=5, iterations=1)
     _note_rate(benchmark, len(events))
 
 
@@ -209,43 +174,6 @@ def test_batched_journal_ingest_speedup_floor(records, tmp_path):
     assert ratio >= floor, (
         f"batched journaled ingest only {ratio:.2f}x faster than per-event "
         f"(floor {floor}x at N={N_LARGE})"
-    )
-
-
-def _ingest_seconds(ingest, events):
-    """Time ``ingest`` over ``events`` on a fresh kernel; the set-up is
-    not timed and the garbage collector is off while it runs."""
-    kernel = _fresh_kernel()
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        ingest(kernel, events, 256)
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
-
-
-@pytest.mark.skipif(N_LARGE < 1024, reason="floors calibrated for N >= 1024")
-def test_columnar_ingest_speedup_floor():
-    """The columnar engine beats the per-event batch loop >= 2x.
-
-    Measured in-run against the loop on the same machine, so the floor is
-    hardware-independent; the absolute events/sec of each path is
-    recorded in the benchmark snapshots (86k events/sec for the engine at
-    N = 4096 in the snapshot that introduced it).  Loop and engine rounds
-    alternate, best of 9 each on a 4,000-event stream, so drift in the
-    host's speed reaches both sides alike.
-    """
-    events = list(churn_sequence(N_LARGE, 4 * TASKS, np.random.default_rng(17)))
-    loop_t = engine_t = float("inf")
-    for _ in range(9):
-        loop_t = min(loop_t, _ingest_seconds(_ingest_loop, events))
-        engine_t = min(engine_t, _ingest_seconds(_ingest_columnar, events))
-    ratio = loop_t / engine_t
-    assert ratio >= 2.0, (
-        f"columnar engine ingest only {ratio:.2f}x faster than the "
-        f"per-event batch loop (floor 2.0x at N={N_LARGE})"
     )
 
 

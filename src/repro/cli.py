@@ -469,11 +469,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sim.add_observer(
             lambda s, ev: load_frames.append(s.leaf_loads().tolist())
         )
-    batch = max(1, int(getattr(args, "batch", 1) or 1))
-    if batch > 1 and not args.plot:
-        result = sim.run_batched(sigma, batch)
-    else:
-        result = sim.run(sigma)
+    result = sim.run(sigma)
     _cmd_simulate_archive_option(sim, args, machine, sigma, result)
     realloc = result.metrics.realloc
     print(f"algorithm          : {result.algorithm_name}")
@@ -1030,10 +1026,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--batch", type=int, default=1, metavar="K",
-        help="absorb events in batches of K through the kernel's "
-        "amortised apply_batch path — identical decisions, higher "
-        "throughput; applies to --stream and to workload runs without "
-        "--plot (default: 1, per-event)",
+        help="(--stream) absorb K records per push_batch, so a "
+        "journal under --fsync batch group-commits once per K records; "
+        "identical decisions (default: 1, per-event)",
     )
     p_sim.add_argument(
         "--journal", default=None, metavar="FILE",

@@ -31,13 +31,6 @@ class GreedyAlgorithm(AllocationAlgorithm):
     (:meth:`~repro.core.base.AllocationAlgorithm.bind_loads`).
     """
 
-    #: Columnar batch capability (see :mod:`repro.kernel.columnar`): the
-    #: whole arrival behaviour is "place on the leftmost minimum-load
-    #: submachine of the task's size, never reallocate", with no state of
-    #: its own, so the engine may answer a batch's placements itself.  An
-    #: algorithm with any per-event state must not set it.
-    columnar_state = True
-
     @property
     def name(self) -> str:
         return "A_G"

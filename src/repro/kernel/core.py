@@ -60,7 +60,6 @@ from repro.errors import (
     SalvageError,
     SimulationError,
 )
-from repro.kernel.columnar import _COLUMNAR_MIN_BATCH, ColumnarEngine
 from repro.kernel.decision import BatchDecision, Decision
 from repro.machines.base import PartitionableMachine
 from repro.machines.degraded import DegradedView
@@ -151,7 +150,6 @@ class AllocationKernel:
         self.cost_model = cost_model or MigrationCostModel()
         self.view = view
         self.repack_on_repair = repack_on_repair
-        self._columnar = ColumnarEngine(self)
         self._bind_loads(machine.new_load_tracker())
         self._placements: dict[TaskId, NodeId] = {}
         self._tasks: dict[TaskId, Task] = {}
@@ -223,22 +221,7 @@ class AllocationKernel:
         once per event.  If an event fails, the kernel state is the one
         the preceding events left and a :class:`~repro.errors.BatchError`
         carrying the applied prefix is raised.
-
-        A batch of at least ``_COLUMNAR_MIN_BATCH`` events is first offered
-        to the columnar engine (:mod:`repro.kernel.columnar`), which either
-        absorbs it whole — same decisions, metrics, snapshots and error
-        semantics, bit for bit — or declines without side effects.  Shorter
-        batches, where the engine's fixed NumPy overhead outweighs its
-        gain, and declined ones run :meth:`_apply_batch_loop`.
         """
-        if len(events) >= _COLUMNAR_MIN_BATCH:
-            summary = self._columnar.try_apply_batch(events)
-            if summary is not None:
-                return summary
-        return self._apply_batch_loop(events)
-
-    def _apply_batch_loop(self, events: Sequence[Any]) -> BatchDecision:
-        """:meth:`apply` per event, a failure wrapped with the applied prefix."""
         decisions: list[Decision] = []
         try:
             for event in events:

@@ -26,9 +26,7 @@ Three query paths exist for the greedy algorithm's per-arrival question
 * :meth:`level_loads` — every load of one level, reduced off the per-PE
   leaf array by :func:`level_max` (a submachine's load is the max PE
   load within it): O(N) NumPy work, for callers that need *all* loads of
-  a level (first-fit, two-choice, baselines, brute-force checks) and for
-  the columnar batch engine, which runs the same reduction over its
-  private copy of the leaf array.
+  a level (first-fit, two-choice, baselines, brute-force checks).
 * :meth:`leftmost_min_submachine_scan` — the scan plus ``argmin``: the
   seed implementation, kept as the reference oracle.
 * :meth:`leftmost_min_submachine` — **O(log N)** tree descent over a
@@ -57,16 +55,13 @@ per-PE leaf array are derived from ``count`` and share one lifecycle:
 each is built, vectorised, on its first query; from then on it is kept
 current by every ``place``/``remove`` (the vectors by the path walk, the
 leaf array by one in-place slice add over the node's leaf span); and a
-bulk recompute (:meth:`rebuild_from`, :meth:`resized`, a wide
-:meth:`apply_spans`) rebuilds whichever is built from the NumPy arrays it
-computes anyway.  :meth:`apply_spans` alone drops the vectors instead: its
-caller answers placement queries from its own leaf copy, so the next
-descent rebuilds them when it needs them.  Trackers that never ask pay
-nothing for either.  That includes the tracker of every kernel whose
-algorithm decides without the leaf array (greedy's descent builds only
-the vectors): the kernel's per-PE peak snapshot reads
-:meth:`fresh_leaf_loads`, which builds nothing, and asks only when the
-max load strictly rises.
+bulk recompute (:meth:`rebuild_from`, :meth:`resized`) rebuilds
+whichever is built from the NumPy arrays it computes anyway.  Trackers
+that never ask pay nothing for either.  That includes the tracker of
+every kernel whose algorithm decides without the leaf array (greedy's
+descent builds only the vectors): the kernel's per-PE peak snapshot
+reads :meth:`fresh_leaf_loads`, which builds nothing, and asks only when
+the max load strictly rises.
 """
 
 from __future__ import annotations
@@ -297,65 +292,6 @@ class LoadTracker:
             self._build_minagg(count)
         if self._leaf is not None:
             self._derive_leaves(count, self._leaf)
-
-    def apply_spans(self, updates: Iterable[tuple[NodeId, int, int]]) -> None:
-        """Apply many placement-count deltas in one bulk mutation.
-
-        ``updates`` is an iterable of ``(node, size, delta)`` triples:
-        ``delta > 0`` records that many additional tasks placed exactly at
-        ``node``, ``delta < 0`` removes that many.  The end state is
-        identical to ``|delta|`` :meth:`place`/:meth:`remove` calls per
-        triple, but the aggregation work is amortised: duplicate nodes
-        coalesce, each distinct node costs one O(log N) path walk, and
-        past a measured crossover (enough distinct nodes that the walks
-        would cost more than one rebuild) the whole tree is recomputed
-        bottom-up vectorized instead.  This is the entry point the
-        columnar batch engine uses to sync a whole batch of load deltas
-        onto the kernel's tracker in one call.  The engine answers its
-        placement queries from its own leaf copy, so the min-of-max
-        descent vectors would only add upkeep here: they are dropped, and
-        the next descent rebuilds them.
-
-        Validation matches the per-call methods: every ``(node, size)``
-        pair is checked and a net-negative count at any node raises
-        :class:`~repro.errors.PlacementError` before any state changes.
-        """
-        h = self.hierarchy
-        num_nodes = 2 * h.num_leaves
-        num_leaves = h.num_leaves
-        acc: dict[int, int] = {}
-        for node, size, delta in updates:
-            # Inline the hot-path acceptance test (node in range and
-            # rooting exactly a size-PE subtree — which also forces size
-            # to a power of two); delegate to _validate_placement only to
-            # produce its exact diagnostic on failure.
-            if not 0 < node < num_nodes or num_leaves >> (node.bit_length() - 1) != size:
-                self._validate_placement(node, size)
-            if delta:
-                acc[node] = acc.get(node, 0) + delta
-        acc = {v: d for v, d in acc.items() if d}
-        if not acc:
-            return
-        count = self._count
-        for v, d in acc.items():
-            if count[v] + d < 0:
-                raise PlacementError(f"no task placed at node {v} to remove")
-        self._active += sum(acc.values())
-        self._minagg = None
-        # Crossover measured, not counted (churn-like state, leaf array
-        # built, descent vectors dropped; 2-vCPU Xeon, Python 3.11): a
-        # path walk costs ~4.5µs per node at N = 256 and ~5.7µs at
-        # N = 4096; the bulk recompute (count-list conversion included)
-        # ~90µs and ~470µs.  Walks break even at one distinct node per ~13
-        # leaves at N = 256 and per ~50 at N = 4096; one per 25, their
-        # geometric mean, keeps a wrong pick within 2x at both sizes.
-        if len(acc) * 25 < h.num_leaves:
-            for v, d in acc.items():
-                self._update(v, d)
-        else:
-            for v, d in acc.items():
-                count[v] += d
-            self._recompute_aggregates(self._count_array())
 
     # -- Queries -------------------------------------------------------------
 

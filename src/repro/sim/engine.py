@@ -171,28 +171,6 @@ class Simulator:
             self.step(event)
         return self._result(sequence)
 
-    def run_batched(self, sequence: TaskSequence, batch_size: int = 256) -> RunResult:
-        """Drive the sequence in ``batch_size`` chunks via ``apply_batch``.
-
-        Bit-identical results to :meth:`run` (the kernel guarantees it),
-        but the kernel runs whole batches columnar where it can — the
-        fast path for large offline sweeps.  Observer hooks are per-event
-        by nature and are not invoked; use :meth:`run` when observers are
-        attached.
-        """
-        if batch_size < 1:
-            raise ValueError(f"run_batched() needs batch_size >= 1, got {batch_size}")
-        if self._observers:
-            raise ValueError(
-                "run_batched() does not deliver per-event observer "
-                "callbacks; use run() with observers attached"
-            )
-        events = list(sequence)
-        for start in range(0, len(events), batch_size):
-            batch = self.kernel.apply_batch(events[start : start + batch_size])
-            self.history.extend(batch.decisions)
-        return self._result(sequence)
-
     def _result(self, sequence: TaskSequence) -> RunResult:
         return RunResult(
             algorithm_name=self.algorithm.name,

@@ -20,12 +20,6 @@ the suite's scattered ad-hoc checks into one engine:
   and cross-checks engine metrics against ``audit_run``, the oracle, and
   the theorem bounds from :mod:`repro.core.bounds` (via the registry's
   ``load_bound`` table);
-* :mod:`repro.verify.backends` —
-  :func:`~repro.verify.backends.check_backend_parity`, a fifth referee
-  that replays each sequence through chunked ``apply_batch`` (where the
-  columnar engine of :mod:`repro.kernel.columnar` runs) and demands
-  bit-identical decisions, metrics, and kernel state against per-event
-  ``apply``;
 * :mod:`repro.verify.churn` —
   :func:`~repro.verify.churn.check_algorithm_under_churn`, the
   piecewise-N referee for full churn scenarios (faults, kills,
@@ -53,7 +47,7 @@ Entry points: ``repro verify`` on the command line, or::
     report.raise_if_failed()
 """
 
-from repro.verify.backends import check_backend_parity, check_churn_backend_parity
+from repro.verify.backends import check_churn_backend_parity
 from repro.verify.churn import check_algorithm_under_churn
 from repro.verify.corpus import (
     CorpusEntry,
@@ -86,7 +80,6 @@ __all__ = [
     "VerifyReport",
     "check_algorithm",
     "check_algorithm_under_churn",
-    "check_backend_parity",
     "check_churn_backend_parity",
     "check_slo_admission",
     "load_corpus",

@@ -2,13 +2,12 @@
 
 :meth:`AllocationKernel.apply_batch <repro.kernel.core.AllocationKernel.apply_batch>`
 promises strict bit-identity with calling
-:meth:`~repro.kernel.core.AllocationKernel.apply` once per event, whichever
-path runs a given batch: the columnar engine (:mod:`repro.kernel.columnar`)
-or the per-event batch loop.  This module is the referee that holds it to
-that promise: :func:`check_backend_parity` replays one task sequence
-through two fresh kernels — one fed chunked ``apply_batch`` calls, the
-reference fed one ``apply`` per event — and demands that every observable
-agree exactly:
+:meth:`~repro.kernel.core.AllocationKernel.apply` once per event.  This
+module is the referee that holds it to that promise:
+:func:`check_churn_backend_parity` replays one churn scenario through two
+fresh kernels — one fed chunked ``apply_batch`` calls, the reference fed
+one ``apply`` per event — and demands that every observable agree
+exactly:
 
 * the full :class:`~repro.kernel.decision.Decision` stream (placements,
   per-event max loads, active sizes, L*);
@@ -18,10 +17,9 @@ agree exactly:
 * error behaviour — if one run raises, both must raise the same error
   text after the same number of applied events.
 
-:func:`repro.verify.harness.check_algorithm` calls this for every fuzzed
-sequence whenever the algorithm under test is columnar-capable, so any
-divergence surfaces as an ordinary fuzzing violation with a replayable
-counterexample.
+:func:`repro.verify.churn.check_algorithm_under_churn` calls it for every
+fuzzed scenario, so any divergence surfaces as an ordinary fuzzing
+violation with a replayable counterexample.
 """
 
 from __future__ import annotations
@@ -38,9 +36,8 @@ from repro.errors import BatchError, ReproError
 from repro.kernel.core import AllocationKernel
 from repro.machines.tree import TreeMachine
 from repro.sim.history import RunHistory
-from repro.tasks.sequence import TaskSequence
 
-__all__ = ["check_backend_parity", "check_churn_backend_parity"]
+__all__ = ["check_churn_backend_parity"]
 
 
 def _state_digest(kernel: AllocationKernel) -> str:
@@ -66,33 +63,27 @@ class _Run:
 
 def _run(
     name: str,
-    num_pes: int,
     d: float,
     seed: int,
+    num_pes: int,
     events: list,
     chunk: Optional[int],
-    *,
-    churn: bool = False,
 ) -> _Run:
     """One fresh kernel over ``events``: chunked batches, or per event.
 
     ``chunk=None`` is the reference: one :meth:`AllocationKernel.apply`
     per event.  A batch failure is reported as its cause, so both runs
-    describe the same error the same way.
+    describe the same error the same way.  The event stream is the full
+    churn alphabet (faults, kills, resizes), so the algorithm runs under
+    the fault-tolerant wrapper and the kernel with a degraded view.
     """
+    from repro.faults.salvage import FaultTolerantAlgorithm
+
     machine = TreeMachine(num_pes)
     algorithm = make_algorithm(name, machine, d=d, seed=seed)
-    if churn:
-        # Full event alphabet (faults, kills, resizes): the algorithm needs
-        # the fault-tolerant wrapper and the kernel a degraded view, so
-        # every batch takes the kernel's per-event batch loop.
-        from repro.faults.salvage import FaultTolerantAlgorithm
-
-        view = machine.degraded_view()
-        wrapped = FaultTolerantAlgorithm(machine, algorithm, view)
-        kernel = AllocationKernel(machine, wrapped, view=view)
-    else:
-        kernel = AllocationKernel(machine, algorithm)
+    view = machine.degraded_view()
+    wrapped = FaultTolerantAlgorithm(machine, algorithm, view)
+    kernel = AllocationKernel(machine, wrapped, view=view)
     decisions: list = []
     error: Optional[str] = None
     try:
@@ -122,28 +113,6 @@ def _run(
     )
 
 
-def check_backend_parity(
-    name: str,
-    num_pes: int,
-    d: float,
-    seed: int,
-    sequence: TaskSequence,
-    *,
-    chunk: int = 64,
-) -> list[str]:
-    """Replay ``sequence`` batched and per event, and diff the runs.
-
-    Returns a list of violation strings (empty = the runs agree).
-    ``chunk`` is the ``apply_batch`` size — small enough that batches
-    straddle arrival runs, large enough to engage the columnar engine.
-    """
-    events = list(sequence)
-    return _diff(
-        _run(name, num_pes, d, seed, events, chunk),
-        _run(name, num_pes, d, seed, events, None),
-    )
-
-
 def check_churn_backend_parity(
     name: str,
     d: float,
@@ -154,17 +123,18 @@ def check_churn_backend_parity(
 ) -> list[str]:
     """Replay a full churn scenario batched and per event, and diff.
 
-    Same contract as :func:`check_backend_parity`, but the event stream is
-    the scenario's merged alphabet — arrivals, departures, failures,
-    repairs, kills, and resizes — fed through ``apply_batch`` in chunks
-    that deliberately straddle fault and resize boundaries.  The batch
-    path's metering (running peak, peak snapshots, degraded gauges) must
-    match per-event metering bit for bit.
+    Returns a list of violation strings (empty = the runs agree).  The
+    event stream is the scenario's merged alphabet — arrivals,
+    departures, failures, repairs, kills, and resizes — fed through
+    ``apply_batch`` in ``chunk``-event batches that deliberately straddle
+    fault and resize boundaries.  The batch path's metering (running
+    peak, peak snapshots, degraded gauges) must match per-event metering
+    bit for bit.
     """
     events = list(scenario.merged_events())
     return _diff(
-        _run(name, scenario.num_pes, d, seed, events, chunk, churn=True),
-        _run(name, scenario.num_pes, d, seed, events, None, churn=True),
+        _run(name, d, seed, scenario.num_pes, events, chunk),
+        _run(name, d, seed, scenario.num_pes, events, None),
     )
 
 

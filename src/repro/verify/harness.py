@@ -196,19 +196,6 @@ def check_algorithm(
                 f"({spec.guarantee})"
             )
 
-    # Batch-parity axis: columnar-capable algorithms additionally replay
-    # the sequence through chunked apply_batch (the columnar engine's
-    # path) and per-event apply, and must produce bit-identical
-    # decisions, metrics, and state (fifth referee).  Gated on the
-    # capability so non-columnar algorithms don't pay the extra runs.
-    if getattr(algorithm, "columnar_state", False):
-        from repro.verify.backends import check_backend_parity
-
-        violations.extend(
-            f"backend: {v}"
-            for v in check_backend_parity(name, num_pes, d, seed, sequence)
-        )
-
     return CheckOutcome(
         algorithm=name,
         num_pes=num_pes,

@@ -7,8 +7,8 @@ pin covers whole streams:
 
 * every registered algorithm (plus lazy A_M) on three seeded churn
   streams, each decision's ``(kind, time, task_id, node, max_load,
-  reallocated, moves)`` — per event and through chunked ``apply_batch``
-  (the columnar engine), which must agree;
+  reallocated, moves)`` — per event and through chunked ``apply_batch``,
+  which must agree;
 * the final ``kernel.snapshot()`` of each of those runs with leaf
   snapshots collected, so the peak per-PE load vector and its time are
   covered too — again per event and through chunked ``apply_batch``;

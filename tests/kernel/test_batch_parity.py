@@ -1,14 +1,11 @@
-"""The columnar engine is an *encoding* of the per-event path, not a fork.
+"""``apply_batch`` is the per-event path run in a loop, not a fork.
 
 Every test here pits batched ingest against per-event ``apply`` on the
 same event stream and demands strict bit-identity: decision tuples,
 metrics series, peak snapshots, state digests, error types and messages,
-even where mid-batch failures stop.  Batches run at lengths on both sides
-of ``_COLUMNAR_MIN_BATCH`` (so both the engine and the per-event batch
-loop are exercised), across all six machine topologies, under fault plans
-(where the engine must decline, not misbehave), and through
-``snapshot()``/``restore()`` cycles.  A spy pins which batches the kernel
-offers the engine.
+even where mid-batch failures stop.  Batches run at several lengths,
+across all six machine topologies, under fault plans and online resizes,
+and through ``snapshot()``/``restore()`` cycles.
 """
 
 import hashlib
@@ -27,7 +24,6 @@ from repro.errors import (
 from repro.faults.plan import generate_fault_plan, merge_events
 from repro.faults.salvage import FaultTolerantAlgorithm
 from repro.kernel import AllocationKernel
-from repro.kernel.columnar import _COLUMNAR_MIN_BATCH, ColumnarEngine
 from repro.kernel.decision import BatchDecision
 from repro.machines.butterfly import Butterfly
 from repro.machines.fattree import FatTree
@@ -39,15 +35,15 @@ from repro.tasks.events import Arrival, Departure
 from repro.tasks.sequence import TaskSequence
 from repro.tasks.task import Task
 from repro.types import TaskId
-from repro.verify.backends import check_backend_parity, check_churn_backend_parity
+from repro.verify.backends import check_churn_backend_parity
 from repro.verify.corpus import load_corpus
 from repro.verify.fuzzer import SequenceFuzzer
 from repro.workloads.generators import churn_sequence
 
 N = 32
 
-#: Batch lengths straddling the engine threshold, plus the CLI default.
-BATCH_LENGTHS = (_COLUMNAR_MIN_BATCH - 1, _COLUMNAR_MIN_BATCH, 256)
+#: Two short batch lengths, plus the CLI default.
+BATCH_LENGTHS = (7, 8, 256)
 
 #: All six CLI topologies at a size every one of them accepts (Mesh2D
 #: needs a 4**k PE count).
@@ -144,65 +140,10 @@ def _run_pair(events, splits, make_kernel=_kernel):
     return batched, oracle
 
 
-@pytest.fixture
-def engine_spy(monkeypatch):
-    """Record ``(batch length, absorbed?)`` for every batch the engine sees."""
-    seen: list[tuple[int, bool]] = []
-    real = ColumnarEngine.try_apply_batch
-
-    def spy(self, events):
-        summary = real(self, events)
-        seen.append((len(events), summary is not None))
-        return summary
-
-    monkeypatch.setattr(ColumnarEngine, "try_apply_batch", spy)
-    return seen
-
-
-# -- Which batches reach the engine -------------------------------------------
-
-
-class TestBatchRouting:
-    def test_engine_sees_only_batches_at_or_above_threshold(self, engine_spy):
-        events = list(churn_sequence(N, 400, np.random.default_rng(29)))
-        lengths = [1, _COLUMNAR_MIN_BATCH - 1, _COLUMNAR_MIN_BATCH, 2, 64, 256]
-        splits, start = [], 0
-        for length in lengths:
-            splits.append(slice(start, start + length))
-            start += length
-        assert start <= len(events)
-        _run_pair(events[:start], splits)
-        offered = [length for length, _ in engine_spy]
-        assert offered == [n for n in lengths if n >= _COLUMNAR_MIN_BATCH]
-        # Greedy on a healthy machine: every offered batch is absorbed.
-        assert all(absorbed for _, absorbed in engine_spy)
-
-    def test_degraded_view_batches_are_declined(self, engine_spy):
-        sigma = churn_sequence(N, 40, np.random.default_rng(8))
-        plan = generate_fault_plan(N, sigma, np.random.default_rng(8))
-        events = merge_events(sigma, plan)
-        _run_pair(events, _fixed_splits(len(events), 64), _fault_kernel)
-        assert engine_spy and not any(absorbed for _, absorbed in engine_spy)
-
-    def test_engine_rebound_after_resize(self, engine_spy):
-        # The engine reads the level geometry off ``kernel.machine`` each
-        # batch, so after a grow its next batch places on the new tree.
-        events = list(churn_sequence(N, 100, np.random.default_rng(37)))
-        half = len(events) // 2
-        oracle, batched = _grown_kernel(events[:half]), _grown_kernel(events[:half])
-        # The engine declines a kernel with a degraded view; no fault event
-        # follows, so drop the views and let the rest run columnar.
-        oracle.view = batched.view = None
-        expected = [oracle.apply(e) for e in events[half:]]
-        assert list(batched.apply_batch(events[half:]).decisions) == expected
-        assert engine_spy == [(len(events) - half, True)]
-        _assert_same_state(batched, oracle)
-
-
 # -- Bit-identity across topologies and workloads -----------------------------
 
 
-class TestColumnarParity:
+class TestBatchParity:
     @pytest.mark.parametrize("batch", BATCH_LENGTHS, ids=lambda b: f"batch{b}")
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_all_topologies(self, topology, batch):
@@ -242,9 +183,9 @@ class TestColumnarParity:
         # Whole stream as one batch, too.
         _run_pair(events, [slice(0, len(events))])
 
-    def test_fault_plan_falls_back_bit_identically(self):
-        # A kernel with a degraded view never takes the columnar path; its
-        # batch loop must still match per-event apply exactly.
+    def test_fault_plan_batches_match_per_event(self):
+        # Failures, repairs and kills inside a batch meter exactly as
+        # they do one by one.
         rng = np.random.default_rng(5)
         for seed in range(3):
             sigma = churn_sequence(N, 50, np.random.default_rng(seed))
@@ -252,10 +193,9 @@ class TestColumnarParity:
             events = merge_events(sigma, plan)
             _run_pair(events, _random_splits(len(events), rng), _fault_kernel)
 
-    def test_resize_bearing_batch_falls_back_bit_identically(self):
-        # Online grow/shrink is outside the columnar alphabet: a batch
-        # carrying a resize must be declined to the per-event loop, not
-        # silently mis-absorbed — and stay bit-identical end to end.
+    def test_resize_bearing_batch_matches_per_event(self):
+        # A batch carrying an online grow or shrink stays bit-identical
+        # to per-event apply end to end.
         from repro.scenarios import ChurnProcess
 
         rng = np.random.default_rng(17)
@@ -271,7 +211,7 @@ class TestColumnarParity:
         )
         assert batched.machine.num_pes == oracle.machine.num_pes == N
 
-    def test_snapshot_restore_mid_stream(self, engine_spy):
+    def test_snapshot_restore_mid_stream(self):
         events = list(churn_sequence(N, 100, np.random.default_rng(41)))
         half = len(events) // 2
         oracle = _kernel()
@@ -284,24 +224,23 @@ class TestColumnarParity:
         state = first.snapshot()
         assert _digest(state) == mid_digest
 
-        # Which path ran a batch is not kernel state: the snapshot of a
-        # batched kernel restores into a fresh one exactly (the session
-        # layer's resume contract digest-verifies this).
+        # The snapshot of a batched kernel restores into a fresh one
+        # exactly (the session layer's resume contract digest-verifies
+        # this).
         resumed = AllocationKernel(TreeMachine(N))
         resumed.restore(state)
         assert _digest(resumed.snapshot()) == mid_digest
         resumed.check_consistency()
 
-        # Taking the snapshot must not perturb the engine: the original
-        # kernel keeps streaming and stays bit-identical.
+        # Taking the snapshot must not perturb the kernel: it keeps
+        # streaming and stays bit-identical.
         expected_rest = [oracle.apply(e) for e in events[half:]]
         got_rest = list(first.apply_batch(events[half:]).decisions)
         assert got_rest == expected_rest
         _assert_same_state(first, oracle)
 
         # A snapshot taken after a grow restores onto a kernel built for
-        # the original machine by adopting the grown one; the engine reads
-        # the new geometry off ``kernel.machine``, so the next columnar
+        # the original machine by adopting the grown one, and the next
         # batch still matches per-event apply.
         grown_state = _grown_kernel(events[:half]).snapshot()
         adopted = [_kernel(), _kernel()]
@@ -312,15 +251,14 @@ class TestColumnarParity:
         assert batched.machine.num_pes == 2 * N
         expected_rest = [oracle.apply(e) for e in events[half:]]
         assert list(batched.apply_batch(events[half:]).decisions) == expected_rest
-        assert engine_spy[-1] == (len(events) - half, True)
         _assert_same_state(batched, oracle)
 
-    def test_peak_snapshot_rises_inside_one_batch(self, engine_spy):
+    def test_peak_snapshot_rises_inside_one_batch(self):
         # Whole-machine arrivals raise the max load one by one, with
         # smaller arrivals and departures between them: the first batch
         # opens the run and holds several strict peak rises, the second
-        # holds the rest.  The engine copies its leaf vector at each rise;
-        # the last copy must be the per-event path's snapshot.
+        # holds the rest.  The last rise's snapshot must be the per-event
+        # path's.
         tasks = []
         t = 0.0
         for i in range(6):
@@ -336,7 +274,6 @@ class TestColumnarParity:
         assert sum(i < first for i in rises) >= 3
         assert sum(i >= first for i in rises) >= 2
         _run_pair(events, [slice(0, first), slice(first, len(events))])
-        assert engine_spy[-2:] == [(first, True), (len(events) - first, True)]
         # The whole stream as one batch, too.
         _run_pair(events, [slice(0, len(events))])
 
@@ -361,39 +298,31 @@ class TestColumnarParity:
             oracle.apply(e)
         with pytest.raises(SimulationError) as oracle_err:
             oracle.apply(bad)
-        loop = _kernel()
-        with pytest.raises(BatchError) as loop_err:
-            loop._apply_batch_loop(batch)
-        engine = _kernel()
-        with pytest.raises(BatchError) as engine_err:
-            engine._columnar.try_apply_batch(batch)
+        batched = _kernel()
+        with pytest.raises(BatchError) as batch_err:
+            batched.apply_batch(batch)
 
-        assert str(engine_err.value) == str(loop_err.value)
-        assert str(engine_err.value.__cause__) == str(oracle_err.value)
-        assert engine_err.value.applied == loop_err.value.applied == k
-        assert list(engine_err.value.decisions) == list(loop_err.value.decisions)
-        _assert_same_state(engine, oracle)
-        _assert_same_state(loop, oracle)
-        # Every kernel remains usable after the failed batch.
+        assert str(batch_err.value) == (
+            f"batch event {k} failed: {oracle_err.value}"
+        )
+        assert str(batch_err.value.__cause__) == str(oracle_err.value)
+        assert batch_err.value.applied == k
+        assert len(batch_err.value.decisions) == k
+        _assert_same_state(batched, oracle)
+        # The kernel remains usable after the failed batch.
         tail = events[k:]
         expected_tail = [oracle.apply(e) for e in tail]
-        assert list(engine.apply_batch(tail).decisions) == expected_tail
-        assert list(loop.apply_batch(tail).decisions) == expected_tail
-        _assert_same_state(engine, oracle)
+        assert list(batched.apply_batch(tail).decisions) == expected_tail
+        _assert_same_state(batched, oracle)
 
     def test_error_semantics_match(self):
-        # Each poisoned batch is padded with healthy arrivals up to the
-        # engine threshold, then run by the engine directly and by the
-        # per-event batch loop: same error text, cause type and prefix.
-        pad = list(
-            TaskSequence.from_tasks(
-                [
-                    Task(TaskId(100 + i), 1, -1.0 + 0.01 * i, 50.0)
-                    for i in range(_COLUMNAR_MIN_BATCH)
-                ]
-            )
-        )[:_COLUMNAR_MIN_BATCH]
-        assert all(isinstance(e, Arrival) for e in pad)
+        # Each poisoned batch opens with healthy arrivals, then runs
+        # through apply_batch and one apply per event: the batch error
+        # wraps the per-event error, with the same cause and prefix.
+        pad = [e for e in TaskSequence.from_tasks(
+            [Task(TaskId(100 + i), 1, -1.0 + 0.01 * i, 50.0) for i in range(8)]
+        ) if isinstance(e, Arrival)]
+        assert len(pad) == 8
         cases = []
 
         # Duplicate arrival.
@@ -416,32 +345,36 @@ class TestColumnarParity:
 
         for tail, exc_type, needle in cases:
             batch = pad + tail
-            loop = _kernel()
-            with pytest.raises(BatchError) as a:
-                loop._apply_batch_loop(batch)
-            engine = _kernel()
-            with pytest.raises(BatchError) as b:
-                engine._columnar.try_apply_batch(batch)
-            assert str(a.value) == str(b.value)
-            assert needle in str(b.value)
-            assert b.value.applied == a.value.applied == len(batch) - 1
-            assert isinstance(a.value.__cause__, exc_type)
-            assert type(b.value.__cause__) is type(a.value.__cause__)
-            assert list(b.value.decisions) == list(a.value.decisions)
-            _assert_same_state(engine, loop)
+            oracle = _kernel()
+            expected = [oracle.apply(e) for e in batch[:-1]]
+            with pytest.raises(exc_type) as per_event:
+                oracle.apply(batch[-1])
+            batched = _kernel()
+            with pytest.raises(BatchError) as err:
+                batched.apply_batch(batch)
+            assert str(err.value) == (
+                f"batch event {len(batch) - 1} failed: {per_event.value}"
+            )
+            assert needle in str(err.value)
+            assert err.value.applied == len(batch) - 1
+            assert type(err.value.__cause__) is type(per_event.value)
+            assert list(err.value.decisions) == expected
+            _assert_same_state(batched, oracle)
 
     def test_corpus_replay(self, corpus_dir):
         entries = [e for e in load_corpus(corpus_dir) if not e.fault_events]
         assert entries, "committed regression corpus is missing"
         for entry in entries:
-            violations = check_backend_parity(
-                entry.algorithm,
-                entry.num_pes,
-                entry.d,
-                entry.seed,
-                entry.sequence(),
-            )
-            assert violations == []
+
+            def make_kernel():
+                machine = TreeMachine(entry.num_pes)
+                algorithm = make_algorithm(
+                    entry.algorithm, machine, d=entry.d, seed=entry.seed
+                )
+                return AllocationKernel(machine, algorithm)
+
+            events = list(entry.sequence())
+            _run_pair(events, _fixed_splits(len(events), 64), make_kernel)
 
 
 @pytest.fixture(scope="session")
@@ -455,18 +388,14 @@ def corpus_dir():
 
 
 class TestHarnessAxis:
-    def test_check_backend_parity_clean_run(self):
-        sigma = churn_sequence(64, 80, np.random.default_rng(19))
-        assert check_backend_parity("greedy", 64, 2.0, 1, sigma) == []
-
     def test_divergence_is_reported(self):
         # Diff a batched run against a per-event run of a shorter stream:
         # the referee must name the decision and state divergence.
         from repro.verify.backends import _diff, _run
 
         events = list(churn_sequence(16, 30, np.random.default_rng(4)))
-        batched = _run("greedy", 16, 2.0, 1, events, 16)
-        reference = _run("greedy", 16, 2.0, 1, events[:-1], None)
+        batched = _run("greedy", 2.0, 1, 16, events, 16)
+        reference = _run("greedy", 2.0, 1, 16, events[:-1], None)
         violations = _diff(batched, reference)
         assert any("decision streams diverge" in v for v in violations)
         assert any("digests differ" in v for v in violations)
@@ -483,7 +412,7 @@ class TestHarnessAxis:
             pe_mttf=10.0, mttr=2.5, kill_rate=0.1,
         ).build()
         assert check_churn_backend_parity("greedy", 2.0, 0, scenario) == []
-        real = AllocationKernel._apply_batch_loop
+        real = AllocationKernel.apply_batch
 
         def lossy(self, events):
             head = real(self, events[:-1]).decisions
@@ -495,6 +424,6 @@ class TestHarnessAxis:
                 optimal_load=self.optimal_load,
             )
 
-        monkeypatch.setattr(AllocationKernel, "_apply_batch_loop", lossy)
+        monkeypatch.setattr(AllocationKernel, "apply_batch", lossy)
         violations = check_churn_backend_parity("greedy", 2.0, 0, scenario)
         assert any("digests differ" in v for v in violations)

@@ -234,7 +234,7 @@ class TestRunningPeak:
     def _events():
         return list(poisson_sequence(64, 150, np.random.default_rng(4)))
 
-    @pytest.mark.parametrize("path", ["apply", "loop", "columnar"])
+    @pytest.mark.parametrize("path", ["apply", "loop"])
     def test_peak_is_the_max_decision_load(self, path):
         events = self._events()
         machine = TreeMachine(64)
@@ -247,12 +247,8 @@ class TestRunningPeak:
             part = events[start : start + 16]
             if path == "apply":
                 decisions.extend(kernel.apply(e) for e in part)
-            elif path == "loop":
-                decisions.extend(kernel._apply_batch_loop(part).decisions)
             else:
-                batch = kernel._columnar.try_apply_batch(part)
-                assert batch is not None
-                decisions.extend(batch.decisions)
+                decisions.extend(kernel.apply_batch(part).decisions)
         assert decisions == expected
         assert kernel.metrics.max_load == max(d.max_load for d in decisions)
         assert np.array_equal(

@@ -329,121 +329,3 @@ class TestLeafLoadsView:
         tracker = LoadTracker(h)
         tracker.rebuild_from([(1, 16), (2, 8), (8, 2)])
         assert tracker.leaf_loads(copy=False).tolist() == tracker.leaf_loads().tolist()
-
-
-class _CountingTracker(LoadTracker):
-    """A tracker that counts the bulk recomputes ``apply_spans`` takes."""
-
-    bulk_recomputes = 0
-
-    def _recompute_aggregates(self, count):
-        self.bulk_recomputes += 1
-        super()._recompute_aggregates(count)
-
-
-class TestApplySpans:
-    """apply_spans(updates) == the same |delta| place()/remove() calls."""
-
-    def test_matches_place_remove_loop(self):
-        h = Hierarchy(16)
-        bulk, slow = LoadTracker(h), LoadTracker(h)
-        updates = [(1, 16, 2), (2, 8, 1), (8, 2, 3), (16, 1, 1)]
-        bulk.apply_spans(updates)
-        for node, size, delta in updates:
-            for _ in range(delta):
-                slow.place(node, size)
-        assert bulk.leaf_loads().tolist() == slow.leaf_loads().tolist()
-        assert bulk.max_load == slow.max_load
-        assert bulk.num_active == slow.num_active
-        bulk.check_invariants()
-
-    def test_duplicate_nodes_coalesce_and_cancel(self):
-        h = Hierarchy(16)
-        tracker = LoadTracker(h)
-        tracker.place(2, 8)
-        # +2 then -2 at one node nets to zero; +1/-1 across two triples too.
-        tracker.apply_spans([(4, 4, 2), (4, 4, -2), (8, 2, 1), (8, 2, -1)])
-        assert tracker.leaf_loads().tolist() == [1] * 8 + [0] * 8
-        assert tracker.num_active == 1
-        tracker.check_invariants()
-
-    def test_net_negative_rejected_before_any_mutation(self):
-        h = Hierarchy(16)
-        tracker = LoadTracker(h)
-        tracker.place(2, 8)
-        before = tracker.leaf_loads().tolist()
-        with pytest.raises(PlacementError, match="no task placed"):
-            tracker.apply_spans([(3, 8, 1), (2, 8, -2)])
-        assert tracker.leaf_loads().tolist() == before
-        assert tracker.num_active == 1
-        tracker.check_invariants()
-
-    def test_invalid_node_and_size_diagnostics(self):
-        tracker = LoadTracker(Hierarchy(16))
-        with pytest.raises(PlacementError, match="outside the machine"):
-            tracker.apply_spans([(99, 1, 1)])
-        with pytest.raises(PlacementError):
-            tracker.apply_spans([(1, 3, 1)])     # non power of two
-        with pytest.raises(PlacementError):
-            tracker.apply_spans([(16, 2, 1)])    # leaf can't host 2 PEs
-
-    @given(data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_property_equivalence_incremental_vs_rebuild(self, data):
-        # Which branch runs depends only on the distinct nodes against the
-        # crossover ``len(acc) * 25 < num_leaves``: on 16 PEs any
-        # non-empty list takes the bulk recompute, on 256 PEs at most 10
-        # distinct nodes take the per-node walk.  Each example draws on
-        # both machines, so both branches run; both must agree with
-        # place() loops, with the leaf array built beforehand or not.
-        for num_pes, max_nodes in ((16, 31), (256, 10)):
-            h = Hierarchy(num_pes)
-            nodes = data.draw(
-                st.lists(
-                    st.integers(min_value=1, max_value=2 * num_pes - 1),
-                    min_size=1, max_size=max_nodes, unique=True,
-                )
-            )
-            spans = data.draw(
-                st.lists(
-                    st.tuples(st.sampled_from(nodes), st.integers(1, 3)),
-                    min_size=1, max_size=30,
-                )
-            )
-            bulk, slow = _CountingTracker(h), LoadTracker(h)
-            if data.draw(st.booleans()):
-                bulk.leaf_loads()
-            updates = [(node, h.subtree_size(node), d) for node, d in spans]
-            bulk.apply_spans(updates)
-            walk = len({node for node, _ in spans}) * 25 < h.num_leaves
-            assert walk == (num_pes == 256)
-            assert bulk.bulk_recomputes == (0 if walk else 1)
-            for node, size, d in updates:
-                for _ in range(d):
-                    slow.place(node, size)
-            assert bulk.leaf_loads().tolist() == slow.leaf_loads().tolist()
-            assert bulk.max_load == slow.max_load
-            bulk.check_invariants()
-
-    def test_crossover_rebuild_path_is_exact(self):
-        # Enough distinct nodes that len(acc) * 25 >= num_leaves forces
-        # the vectorized full recompute branch.
-        h = Hierarchy(16)
-        bulk, slow = LoadTracker(h), LoadTracker(h)
-        updates = [(node, h.subtree_size(node), 1) for node in range(1, 32)]
-        assert len(updates) * 25 >= h.num_leaves
-        bulk.apply_spans(updates)
-        for node, size, d in updates:
-            slow.place(node, size)
-        assert bulk.leaf_loads().tolist() == slow.leaf_loads().tolist()
-        assert bulk.max_load == slow.max_load
-        bulk.check_invariants()
-
-    def test_empty_and_all_zero_updates_are_noops(self):
-        tracker = LoadTracker(Hierarchy(16))
-        tracker.place(1, 16)
-        before = tracker.leaf_loads().tolist()
-        tracker.apply_spans([])
-        tracker.apply_spans([(2, 8, 0), (3, 8, 0)])
-        assert tracker.leaf_loads().tolist() == before
-        tracker.check_invariants()

@@ -14,13 +14,10 @@ independent ``oracle_leaf_span``, which shares no code with the tracker):
 * ``max_load``, ``num_active`` and the tracker's own ``check_invariants``.
 
 Beyond single places and removes, the rules cover the bulk paths — the
-repack idiom (``clear()`` + re-placement), ``rebuild_from`` and mixed
-``apply_spans`` batches — and a fresh tracker whose derived structures
-(the per-PE leaf array and the min-of-max vectors) are first built partway
-through its history and must then be kept current by later mutations.
-The N = 16 machine always takes ``apply_spans``' vectorised branch; the
-N = 256 one, drawing up to 24 updates per batch, takes both its per-node
-walk (fewer than one distinct node per 25 leaves) and that branch.
+repack idiom (``clear()`` + re-placement) and ``rebuild_from`` — and a
+fresh tracker whose derived structures (the per-PE leaf array and the
+min-of-max vectors) are first built partway through its history and must
+then be kept current by later mutations.
 """
 
 import numpy as np
@@ -34,8 +31,6 @@ from repro.verify.oracle import oracle_leaf_span
 
 class LoadTrackerMachine(RuleBasedStateMachine):
     N = 16
-    #: Most removals, and most placements, in one ``apply_spans`` batch.
-    SPANS = 3
 
     def __init__(self):
         super().__init__()
@@ -96,22 +91,6 @@ class LoadTrackerMachine(RuleBasedStateMachine):
         self.tracker.rebuild_from(self.placed)
 
     @rule(data=st.data())
-    def mixed_apply_spans(self, data):
-        # Removals of live placements and new placements in one batch,
-        # shuffled, with repeated nodes coalescing.
-        updates = []
-        for _ in range(data.draw(st.integers(0, min(self.SPANS, len(self.placed))))):
-            idx = data.draw(st.integers(0, len(self.placed) - 1))
-            node, size = self.placed.pop(idx)
-            updates.append((node, size, -1))
-        for _ in range(data.draw(st.integers(0, self.SPANS))):
-            size = data.draw(st.sampled_from(self.sizes))
-            node = self._draw_node(data, size)
-            updates.append((node, size, 1))
-            self.placed.append((node, size))
-        self.tracker.apply_spans(data.draw(st.permutations(updates)))
-
-    @rule(data=st.data())
     def fresh_tracker_built_mid_history(self, data):
         # Replay the shadow placements into a new tracker, building the
         # derived structures after a drawn prefix (one of them, or both),
@@ -170,7 +149,6 @@ def _covers(anc, node):
 
 class LargeLoadTrackerMachine(LoadTrackerMachine):
     N = 256
-    SPANS = 12
 
 
 TestLoadTrackerStateful = LoadTrackerMachine.TestCase

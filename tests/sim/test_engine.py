@@ -77,15 +77,6 @@ class TestValidation:
         with pytest.raises(PlacementError):
             Simulator(m, Liar(m)).run(_two_event_sequence())
 
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_run_batched_refuses_empty_batches(self, batch_size):
-        # A batch size below one would process no event at all.
-        m = TreeMachine(4)
-        with pytest.raises(ValueError, match="batch_size >= 1, got"):
-            Simulator(m, GreedyAlgorithm(m)).run_batched(
-                figure1_sequence(), batch_size=batch_size
-            )
-
 
 class TestReallocationEnforcement:
     def test_budget_violation_rejected(self):

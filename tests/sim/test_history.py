@@ -3,8 +3,8 @@
 The kernel keeps no history, so every driver folds it from the decision
 stream.  The fold must give the segments ``test_placement_history.py``
 pins and the same history whichever kernel path made the decisions —
-per-event ``apply``, the ``apply_batch`` loop, or the columnar engine —
-with faults, kills and resizes in the stream.
+per-event ``apply`` or the ``apply_batch`` loop — with faults, kills and
+resizes in the stream.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ from repro.tasks.builder import SequenceBuilder, figure1_sequence
 from repro.types import TaskId
 from repro.workloads.generators import churn_sequence
 
-PATHS = ("apply", "loop", "columnar")
+PATHS = ("apply", "loop")
 
 
 def _history(kernel, events, path, chunk=8):
@@ -36,12 +36,7 @@ def _history(kernel, events, path, chunk=8):
     else:
         for start in range(0, len(events), chunk):
             part = events[start : start + chunk]
-            if path == "loop":
-                batch = kernel._apply_batch_loop(part)
-            else:
-                batch = kernel._columnar.try_apply_batch(part)
-                assert batch is not None, "the columnar engine declined"
-            decisions.extend(batch.decisions)
+            decisions.extend(kernel.apply_batch(part).decisions)
     history = RunHistory()
     history.extend(decisions)
     return history, decisions
@@ -76,7 +71,7 @@ class TestPinnedSegments:
         (seg,) = history.placement_intervals()[TaskId(0)]
         assert math.isinf(seg[1])
 
-    @pytest.mark.parametrize("path", ["apply", "loop"])
+    @pytest.mark.parametrize("path", PATHS)
     def test_reallocation_splits_segments_and_covers_lifetimes(self, path):
         seq = figure1_sequence()
         history, decisions = _history(_kernel(4, "optimal"), list(seq), path)
@@ -93,7 +88,7 @@ class TestPinnedSegments:
 
 
 class TestPathsAgree:
-    def test_apply_loop_and_columnar_fold_the_same_history(self):
+    def test_apply_and_apply_batch_fold_the_same_history(self):
         sigma = churn_sequence(16, 80, np.random.default_rng(6))
         events = list(sigma)
         runs = {}
@@ -102,9 +97,8 @@ class TestPathsAgree:
             history, decisions = _history(kernel, events, path, chunk=16)
             runs[path] = (history.placement_intervals(), history.series, kernel)
         intervals, series, kernel = runs["apply"]
-        for path in ("loop", "columnar"):
-            assert runs[path][0] == intervals
-            assert runs[path][1] == series
+        assert runs["loop"][0] == intervals
+        assert runs["loop"][1] == series
         assert series.times == [float(e.time) for e in events]
         assert series.peak == kernel.metrics.max_load
         report = audit_run(kernel.machine, sigma, intervals)
