@@ -156,7 +156,13 @@ class LoadTracker:
         """Add ``delta`` tasks at ``node`` and recompute ``max_below`` (and
         the min-of-max vectors, if built) along the path from ``node`` to
         the root — O(log N) path nodes.  A built leaf array takes one
-        slice add over the node's leaf span."""
+        slice add over the node's leaf span.
+
+        The walk stops at the first proper ancestor whose ``max_below``
+        entry and vector both come out unchanged: an ancestor's values
+        depend only on its own count, which did not change, and on its
+        children's values, so every node above it is unchanged too.
+        """
         count = self._count
         mb = self._max_below
         minagg = self._minagg
@@ -179,6 +185,7 @@ class LoadTracker:
                 a = mb[2 * v]
                 b = mb[2 * v + 1]
                 new = c + (a if a >= b else b)
+            changed = v == node or mb[v] != new
             mb[v] = new
             if minagg is not None:
                 i = v - (1 << level)
@@ -188,12 +195,17 @@ class LoadTracker:
                 if width > 1:
                     c0 = base[level + 1] + 2 * i * (width - 1)
                     r0 = c0 + width - 1
-                    minagg[a0 + 1 : a0 + width] = [
+                    vec = [
                         c + (x if x <= y else y)
                         for x, y in zip(
                             minagg[c0:r0], minagg[r0 : r0 + width - 1]
                         )
                     ]
+                    if changed or vec != minagg[a0 + 1 : a0 + width]:
+                        minagg[a0 + 1 : a0 + width] = vec
+                        changed = True
+            if not changed:
+                break
             v >>= 1
             level -= 1
 
