@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence as TypingSequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence as TypingSequence
 
 from repro.core.registry import ALGORITHM_SPECS, algorithm_names, make_algorithm
 from repro.faults.plan import FaultPlan, generate_fault_plan
@@ -35,7 +35,7 @@ from repro.sim.runner import run_traced
 from repro.tasks.sequence import TaskSequence
 from repro.types import ceil_div
 from repro.verify.corpus import CorpusEntry, write_counterexample
-from repro.verify.fuzzer import SequenceFuzzer, sequence_features
+from repro.verify.fuzzer import SequenceFuzzer
 from repro.verify.report import VerifyReport
 from repro.verify.shrink import shrink
 
@@ -50,6 +50,11 @@ __all__ = [
 #: branches (d < g and d >= g via inf), the degenerate repack-always d = 0,
 #: and a fractional value.
 DEFAULT_D_VALUES: tuple[float, ...] = (0.0, 1.0, 2.0, 0.5, math.inf)
+
+def _sequence_feature_key(f) -> tuple:
+    """Sort key of the coverage features a campaign reports."""
+    return (f.size_classes, f.depth, f.volume, f.burst)
+
 
 #: Domain-separation key mixed into the per-index fault-plan RNG seed so
 #: fault plans are independent of both the fuzzer stream and check seeds.
@@ -399,22 +404,16 @@ class DifferentialHarness:
         With a ``plan`` the fault-mode check runs instead of the healthy one.
         """
         if plan is not None and not plan.is_empty:
-            return parallel_map(
+            return self._parallel(
                 check_algorithm_under_faults,
                 [
                     (name, self.num_pes, d, seed, sequence, plan)
                     for name in self.algorithms
                 ],
-                jobs=self.jobs,
-                timeout=self.timeout,
-                retries=self.retries,
             )
-        return parallel_map(
+        return self._parallel(
             check_algorithm,
             [(name, self.num_pes, d, seed, sequence) for name in self.algorithms],
-            jobs=self.jobs,
-            timeout=self.timeout,
-            retries=self.retries,
         )
 
     def _plan_for(self, sequence: TaskSequence, index: int) -> FaultPlan:
@@ -423,6 +422,89 @@ class DifferentialHarness:
 
         rng = np.random.default_rng([self.seed, _FAULT_PLAN_KEY, index])
         return generate_fault_plan(self.num_pes, sequence, rng)
+
+    def _campaign(
+        self,
+        fuzzer,
+        fingerprint: dict,
+        check: Callable[[Any, int, float, int], list],
+        counterexample: Callable[[Any, int, CheckOutcome], CorpusEntry],
+        *,
+        max_sequences: Optional[int],
+        budget: Optional[float],
+        checkpoint,
+        feature_key: Callable = _sequence_feature_key,
+    ) -> VerifyReport:
+        """The campaign loop every fuzzing mode shares.
+
+        Index by index, until ``max_sequences`` or the wall-clock
+        ``budget`` runs out: draw the next item from ``fuzzer``, take its
+        outcomes from the ``checkpoint`` journal or run
+        ``check(item, index, d, seed)``, record them, and turn each
+        failing outcome into ``counterexample(item, index, outcome)``,
+        written to ``corpus_dir`` when one is set.  ``fingerprint`` holds
+        the mode's ``kind`` and its own parameters; the journal pins it
+        with the machine, seed, algorithms and d values.
+        """
+        if max_sequences is None and budget is None:
+            raise ValueError("give max_sequences and/or budget")
+        report = VerifyReport(
+            num_pes=self.num_pes, seed=self.seed, algorithms=tuple(self.algorithms)
+        )
+        journal = None
+        if checkpoint is not None:
+            from repro.sim.checkpoint import CellJournal
+
+            journal = CellJournal(
+                checkpoint,
+                fingerprint={
+                    "kind": fingerprint["kind"],
+                    "num_pes": self.num_pes,
+                    "seed": self.seed,
+                    "algorithms": list(self.algorithms),
+                    "d_values": [repr(d) for d in self.d_values],
+                    **{k: v for k, v in fingerprint.items() if k != "kind"},
+                },
+            )
+        cached = journal.completed() if journal is not None else {}
+        start = time.monotonic()
+        index = 0
+        while True:
+            if max_sequences is not None and index >= max_sequences:
+                break
+            if budget is not None and time.monotonic() - start >= budget:
+                break
+            # The item must be generated even for cached indices: the
+            # fuzzer's RNG stream and coverage census have to advance
+            # exactly as in the uninterrupted run.
+            item = fuzzer.generate()
+            if index in cached:
+                outcomes = cached[index]
+            else:
+                d = self.d_values[index % len(self.d_values)]
+                outcomes = check(item, index, d, self.seed + index)
+                if journal is not None:
+                    journal.record(index, outcomes)
+            report.sequences_tried += 1
+            for outcome in outcomes:
+                report.record(outcome)
+                if not outcome.ok:
+                    entry = counterexample(item, index, outcome)
+                    if self.corpus_dir is not None:
+                        write_counterexample(entry, self.corpus_dir)
+                    report.counterexamples.append(entry)
+            index += 1
+        if journal is not None:
+            journal.close()
+        report.elapsed = time.monotonic() - start
+        report.features = sorted(fuzzer.coverage, key=feature_key)
+        return report
+
+    def _parallel(self, fn, args: list) -> list:
+        """``fn`` over ``args`` with the harness's fan-out settings."""
+        return parallel_map(
+            fn, args, jobs=self.jobs, timeout=self.timeout, retries=self.retries
+        )
 
     def fuzz(
         self,
@@ -452,68 +534,31 @@ class DifferentialHarness:
         sequence stream is a pure function of the seed, so regeneration is
         exact and the resumed report is identical to an uninterrupted run.
         """
-        if max_sequences is None and budget is None:
-            raise ValueError("give max_sequences and/or budget")
-        fuzzer = SequenceFuzzer(self.num_pes, seed=self.seed)
-        report = VerifyReport(
-            num_pes=self.num_pes, seed=self.seed, algorithms=tuple(self.algorithms)
-        )
-        journal = None
-        if checkpoint is not None:
-            from repro.sim.checkpoint import CellJournal
 
-            journal = CellJournal(
-                checkpoint,
-                fingerprint={
-                    "kind": "verify-fuzz",
-                    "num_pes": self.num_pes,
-                    "seed": self.seed,
-                    "algorithms": list(self.algorithms),
-                    "d_values": [repr(d) for d in self.d_values],
-                    "faults": faults,
-                },
+        def plan_for(sequence: TaskSequence, index: int) -> Optional[FaultPlan]:
+            return self._plan_for(sequence, index) if faults else None
+
+        def check(sequence, index, d, seed):
+            plan = plan_for(sequence, index)
+            return self.check_sequence(sequence, d=d, seed=seed, plan=plan)
+
+        def counterexample(sequence, index, outcome):
+            return self._shrunk_entry(
+                sequence,
+                outcome,
+                shrink_violations and not outcome.faulted,
+                plan=plan_for(sequence, index),
             )
-        cached = journal.completed() if journal is not None else {}
-        start = time.monotonic()
-        index = 0
-        while True:
-            if max_sequences is not None and index >= max_sequences:
-                break
-            if budget is not None and time.monotonic() - start >= budget:
-                break
-            # The sequence must be generated even for cached indices: the
-            # fuzzer's RNG stream and coverage census have to advance
-            # exactly as in the uninterrupted run.
-            sequence = fuzzer.generate()
-            d = self.d_values[index % len(self.d_values)]
-            seed = self.seed + index
-            plan = self._plan_for(sequence, index) if faults else None
-            if index in cached:
-                outcomes = cached[index]
-            else:
-                outcomes = self.check_sequence(sequence, d=d, seed=seed, plan=plan)
-                if journal is not None:
-                    journal.record(index, outcomes)
-            report.sequences_tried += 1
-            for outcome in outcomes:
-                report.record(outcome)
-                if not outcome.ok:
-                    report.counterexamples.append(
-                        self._shrink_and_store(
-                            sequence,
-                            outcome,
-                            shrink_violations and not outcome.faulted,
-                            plan=plan,
-                        )
-                    )
-            index += 1
-        if journal is not None:
-            journal.close()
-        report.elapsed = time.monotonic() - start
-        report.features = sorted(
-            fuzzer.coverage, key=lambda f: (f.size_classes, f.depth, f.volume, f.burst)
+
+        return self._campaign(
+            SequenceFuzzer(self.num_pes, seed=self.seed),
+            {"kind": "verify-fuzz", "faults": faults},
+            check,
+            counterexample,
+            max_sequences=max_sequences,
+            budget=budget,
+            checkpoint=checkpoint,
         )
-        return report
 
     def fuzz_churn(
         self,
@@ -540,83 +585,32 @@ class DifferentialHarness:
         from repro.verify.churn import check_algorithm_under_churn
         from repro.verify.fuzzer import ChurnFuzzer
 
-        if max_sequences is None and budget is None:
-            raise ValueError("give max_sequences and/or budget")
-        fuzzer = ChurnFuzzer(self.num_pes, seed=self.seed, horizon=horizon)
-        report = VerifyReport(
-            num_pes=self.num_pes, seed=self.seed, algorithms=tuple(self.algorithms)
-        )
-        journal = None
-        if checkpoint is not None:
-            from repro.sim.checkpoint import CellJournal
-
-            journal = CellJournal(
-                checkpoint,
-                fingerprint={
-                    "kind": "verify-fuzz-churn",
-                    "num_pes": self.num_pes,
-                    "seed": self.seed,
-                    "algorithms": list(self.algorithms),
-                    "d_values": [repr(d) for d in self.d_values],
-                    "horizon": horizon,
-                },
+        def check(scenario, index, d, seed):
+            return self._parallel(
+                check_algorithm_under_churn,
+                [(name, d, seed, scenario) for name in self.algorithms],
             )
-        cached = journal.completed() if journal is not None else {}
-        start = time.monotonic()
-        index = 0
-        while True:
-            if max_sequences is not None and index >= max_sequences:
-                break
-            if budget is not None and time.monotonic() - start >= budget:
-                break
-            # Generated even for cached indices so the fuzzer's RNG stream
-            # and coverage census advance exactly as in the original run.
-            scenario = fuzzer.generate()
-            d = self.d_values[index % len(self.d_values)]
-            seed = self.seed + index
-            if index in cached:
-                outcomes = cached[index]
-            else:
-                outcomes = parallel_map(
-                    check_algorithm_under_churn,
-                    [(name, d, seed, scenario) for name in self.algorithms],
-                    jobs=self.jobs,
-                    timeout=self.timeout,
-                    retries=self.retries,
-                )
-                if journal is not None:
-                    journal.record(index, outcomes)
-            report.sequences_tried += 1
-            for outcome in outcomes:
-                report.record(outcome)
-                if not outcome.ok:
-                    entry = CorpusEntry.from_sequence(
-                        scenario.sequence,
-                        algorithm=outcome.algorithm,
-                        num_pes=self.num_pes,
-                        d=outcome.d,
-                        seed=outcome.seed,
-                        check=(
-                            outcome.violations[0]
-                            if outcome.violations
-                            else "unknown"
-                        ),
-                        fault_plan=scenario.plan,
-                        resizes=scenario.resizes,
-                    )
-                    if self.corpus_dir is not None:
-                        write_counterexample(entry, self.corpus_dir)
-                    report.counterexamples.append(entry)
-            index += 1
-        if journal is not None:
-            journal.close()
-        report.elapsed = time.monotonic() - start
-        report.features = sorted(
-            fuzzer.coverage,
-            key=lambda f: (f.size_classes, f.depth, f.volume, f.burst,
-                           f.churn, f.storm, f.resizes),
+
+        def counterexample(scenario, index, outcome):
+            return self._entry(
+                scenario.sequence,
+                outcome,
+                fault_plan=scenario.plan,
+                resizes=scenario.resizes,
+            )
+
+        return self._campaign(
+            ChurnFuzzer(self.num_pes, seed=self.seed, horizon=horizon),
+            {"kind": "verify-fuzz-churn", "horizon": horizon},
+            check,
+            counterexample,
+            max_sequences=max_sequences,
+            budget=budget,
+            checkpoint=checkpoint,
+            feature_key=lambda f: (
+                _sequence_feature_key(f) + (f.churn, f.storm, f.resizes)
+            ),
         )
-        return report
 
     def fuzz_slo(
         self,
@@ -648,90 +642,47 @@ class DifferentialHarness:
         """
         from repro.verify.slo import check_slo_admission
 
-        if max_sequences is None and budget is None:
-            raise ValueError("give max_sequences and/or budget")
         targets = tuple(int(t) for t in load_targets)
         if not targets:
             raise ValueError("load_targets must be non-empty")
-        fuzzer = SequenceFuzzer(self.num_pes, seed=self.seed)
-        report = VerifyReport(
-            num_pes=self.num_pes, seed=self.seed, algorithms=tuple(self.algorithms)
-        )
-        journal = None
-        if checkpoint is not None:
-            from repro.sim.checkpoint import CellJournal
 
-            journal = CellJournal(
-                checkpoint,
-                fingerprint={
-                    "kind": "verify-fuzz-slo",
-                    "num_pes": self.num_pes,
-                    "seed": self.seed,
-                    "algorithms": list(self.algorithms),
-                    "d_values": [repr(d) for d in self.d_values],
-                    "load_targets": list(targets),
-                    "queue_capacity": queue_capacity,
-                },
-            )
-        cached = journal.completed() if journal is not None else {}
-        start = time.monotonic()
-        index = 0
-        while True:
-            if max_sequences is not None and index >= max_sequences:
-                break
-            if budget is not None and time.monotonic() - start >= budget:
-                break
-            # Generated even for cached indices so the fuzzer's RNG stream
-            # and coverage census advance exactly as in the original run.
-            sequence = fuzzer.generate()
-            d = self.d_values[index % len(self.d_values)]
-            seed = self.seed + index
+        def check(sequence, index, d, seed):
             target = targets[index % len(targets)]
-            if index in cached:
-                outcomes = cached[index]
-            else:
-                outcomes = parallel_map(
-                    check_slo_admission,
-                    [
-                        (name, self.num_pes, d, seed, sequence, target,
-                         queue_capacity)
-                        for name in self.algorithms
-                    ],
-                    jobs=self.jobs,
-                    timeout=self.timeout,
-                    retries=self.retries,
-                )
-                if journal is not None:
-                    journal.record(index, outcomes)
-            report.sequences_tried += 1
-            for outcome in outcomes:
-                report.record(outcome)
-                if not outcome.ok:
-                    entry = CorpusEntry.from_sequence(
-                        sequence,
-                        algorithm=outcome.algorithm,
-                        num_pes=self.num_pes,
-                        d=outcome.d,
-                        seed=outcome.seed,
-                        check=(
-                            outcome.violations[0]
-                            if outcome.violations
-                            else "unknown"
-                        ),
-                    )
-                    if self.corpus_dir is not None:
-                        write_counterexample(entry, self.corpus_dir)
-                    report.counterexamples.append(entry)
-            index += 1
-        if journal is not None:
-            journal.close()
-        report.elapsed = time.monotonic() - start
-        report.features = sorted(
-            fuzzer.coverage, key=lambda f: (f.size_classes, f.depth, f.volume, f.burst)
-        )
-        return report
+            return self._parallel(
+                check_slo_admission,
+                [
+                    (name, self.num_pes, d, seed, sequence, target, queue_capacity)
+                    for name in self.algorithms
+                ],
+            )
 
-    def _shrink_and_store(
+        return self._campaign(
+            SequenceFuzzer(self.num_pes, seed=self.seed),
+            {
+                "kind": "verify-fuzz-slo",
+                "load_targets": list(targets),
+                "queue_capacity": queue_capacity,
+            },
+            check,
+            lambda sequence, index, outcome: self._entry(sequence, outcome),
+            max_sequences=max_sequences,
+            budget=budget,
+            checkpoint=checkpoint,
+        )
+
+    def _entry(self, sequence: TaskSequence, outcome, **extra) -> CorpusEntry:
+        """The corpus entry of one failing outcome on ``sequence``."""
+        return CorpusEntry.from_sequence(
+            sequence,
+            algorithm=outcome.algorithm,
+            num_pes=self.num_pes,
+            d=outcome.d,
+            seed=outcome.seed,
+            check=outcome.violations[0] if outcome.violations else "unknown",
+            **extra,
+        )
+
+    def _shrunk_entry(
         self,
         sequence: TaskSequence,
         outcome: CheckOutcome,
@@ -739,7 +690,7 @@ class DifferentialHarness:
         *,
         plan: Optional[FaultPlan] = None,
     ) -> CorpusEntry:
-        """Reduce a violating sequence and persist it for replay."""
+        """Reduce a violating sequence to the corpus entry to replay."""
 
         def still_fails(candidate: TaskSequence) -> bool:
             return not check_algorithm(
@@ -747,15 +698,6 @@ class DifferentialHarness:
             ).ok
 
         reduced = shrink(sequence, still_fails) if do_shrink else sequence
-        entry = CorpusEntry.from_sequence(
-            reduced,
-            algorithm=outcome.algorithm,
-            num_pes=self.num_pes,
-            d=outcome.d,
-            seed=outcome.seed,
-            check=outcome.violations[0] if outcome.violations else "unknown",
-            fault_plan=plan if outcome.faulted else None,
+        return self._entry(
+            reduced, outcome, fault_plan=plan if outcome.faulted else None
         )
-        if self.corpus_dir is not None:
-            write_counterexample(entry, self.corpus_dir)
-        return entry
