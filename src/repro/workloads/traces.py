@@ -49,7 +49,9 @@ def write_trace(path: Union[str, Path], sequence: TaskSequence) -> None:
 def _parse_line(line: str, lineno: int) -> Task:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and an int past Python's digit
+        # limit; RecursionError, nesting too deep to parse.
         raise TraceFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise TraceFormatError(f"line {lineno}: expected an object")
@@ -57,11 +59,11 @@ def _parse_line(line: str, lineno: int) -> Task:
         tid = TaskId(int(record["id"]))
         size = int(record["size"])
         arrival = float(record["arrival"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dep_raw = record.get("departure", "inf")
+        departure = math.inf if dep_raw in ("inf", None) else float(dep_raw)
+        work = float(record.get("work", 1.0))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"line {lineno}: missing/invalid field ({exc})") from exc
-    dep_raw = record.get("departure", "inf")
-    departure = math.inf if dep_raw in ("inf", None) else float(dep_raw)
-    work = float(record.get("work", 1.0))
     try:
         return Task(tid, size, arrival, departure, work)
     except Exception as exc:

@@ -69,6 +69,22 @@ class TestErrors:
         with pytest.raises(TraceFormatError):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[" * 30_000 + "]" * 30_000,
+            '{"id": ' + "7" * 5_000 + ', "size": 1, "arrival": 0.0}',
+            '{"id": 0, "size": 1, "arrival": 0.0, "departure": "x"}',
+            '{"id": 0, "size": 1, "arrival": 0.0, "work": "x"}',
+        ],
+        ids=["deep_nesting", "huge_id", "bad_departure", "bad_work"],
+    )
+    def test_hostile_line_names_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(TraceFormatError, match="^line 1: "):
+            read_trace(path)
+
 
 class TestTraceLine:
     def test_finite_departure(self):
