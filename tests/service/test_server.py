@@ -754,8 +754,10 @@ class TestStdinQuietIntervalSync:
             journaled = decode_journal(journal.read_bytes())[1]
             assert [p["record"]["id"] for p in journaled.values()] == [0, 1, 2]
         finally:
-            proc.stdin.close()
-            assert proc.wait(timeout=60) == 0
+            # Closes stdin, which ends the server, then reads and closes
+            # its output pipes.
+            proc.communicate(timeout=60)
+        assert proc.returncode == 0
 
 
 def _send_quietly(conn, data):
@@ -806,7 +808,7 @@ class TestSigterm:
         finally:
             if proc.poll() is None:
                 proc.kill()
-            proc.wait()
+            proc.communicate()
         assert _resumed_events(journal) == self.COUNT
 
     def test_socket_server_on_sigint_mid_stream(self, tmp_path):
@@ -852,5 +854,5 @@ class TestSigterm:
         finally:
             if proc.poll() is None:
                 proc.kill()
-            proc.wait()
+            proc.communicate()
         assert _resumed_events(journal) == self.COUNT
