@@ -141,6 +141,17 @@ class LoadTracker:
     # -- Mutation ----------------------------------------------------------
 
     def _validate_placement(self, node: NodeId, size: int) -> None:
+        # The common case in one test: ``node`` is in range and roots
+        # exactly ``size`` PEs (so ``size`` is a power of two).  Anything
+        # else takes the checks below, which accept or raise as they
+        # always have.
+        n_leaves = self.hierarchy.num_leaves
+        if (
+            type(size) is int
+            and 0 < node < 2 * n_leaves
+            and n_leaves >> (node.bit_length() - 1) == size
+        ):
+            return
         h = self.hierarchy
         if not h.is_valid_node(node):
             raise PlacementError(f"node {node} outside the machine")
@@ -167,7 +178,7 @@ class LoadTracker:
         mb = self._max_below
         minagg = self._minagg
         base = self._minagg_base
-        n = self.hierarchy.height
+        n = len(base) - 2  # the height, without a call
         n_leaves = self.hierarchy.num_leaves
         count[node] += delta
         v = node
@@ -442,7 +453,7 @@ class LoadTracker:
             self._build_minagg(self._count_array())
         minagg = self._minagg
         base = self._minagg_base
-        n = self.hierarchy.height
+        n = len(base) - 2  # the height, without a call
         best = minagg[target]  # root vector starts at offset 0
         v = 1
         level = 0
