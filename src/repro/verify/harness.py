@@ -458,12 +458,11 @@ class DifferentialHarness:
             journal = CellJournal(
                 checkpoint,
                 fingerprint={
-                    "kind": fingerprint["kind"],
                     "num_pes": self.num_pes,
                     "seed": self.seed,
                     "algorithms": list(self.algorithms),
                     "d_values": [repr(d) for d in self.d_values],
-                    **{k: v for k, v in fingerprint.items() if k != "kind"},
+                    **fingerprint,
                 },
             )
         cached = journal.completed() if journal is not None else {}
