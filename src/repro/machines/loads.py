@@ -275,7 +275,7 @@ class LoadTracker:
             for node, size in pairs:
                 self._validate_placement(node, size)
         count = np.bincount(nodes, minlength=2 * n)
-        self._count[:] = count.tolist()
+        self._count = count.tolist()
         self._active = len(pairs)
         self._recompute_aggregates(count)
 
@@ -310,7 +310,7 @@ class LoadTracker:
             below = mb[h.level_slice(level + 1)]
             np.maximum(below[0::2], below[1::2], out=mb[sl])
             mb[sl] += count[sl]
-        self._max_below[:] = mb.tolist()
+        self._max_below = mb.tolist()
         if self._minagg is not None:
             self._build_minagg(count)
         if self._leaf is not None:
