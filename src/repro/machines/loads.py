@@ -143,8 +143,7 @@ class LoadTracker:
     def _validate_placement(self, node: NodeId, size: int) -> None:
         # The common case in one test: ``node`` is in range and roots
         # exactly ``size`` PEs (so ``size`` is a power of two).  Anything
-        # else takes the checks below, which accept or raise as they
-        # always have.
+        # else takes the full checks below, which name what is wrong.
         n_leaves = self.hierarchy.num_leaves
         if (
             type(size) is int

@@ -319,10 +319,12 @@ class TestBatchParity:
         # Each poisoned batch opens with healthy arrivals, then runs
         # through apply_batch and one apply per event: the batch error
         # wraps the per-event error, with the same cause and prefix.
-        pad = [e for e in TaskSequence.from_tasks(
-            [Task(TaskId(100 + i), 1, -1.0 + 0.01 * i, 50.0) for i in range(8)]
-        ) if isinstance(e, Arrival)]
-        assert len(pad) == 8
+        pad = list(
+            TaskSequence.from_tasks(
+                [Task(TaskId(100 + i), 1, -1.0 + 0.01 * i, 50.0) for i in range(8)]
+            )
+        )[:8]
+        assert all(isinstance(e, Arrival) for e in pad)
         cases = []
 
         # Duplicate arrival.
