@@ -38,8 +38,6 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.core.registry import ALGORITHM_SPECS, algorithm_names, make_algorithm
 
 __all__ = ["main"]
@@ -134,6 +132,8 @@ def _make_machine(args: argparse.Namespace):
 
 
 def _make_workload(name: str, n: int, args: argparse.Namespace):
+    import numpy as np
+
     from repro.workloads.generators import (
         burst_sequence,
         churn_sequence,
@@ -437,6 +437,8 @@ def _cmd_simulate_churn(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.sim.engine import Simulator
 
     if args.stream:

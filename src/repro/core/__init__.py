@@ -10,41 +10,51 @@
   extension (cited as [2]).
 * :mod:`~repro.core.bounds` — every closed-form bound in the paper.
 * :mod:`~repro.core.baselines` — comparison strawmen.
+
+The names load on first use (:mod:`repro._lazy`), so building one
+algorithm through :mod:`~repro.core.registry` imports only its module.
+Only :func:`~repro.core.repack.repack` is bound at import: it shares its
+module's name, and loading that module would otherwise replace the
+lazily bound function with the module.
 """
 
-from repro.core.base import AllocationAlgorithm, Placement, Reallocation
-from repro.core.basic import BasicAlgorithm
-from repro.core.baselines import (
-    FirstFitLevelAlgorithm,
-    RoundRobinAlgorithm,
-    WorstFitAlgorithm,
-)
-from repro.core.bounds import (
-    basic_copy_bound,
-    deterministic_lower_factor,
-    deterministic_upper_factor,
-    greedy_upper_bound_factor,
-    optimal_load,
-    randomized_lower_factor,
-    randomized_upper_factor,
-    sigma_r_lower_ell,
-    sigma_r_num_phases,
-    tightness_gap,
-)
-from repro.core.greedy import GreedyAlgorithm
-from repro.core.hybrid import RandomizedPeriodicAlgorithm
-from repro.core.incremental import IncrementalReallocationAlgorithm
-from repro.core.optimal import OptimalReallocatingAlgorithm
-from repro.core.periodic import PeriodicReallocationAlgorithm
-from repro.core.randomized import ObliviousRandomAlgorithm
-from repro.core.registry import (
-    ALGORITHM_SPECS,
-    AlgorithmSpec,
-    algorithm_names,
-    make_algorithm,
-)
+from repro._lazy import attach
 from repro.core.repack import RepackResult, repack
-from repro.core.twochoice import TwoChoiceAlgorithm
+
+__getattr__, __dir__ = attach(__name__, {
+    "base": ["AllocationAlgorithm", "Placement", "Reallocation"],
+    "baselines": [
+        "FirstFitLevelAlgorithm",
+        "RoundRobinAlgorithm",
+        "WorstFitAlgorithm",
+    ],
+    "basic": ["BasicAlgorithm"],
+    "bounds": [
+        "basic_copy_bound",
+        "deterministic_lower_factor",
+        "deterministic_upper_factor",
+        "greedy_upper_bound_factor",
+        "optimal_load",
+        "randomized_lower_factor",
+        "randomized_upper_factor",
+        "sigma_r_lower_ell",
+        "sigma_r_num_phases",
+        "tightness_gap",
+    ],
+    "greedy": ["GreedyAlgorithm"],
+    "hybrid": ["RandomizedPeriodicAlgorithm"],
+    "incremental": ["IncrementalReallocationAlgorithm"],
+    "optimal": ["OptimalReallocatingAlgorithm"],
+    "periodic": ["PeriodicReallocationAlgorithm"],
+    "randomized": ["ObliviousRandomAlgorithm"],
+    "registry": [
+        "ALGORITHM_SPECS",
+        "AlgorithmSpec",
+        "algorithm_names",
+        "make_algorithm",
+    ],
+    "twochoice": ["TwoChoiceAlgorithm"],
+})
 
 __all__ = [
     "AllocationAlgorithm",

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro.core.base import AllocationAlgorithm, Placement
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
@@ -99,7 +97,7 @@ class WorstFitAlgorithm(_Baseline):
         h = self.machine.hierarchy
         leaf_loads = self.loads.leaf_loads(copy=False)
         sums = leaf_loads.reshape(h.num_submachines(task.size), task.size).sum(axis=1)
-        index = int(np.argmin(sums))
+        index = int(sums.argmin())
         return Placement(task.task_id, h.node_for(task.size, index))
 
 
@@ -124,9 +122,9 @@ class FirstFitLevelAlgorithm(_Baseline):
         self.machine.validate_task_size(task.size)
         h = self.machine.hierarchy
         loads = self.loads.level_loads(task.size)
-        below = np.flatnonzero(loads < self._threshold)
+        below = (loads < self._threshold).nonzero()[0]
         if below.size:
             index = int(below[0])
         else:
-            index = int(np.argmin(loads))
+            index = int(loads.argmin())
         return Placement(task.task_id, h.node_for(task.size, index))

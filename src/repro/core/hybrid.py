@@ -21,9 +21,7 @@ never-reallocating randomized algorithm at equal d.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.base import AllocationAlgorithm, Placement, Reallocation, id_order, reorder
 from repro.core.repack import repack
@@ -31,6 +29,9 @@ from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RandomizedPeriodicAlgorithm"]
 

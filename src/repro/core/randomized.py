@@ -16,15 +16,16 @@ this distribution.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.base import AllocationAlgorithm, Placement, id_order, reorder
 from repro.errors import AllocationError
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ObliviousRandomAlgorithm"]
 

@@ -8,32 +8,22 @@ so the set of algorithms is defined in exactly one place.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-import numpy as np
-
-from repro.core.base import AllocationAlgorithm
 from repro.core.bounds import (
     basic_copy_bound,
     deterministic_upper_factor,
     greedy_upper_bound_factor,
 )
 from repro.errors import UnknownAlgorithmError
-from repro.core.basic import BasicAlgorithm
-from repro.core.baselines import (
-    FirstFitLevelAlgorithm,
-    RoundRobinAlgorithm,
-    WorstFitAlgorithm,
-)
-from repro.core.greedy import GreedyAlgorithm
-from repro.core.hybrid import RandomizedPeriodicAlgorithm
-from repro.core.incremental import IncrementalReallocationAlgorithm
-from repro.core.optimal import OptimalReallocatingAlgorithm
-from repro.core.periodic import PeriodicReallocationAlgorithm
-from repro.core.randomized import ObliviousRandomAlgorithm
-from repro.core.twochoice import TwoChoiceAlgorithm
-from repro.machines.base import PartitionableMachine
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.base import AllocationAlgorithm
+    from repro.machines.base import PartitionableMachine
 
 __all__ = [
     "AlgorithmSpec",
@@ -76,7 +66,9 @@ class AlgorithmSpec:
     guarantee: str
     randomized: bool
     reallocates: bool
-    factory: Callable[..., AllocationAlgorithm]
+    #: ``"module:Class"`` of the algorithm within :mod:`repro.core`,
+    #: imported by :attr:`factory` (so the registry imports no algorithm).
+    factory_path: str
     #: Keyword arguments the factory understands beyond (machine,).
     options: tuple[str, ...] = ()
     #: Machine-checkable per-sequence load bound, or ``None`` when the
@@ -89,6 +81,12 @@ class AlgorithmSpec:
     #: True when the guarantee is an equality (Theorem 3.1): the harness
     #: then additionally asserts ``max_load == load_bound(...)``.
     bound_exact: bool = False
+
+    @property
+    def factory(self) -> Callable[..., AllocationAlgorithm]:
+        """The algorithm's class, imported on first use."""
+        module, _, name = self.factory_path.partition(":")
+        return getattr(importlib.import_module(f"repro.core.{module}"), name)
 
     def build(
         self,
@@ -120,7 +118,11 @@ class AlgorithmSpec:
         if "load_target" in self.options and load_target is not None:
             kwargs["load_target"] = load_target
         if "rng" in self.options:
-            kwargs["rng"] = rng if rng is not None else np.random.default_rng(seed)
+            if rng is None:
+                import numpy as np
+
+                rng = np.random.default_rng(seed)
+            kwargs["rng"] = rng
         return self.factory(machine, **kwargs)
 
 
@@ -134,7 +136,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="load = L* exactly",
             randomized=False,
             reallocates=True,
-            factory=OptimalReallocatingAlgorithm,
+            factory_path="optimal:OptimalReallocatingAlgorithm",
             load_bound=_bound_optimal,
             bound_exact=True,
         ),
@@ -145,7 +147,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="<= ceil((log N + 1)/2) * L*",
             randomized=False,
             reallocates=False,
-            factory=GreedyAlgorithm,
+            factory_path="greedy:GreedyAlgorithm",
             load_bound=_bound_greedy,
         ),
         AlgorithmSpec(
@@ -155,7 +157,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="<= ceil(S/N) copies",
             randomized=False,
             reallocates=False,
-            factory=BasicAlgorithm,
+            factory_path="basic:BasicAlgorithm",
             load_bound=_bound_basic,
         ),
         AlgorithmSpec(
@@ -165,7 +167,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="<= min{d+1, ceil((log N + 1)/2)} * L*",
             randomized=False,
             reallocates=True,
-            factory=PeriodicReallocationAlgorithm,
+            factory_path="periodic:PeriodicReallocationAlgorithm",
             options=("d", "lazy"),
             load_bound=_bound_periodic,
         ),
@@ -176,7 +178,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="E <= (3 log N / log log N + 1) * L*",
             randomized=True,
             reallocates=False,
-            factory=ObliviousRandomAlgorithm,
+            factory_path="randomized:ObliviousRandomAlgorithm",
             options=("rng",),
         ),
         AlgorithmSpec(
@@ -186,7 +188,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="-",
             randomized=True,
             reallocates=False,
-            factory=TwoChoiceAlgorithm,
+            factory_path="twochoice:TwoChoiceAlgorithm",
             options=("rng", "num_choices", "load_target"),
         ),
         AlgorithmSpec(
@@ -196,7 +198,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="-",
             randomized=True,
             reallocates=True,
-            factory=RandomizedPeriodicAlgorithm,
+            factory_path="hybrid:RandomizedPeriodicAlgorithm",
             options=("d", "rng"),
         ),
         AlgorithmSpec(
@@ -206,7 +208,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="<= k migrations per repack",
             randomized=False,
             reallocates=True,
-            factory=IncrementalReallocationAlgorithm,
+            factory_path="incremental:IncrementalReallocationAlgorithm",
             options=("d", "moves"),
         ),
         AlgorithmSpec(
@@ -216,7 +218,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="-",
             randomized=False,
             reallocates=False,
-            factory=RoundRobinAlgorithm,
+            factory_path="baselines:RoundRobinAlgorithm",
         ),
         AlgorithmSpec(
             name="worstfit",
@@ -225,7 +227,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="-",
             randomized=False,
             reallocates=False,
-            factory=WorstFitAlgorithm,
+            factory_path="baselines:WorstFitAlgorithm",
         ),
         AlgorithmSpec(
             name="firstfit",
@@ -234,7 +236,7 @@ ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
             guarantee="-",
             randomized=False,
             reallocates=False,
-            factory=FirstFitLevelAlgorithm,
+            factory_path="baselines:FirstFitLevelAlgorithm",
             options=("threshold",),
         ),
     ]

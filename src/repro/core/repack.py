@@ -39,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from repro.machines.copies import CopySet
 from repro.machines.hierarchy import Hierarchy
 from repro.tasks.task import Task
@@ -79,6 +77,8 @@ def repack(hierarchy: Hierarchy, active_tasks: Iterable[Task]) -> RepackResult:
     identically.  A size that is not a power of two ``<= N`` is handed
     to the reference so it raises the reference's error.
     """
+    import numpy as np
+
     ordered = _ordered(active_tasks)
     n = hierarchy.num_leaves
     sizes = np.fromiter((t.size for t in ordered), dtype=np.int64, count=len(ordered))

@@ -24,14 +24,15 @@ and the session's ``slo_violations`` counter meters the overshoot.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.base import AllocationAlgorithm, Placement
 from repro.machines.base import PartitionableMachine
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TwoChoiceAlgorithm"]
 
@@ -78,6 +79,8 @@ class TwoChoiceAlgorithm(AllocationAlgorithm):
         return self._load_target
 
     def on_arrival(self, task: Task) -> Placement:
+        import numpy as np
+
         self.machine.validate_task_size(task.size)
         loads = self.loads
         h = self.machine.hierarchy

@@ -46,9 +46,7 @@ journal tail (see :mod:`repro.service.session`).
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Optional, Protocol, Sequence, Union, cast
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Protocol, Sequence, Union, cast
 
 from repro.core.base import AllocationAlgorithm, Reallocation, reorder
 from repro.errors import (
@@ -71,6 +69,9 @@ from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.events import EventKind
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId, Time
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["AllocationKernel", "KERNEL_STATE_KIND", "KERNEL_STATE_VERSION"]
 
@@ -375,6 +376,8 @@ class AllocationKernel:
             )
 
     def _apply_reallocation(self, realloc: Reallocation) -> _Moves:
+        import numpy as np
+
         mapping = dict(realloc.mapping)
         self._check_remap(mapping, ReallocationError, "reallocation")
         stats = self.metrics.realloc
@@ -677,7 +680,7 @@ class AllocationKernel:
         # then, and taken fresh: the tracker builds nothing for it.
         metrics = self.metrics
         if metrics.observe(self._loads.max_load):
-            metrics.peak_snapshot = self._loads.fresh_leaf_loads()
+            metrics.peak_leaves = self._loads.fresh_leaf_loads()
             metrics.peak_snapshot_time = time
 
     def _update_degradation_gauges(self) -> None:
@@ -794,6 +797,8 @@ class AllocationKernel:
 
     def check_consistency(self) -> None:
         """Cross-check tracker vs. placements (test helper)."""
+        import numpy as np
+
         self._loads.check_invariants()
         expected = np.zeros(self.machine.num_pes, dtype=np.int64)
         h = self.machine.hierarchy

@@ -18,13 +18,15 @@ hypercube and the mesh".  We factor the library accordingly:
 from __future__ import annotations
 
 import abc
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import InvalidMachineError
 from repro.machines.hierarchy import Hierarchy
 from repro.machines.loads import LoadTracker
 from repro.types import NodeId, PEId, ilog2, is_power_of_two
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["PartitionableMachine"]
 
@@ -170,6 +172,8 @@ class PartitionableMachine(abc.ABC):
         This default calls the scalar method once per pair; topologies
         with a closed-form distance override it with array arithmetic.
         """
+        import numpy as np
+
         return np.fromiter(
             (self.migration_distance(a, b) for a, b in zip(src.tolist(), dst.tolist())),
             dtype=np.int64,

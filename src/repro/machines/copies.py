@@ -22,13 +22,14 @@ append a fresh copy if none can.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.errors import AllocationError, PlacementError
 from repro.machines.hierarchy import Hierarchy
 from repro.types import CopyId, NodeId, is_power_of_two
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BuddyCopy", "CopySet"]
 
@@ -46,6 +47,8 @@ class BuddyCopy:
     __slots__ = ("hierarchy", "_assigned", "_max_vacant", "_num_tasks", "_blocked")
 
     def __init__(self, hierarchy: Hierarchy):
+        import numpy as np
+
         self.hierarchy = hierarchy
         n2 = 2 * hierarchy.num_leaves
         self._assigned = np.zeros(n2, dtype=bool)
@@ -97,7 +100,7 @@ class BuddyCopy:
 
     def assigned_nodes(self) -> Iterator[NodeId]:
         """Nodes with a task assigned, in heap order (left-to-right by level)."""
-        return (int(v) for v in np.flatnonzero(self._assigned))
+        return (int(v) for v in self._assigned.nonzero()[0])
 
     # -- Internal maintenance ------------------------------------------------
 
@@ -212,6 +215,8 @@ class BuddyCopy:
         never consulted and may be stale, so the recomputation compares only
         nodes not blocked by an assigned ancestor.
         """
+        import numpy as np
+
         h = self.hierarchy
         mv = np.zeros_like(self._max_vacant)
         blocked = np.zeros(2 * h.num_leaves, dtype=bool)
@@ -287,6 +292,8 @@ class CopySet:
         which is what per-task :meth:`BuddyCopy.allocate` leaves there too.
         The nodes must not nest within a copy (a packing never does).
         """
+        import numpy as np
+
         h = hierarchy
         n = h.num_leaves
         assigned = np.zeros((num_copies, 2 * n), dtype=bool)
@@ -324,6 +331,8 @@ class CopySet:
         as the ones the slots were read from, since the vacancy trees are
         a function of the assignments (:meth:`from_packing`).
         """
+        import numpy as np
+
         pairs = list(slots)
         copy_ids = np.fromiter((c for c, _ in pairs), dtype=np.int64, count=len(pairs))
         nodes = np.fromiter((v for _, v in pairs), dtype=np.int64, count=len(pairs))

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
 from repro.errors import FaultPlanError, PlacementError
 from repro.types import NodeId, ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base imports us)
+    import numpy as np
+
     from repro.machines.base import PartitionableMachine
 
 __all__ = ["DegradedView"]
@@ -159,6 +159,8 @@ class DegradedView:
 
     def alive_leaf_mask(self) -> np.ndarray:
         """Boolean PE vector: ``True`` where the PE survives."""
+        import numpy as np
+
         mask = np.ones(self.machine.num_pes, dtype=bool)
         for node in self._failed:
             lo, hi = self.hierarchy.leaf_span(node)

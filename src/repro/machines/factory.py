@@ -11,15 +11,12 @@ another process.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import TraceFormatError
-from repro.machines.base import PartitionableMachine
-from repro.machines.butterfly import Butterfly
-from repro.machines.fattree import FatTree
-from repro.machines.hypercube import Hypercube
-from repro.machines.mesh import Mesh2D
-from repro.machines.tree import TreeMachine
+
+if TYPE_CHECKING:
+    from repro.machines.base import PartitionableMachine
 
 __all__ = ["machine_descriptor", "machine_from_descriptor"]
 
@@ -28,7 +25,7 @@ def machine_descriptor(machine: PartitionableMachine) -> dict:
     """The minimal dict from which :func:`machine_from_descriptor` rebuilds
     an equivalent machine."""
     desc: dict = {"topology": machine.topology_name, "num_pes": machine.num_pes}
-    if isinstance(machine, FatTree):
+    if desc["topology"].startswith("fattree"):
         desc["fatness"] = machine.fatness
         desc["base_capacity"] = machine.base_capacity
     return desc
@@ -36,23 +33,31 @@ def machine_descriptor(machine: PartitionableMachine) -> dict:
 
 def machine_from_descriptor(desc: Mapping) -> PartitionableMachine:
     """Rebuild a machine from its descriptor (inverse of
-    :func:`machine_descriptor`)."""
+    :func:`machine_descriptor`).  Only the topology named is imported."""
     topology = desc["topology"]
     n = int(desc["num_pes"])
     if topology == "tree":
+        from repro.machines.tree import TreeMachine
+
         return TreeMachine(n)
     if topology.startswith("fattree"):
+        from repro.machines.fattree import FatTree
+
         return FatTree(
             n,
             fatness=float(desc.get("fatness", 2.0)),
             base_capacity=float(desc.get("base_capacity", 1.0)),
         )
-    if topology == "hypercube-binary":
-        return Hypercube(n, layout="binary")
-    if topology == "hypercube-gray":
-        return Hypercube(n, layout="gray")
+    if topology in ("hypercube-binary", "hypercube-gray"):
+        from repro.machines.hypercube import Hypercube
+
+        return Hypercube(n, layout=topology.removeprefix("hypercube-"))
     if topology == "butterfly":
+        from repro.machines.butterfly import Butterfly
+
         return Butterfly(n)
     if topology == "mesh2d":
+        from repro.machines.mesh import Mesh2D
+
         return Mesh2D(n)
     raise TraceFormatError(f"unknown topology {topology!r} in descriptor")

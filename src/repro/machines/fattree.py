@@ -11,11 +11,14 @@ transfer time of migrations that cross well-provisioned upper levels.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import InvalidMachineError
 from repro.machines.base import PartitionableMachine
 from repro.types import NodeId, PEId, ilog2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FatTree"]
 

@@ -18,18 +18,20 @@ A node at level ``l`` roots a submachine of ``N / 2**l`` PEs.  A *submachine
 of size 2^x* in the paper's sense is exactly a node at level ``n - x``.
 
 All functions are O(1) or O(log N) integer arithmetic; bulk per-level
-queries are provided as NumPy-vectorized helpers used by the load tracker.
+queries are provided as NumPy-vectorized helpers for the bulk paths
+(repack validation, migration distances), which import NumPy when called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import InvalidMachineError
 from repro.types import NodeId, PEId, ilog2, is_power_of_two
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Hierarchy", "grown_node", "shrunk_node"]
 
@@ -81,19 +83,18 @@ class Hierarchy:
     """
 
     num_leaves: int
+    #: ``n = log2 N``: number of levels below the root (set once, at
+    #: construction, which rejects a ``num_leaves`` with no such log).
+    height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.num_leaves):
             raise InvalidMachineError(
                 f"hierarchy requires a power-of-two leaf count, got {self.num_leaves}"
             )
+        object.__setattr__(self, "height", ilog2(self.num_leaves))
 
     # -- Basic quantities ----------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        """``n = log2 N``: number of levels below the root."""
-        return ilog2(self.num_leaves)
 
     @property
     def num_nodes(self) -> int:
@@ -281,6 +282,8 @@ class Hierarchy:
         (which forces a power-of-two size ``<= N``): it holds exactly when
         ``N // size <= v < 2 * (N // size)``.
         """
+        import numpy as np
+
         first = self.num_leaves // np.maximum(sizes, 1)
         return ((sizes >= 1) & (first * sizes == self.num_leaves)
                 & (nodes >= first) & (nodes < 2 * first))
@@ -293,6 +296,7 @@ class Hierarchy:
         ``2 * bit_length(a ^ b)`` hops apart; bit lengths come from the
         float exponent, which is exact below ``2**53``.
         """
+        import numpy as np
 
         def bit_length(x: np.ndarray) -> np.ndarray:
             return np.frexp(x.astype(np.float64))[1].astype(np.int64)
@@ -309,6 +313,8 @@ class Hierarchy:
         ``np.repeat`` — the vectorized idiom recommended by the HPC guides
         instead of a per-node Python loop.
         """
+        import numpy as np
+
         if values.shape[0] != 2 * self.num_leaves:
             raise InvalidMachineError(
                 "ancestor_sums expects a heap-indexed array of length 2N"

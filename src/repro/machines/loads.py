@@ -52,28 +52,39 @@ descends from the root comparing the two children's ``D_L`` entries
 
 The two lists are the only stored source.  The min-of-max vectors and the
 per-PE leaf array are derived from ``count`` and share one lifecycle:
-each is built, vectorised, on its first query; from then on it is kept
-current by every ``place``/``remove`` (the vectors by the path walk, the
-leaf array by one in-place slice add over the node's leaf span); and a
-bulk recompute (:meth:`rebuild_from`, :meth:`resized`) rebuilds
-whichever is built from the NumPy arrays it computes anyway.  Trackers
-that never ask pay nothing for either.  That includes the tracker of
-every kernel whose algorithm decides without the leaf array (greedy's
-descent builds only the vectors): the kernel's per-PE peak snapshot
-reads :meth:`fresh_leaf_loads`, which builds nothing, and asks only when
-the max load strictly rises.
+each is built on its first query; from then on it is kept current by
+every ``place``/``remove`` (the vectors by the path walk, the leaf array
+by one in-place slice add over the node's leaf span); and a bulk
+recompute (:meth:`rebuild_from`, :meth:`resized`) rebuilds whichever is
+built.  Trackers that never ask pay nothing for either.  That includes
+the tracker of every kernel whose algorithm decides without the leaf
+array (greedy's descent builds only the vectors): the kernel's per-PE
+peak snapshot reads :meth:`fresh_leaf_loads`, which builds nothing, and
+asks only when the max load strictly rises.
+
+Which builds use NumPy (imported when one first runs): the bulk
+recompute of :meth:`rebuild_from` (``max_below``, and the min-of-max
+vectors if built, one vectorised reduction per level), the first
+min-of-max build of a non-empty tracker (a restored or re-seeded one),
+and the leaf array with :meth:`level_loads` over it.  Plain ints serve
+the rest: the per-event walk, the descent, the first min-of-max build of
+an empty tracker (every entry 0) and the per-PE loads themselves
+(:meth:`_derive_leaves`, list arithmetic about as fast as the array form
+at N = 4096).  So a greedy tracker that starts empty never loads NumPy.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable
-
-import numpy as np
+from operator import add
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import PlacementError
 from repro.machines.hierarchy import Hierarchy
 from repro.types import NodeId, is_power_of_two
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LoadTracker", "level_max"]
 
@@ -88,6 +99,8 @@ def level_max(leaf: np.ndarray, size: int) -> np.ndarray:
     pairwise-maximum halving tree — log2(size) whole-array ufunc calls,
     O(N) total element work — is an order of magnitude faster.
     """
+    import numpy as np
+
     if size == 1:
         return leaf.copy()
     if size >= 64:
@@ -261,6 +274,8 @@ class LoadTracker:
         adoption in ``A_C``/``A_M`` reallocations stop being the dominant
         cost of repack-heavy runs.
         """
+        import numpy as np
+
         pairs = list(placements)
         n = self.hierarchy.num_leaves
         try:
@@ -295,13 +310,17 @@ class LoadTracker:
 
     def _count_array(self) -> np.ndarray:
         """``count`` as a heap-indexed int64 array (one O(N) conversion)."""
+        import numpy as np
+
         return np.fromiter(self._count, dtype=np.int64, count=len(self._count))
 
     def _recompute_aggregates(self, count: np.ndarray) -> None:
         """Rebuild ``max_below`` bottom-up from ``count`` (the array form of
-        the stored list) with one vectorized reduction per level: O(N)
-        total.  The derived structures already built are rebuilt from the
-        same array."""
+        the stored list, which it must equal) with one vectorized reduction
+        per level: O(N) total.  The derived structures already built are
+        rebuilt too."""
+        import numpy as np
+
         h = self.hierarchy
         mb = count.copy()
         for level in range(h.height - 1, -1, -1):
@@ -313,7 +332,7 @@ class LoadTracker:
         if self._minagg is not None:
             self._build_minagg(count)
         if self._leaf is not None:
-            self._derive_leaves(count, self._leaf)
+            self._leaf[:] = self._derive_leaves()
 
     # -- Queries -------------------------------------------------------------
 
@@ -355,21 +374,29 @@ class LoadTracker:
         """Load of one PE — O(log N)."""
         return self._path_sum(self.hierarchy.leaf_node(pe))
 
-    def _derive_leaves(self, count: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The per-PE loads derived from ``count`` (the array form of the
-        stored list): O(N).  Written into ``out`` when given, which fills
-        the leaf array in place, so views of it stay the tracker's."""
-        h = self.hierarchy
-        anc = h.ancestor_sums(count, h.height)
-        return np.add(anc, count[h.level_slice(h.height)], out=out)
+    def _derive_leaves(self) -> list[int]:
+        """The per-PE loads derived from ``count``: O(N) in all.  Level by
+        level, each node's path sum is its parent's plus its own count,
+        so the parent sums are doubled (one per child) and added to the
+        level's counts."""
+        count = self._count
+        sums = count[1:2]
+        for level in range(1, self.hierarchy.height + 1):
+            lo = 1 << level
+            parents = [0] * lo
+            parents[0::2] = sums
+            parents[1::2] = sums
+            sums = list(map(add, parents, count[lo : 2 * lo]))
+        return sums
 
     def _leaves(self) -> np.ndarray:
         """The per-PE leaf array, built on first use: O(N) once."""
         if self._leaf is None:
-            self._leaf = np.empty(self.hierarchy.num_leaves, dtype=np.int64)
+            import numpy as np
+
+            self._leaf = np.array(self._derive_leaves(), dtype=np.int64)
             self._leaf_view = self._leaf.view()
             self._leaf_view.flags.writeable = False
-            self._derive_leaves(self._count_array(), self._leaf)
         return self._leaf
 
     def leaf_loads(self, *, copy: bool = True) -> np.ndarray:
@@ -386,15 +413,15 @@ class LoadTracker:
         leaf = self._leaves()
         return leaf.copy() if copy else self._leaf_view
 
-    def fresh_leaf_loads(self) -> np.ndarray:
-        """Loads of all PEs as a new array the tracker does not keep: a
-        copy of the leaf array if something built it, else one O(N)
-        derivation from ``count`` that leaves the leaf array unbuilt, so
-        a one-off reader (the kernel's peak snapshot) puts no slice add
-        on later events."""
+    def fresh_leaf_loads(self) -> list[int]:
+        """Loads of all PEs as a new list of ints the tracker does not
+        keep: the leaf array's values if something built it, else one
+        O(N) derivation from ``count`` that leaves the leaf array unbuilt,
+        so a one-off reader (the kernel's peak snapshot) puts no slice
+        add on later events."""
         if self._leaf is not None:
-            return self._leaf.copy()
-        return self._derive_leaves(self._count_array())
+            return self._leaf.tolist()
+        return self._derive_leaves()
 
     def level_loads(self, size: int) -> np.ndarray:
         """Loads of every ``size``-PE submachine, left to right — vectorized.
@@ -409,18 +436,21 @@ class LoadTracker:
     def leftmost_min_submachine_scan(self, size: int) -> tuple[NodeId, int]:
         """Reference implementation: full level scan plus ``argmin``.
 
-        ``np.argmin`` returns the first minimum, which is precisely the
+        ``argmin`` returns the first minimum, which is precisely the
         paper's leftmost tie-break.  Kept as the oracle the O(log N)
         descent is property-tested against, and as the baseline kernel in
         the perf benches.
         """
         loads = self.level_loads(size)
-        j = int(np.argmin(loads))
+        j = int(loads.argmin())
         return self.hierarchy.node_for(size, j), int(loads[j])
 
     def _build_minagg(self, count: np.ndarray) -> None:
-        """Materialize the min-of-max vectors bottom-up from ``count``,
-        vectorized per level: O(N) total work."""
+        """Materialize the min-of-max vectors bottom-up from ``count`` (the
+        array form of the stored list), vectorized per level: O(N) total
+        work."""
+        import numpy as np
+
         h = self.hierarchy
         n = h.height
         # rows[l] is the (2^l, n-l+1) matrix of D vectors for level l;
@@ -449,7 +479,10 @@ class LoadTracker:
         """
         target = self.hierarchy.level_for_size(size)
         if self._minagg is None:
-            self._build_minagg(self._count_array())
+            if self._active:
+                self._build_minagg(self._count_array())
+            else:  # every count is 0, so is every D_L(v)
+                self._minagg = [0] * self._minagg_base[-1]
         minagg = self._minagg
         base = self._minagg_base
         n = len(base) - 2  # the height, without a call
@@ -478,12 +511,15 @@ class LoadTracker:
             raise AssertionError("LoadTracker max aggregation out of sync")
         if sum(count[1:]) != self._active:
             raise AssertionError("LoadTracker active-count out of sync")
-        true_leaves = self._derive_leaves(self._count_array())
-        if self._leaf is not None and not np.array_equal(self._leaf, true_leaves):
+        true_leaves = self._derive_leaves()
+        if self._leaf is not None and self._leaf.tolist() != true_leaves:
             raise AssertionError("LoadTracker leaf array out of sync")
         # Min-of-max structure (only when built): every D_L(v) must equal
         # the brute-force minimum over level-L descendant loads.
         if self._minagg is not None:
+            import numpy as np
+
+            leaves = np.array(true_leaves, dtype=np.int64)
             base = self._minagg_base
             n = h.height
             for level in range(n + 1):
@@ -496,7 +532,7 @@ class LoadTracker:
                     for j, target in enumerate(range(level, n + 1)):
                         lo, hi = h.leaf_span(v)
                         size = h.num_leaves >> target
-                        block = true_leaves[lo:hi].reshape(-1, size)
+                        block = leaves[lo:hi].reshape(-1, size)
                         expect = int(block.max(axis=1).min()) - anc_v
                         if vec[j] != expect:
                             raise AssertionError(

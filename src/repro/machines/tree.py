@@ -14,10 +14,13 @@ topology.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.machines.base import PartitionableMachine
 from repro.types import NodeId, PEId, ilog2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TreeMachine"]
 
@@ -60,6 +63,8 @@ class TreeMachine(PartitionableMachine):
         survives.  ``view`` is a :class:`~repro.machines.degraded.DegradedView`
         of this machine.
         """
+        import numpy as np
+
         alive = np.flatnonzero(view.alive_leaf_mask())
         if alive.size <= 1:
             return 0

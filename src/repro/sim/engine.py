@@ -29,9 +29,7 @@ instead of silently flattering the results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.base import AllocationAlgorithm
 from repro.kernel import AllocationKernel
@@ -42,6 +40,9 @@ from repro.sim.realloc_cost import MigrationCostModel
 from repro.tasks.sequence import TaskSequence
 from repro.tasks.task import Task
 from repro.types import NodeId, TaskId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Simulator", "RunResult"]
 

@@ -11,11 +11,12 @@ from the decision stream (:class:`~repro.sim.history.RunHistory`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.types import Time
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LoadTimeSeries",
@@ -32,6 +33,8 @@ def jain_fairness(loads: np.ndarray) -> float:
     1.0 means perfectly balanced; ``1/n`` means one PE carries everything.
     Defined as 1.0 for an all-zero vector (an empty machine is balanced).
     """
+    import numpy as np
+
     total = float(loads.sum())
     if total == 0.0:
         return 1.0
@@ -55,12 +58,16 @@ class LoadTimeSeries:
         return max(self.max_loads, default=0)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return np.asarray(self.times), np.asarray(self.max_loads, dtype=np.int64)
 
     def time_average(self) -> float:
         """Time-weighted average of the max load (piecewise constant)."""
         if len(self.times) < 2:
             return float(self.max_loads[0]) if self.max_loads else 0.0
+        import numpy as np
+
         t = np.asarray(self.times)
         v = np.asarray(self.max_loads, dtype=float)
         dt = np.diff(t)
@@ -72,6 +79,8 @@ class LoadTimeSeries:
 
 def _fold(start: float, values: np.ndarray) -> float:
     """``start + values[0] + values[1] + ...``, added strictly left to right."""
+    import numpy as np
+
     return float(np.add.accumulate(np.concatenate(([start], values)), dtype=np.float64)[-1])
 
 
@@ -228,37 +237,40 @@ class MetricsCollector:
     faults: FaultStats = field(default_factory=FaultStats)
     #: ``L_A`` so far: the running maximum of the post-event max load.
     max_load: int = 0
-    #: Per-PE loads at the instant the max load peaked (for balance plots).
-    peak_snapshot: Optional[np.ndarray] = None
+    #: Per-PE loads at the instant the max load peaked (for balance plots),
+    #: as plain ints; :attr:`peak_snapshot` is their array form.
+    peak_leaves: Optional[list[int]] = None
     peak_snapshot_time: Optional[Time] = None
     events_processed: int = 0
+
+    @property
+    def peak_snapshot(self) -> Optional[np.ndarray]:
+        """:attr:`peak_leaves` as a new int64 array on each read (None
+        before the first event)."""
+        if self.peak_leaves is None:
+            return None
+        import numpy as np
+
+        return np.array(self.peak_leaves, dtype=np.int64)
+
+    @peak_snapshot.setter
+    def peak_snapshot(self, loads: Optional[Iterable[int]]) -> None:
+        self.peak_leaves = None if loads is None else [int(v) for v in loads]
 
     def observe(self, max_load: int) -> bool:
         """Record one post-event max load.  Returns whether a per-PE peak
         snapshot is due: on the first event, and whenever ``max_load``
         strictly raises ``L_A`` (so at most ``L_A + 1`` times a run).  The
-        caller owns the loads; it stores them in ``peak_snapshot`` and
-        the event's time in ``peak_snapshot_time``."""
+        caller owns the loads; it stores them in ``peak_leaves`` and the
+        event's time in ``peak_snapshot_time``."""
         self.events_processed += 1
         if max_load > self.max_load:
             self.max_load = max_load
             return True
-        return self.peak_snapshot is None
-
-    def observe_batch(
-        self, count: int, peak: int, snapshot: Optional[np.ndarray], snapshot_time: Optional[Time]
-    ) -> None:
-        """``count`` calls of :meth:`observe`, metered by a batch path:
-        ``peak`` is their highest max load, ``snapshot`` the leaf loads
-        at the last strict peak increase (``None`` if there was none)."""
-        self.events_processed += count
-        self.max_load = max(self.max_load, peak)
-        if snapshot is not None:
-            self.peak_snapshot = snapshot
-            self.peak_snapshot_time = snapshot_time
+        return self.peak_leaves is None
 
     def fairness_at_peak(self) -> float:
-        if self.peak_snapshot is None:
+        if self.peak_leaves is None:
             return 1.0
         return jain_fairness(self.peak_snapshot)
 
@@ -270,9 +282,7 @@ class MetricsCollector:
             "faults": self.faults.to_state(),
             "max_load": self.max_load,
             "peak_snapshot": (
-                None
-                if self.peak_snapshot is None
-                else [int(v) for v in self.peak_snapshot]
+                None if self.peak_leaves is None else list(self.peak_leaves)
             ),
             "peak_snapshot_time": (
                 None
@@ -289,9 +299,7 @@ class MetricsCollector:
             realloc=ReallocationStats.from_state(state["realloc"]),
             faults=FaultStats.from_state(state["faults"]),
             max_load=int(state["max_load"]),
-            peak_snapshot=(
-                None if snap is None else np.asarray(snap, dtype=np.int64)
-            ),
+            peak_leaves=None if snap is None else [int(v) for v in snap],
             peak_snapshot_time=state.get("peak_snapshot_time"),
             events_processed=int(state["events_processed"]),
         )

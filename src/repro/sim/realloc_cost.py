@@ -21,11 +21,13 @@ given a per-link bandwidth, so the E4 bench can put "load imbalance" and
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.machines.base import PartitionableMachine
 from repro.types import NodeId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["MigrationCostModel", "MigrationCharge"]
 
@@ -94,6 +96,8 @@ class MigrationCostModel:
 
     def bytes_moved(self, sizes: np.ndarray, distances: np.ndarray) -> np.ndarray:
         """Checkpoint bytes of many moves, each as :meth:`charge` prices it."""
+        import numpy as np
+
         return np.where(distances == 0, 0.0, self.bytes_per_pe * sizes)
 
     def reallocation_overhead_seconds(self, num_reallocations: int) -> float:

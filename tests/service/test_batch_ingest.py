@@ -98,10 +98,11 @@ class TestPushBatchEquivalence:
         assert _digest(resumed.snapshot()) == _digest(reference.snapshot())
         assert resumed.kernel.metrics.to_state() == reference.kernel.metrics.to_state()
 
-    @pytest.mark.parametrize("size", [2, 10], ids=["loop", "columnar"])
+    @pytest.mark.parametrize("size", [2, 10], ids=["two", "ten"])
     def test_id_beyond_int64_is_journaled(self, tmp_path, size):
-        """The columnar journal frame holds int64 ids; a batch carrying a
-        larger one falls back to per-record frames and still resumes."""
+        """No tagged record layout holds an id beyond int64, so each such
+        arrival of a batch is journaled as a JSON frame; the journal still
+        resumes to the writer's state."""
         records = [
             {"kind": "arrival", "time": float(i), "id": 2**70 + i, "size": 2}
             for i in range(size)

@@ -2,9 +2,14 @@
 
 A boot compiles and executes every module it imports, so ``repro serve``
 must import only the layers that serve (``docs/ARCHITECTURE.md``, "What
-``repro serve`` imports").  ``repro``, ``repro.sim``, ``repro.machines``
-and ``repro.tasks`` are lazy namespaces (:mod:`repro._lazy`): their
-public names load on first use and behave as if imported eagerly.
+``repro serve`` imports").  ``repro``, ``repro.core``, ``repro.sim``,
+``repro.machines`` and ``repro.tasks`` are lazy namespaces
+(:mod:`repro._lazy`): their public names load on first use and behave as
+if imported eagerly.
+
+A served process is judged by its ``sys.modules`` at exit, not by
+``-X importtime``, which does not report a module loaded through
+:func:`importlib.import_module` (as every lazy name is).
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ import json
 import os
 import pkgutil
 import signal
+import socket
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -54,7 +61,19 @@ EVENTS = (
     json.dumps({"op": "status"}),
 )
 
-LAZY_PACKAGES = ("repro", "repro.sim", "repro.machines", "repro.tasks")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.sim", "repro.machines", "repro.tasks")
+
+#: ``python -m repro`` with the arguments after the first, which names the
+#: file that receives the sorted ``sys.modules`` names as JSON at exit.
+_RUN_REPRO = """if True:
+    import atexit, json, runpy, sys
+    out = sys.argv.pop(1)
+    def dump():
+        with open(out, "w") as fh:
+            json.dump(sorted(sys.modules), fh)
+    atexit.register(dump)
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
 
 
 def _python(*args: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
@@ -67,41 +86,57 @@ def _python(*args: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
 
 
 def _serve_command(tmp_path, *flags: str) -> list[str]:
+    """A ``repro serve`` run whose modules :func:`_imported` reads."""
     return [
-        "-X", "importtime", "-m", "repro", "serve",
+        "-c", _RUN_REPRO, str(tmp_path / "modules.json"), "serve",
         "--journal", str(tmp_path / "boot.journal"), *flags,
     ]
 
 
-def _imported(stderr: bytes) -> set[str]:
-    """The modules ``-X importtime`` reports (one stderr line each)."""
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in stderr.decode().splitlines()
-        if line.startswith("import time:") and line.count("|") == 2
-    }
+def _imported(tmp_path) -> set[str]:
+    """The modules in ``sys.modules`` when the run of :func:`_serve_command`
+    exited."""
+    return set(json.loads((tmp_path / "modules.json").read_text()))
 
 
 def _serve_imports(tmp_path, *flags: str, lines: tuple[str, ...] = ()) -> set[str]:
     """Every module a ``python -m repro serve`` boot on stdin imports
     while it serves ``lines``."""
     stdin = "".join(line + "\n" for line in lines).encode()
-    return _imported(_python(*_serve_command(tmp_path, *flags), stdin=stdin).stderr)
+    _python(*_serve_command(tmp_path, *flags), stdin=stdin)
+    return _imported(tmp_path)
 
 
-def _listen_imports(tmp_path) -> set[str]:
+def _address(line: bytes) -> tuple[str, int]:
+    host, _, port = line.decode().split()[-1].rpartition(":")
+    return host, int(port)
+
+
+def _listen_imports(tmp_path, *, serve: bool = False) -> set[str]:
     """Every module a ``repro serve --listen`` boot imports, stopped by
-    SIGTERM once it listens."""
+    SIGTERM once it listens.  With ``serve``, first it serves ``EVENTS``
+    to one client and answers one ``/metrics`` scrape."""
+    flags = ["--listen", "127.0.0.1:0"] + (["--metrics-port", "0"] if serve else [])
     proc = subprocess.Popen(
-        [sys.executable, *_serve_command(tmp_path, "--listen", "127.0.0.1:0")],
+        [sys.executable, *_serve_command(tmp_path, *flags)],
         stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     try:
         stderr = []
-        while not stderr or not stderr[-1].startswith(b"listening on"):
+        last = b"metrics on" if serve else b"listening on"
+        while not stderr or not stderr[-1].startswith(last):
             stderr.append(proc.stderr.readline())
             assert stderr[-1], b"".join(stderr).decode()
+        if serve:
+            with socket.create_connection(_address(stderr[-2]), timeout=30) as conn:
+                conn.sendall("".join(line + "\n" for line in EVENTS).encode())
+                with conn.makefile("rb") as replies:
+                    status = [json.loads(replies.readline()) for _ in EVENTS][-1]
+            assert status["events"] == 3
+            url = stderr[-1].decode().split()[-1]
+            with urllib.request.urlopen(url, timeout=30) as page:
+                assert b"repro_events_total" in page.read()
         proc.send_signal(signal.SIGTERM)
         stderr.append(proc.communicate(timeout=60)[1])
         assert proc.returncode == 0, b"".join(stderr).decode()
@@ -109,7 +144,8 @@ def _listen_imports(tmp_path) -> set[str]:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    return _imported(b"".join(stderr))
+        proc.stderr.close()
+    return _imported(tmp_path)
 
 
 def _within(modules: set[str], trees) -> list[str]:
@@ -142,10 +178,18 @@ class TestServeBoot:
         self, tmp_path, algorithm, draws
     ):
         """``twochoice`` is the positive control: it takes an RNG, so
-        its boot must still load one."""
+        its boot must still load one.  NumPy itself loads only where
+        arrays are computed: greedy serves from lists of ints, while
+        A_M's machine copies are arrays."""
         modules = _serve_imports(tmp_path, "--algorithm", algorithm, lines=EVENTS)
         assert "repro.service.session" in modules
         assert ("numpy.random" in modules) == draws
+        assert bool(_within(modules, ["numpy"])) == (algorithm != "greedy")
+
+    def test_socket_greedy_server_loads_no_numpy(self, tmp_path):
+        modules = _listen_imports(tmp_path, serve=True)
+        assert "repro.core.greedy" in modules  # the server built greedy
+        assert _within(modules, ["numpy"]) == []
 
     def test_faults_flag_still_loads_fault_handling(self, tmp_path):
         modules = _serve_imports(tmp_path, "--faults")
